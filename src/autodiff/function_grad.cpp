@@ -1,7 +1,6 @@
 #include "autodiff/function_grad.h"
 
 #include <map>
-#include <mutex>
 
 #include "api/ops_api.h"
 #include "autodiff/gradient_registry.h"
@@ -34,22 +33,11 @@ std::vector<Endpoint> IntermediateEndpoints(const GraphFunction& function) {
   return endpoints;
 }
 
-// Backward-function cache (grad_arg_indices etc. live outside the library).
-struct BackwardCacheEntry {
-  BackwardFunction backward;
-  std::vector<int> grad_output_indices;  // which original outputs take grads
-};
-std::mutex g_backward_mu;
-std::map<std::string, BackwardCacheEntry>& BackwardCache() {
-  static auto* cache = new std::map<std::string, BackwardCacheEntry>();
-  return *cache;
-}
-
 // When `seed_accumulators` is non-null, the backward gets one extra trailing
 // parameter per (arg index, type) entry, pre-seeded into the sweep's gradient
 // map at that arg's endpoint — the loop-body accumulator threading described
 // in function_grad.h.
-StatusOr<BackwardCacheEntry> BuildBackward(
+StatusOr<BackwardFunction> BuildBackward(
     EagerContext* ctx, const std::shared_ptr<GraphFunction>& forward,
     int num_original_outputs,
     const std::vector<std::pair<int, TypeAndShape>>* seed_accumulators =
@@ -58,7 +46,7 @@ StatusOr<BackwardCacheEntry> BuildBackward(
   auto backward_fn = std::make_shared<GraphFunction>(ctx->functions().UniqueName(
       forward->name() +
       (seed_accumulators == nullptr ? "__grad" : "__loop_grad")));
-  BackwardCacheEntry entry;
+  BackwardFunction entry;
 
   TraceContext trace(backward_fn, ctx);
 
@@ -198,12 +186,12 @@ StatusOr<BackwardCacheEntry> BuildBackward(
       TFE_ASSIGN_OR_RETURN(grad, trace.Capture(grad));
     }
     backward_fn->outputs().push_back({grad.node_id(), grad.output_index()});
-    entry.backward.grad_arg_indices.push_back(i);
+    entry.grad_arg_indices.push_back(i);
   }
 
   TFE_RETURN_IF_ERROR(passes::Optimize(*backward_fn));
   TFE_RETURN_IF_ERROR(ctx->functions().Register(backward_fn));
-  entry.backward.function = backward_fn;
+  entry.function = backward_fn;
   return entry;
 }
 
@@ -237,88 +225,58 @@ StatusOr<std::shared_ptr<GraphFunction>> BuildForwardFunction(
 StatusOr<BackwardFunction> GetOrBuildBackwardFunction(
     EagerContext* ctx, const std::shared_ptr<GraphFunction>& forward,
     int num_original_outputs) {
-  std::string key = forward->name() + "#" +
-                    std::to_string(num_original_outputs);
-  {
-    std::lock_guard<std::mutex> lock(g_backward_mu);
-    auto it = BackwardCache().find(key);
-    if (it != BackwardCache().end()) return it->second.backward;
-  }
-  TFE_ASSIGN_OR_RETURN(BackwardCacheEntry entry,
-                       BuildBackward(ctx, forward, num_original_outputs));
-  std::lock_guard<std::mutex> lock(g_backward_mu);
-  auto [it, inserted] = BackwardCache().emplace(key, entry);
-  return it->second.backward;
+  TFE_ASSIGN_OR_RETURN(
+      std::shared_ptr<const BackwardFunction> backward,
+      forward->GetOrBuildBackward(
+          std::to_string(num_original_outputs),
+          [&]() -> StatusOr<std::shared_ptr<const BackwardFunction>> {
+            TFE_ASSIGN_OR_RETURN(
+                BackwardFunction built,
+                BuildBackward(ctx, forward, num_original_outputs));
+            return std::make_shared<const BackwardFunction>(std::move(built));
+          }));
+  return *backward;
 }
 
-namespace {
-
-std::map<std::string, LoopBackwardFunction>& LoopBackwardCache() {
-  static auto* cache = new std::map<std::string, LoopBackwardFunction>();
-  return *cache;
-}
-
-}  // namespace
-
-StatusOr<LoopBackwardFunction> GetOrBuildLoopBackwardFunction(
+StatusOr<BackwardFunction> GetOrBuildLoopBackwardFunction(
     EagerContext* ctx, const std::shared_ptr<GraphFunction>& forward,
     int num_vars) {
-  std::string key = forward->name() + "#loop#" + std::to_string(num_vars);
-  {
-    std::lock_guard<std::mutex> lock(g_backward_mu);
-    auto it = LoopBackwardCache().find(key);
-    if (it != LoopBackwardCache().end()) return it->second;
-  }
-
-  // Pass 1: the standard backward reveals which captures receive gradients
-  // at all, and with what dtype/shape — that set defines the accumulators.
-  TFE_ASSIGN_OR_RETURN(BackwardCacheEntry probe,
-                       BuildBackward(ctx, forward, num_vars));
-  LoopBackwardFunction entry;
-  std::vector<std::pair<int, TypeAndShape>> seeds;
-  for (size_t j = 0; j < probe.backward.grad_arg_indices.size(); ++j) {
-    int arg_index = probe.backward.grad_arg_indices[j];
-    if (arg_index < num_vars) continue;
-    const Endpoint& out = probe.backward.function->outputs()[j];
-    TypeAndShape type =
-        probe.backward.function->graph().endpoint_type(out);
-    seeds.emplace_back(arg_index, type);
-    entry.accumulated_arg_indices.push_back(arg_index);
-    entry.accumulator_types.push_back(type);
-  }
-
-  // Pass 2: rebuild with those accumulators threaded through the sweep.
-  TFE_ASSIGN_OR_RETURN(BackwardCacheEntry seeded,
-                       BuildBackward(ctx, forward, num_vars, &seeds));
-  entry.function = seeded.backward.function;
-  entry.grad_arg_indices = seeded.backward.grad_arg_indices;
-  entry.grad_output_indices = seeded.grad_output_indices;
-  for (int arg_index : entry.accumulated_arg_indices) {
-    bool present = false;
-    for (int i : entry.grad_arg_indices) present |= (i == arg_index);
-    if (!present) {
-      return Internal("Loop backward lost a threaded capture accumulator");
+  auto build = [&]() -> StatusOr<std::shared_ptr<const BackwardFunction>> {
+    // Pass 1: the standard backward reveals which captures receive
+    // gradients at all, and with what dtype/shape — that set defines the
+    // accumulators.
+    TFE_ASSIGN_OR_RETURN(BackwardFunction probe,
+                         BuildBackward(ctx, forward, num_vars));
+    std::vector<std::pair<int, TypeAndShape>> seeds;
+    for (size_t j = 0; j < probe.grad_arg_indices.size(); ++j) {
+      int arg_index = probe.grad_arg_indices[j];
+      if (arg_index < num_vars) continue;
+      const Endpoint& out = probe.function->outputs()[j];
+      seeds.emplace_back(arg_index,
+                         probe.function->graph().endpoint_type(out));
     }
-  }
 
-  std::lock_guard<std::mutex> lock(g_backward_mu);
-  auto [it, inserted] = LoopBackwardCache().emplace(key, std::move(entry));
-  return it->second;
+    // Pass 2: rebuild with those accumulators threaded through the sweep.
+    TFE_ASSIGN_OR_RETURN(BackwardFunction entry,
+                         BuildBackward(ctx, forward, num_vars, &seeds));
+    for (const auto& [arg_index, type] : seeds) {
+      bool present = false;
+      for (int i : entry.grad_arg_indices) present |= (i == arg_index);
+      if (!present) {
+        return Internal("Loop backward lost a threaded capture accumulator");
+      }
+      entry.accumulated_arg_indices.push_back(arg_index);
+      entry.accumulator_types.push_back(type);
+    }
+    return std::make_shared<const BackwardFunction>(std::move(entry));
+  };
+  TFE_ASSIGN_OR_RETURN(
+      std::shared_ptr<const BackwardFunction> backward,
+      forward->GetOrBuildBackward("loop#" + std::to_string(num_vars), build));
+  return *backward;
 }
 
 namespace {
-
-// Which original outputs carry gradients into the backward call (mirrors
-// BuildBackward's parameter layout).
-StatusOr<std::vector<int>> GradOutputIndicesFor(
-    const std::string& backward_key) {
-  std::lock_guard<std::mutex> lock(g_backward_mu);
-  auto it = BackwardCache().find(backward_key);
-  if (it == BackwardCache().end()) {
-    return Internal("Backward function missing from cache");
-  }
-  return it->second.grad_output_indices;
-}
 
 StatusOr<std::vector<Tensor>> CallGradImpl(const TapeEntry& e,
                                            const std::vector<Tensor>& g) {
@@ -363,17 +321,13 @@ StatusOr<std::vector<Tensor>> CallGradImpl(const TapeEntry& e,
   TFE_ASSIGN_OR_RETURN(BackwardFunction backward,
                        GetOrBuildBackwardFunction(ctx, forward,
                                                   num_grad_outputs));
-  TFE_ASSIGN_OR_RETURN(
-      std::vector<int> grad_output_indices,
-      GradOutputIndicesFor(forward->name() + "#" +
-                           std::to_string(num_grad_outputs)));
 
   // Assemble the backward call: [args..., intermediates..., output grads...].
   std::vector<Tensor> inputs = e.inputs;
   for (size_t i = num_original; i < full_outputs.size(); ++i) {
     inputs.push_back(full_outputs[i]);
   }
-  for (int index : grad_output_indices) {
+  for (int index : backward.grad_output_indices) {
     Tensor grad = index < static_cast<int>(g.size()) ? g[index] : Tensor();
     if (!grad.defined()) {
       grad = ops::zeros_like(full_outputs[index]);

@@ -29,11 +29,23 @@ class EagerContext;
 StatusOr<std::shared_ptr<GraphFunction>> BuildForwardFunction(
     EagerContext* ctx, const std::shared_ptr<GraphFunction>& function);
 
+// A backward function and its parameter layout,
+//   [forward args..., intermediates..., grads for grad_output_indices...,
+//    one accumulator per accumulated_arg_indices entry].
+// Cached on the forward function it was derived from (see
+// GraphFunction::GetOrBuildBackward).
 struct BackwardFunction {
   std::shared_ptr<GraphFunction> function;
   // function's outputs correspond to gradients for these forward-arg
-  // positions (args without incoming gradients are omitted).
+  // positions (args without incoming gradients are omitted; every
+  // accumulated arg is present — it carries at least its accumulator).
   std::vector<int> grad_arg_indices;
+  // Which forward outputs take gradient parameters.
+  std::vector<int> grad_output_indices;
+  // Loop-body backwards only: capture args whose gradients are threaded,
+  // in parameter order, with the dtype/shape of each accumulator.
+  std::vector<int> accumulated_arg_indices;
+  std::vector<TypeAndShape> accumulator_types;
 };
 
 // Returns (building on first use) the backward function for a forward
@@ -42,34 +54,17 @@ StatusOr<BackwardFunction> GetOrBuildBackwardFunction(
     EagerContext* ctx, const std::shared_ptr<GraphFunction>& forward,
     int num_original_outputs);
 
-// The backward of a While-loop body: like BackwardFunction, but gradients
-// for the body's *captures* (args at index >= num_vars) are threaded through
-// explicit accumulator parameters instead of being emitted fresh each call.
-// The function's parameter layout is
-//   [forward args..., intermediates..., grads for grad_output_indices...,
-//    one accumulator per accumulated_arg_indices entry]
-// and the output for an accumulated arg is `accumulator + (this iteration's
-// contributions, folded in reverse-sweep order)`. Seeding the sweep with the
-// accumulator makes the whole reverse loop a single flat left-fold — the
-// exact association the eager tape produces for an unrolled loop — so While
-// gradients stay bitwise-equal to unrolled-loop tape gradients.
-struct LoopBackwardFunction {
-  std::shared_ptr<GraphFunction> function;
-  // function's outputs correspond to gradients for these forward-arg
-  // positions (args without incoming gradients are omitted; every
-  // accumulated arg is present — it carries at least its accumulator).
-  std::vector<int> grad_arg_indices;
-  // Which of the first `num_vars` forward outputs take gradient parameters.
-  std::vector<int> grad_output_indices;
-  // Capture args (>= num_vars) whose gradients are threaded, in parameter
-  // order, with the dtype/shape of each accumulator.
-  std::vector<int> accumulated_arg_indices;
-  std::vector<TypeAndShape> accumulator_types;
-};
-
-// Returns (building on first use) the loop-body backward for a forward
-// variant whose first `num_vars` args/outputs are the loop variables.
-StatusOr<LoopBackwardFunction> GetOrBuildLoopBackwardFunction(
+// Returns (building on first use) the backward of a While-loop body: a
+// forward variant whose first `num_vars` args/outputs are the loop
+// variables. Gradients for the body's *captures* (args at index >=
+// num_vars) are threaded through explicit accumulator parameters instead of
+// being emitted fresh each call: the output for an accumulated arg is
+// `accumulator + (this iteration's contributions, folded in reverse-sweep
+// order)`. Seeding the sweep with the accumulator makes the whole reverse
+// loop a single flat left-fold — the exact association the eager tape
+// produces for an unrolled loop — so While gradients stay bitwise-equal to
+// unrolled-loop tape gradients.
+StatusOr<BackwardFunction> GetOrBuildLoopBackwardFunction(
     EagerContext* ctx, const std::shared_ptr<GraphFunction>& forward,
     int num_vars);
 

@@ -60,6 +60,21 @@ std::shared_ptr<const memplan::MemoryPlan> GraphFunction::GetOrBuildMemoryPlan(
   return memory_plan_;
 }
 
+StatusOr<std::shared_ptr<const BackwardFunction>>
+GraphFunction::GetOrBuildBackward(
+    const std::string& key,
+    const std::function<StatusOr<std::shared_ptr<const BackwardFunction>>()>&
+        build) {
+  {
+    std::lock_guard<std::mutex> lock(backward_mu_);
+    auto it = backwards_.find(key);
+    if (it != backwards_.end()) return it->second;
+  }
+  TFE_ASSIGN_OR_RETURN(std::shared_ptr<const BackwardFunction> built, build());
+  std::lock_guard<std::mutex> lock(backward_mu_);
+  return backwards_.emplace(key, std::move(built)).first->second;
+}
+
 Status CloneGraphFunctionInto(const GraphFunction& source,
                               GraphFunction& target) {
   const Graph& graph = source.graph();

@@ -19,6 +19,8 @@ namespace memplan {
 class MemoryPlan;
 }  // namespace memplan
 
+struct BackwardFunction;  // autodiff/function_grad.h
+
 // A value the trace closed over. Lexical captures are "silently passed to
 // the graph function at call-time, without programmer intervention" (§4.6):
 // eager tensors are captured by value, variables by reference (their
@@ -106,6 +108,17 @@ class GraphFunction {
     return autodiff_source_;
   }
 
+  // Cached backward functions autodiff derived from this (forward) function,
+  // under a key the caller chooses. They share this function's lifetime, so
+  // a fresh context's function of the same name never resolves another
+  // context's backward. `build` runs outside the lock — it traces, and may
+  // differentiate nested calls — so a racing build may be discarded in
+  // favour of the first one cached.
+  StatusOr<std::shared_ptr<const BackwardFunction>> GetOrBuildBackward(
+      const std::string& key,
+      const std::function<StatusOr<std::shared_ptr<const BackwardFunction>>()>&
+          build);
+
  private:
   std::string name_;
   Graph graph_;
@@ -121,6 +134,9 @@ class GraphFunction {
   mutable std::mutex plan_mu_;
   mutable bool plan_ready_ = false;
   mutable std::shared_ptr<const memplan::MemoryPlan> memory_plan_;
+
+  std::mutex backward_mu_;
+  std::map<std::string, std::shared_ptr<const BackwardFunction>> backwards_;
 };
 
 // Structural copy of `source` — nodes (ids preserved), arg nodes, captures,

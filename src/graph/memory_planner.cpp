@@ -101,11 +101,10 @@ bool IsSafeConsumer(const std::string& op) {
 
 // --- skip-zero proof --------------------------------------------------------
 // Output k of a FusedElementwise node is fully stored before any consumer
-// reads it when its store covers the whole evaluation space contiguously:
-// v1 programs store every listed output over the full run shape; v2/v3 carry
-// per-output store descriptors (kAuto/kContiguous cover the space iff the
-// output element count equals the evaluation count). The reduce-epilogue
-// output accumulates into its own zeroed state, so it never qualifies.
+// reads it when its store covers the whole evaluation space contiguously (a
+// kContiguous store whose output element count equals the evaluation
+// count). The reduce-epilogue output accumulates into its own zeroed state,
+// so it never qualifies.
 std::vector<bool> FullStoreOutputs(const Node& node) {
   std::vector<bool> full(node.num_outputs(), false);
   auto it = node.attrs.find("program");
@@ -116,20 +115,11 @@ std::vector<bool> FullStoreOutputs(const Node& node) {
       kernels::MicroProgram::Decode(it->second.Get<std::vector<int64_t>>());
   if (!decoded.ok()) return full;
   const kernels::MicroProgram& program = decoded.value();
-  if (!program.extended) {
-    for (size_t k = 0; k < program.outputs.size() && k < full.size(); ++k) {
-      full[k] = true;
-    }
-    return full;
-  }
   int64_t eval_count = 1;
   for (int64_t d : program.eval_dims) eval_count *= d;
   for (size_t k = 0; k < program.output_specs.size() && k < full.size(); ++k) {
     const kernels::MicroOutputSpec& spec = program.output_specs[k];
-    if (spec.store.kind != kernels::MicroAccessKind::kAuto &&
-        spec.store.kind != kernels::MicroAccessKind::kContiguous) {
-      continue;
-    }
+    if (spec.store.kind != kernels::MicroAccessKind::kContiguous) continue;
     int64_t out_count = 1;
     for (int64_t d : spec.shape) out_count *= d;
     full[k] = out_count == eval_count;

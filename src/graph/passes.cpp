@@ -235,80 +235,14 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
     }
   }
 
-  // Mirrors the op-queue drain bound: limits the register footprint of one
-  // interpreted program.
-  constexpr int kMaxFusedRun = 64;
-
-  enum class MemberKind { kCompute, kLayout, kReduce };
-  struct MemberClass {
-    MemberKind kind = MemberKind::kCompute;
-    kernels::MicroOpCode code = kernels::MicroOpCode::kAdd;  // kCompute only
-  };
-
-  // Mirrors the drain-side FusableNode: elementwise micro-ops (Cast's single
-  // "dst" attr folds into the program — the cast target is always the run
-  // dtype, carried on the fused node), layout ops whose attrs the run
-  // compiler folds into access descriptors, and trailing reductions.
-  auto classify = [&](const Node& node, MemberClass* cls) {
-    if (!node.control_inputs.empty() || node.num_outputs() != 1 ||
-        !node.outputs[0].shape.IsFullyDefined()) {
-      return false;
-    }
-    const DType dtype = node.outputs[0].dtype;
-    if (kernels::MicroOpCodeFor(node.op, &cls->code)) {
-      cls->kind = MemberKind::kCompute;
-      if (static_cast<int>(node.inputs.size()) !=
-          kernels::MicroOpArity(cls->code)) {
-        return false;
-      }
-      if (cls->code == kernels::MicroOpCode::kCast) {
-        if (node.attrs.size() != 1 || node.attrs.count("dst") == 0) {
-          return false;
-        }
-      } else if (!node.attrs.empty()) {
-        return false;
-      }
-      return kernels::MicroOpSupports(cls->code, dtype);
-    }
-    if (kernels::MicroLayoutOp(node.op)) {
-      cls->kind = MemberKind::kLayout;
-      if (node.inputs.size() != 1) return false;
-      if (node.op == "Transpose") {
-        auto it = node.attrs.find("perm");
-        if (node.attrs.size() != 1 || it == node.attrs.end() ||
-            !it->second.Is<std::vector<int64_t>>()) {
-          return false;
-        }
-      } else if (node.op == "Reshape") {
-        if (node.attrs.size() != 1 || node.attrs.count("shape") == 0) {
-          return false;
-        }
-      } else if (node.op == "ExpandDims") {
-        if (node.attrs.size() != 1 || node.attrs.count("axis") == 0) {
-          return false;
-        }
-      } else {  // Squeeze: "axis" is optional
-        if (!node.attrs.empty() &&
-            (node.attrs.size() != 1 || node.attrs.count("axis") == 0)) {
-          return false;
-        }
-      }
-      return kernels::MicroOpSupports(kernels::MicroOpCode::kCast, dtype);
-    }
-    kernels::MicroReduceKind rkind;
-    if (kernels::MicroReduceKindFor(node.op, &rkind)) {
-      cls->kind = MemberKind::kReduce;
-      if (node.inputs.size() != 1) return false;
-      for (const auto& [name, value] : node.attrs) {
-        if (name != "axis" && name != "keep_dims") return false;
-      }
-      auto it = node.attrs.find("axis");
-      if (it != node.attrs.end() && !it->second.Is<std::vector<int64_t>>()) {
-        return false;
-      }
-      return kernels::MicroOpSupports(kernels::MicroOpCode::kCast, dtype);
-    }
-    return false;
+  // The run-membership rules shared with the op-queue drain; only
+  // single-output nodes without control dependencies are candidates.
+  auto member_class = [&](const Node& node, kernels::FusedMemberClass* cls) {
+    return node.control_inputs.empty() && node.num_outputs() == 1 &&
+           kernels::ClassifyFusedMember(node.op, node.attrs,
+                                        node.inputs.size(),
+                                        node.outputs[0].dtype,
+                                        node.outputs[0].shape, cls);
   };
 
   // Describes member `id` of a run (the ascending member-id list) to the run
@@ -317,20 +251,8 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
                          std::vector<Endpoint>& operands)
       -> kernels::FusedRunOp {
     const Node& node = graph.node(id);
-    kernels::FusedRunOp op;
-    op.op = node.op;
-    op.dtype = node.outputs[0].dtype;
-    op.shape = node.outputs[0].shape;
-    if (node.op == "Transpose") {
-      op.perm = node.attrs.find("perm")->second.Get<std::vector<int64_t>>();
-    }
-    kernels::MicroReduceKind rkind;
-    if (kernels::MicroReduceKindFor(node.op, &rkind)) {
-      auto it = node.attrs.find("axis");
-      if (it != node.attrs.end()) {
-        op.axes = it->second.Get<std::vector<int64_t>>();
-      }
-    }
+    kernels::FusedRunOp op = kernels::MakeFusedRunOp(
+        node.op, node.attrs, node.outputs[0].dtype, node.outputs[0].shape);
     for (const Endpoint& e : node.inputs) {
       // An input produced by an earlier member references its position in
       // the member list (ids ascend, so any member input is earlier).
@@ -396,9 +318,9 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
   std::vector<int> run_of(n, -1);
   int start = 0;
   while (start < n) {
-    MemberClass start_cls;
-    if (run_of[start] >= 0 || !classify(graph.node(start), &start_cls) ||
-        start_cls.kind == MemberKind::kReduce) {
+    kernels::FusedMemberClass start_cls;
+    if (run_of[start] >= 0 || !member_class(graph.node(start), &start_cls) ||
+        start_cls.kind == kernels::FusedMemberKind::kReduce) {
       ++start;
       continue;
     }
@@ -410,99 +332,63 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
       }
       return -1;
     };
-    // A cast's source operand may be any dtype the kCast micro-op converts
-    // from; every other operand must already carry the run dtype. External
-    // operands must precede the anchor (see above).
-    auto compute_operand_ok = [&](const Endpoint& e, const Shape& member_shape,
-                                  bool cast_source) {
-      if (member_pos(e.node_id) >= 0) return e.index == 0;  // in-run
-      if (e.node_id >= start) return false;  // skipped node: would cycle
-      const TypeAndShape& t = graph.endpoint_type(e);
-      if (cast_source) {
-        if (!kernels::MicroOpSupports(kernels::MicroOpCode::kCast, t.dtype)) {
+    // Every input is an in-run value or an external operand passing the
+    // shared operand rule that precedes the anchor (see above).
+    auto inputs_ok = [&](const Node& node,
+                         const kernels::FusedMemberClass& cls) {
+      for (const Endpoint& e : node.inputs) {
+        if (member_pos(e.node_id) >= 0) {
+          if (e.index != 0) return false;
+          continue;
+        }
+        if (e.node_id >= start) return false;  // skipped node: would cycle
+        const TypeAndShape& t = graph.endpoint_type(e);
+        if (!kernels::FusedOperandOk(cls, node.outputs[0].dtype,
+                                     node.outputs[0].shape, t.dtype,
+                                     t.shape)) {
           return false;
         }
-      } else if (t.dtype != dtype) {
-        return false;
       }
-      return t.shape.IsFullyDefined() &&
-             (t.shape.num_elements() == 1 ||
-              kernels::BroadcastsTo(t.shape, member_shape));
+      return true;
     };
     // The anchor's own operands are validated here (the member scan starts
     // past it); without this, a hopeless anchor would churn through the
     // shrink loop's trial compiles before being discarded.
-    {
-      const Node& anchor = graph.node(start);
-      const Shape& anchor_shape = anchor.outputs[0].shape;
-      bool anchor_ok = true;
-      if (start_cls.kind == MemberKind::kLayout) {
-        const TypeAndShape& t = graph.endpoint_type(anchor.inputs[0]);
-        anchor_ok = t.dtype == dtype && t.shape.IsFullyDefined() &&
-                    t.shape.num_elements() == anchor_shape.num_elements();
-      } else {
-        const bool cast_source =
-            start_cls.code == kernels::MicroOpCode::kCast;
-        for (const Endpoint& e : anchor.inputs) {
-          if (!compute_operand_ok(e, anchor_shape, cast_source)) {
-            anchor_ok = false;
-            break;
-          }
-        }
-      }
-      if (!anchor_ok) {
-        ++start;
-        continue;
-      }
+    if (!inputs_ok(graph.node(start), start_cls)) {
+      ++start;
+      continue;
     }
     int64_t run_count = graph.node(start).outputs[0].shape.num_elements();
     bool saw_reduce = false;
     for (int j = start + 1;
          j < n && j < start + kMaxScanWindow && !saw_reduce &&
-         static_cast<int>(members.size()) < kMaxFusedRun;
+         members.size() < kernels::kMaxFusedRunMembers;
          ++j) {
       if (run_of[j] >= 0) continue;  // claimed by an earlier run
       const Node& node = graph.node(j);
-      MemberClass cls;
-      if (!classify(node, &cls) || node.outputs[0].dtype != dtype) {
+      kernels::FusedMemberClass cls;
+      if (!member_class(node, &cls) || node.outputs[0].dtype != dtype) {
         continue;  // a hole: step over it
       }
-      const Shape& member_shape = node.outputs[0].shape;
-      const int64_t count = member_shape.num_elements();
-      bool ok = true;
-      if (cls.kind == MemberKind::kReduce) {
+      const int64_t count = node.outputs[0].shape.num_elements();
+      bool ok;
+      if (cls.kind == kernels::FusedMemberKind::kReduce) {
         // Joins only as the terminating epilogue of an in-run value of the
-        // full evaluation count; the compiler checks the trailing-axes rule.
+        // full evaluation count. Unlike the drain, the pass leaves the
+        // trailing-axes rule to the trial compile: a non-trailing reduction
+        // still ends the scan, and the shrink below drops it.
         const Endpoint& e = node.inputs[0];
         ok = member_pos(e.node_id) >= 0 && e.index == 0 &&
              graph.node(e.node_id).outputs[0].shape.num_elements() ==
                  run_count;
         saw_reduce = ok;
-      } else if (count != run_count && count != 1 && run_count != 1) {
-        ok = false;
-      } else if (cls.kind == MemberKind::kLayout) {
-        const Endpoint& e = node.inputs[0];
-        if (member_pos(e.node_id) >= 0) {
-          ok = e.index == 0;
-        } else if (e.node_id >= start) {
-          ok = false;  // skipped node: would cycle
-        } else {
-          const TypeAndShape& t = graph.endpoint_type(e);
-          ok = t.dtype == dtype && t.shape.IsFullyDefined() &&
-               t.shape.num_elements() == count;
-        }
       } else {
-        const bool cast_source = cls.code == kernels::MicroOpCode::kCast;
-        for (const Endpoint& e : node.inputs) {
-          if (!compute_operand_ok(e, member_shape, cast_source)) {
-            ok = false;
-            break;
-          }
-        }
+        ok = kernels::FusedCountFits(count, run_count) &&
+             inputs_ok(node, cls);
       }
       if (!ok) continue;  // a hole: step over it
       members.push_back(j);
-      if (cls.kind != MemberKind::kReduce) {
+      if (cls.kind != kernels::FusedMemberKind::kReduce) {
         run_count = std::max(run_count, count);
       }
     }

@@ -136,7 +136,9 @@ Status WriteAttr(std::ostringstream& out, const AttrValue& attr) {
 }
 
 StatusOr<AttrValue> ReadAttr(Reader& reader) {
-  TFE_ASSIGN_OR_RETURN(std::string kind, reader.ReadToken());
+  StatusOr<std::string> token = reader.ReadToken();
+  if (!token.ok()) return token.status();
+  const std::string& kind = *token;
   if (kind == "i") {
     TFE_ASSIGN_OR_RETURN(int64_t v, reader.ReadInt());
     return AttrValue(v);

@@ -87,24 +87,11 @@ void EncodeAccess(const MicroAccess& access, std::vector<int64_t>* out) {
 
 std::vector<int64_t> MicroProgram::Encode() const {
   std::vector<int64_t> encoded;
-  if (!extended) {
-    encoded.reserve(2 + insts.size() * 3 + 1 + outputs.size());
-    encoded.push_back(num_operands);
-    encoded.push_back(static_cast<int64_t>(insts.size()));
-    for (const MicroInst& inst : insts) {
-      encoded.push_back(static_cast<int64_t>(inst.opcode));
-      encoded.push_back(inst.a);
-      encoded.push_back(inst.b);
-    }
-    encoded.push_back(static_cast<int64_t>(outputs.size()));
-    for (int32_t reg : outputs) encoded.push_back(reg);
-    return encoded;
-  }
-  encoded.push_back(compact ? kMicroProgramMagicV3 : kMicroProgramMagic);
+  encoded.push_back(kMicroProgramMagicV3);
   encoded.push_back(num_operands);
   encoded.push_back(static_cast<int64_t>(eval_dims.size()));
   for (int64_t d : eval_dims) encoded.push_back(d);
-  if (compact) encoded.push_back(num_rows);
+  encoded.push_back(num_rows);
   for (const MicroOperandSlot& slot : slots) {
     encoded.push_back(slot.input);
     EncodeAccess(slot.access, &encoded);
@@ -114,7 +101,7 @@ std::vector<int64_t> MicroProgram::Encode() const {
     encoded.push_back(static_cast<int64_t>(inst.opcode));
     encoded.push_back(inst.a);
     encoded.push_back(inst.b);
-    if (compact) encoded.push_back(inst.dst);
+    encoded.push_back(inst.dst);
   }
   encoded.push_back(static_cast<int64_t>(output_specs.size()));
   for (const MicroOutputSpec& spec : output_specs) {
@@ -135,224 +122,92 @@ std::vector<int64_t> MicroProgram::Encode() const {
 
 StatusOr<MicroProgram> MicroProgram::Decode(
     const std::vector<int64_t>& encoded) {
+  if (encoded.empty() || encoded[0] != kMicroProgramMagicV3) {
+    return InvalidArgument(
+        "FusedElementwise program does not start with the program magic");
+  }
   MicroProgram program;
-  size_t pos = 0;
+  size_t pos = 1;
   auto next = [&]() -> StatusOr<int64_t> {
     if (pos >= encoded.size()) {
       return InvalidArgument("Truncated FusedElementwise program");
     }
     return encoded[pos++];
   };
-  const bool v3 = !encoded.empty() && encoded[0] == kMicroProgramMagicV3;
-  const bool extended =
-      v3 || (!encoded.empty() && encoded[0] == kMicroProgramMagic);
-  int64_t eval_count = 0;
-  if (extended) {
-    pos = 1;
-    program.extended = true;
-    program.compact = v3;
-    TFE_ASSIGN_OR_RETURN(program.num_operands, next());
-    if (program.num_operands < 1) {
-      return InvalidArgument("Malformed FusedElementwise program header");
+  // A rank-prefixed dim list: the evaluation space, an output shape, or
+  // the reduce shape.
+  auto read_dims = [&](const char* what) -> StatusOr<std::vector<int64_t>> {
+    TFE_ASSIGN_OR_RETURN(int64_t rank, next());
+    if (rank < 0 || rank > kMaxAccessRank) {
+      return InvalidArgument(std::string("FusedElementwise ") + what +
+                             " rank out of range");
     }
-    TFE_ASSIGN_OR_RETURN(int64_t eval_rank, next());
-    if (eval_rank < 0 || eval_rank > kMaxAccessRank) {
-      return InvalidArgument("FusedElementwise evaluation rank out of range");
-    }
-    eval_count = 1;
-    for (int64_t d = 0; d < eval_rank; ++d) {
+    std::vector<int64_t> dims;
+    for (int64_t d = 0; d < rank; ++d) {
       TFE_ASSIGN_OR_RETURN(int64_t dim, next());
       if (dim < 0) {
-        return InvalidArgument("FusedElementwise evaluation dim out of range");
+        return InvalidArgument(std::string("FusedElementwise ") + what +
+                               " dim out of range");
       }
-      program.eval_dims.push_back(dim);
-      eval_count *= dim;
+      dims.push_back(dim);
     }
-    if (v3) {
-      TFE_ASSIGN_OR_RETURN(program.num_rows, next());
-      if (program.num_rows < 0 || program.num_rows > 4096) {
-        return InvalidArgument("FusedElementwise row count out of range");
-      }
-    }
-    auto decode_access = [&](const char* what) -> StatusOr<MicroAccess> {
-      MicroAccess access;
-      TFE_ASSIGN_OR_RETURN(int64_t kind, next());
-      if (kind < static_cast<int64_t>(MicroAccessKind::kAuto) ||
-          kind > static_cast<int64_t>(MicroAccessKind::kStrided)) {
-        return InvalidArgument("FusedElementwise access kind out of range");
-      }
-      access.kind = static_cast<MicroAccessKind>(kind);
-      if (access.kind == MicroAccessKind::kStrided) {
-        TFE_ASSIGN_OR_RETURN(int64_t rank, next());
-        if (rank < 0 || rank > kMaxAccessRank) {
-          return InvalidArgument("FusedElementwise access rank out of range");
-        }
-        for (int64_t d = 0; d < rank; ++d) {
-          TFE_ASSIGN_OR_RETURN(int64_t dim, next());
-          access.dims.push_back(dim);
-        }
-        for (int64_t d = 0; d < rank; ++d) {
-          TFE_ASSIGN_OR_RETURN(int64_t stride, next());
-          access.strides.push_back(stride);
-        }
-      }
-      TFE_RETURN_IF_ERROR(ValidateAccess(access, eval_count, what));
-      return access;
-    };
-    for (int64_t s = 0; s < program.num_operands; ++s) {
-      MicroOperandSlot slot;
-      TFE_ASSIGN_OR_RETURN(slot.input, next());
-      if (slot.input < 0) {
-        return InvalidArgument("FusedElementwise slot input out of range");
-      }
-      TFE_ASSIGN_OR_RETURN(slot.access, decode_access("operand slot"));
-      program.slots.push_back(std::move(slot));
-    }
-    TFE_ASSIGN_OR_RETURN(int64_t num_insts, next());
-    if (num_insts < 0) {
-      return InvalidArgument("Malformed FusedElementwise program header");
-    }
-    // v3 rows may be read only after some earlier instruction wrote them —
-    // rows the compiler retired and reassigned must never leak stale data.
-    std::vector<bool> row_written(v3 ? program.num_rows : 0, false);
-    for (int64_t i = 0; i < num_insts; ++i) {
-      MicroInst inst;
-      TFE_ASSIGN_OR_RETURN(int64_t opcode, next());
-      if (opcode < static_cast<int64_t>(MicroOpCode::kAdd) ||
-          opcode > static_cast<int64_t>(MicroOpCode::kCast)) {
-        return InvalidArgument("Unknown FusedElementwise opcode");
-      }
-      inst.opcode = static_cast<MicroOpCode>(opcode);
-      TFE_ASSIGN_OR_RETURN(int64_t a, next());
-      TFE_ASSIGN_OR_RETURN(int64_t b, next());
-      if (v3) {
-        const int64_t limit = program.num_operands + program.num_rows;
-        auto readable = [&](int64_t r) {
-          return r >= 0 && r < limit &&
-                 (r < program.num_operands ||
-                  row_written[r - program.num_operands]);
-        };
-        if (!readable(a) || !readable(b)) {
-          return InvalidArgument("FusedElementwise register out of range");
-        }
-        TFE_ASSIGN_OR_RETURN(int64_t dst, next());
-        if (dst < program.num_operands || dst >= limit) {
-          return InvalidArgument(
-              "FusedElementwise destination register out of range");
-        }
-        inst.dst = static_cast<int32_t>(dst);
-        row_written[dst - program.num_operands] = true;
-      } else {
-        const int64_t limit = program.num_operands + i;
-        if (a < 0 || a >= limit || b < 0 || b >= limit) {
-          return InvalidArgument("FusedElementwise register out of range");
-        }
-        inst.dst = static_cast<int32_t>(program.num_operands + i);
-      }
-      inst.a = static_cast<int32_t>(a);
-      inst.b = static_cast<int32_t>(b);
-      program.insts.push_back(inst);
-    }
-    if (!v3) program.num_rows = static_cast<int64_t>(program.insts.size());
-    TFE_ASSIGN_OR_RETURN(int64_t num_outputs, next());
-    if (num_outputs < 0) {
-      return InvalidArgument("Malformed FusedElementwise output count");
-    }
-    for (int64_t o = 0; o < num_outputs; ++o) {
-      MicroOutputSpec spec;
-      TFE_ASSIGN_OR_RETURN(int64_t reg, next());
-      if (reg < 0 || reg >= program.num_registers() ||
-          (v3 && reg >= program.num_operands &&
-           !row_written[reg - program.num_operands])) {
-        return InvalidArgument("FusedElementwise output register out of range");
-      }
-      spec.reg = static_cast<int32_t>(reg);
-      TFE_ASSIGN_OR_RETURN(int64_t shape_rank, next());
-      if (shape_rank < 0 || shape_rank > kMaxAccessRank) {
-        return InvalidArgument("FusedElementwise output rank out of range");
-      }
-      for (int64_t d = 0; d < shape_rank; ++d) {
-        TFE_ASSIGN_OR_RETURN(int64_t dim, next());
-        if (dim < 0) {
-          return InvalidArgument("FusedElementwise output dim out of range");
-        }
-        spec.shape.push_back(dim);
-      }
-      TFE_ASSIGN_OR_RETURN(spec.store, decode_access("output store"));
-      const int64_t shape_count = ProductOf(spec.shape);
-      switch (spec.store.kind) {
-        case MicroAccessKind::kScalar:
-          if (shape_count != 1) {
-            return InvalidArgument("FusedElementwise scalar output not scalar");
-          }
-          break;
-        case MicroAccessKind::kStrided:
-          if (MaxAccessOffset(spec.store) >= shape_count) {
-            return InvalidArgument(
-                "FusedElementwise output store escapes the output buffer");
-          }
-          break;
-        default:
-          if (shape_count != eval_count) {
-            return InvalidArgument(
-                "FusedElementwise contiguous output shape mismatch");
-          }
-          break;
-      }
-      program.outputs.push_back(spec.reg);
-      program.output_specs.push_back(std::move(spec));
-    }
-    TFE_ASSIGN_OR_RETURN(int64_t reduce_kind, next());
-    if (reduce_kind < static_cast<int64_t>(MicroReduceKind::kNone) ||
-        reduce_kind > static_cast<int64_t>(MicroReduceKind::kMin)) {
-      return InvalidArgument("FusedElementwise reduce kind out of range");
-    }
-    program.reduce.kind = static_cast<MicroReduceKind>(reduce_kind);
-    if (program.reduce.kind != MicroReduceKind::kNone) {
-      TFE_ASSIGN_OR_RETURN(int64_t src, next());
-      if (src < 0 || src >= program.num_registers() ||
-          (v3 && src >= program.num_operands &&
-           !row_written[src - program.num_operands])) {
-        return InvalidArgument("FusedElementwise reduce register out of range");
-      }
-      program.reduce.src = static_cast<int32_t>(src);
-      TFE_ASSIGN_OR_RETURN(program.reduce.reduce_count, next());
-      if (program.reduce.reduce_count < 1) {
-        return InvalidArgument("FusedElementwise reduce count out of range");
-      }
-      TFE_ASSIGN_OR_RETURN(int64_t out_rank, next());
-      if (out_rank < 0 || out_rank > kMaxAccessRank) {
-        return InvalidArgument("FusedElementwise reduce rank out of range");
-      }
-      for (int64_t d = 0; d < out_rank; ++d) {
-        TFE_ASSIGN_OR_RETURN(int64_t dim, next());
-        if (dim < 0) {
-          return InvalidArgument("FusedElementwise reduce dim out of range");
-        }
-        program.reduce.shape.push_back(dim);
-      }
-      if (ProductOf(program.reduce.shape) * program.reduce.reduce_count !=
-          eval_count) {
-        return InvalidArgument(
-            "FusedElementwise reduce does not tile the evaluation space");
-      }
-    }
-    if (program.insts.empty() && program.outputs.empty() &&
-        program.reduce.kind == MicroReduceKind::kNone) {
-      return InvalidArgument("FusedElementwise program computes nothing");
-    }
-    if (pos != encoded.size()) {
-      return InvalidArgument("Trailing data in FusedElementwise program");
-    }
-    return program;
-  }
-
+    return dims;
+  };
   TFE_ASSIGN_OR_RETURN(program.num_operands, next());
-  TFE_ASSIGN_OR_RETURN(int64_t num_insts, next());
-  if (program.num_operands < 0 || num_insts <= 0) {
+  if (program.num_operands < 1) {
     return InvalidArgument("Malformed FusedElementwise program header");
   }
-  program.insts.reserve(num_insts);
+  TFE_ASSIGN_OR_RETURN(program.eval_dims, read_dims("evaluation"));
+  const int64_t eval_count = ProductOf(program.eval_dims);
+  TFE_ASSIGN_OR_RETURN(program.num_rows, next());
+  if (program.num_rows < 0 || program.num_rows > 4096) {
+    return InvalidArgument("FusedElementwise row count out of range");
+  }
+  auto decode_access = [&](const char* what) -> StatusOr<MicroAccess> {
+    MicroAccess access;
+    TFE_ASSIGN_OR_RETURN(int64_t kind, next());
+    if (kind < static_cast<int64_t>(MicroAccessKind::kContiguous) ||
+        kind > static_cast<int64_t>(MicroAccessKind::kStrided)) {
+      return InvalidArgument("FusedElementwise access kind out of range");
+    }
+    access.kind = static_cast<MicroAccessKind>(kind);
+    if (access.kind == MicroAccessKind::kStrided) {
+      TFE_ASSIGN_OR_RETURN(int64_t rank, next());
+      if (rank < 0 || rank > kMaxAccessRank) {
+        return InvalidArgument("FusedElementwise access rank out of range");
+      }
+      for (int64_t d = 0; d < rank; ++d) {
+        TFE_ASSIGN_OR_RETURN(int64_t dim, next());
+        access.dims.push_back(dim);
+      }
+      for (int64_t d = 0; d < rank; ++d) {
+        TFE_ASSIGN_OR_RETURN(int64_t stride, next());
+        access.strides.push_back(stride);
+      }
+    }
+    TFE_RETURN_IF_ERROR(ValidateAccess(access, eval_count, what));
+    return access;
+  };
+  for (int64_t s = 0; s < program.num_operands; ++s) {
+    MicroOperandSlot slot;
+    TFE_ASSIGN_OR_RETURN(slot.input, next());
+    if (slot.input < 0) {
+      return InvalidArgument("FusedElementwise slot input out of range");
+    }
+    TFE_ASSIGN_OR_RETURN(slot.access, decode_access("operand slot"));
+    program.slots.push_back(std::move(slot));
+  }
+  TFE_ASSIGN_OR_RETURN(int64_t num_insts, next());
+  if (num_insts < 0) {
+    return InvalidArgument("Malformed FusedElementwise program header");
+  }
+  // A row may be read only after some earlier instruction wrote it — rows
+  // the compiler retired and reassigned must never leak stale data.
+  std::vector<bool> row_written(program.num_rows, false);
+  auto readable = [&](int64_t r) {
+    return r >= 0 && r < program.num_registers() &&
+           (r < program.num_operands || row_written[r - program.num_operands]);
+  };
   for (int64_t i = 0; i < num_insts; ++i) {
     MicroInst inst;
     TFE_ASSIGN_OR_RETURN(int64_t opcode, next());
@@ -363,27 +218,81 @@ StatusOr<MicroProgram> MicroProgram::Decode(
     inst.opcode = static_cast<MicroOpCode>(opcode);
     TFE_ASSIGN_OR_RETURN(int64_t a, next());
     TFE_ASSIGN_OR_RETURN(int64_t b, next());
-    // Instruction i may read operand registers and earlier results only.
-    const int64_t limit = program.num_operands + i;
-    if (a < 0 || a >= limit || b < 0 || b >= limit) {
+    if (!readable(a) || !readable(b)) {
       return InvalidArgument("FusedElementwise register out of range");
+    }
+    TFE_ASSIGN_OR_RETURN(int64_t dst, next());
+    if (dst < program.num_operands || dst >= program.num_registers()) {
+      return InvalidArgument(
+          "FusedElementwise destination register out of range");
     }
     inst.a = static_cast<int32_t>(a);
     inst.b = static_cast<int32_t>(b);
-    inst.dst = static_cast<int32_t>(program.num_operands + i);
+    inst.dst = static_cast<int32_t>(dst);
+    row_written[dst - program.num_operands] = true;
     program.insts.push_back(inst);
   }
-  program.num_rows = static_cast<int64_t>(program.insts.size());
   TFE_ASSIGN_OR_RETURN(int64_t num_outputs, next());
   if (num_outputs < 0) {
     return InvalidArgument("Malformed FusedElementwise output count");
   }
-  for (int64_t i = 0; i < num_outputs; ++i) {
+  for (int64_t o = 0; o < num_outputs; ++o) {
+    MicroOutputSpec spec;
     TFE_ASSIGN_OR_RETURN(int64_t reg, next());
-    if (reg < 0 || reg >= program.num_registers()) {
+    if (!readable(reg)) {
       return InvalidArgument("FusedElementwise output register out of range");
     }
-    program.outputs.push_back(static_cast<int32_t>(reg));
+    spec.reg = static_cast<int32_t>(reg);
+    TFE_ASSIGN_OR_RETURN(spec.shape, read_dims("output"));
+    TFE_ASSIGN_OR_RETURN(spec.store, decode_access("output store"));
+    const int64_t shape_count = ProductOf(spec.shape);
+    switch (spec.store.kind) {
+      case MicroAccessKind::kScalar:
+        if (shape_count != 1) {
+          return InvalidArgument("FusedElementwise scalar output not scalar");
+        }
+        break;
+      case MicroAccessKind::kStrided:
+        if (MaxAccessOffset(spec.store) >= shape_count) {
+          return InvalidArgument(
+              "FusedElementwise output store escapes the output buffer");
+        }
+        break;
+      case MicroAccessKind::kContiguous:
+        if (shape_count != eval_count) {
+          return InvalidArgument(
+              "FusedElementwise contiguous output shape mismatch");
+        }
+        break;
+    }
+    program.output_specs.push_back(std::move(spec));
+  }
+  TFE_ASSIGN_OR_RETURN(int64_t reduce_kind, next());
+  if (reduce_kind < static_cast<int64_t>(MicroReduceKind::kNone) ||
+      reduce_kind > static_cast<int64_t>(MicroReduceKind::kMin)) {
+    return InvalidArgument("FusedElementwise reduce kind out of range");
+  }
+  program.reduce.kind = static_cast<MicroReduceKind>(reduce_kind);
+  if (program.reduce.kind != MicroReduceKind::kNone) {
+    TFE_ASSIGN_OR_RETURN(int64_t src, next());
+    if (!readable(src)) {
+      return InvalidArgument("FusedElementwise reduce register out of range");
+    }
+    program.reduce.src = static_cast<int32_t>(src);
+    TFE_ASSIGN_OR_RETURN(program.reduce.reduce_count, next());
+    if (program.reduce.reduce_count < 1) {
+      return InvalidArgument("FusedElementwise reduce count out of range");
+    }
+    TFE_ASSIGN_OR_RETURN(program.reduce.shape, read_dims("reduce"));
+    if (ProductOf(program.reduce.shape) * program.reduce.reduce_count !=
+        eval_count) {
+      return InvalidArgument(
+          "FusedElementwise reduce does not tile the evaluation space");
+    }
+  }
+  if (program.insts.empty() && program.output_specs.empty() &&
+      program.reduce.kind == MicroReduceKind::kNone) {
+    return InvalidArgument("FusedElementwise program computes nothing");
   }
   if (pos != encoded.size()) {
     return InvalidArgument("Trailing data in FusedElementwise program");
@@ -429,6 +338,10 @@ int MicroOpArity(MicroOpCode code) {
   return code <= MicroOpCode::kPow ? 2 : 1;
 }
 
+namespace {
+
+// Transcendental opcodes require floating dtypes; arithmetic ones accept any
+// numeric dtype.
 bool MicroOpSupports(MicroOpCode code, DType dtype) {
   const bool numeric = dtype == DType::kFloat32 || dtype == DType::kFloat64 ||
                        dtype == DType::kInt32 || dtype == DType::kInt64;
@@ -452,10 +365,7 @@ bool MicroOpSupports(MicroOpCode code, DType dtype) {
   }
 }
 
-bool MicroLayoutOp(const std::string& op_name) {
-  return op_name == "Transpose" || op_name == "Reshape" ||
-         op_name == "ExpandDims" || op_name == "Squeeze";
-}
+}  // namespace
 
 bool MicroReduceKindFor(const std::string& op_name, MicroReduceKind* kind) {
   if (op_name == "Sum") {
@@ -472,6 +382,35 @@ bool MicroReduceKindFor(const std::string& op_name, MicroReduceKind* kind) {
   return true;
 }
 
+// ---- Run membership ---------------------------------------------------------
+
+namespace {
+
+// The member kind an op name maps to; false when no member kind applies.
+bool MemberKindFor(const std::string& op, FusedMemberClass* cls) {
+  MicroReduceKind reduce_kind;
+  if (MicroOpCodeFor(op, &cls->code)) {
+    cls->kind = FusedMemberKind::kCompute;
+  } else if (op == "Transpose" || op == "Reshape" || op == "ExpandDims" ||
+             op == "Squeeze") {
+    cls->kind = FusedMemberKind::kLayout;
+  } else if (MicroReduceKindFor(op, &reduce_kind)) {
+    cls->kind = FusedMemberKind::kReduce;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+// A reduction member's "axis" attr; empty means every axis.
+std::vector<int64_t> ReduceAxes(const AttrMap& attrs) {
+  auto it = attrs.find("axis");
+  if (it == attrs.end() || !it->second.Is<std::vector<int64_t>>()) return {};
+  return it->second.Get<std::vector<int64_t>>();
+}
+
+// True when `shape` broadcasts to `out` under trailing-dim alignment (every
+// trailing dim equal or 1) — the layouts BroadcastStrides expresses.
 bool BroadcastsTo(const Shape& shape, const Shape& out) {
   if (shape.rank() > out.rank()) return false;
   for (int i = 0; i < shape.rank(); ++i) {
@@ -480,6 +419,122 @@ bool BroadcastsTo(const Shape& shape, const Shape& out) {
     if (sd != od && sd != 1) return false;
   }
   return true;
+}
+
+}  // namespace
+
+bool ClassifyFusedMember(const std::string& op, const AttrMap& attrs,
+                         size_t num_inputs, DType dtype, const Shape& shape,
+                         FusedMemberClass* cls) {
+  if (!MemberKindFor(op, cls) || !shape.IsFullyDefined()) return false;
+  auto only_attr = [&](const char* name) {
+    return attrs.size() == 1 && attrs.count(name) != 0;
+  };
+  switch (cls->kind) {
+    case FusedMemberKind::kCompute:
+      if (num_inputs != static_cast<size_t>(MicroOpArity(cls->code))) {
+        return false;
+      }
+      if (cls->code == MicroOpCode::kCast ? !only_attr("dst")
+                                          : !attrs.empty()) {
+        return false;
+      }
+      return MicroOpSupports(cls->code, dtype);
+    case FusedMemberKind::kLayout:
+      if (num_inputs != 1) return false;
+      if (op == "Transpose") {
+        if (!only_attr("perm") ||
+            !attrs.begin()->second.Is<std::vector<int64_t>>()) {
+          return false;
+        }
+      } else if (op == "Reshape") {
+        if (!only_attr("shape")) return false;
+      } else if (op == "ExpandDims") {
+        if (!only_attr("axis")) return false;
+      } else if (!attrs.empty() && !only_attr("axis")) {
+        return false;  // Squeeze: "axis" is optional
+      }
+      break;
+    case FusedMemberKind::kReduce: {
+      if (num_inputs != 1) return false;
+      for (const auto& [name, value] : attrs) {
+        if (name != "axis" && name != "keep_dims") return false;
+      }
+      auto it = attrs.find("axis");
+      if (it != attrs.end() && !it->second.Is<std::vector<int64_t>>()) {
+        return false;
+      }
+      break;
+    }
+  }
+  // The interpreter is numeric-typed; layout and reduce members only ride
+  // along for dtypes it can hold in registers (kCast support == "numeric").
+  return MicroOpSupports(MicroOpCode::kCast, dtype);
+}
+
+bool FusedOperandOk(const FusedMemberClass& cls, DType member_dtype,
+                    const Shape& member_shape, DType dtype,
+                    const Shape& shape) {
+  if (!shape.IsFullyDefined()) return false;
+  switch (cls.kind) {
+    case FusedMemberKind::kCompute:
+      if (cls.code == MicroOpCode::kCast
+              ? !MicroOpSupports(MicroOpCode::kCast, dtype)
+              : dtype != member_dtype) {
+        return false;
+      }
+      return shape.num_elements() == 1 || BroadcastsTo(shape, member_shape);
+    case FusedMemberKind::kLayout:
+      return dtype == member_dtype &&
+             shape.num_elements() == member_shape.num_elements();
+    case FusedMemberKind::kReduce:
+      break;
+  }
+  return false;
+}
+
+int64_t TrailingReduceCount(const Shape& input, std::vector<int64_t> axes) {
+  const int rank = input.rank();
+  for (int64_t& axis : axes) {
+    if (axis < 0) axis += rank;
+    if (axis < 0 || axis >= rank) return 0;
+  }
+  std::sort(axes.begin(), axes.end());
+  axes.erase(std::unique(axes.begin(), axes.end()), axes.end());
+  if (axes.empty()) {
+    for (int d = 0; d < rank; ++d) axes.push_back(d);
+  }
+  const int k = static_cast<int>(axes.size());
+  int64_t count = 1;
+  for (int j = 0; j < k; ++j) {
+    if (axes[j] != rank - k + j) return 0;
+    count *= input.dims()[axes[j]];
+  }
+  return std::max<int64_t>(count, 1);
+}
+
+bool FusedReduceFits(const AttrMap& attrs, const Shape& input,
+                     int64_t run_count) {
+  return input.num_elements() == run_count &&
+         TrailingReduceCount(input, ReduceAxes(attrs)) > 0;
+}
+
+FusedRunOp MakeFusedRunOp(const std::string& op, const AttrMap& attrs,
+                          DType dtype, const Shape& shape) {
+  FusedRunOp member;
+  member.op = op;
+  member.dtype = dtype;
+  member.shape = shape;
+  MicroReduceKind reduce_kind;
+  if (op == "Transpose") {
+    auto it = attrs.find("perm");
+    if (it != attrs.end() && it->second.Is<std::vector<int64_t>>()) {
+      member.perm = it->second.Get<std::vector<int64_t>>();
+    }
+  } else if (MicroReduceKindFor(op, &reduce_kind)) {
+    member.axes = ReduceAxes(attrs);
+  }
+  return member;
 }
 
 // ---- Run compiler ----------------------------------------------------------
@@ -541,460 +596,47 @@ bool IsPermutation(const std::vector<int64_t>& perm, int rank) {
   return true;
 }
 
-}  // namespace
-
-StatusOr<CompiledRun> CompileFusedRun(
-    const std::vector<FusedRunOp>& ops,
-    const std::vector<FusedRunOperand>& operands, DType run_dtype) {
-  const int n = static_cast<int>(ops.size());
-  if (n < 2) return InvalidArgument("fused run needs at least two members");
-  if (!MicroOpSupports(MicroOpCode::kAdd, run_dtype)) {
-    return InvalidArgument("fused run dtype is not numeric");
+// The in-place rule: output `o` may overwrite the buffer of kernel input
+// `donor` (which the caller checked carries the run dtype and the
+// evaluation count). The interpreter processes disjoint contiguous blocks,
+// and within a block every gather/instruction read happens before any
+// output store — so overwriting the donor is safe iff (a) the output stores
+// contiguously over the full evaluation space from an instruction row (its
+// block writes exactly the block's element range, after the row's own
+// in-block reads), (b) every slot reading the donor is contiguous
+// (strided/gather reads cross block boundaries), and (c) none of those
+// slots feed an output store or the reduction epilogue, both of which read
+// *after* the block's stores.
+bool DonationSafe(const MicroProgram& program, size_t o, int64_t donor) {
+  const MicroOutputSpec& spec = program.output_specs[o];
+  if (spec.store.kind != MicroAccessKind::kContiguous ||
+      spec.reg < program.num_operands ||
+      ProductOf(spec.shape) != ProductOf(program.eval_dims)) {
+    return false;
   }
-
-  enum class Member { kCompute, kLayout, kReduce };
-  std::vector<Member> kind(n, Member::kCompute);
-  std::vector<MicroOpCode> code(n, MicroOpCode::kAdd);
-  MicroReduceKind reduce_kind = MicroReduceKind::kNone;
-  for (int i = 0; i < n; ++i) {
-    if (MicroOpCodeFor(ops[i].op, &code[i])) {
-      kind[i] = Member::kCompute;
-    } else if (MicroLayoutOp(ops[i].op)) {
-      kind[i] = Member::kLayout;
-    } else if (MicroReduceKindFor(ops[i].op, &reduce_kind)) {
-      kind[i] = Member::kReduce;
-      if (i != n - 1) {
-        return InvalidArgument("reduction must terminate the fused run");
-      }
-    } else {
-      return InvalidArgument("op is not fusable: " + ops[i].op);
+  for (size_t s = 0; s < program.slots.size(); ++s) {
+    if (program.slots[s].input != donor) continue;
+    if (program.slots[s].access.kind != MicroAccessKind::kContiguous) {
+      return false;
     }
-    if (!ops[i].shape.IsFullyDefined()) {
-      return InvalidArgument("fused run member shape not fully defined");
+    for (const MicroOutputSpec& stored : program.output_specs) {
+      if (stored.reg == static_cast<int32_t>(s)) return false;
     }
-    const size_t want_args =
-        kind[i] == Member::kCompute ? MicroOpArity(code[i]) : 1;
-    if (ops[i].args.size() != want_args) {
-      return InvalidArgument("fused run member arity mismatch");
-    }
-    for (const FusedRunArg& a : ops[i].args) {
-      const bool is_producer = a.producer >= 0 && a.producer < i;
-      const bool is_operand =
-          a.operand >= 0 && a.operand < static_cast<int>(operands.size());
-      if (is_producer == is_operand) {
-        return InvalidArgument("fused run argument unresolved");
-      }
+    if (program.reduce.kind != MicroReduceKind::kNone &&
+        program.reduce.src == static_cast<int32_t>(s)) {
+      return false;
     }
   }
-
-  // The evaluation space: the reduction's input shape when a reduction
-  // terminates the run, else the last member's shape.
-  const bool has_reduce = kind[n - 1] == Member::kReduce;
-  Shape eval_shape;
-  int64_t reduce_count = 1;
-  if (has_reduce) {
-    const FusedRunArg& arg = ops[n - 1].args[0];
-    if (arg.producer < 0) {
-      return InvalidArgument("fused reduction input must be in-run");
-    }
-    eval_shape = ops[arg.producer].shape;
-    std::vector<int64_t> axes = ops[n - 1].axes;
-    for (int64_t& ax : axes) {
-      if (ax < 0) ax += eval_shape.rank();
-      if (ax < 0 || ax >= eval_shape.rank()) {
-        return InvalidArgument("fused reduction axis out of range");
-      }
-    }
-    std::sort(axes.begin(), axes.end());
-    axes.erase(std::unique(axes.begin(), axes.end()), axes.end());
-    if (axes.empty()) {
-      for (int d = 0; d < eval_shape.rank(); ++d) axes.push_back(d);
-    }
-    // Only a trailing block of axes keeps the reduced elements contiguous in
-    // evaluation order; anything else falls back to the standalone kernel.
-    const int k = static_cast<int>(axes.size());
-    for (int j = 0; j < k; ++j) {
-      if (axes[j] != eval_shape.rank() - k + j) {
-        return InvalidArgument("fused reduction must reduce trailing axes");
-      }
-    }
-    for (int64_t ax : axes) reduce_count *= eval_shape.dims()[ax];
-    if (reduce_count < 1) reduce_count = 1;
-    if (ops[n - 1].shape.num_elements() * reduce_count !=
-        eval_shape.num_elements()) {
-      return InvalidArgument("fused reduction output does not tile the input");
-    }
-    if (ops[n - 1].dtype != run_dtype) {
-      return InvalidArgument("fused run member dtype mismatch");
-    }
-  } else {
-    eval_shape = ops[n - 1].shape;
-  }
-  const int64_t count = eval_shape.num_elements();
-  if (count <= 0) return InvalidArgument("fused run over an empty tensor");
-
-  const int limit = has_reduce ? n - 1 : n;
-  std::vector<char> scalar(n, 0);
-  for (int i = 0; i < limit; ++i) {
-    scalar[i] = ops[i].shape.num_elements() == 1;
-    if (ops[i].dtype != run_dtype) {
-      return InvalidArgument("fused run member dtype mismatch");
-    }
-    if (!scalar[i] && ops[i].shape.num_elements() != count) {
-      return InvalidArgument("fused run member count mismatch");
-    }
-    if (kind[i] == Member::kCompute && !MicroOpSupports(code[i], run_dtype)) {
-      return InvalidArgument("fused run opcode unsupported for dtype");
-    }
-  }
-
-  // Backward index-map analysis: walk members last-to-first (every consumer
-  // of a producer has a larger index, so all proposals for a member precede
-  // its own processing) and assign each member the map its consumers need.
-  // Conflicting needs — one consumer wants the value flat, another wants it
-  // transposed — are unsupported; the caller falls back.
-  const std::vector<int64_t>& eval_dims = eval_shape.dims();
-  std::vector<IndexMap> psi(n);
-  std::vector<char> psi_set(n, 0);
-  auto propose = [&](int p, const IndexMap& m) -> bool {
-    if (scalar[p]) return true;  // index-independent
-    if (!ValidateIndexMap(m, ops[p].shape, eval_dims)) return false;
-    if (!psi_set[p]) {
-      psi[p] = m;
-      psi_set[p] = 1;
-      return true;
-    }
-    return psi[p] == m;
-  };
-  for (int i = n - 1; i >= 0; --i) {
-    if (kind[i] == Member::kReduce) {
-      if (!propose(ops[i].args[0].producer, IndexMap{})) {
-        return InvalidArgument("fused run has conflicting layouts");
-      }
-      continue;
-    }
-    if (scalar[i]) continue;  // its inputs are scalars too
-    if (!psi_set[i]) {
-      psi[i] = IndexMap{};  // unconsumed in-run: evaluate flat
-      psi_set[i] = 1;
-    }
-    const IndexMap m = psi[i];
-    if (kind[i] == Member::kCompute) {
-      for (const FusedRunArg& a : ops[i].args) {
-        if (a.producer < 0 || scalar[a.producer]) continue;
-        if (!(ops[a.producer].shape == ops[i].shape) ||
-            !propose(a.producer, m)) {
-          return InvalidArgument("fused run has conflicting layouts");
-        }
-      }
-      continue;
-    }
-    // Layout member: compose its index transform into the producer's map.
-    // External-operand inputs are handled at emission (a load descriptor is
-    // more flexible than a register map).
-    const FusedRunArg& a = ops[i].args[0];
-    if (a.producer < 0 || scalar[a.producer]) continue;
-    const int p = a.producer;
-    if (ops[i].op == "Transpose") {
-      const std::vector<int64_t>& perm = ops[i].perm;
-      const int rank = ops[i].shape.rank();
-      if (!IsPermutation(perm, rank) || ops[p].shape.rank() != rank) {
-        return InvalidArgument("fused transpose perm malformed");
-      }
-      for (int d = 0; d < rank; ++d) {
-        if (ops[p].shape.dims()[perm[d]] != ops[i].shape.dims()[d]) {
-          return InvalidArgument("fused transpose shape mismatch");
-        }
-      }
-      IndexMap pm;
-      pm.flat = false;
-      if (m.flat) {
-        pm.dim_of.assign(perm.begin(), perm.end());
-      } else {
-        pm.dim_of.resize(m.dim_of.size());
-        for (size_t d = 0; d < m.dim_of.size(); ++d) {
-          pm.dim_of[d] = static_cast<int>(perm[m.dim_of[d]]);
-        }
-      }
-      pm = NormalizeIndexMap(std::move(pm), ops[p].shape, eval_dims);
-      if (!propose(p, pm)) {
-        return InvalidArgument("fused run has conflicting layouts");
-      }
-    } else {
-      // Reshape/ExpandDims/Squeeze share the producer's buffer verbatim, so
-      // they are exactly the flat map; under a permuted map the producer's
-      // register would need a walk its own dims cannot express.
-      if (!m.flat || !propose(p, IndexMap{})) {
-        return InvalidArgument("fused run has conflicting layouts");
-      }
-    }
-  }
-
-  // ---- Emission ----
-  CompiledRun out;
-  MicroProgram& prog = out.program;
-  prog.extended = true;
-  prog.eval_dims = eval_dims;
-
-  auto slot_for = [&](int64_t input, MicroAccess access) -> int32_t {
-    // Collapse a strided descriptor that is actually contiguous (the walk
-    // visits offsets 0..count-1 in order whenever strides are row-major for
-    // its own dims, whatever those dims are).
-    if (access.kind == MicroAccessKind::kStrided &&
-        access.strides == RowMajorStrides(access.dims)) {
-      access = MicroAccess{MicroAccessKind::kContiguous, {}, {}};
-    }
-    for (size_t s = 0; s < prog.slots.size(); ++s) {
-      if (prog.slots[s].input == input && prog.slots[s].access == access) {
-        return static_cast<int32_t>(s);
-      }
-    }
-    prog.slots.push_back(MicroOperandSlot{input, std::move(access)});
-    return static_cast<int32_t>(prog.slots.size() - 1);
-  };
-
-  // Access descriptor for an external operand of a compute member.
-  auto compute_operand_access = [&](int oi, int member) -> StatusOr<MicroAccess> {
-    const FusedRunOperand& od = operands[oi];
-    if (od.shape.num_elements() == 1) {
-      return MicroAccess{MicroAccessKind::kScalar, {}, {}};
-    }
-    const Shape& node_shape = ops[member].shape;
-    if (!BroadcastsTo(od.shape, node_shape)) {
-      return InvalidArgument("fused operand does not broadcast to the member");
-    }
-    std::vector<int64_t> b = BroadcastStrides(od.shape, node_shape);
-    const IndexMap& m = psi[member];
-    MicroAccess access;
-    access.kind = MicroAccessKind::kStrided;
-    if (m.flat) {
-      access.dims = node_shape.dims();
-      access.strides = std::move(b);
-    } else {
-      access.dims = eval_dims;
-      access.strides.resize(eval_dims.size());
-      for (size_t d = 0; d < eval_dims.size(); ++d) {
-        access.strides[d] = b[m.dim_of[d]];
-      }
-    }
-    return access;
-  };
-
-  // Access descriptor for an external operand read through a layout member.
-  auto layout_operand_access = [&](int oi, int member) -> StatusOr<MicroAccess> {
-    const FusedRunOperand& od = operands[oi];
-    if (od.dtype != run_dtype) {
-      return InvalidArgument("fused layout member cannot cast");
-    }
-    if (od.shape.num_elements() == 1) {
-      return MicroAccess{MicroAccessKind::kScalar, {}, {}};
-    }
-    if (od.shape.num_elements() != ops[member].shape.num_elements()) {
-      return InvalidArgument("fused layout operand count mismatch");
-    }
-    const IndexMap& m = psi[member];
-    MicroAccess access;
-    access.kind = MicroAccessKind::kStrided;
-    if (ops[member].op == "Transpose") {
-      const std::vector<int64_t>& perm = ops[member].perm;
-      const int rank = ops[member].shape.rank();
-      if (!IsPermutation(perm, rank) || od.shape.rank() != rank) {
-        return InvalidArgument("fused transpose perm malformed");
-      }
-      std::vector<int64_t> in_rm = RowMajorStrides(od.shape.dims());
-      std::vector<int64_t> walk(rank);
-      for (int d = 0; d < rank; ++d) {
-        if (od.shape.dims()[perm[d]] != ops[member].shape.dims()[d]) {
-          return InvalidArgument("fused transpose shape mismatch");
-        }
-        walk[d] = in_rm[perm[d]];
-      }
-      if (m.flat) {
-        access.dims = ops[member].shape.dims();
-        access.strides = std::move(walk);
-      } else {
-        access.dims = eval_dims;
-        access.strides.resize(eval_dims.size());
-        for (size_t d = 0; d < eval_dims.size(); ++d) {
-          access.strides[d] = walk[m.dim_of[d]];
-        }
-      }
-    } else {
-      if (m.flat) {
-        return MicroAccess{MicroAccessKind::kContiguous, {}, {}};
-      }
-      std::vector<int64_t> node_rm = RowMajorStrides(ops[member].shape.dims());
-      access.dims = eval_dims;
-      access.strides.resize(eval_dims.size());
-      for (size_t d = 0; d < eval_dims.size(); ++d) {
-        access.strides[d] = node_rm[m.dim_of[d]];
-      }
-    }
-    return access;
-  };
-
-  // Pass 1: resolve every argument to a slot or a producer, creating slots
-  // in first-use order (slot ids must be final before registers number).
-  struct ArgRef {
-    bool is_slot = false;
-    int32_t index = 0;  // slot id, or producer member index
-  };
-  std::vector<std::array<ArgRef, 2>> arg_refs(n);
-  for (int i = 0; i < limit; ++i) {
-    if (kind[i] == Member::kCompute) {
-      const int arity = MicroOpArity(code[i]);
-      for (int k = 0; k < arity; ++k) {
-        const FusedRunArg& a = ops[i].args[k];
-        if (a.producer >= 0) {
-          arg_refs[i][k] = {false, a.producer};
-          continue;
-        }
-        const FusedRunOperand& od = operands[a.operand];
-        if (od.dtype != run_dtype) {
-          if (code[i] != MicroOpCode::kCast ||
-              !MicroOpSupports(MicroOpCode::kCast, od.dtype)) {
-            return InvalidArgument(
-                "fused operand dtype readable only by a cast");
-          }
-          out.has_cast = true;
-        }
-        TFE_ASSIGN_OR_RETURN(MicroAccess access,
-                             compute_operand_access(a.operand, i));
-        arg_refs[i][k] = {true, slot_for(a.operand, std::move(access))};
-      }
-      if (code[i] == MicroOpCode::kCast) out.has_cast = true;
-    } else {  // layout
-      const FusedRunArg& a = ops[i].args[0];
-      if (a.producer >= 0) {
-        if (ops[a.producer].dtype != run_dtype) {
-          return InvalidArgument("fused layout member cannot cast");
-        }
-        arg_refs[i][0] = {false, a.producer};
-      } else {
-        TFE_ASSIGN_OR_RETURN(MicroAccess access,
-                             layout_operand_access(a.operand, i));
-        arg_refs[i][0] = {true, slot_for(a.operand, std::move(access))};
-      }
-    }
-  }
-  prog.num_operands = static_cast<int64_t>(prog.slots.size());
-  if (prog.num_operands < 1) {
-    return InvalidArgument("fused run reads no operands");
-  }
-
-  // Pass 2: emit instructions and resolve member registers.
-  std::vector<int32_t> reg_of(n, -1);
-  for (int i = 0; i < limit; ++i) {
-    auto resolve = [&](const ArgRef& r) -> int32_t {
-      return r.is_slot ? r.index : reg_of[r.index];
-    };
-    if (kind[i] == Member::kCompute) {
-      MicroInst inst;
-      inst.opcode = code[i];
-      inst.a = resolve(arg_refs[i][0]);
-      inst.b = MicroOpArity(code[i]) == 2 ? resolve(arg_refs[i][1]) : inst.a;
-      reg_of[i] = static_cast<int32_t>(prog.num_operands + prog.insts.size());
-      prog.insts.push_back(inst);
-    } else {
-      reg_of[i] = resolve(arg_refs[i][0]);
-    }
-  }
-
-  // Outputs: every materialized member, in member order; the reduction's
-  // output (when present) is the extra last kernel output.
-  for (int i = 0; i < limit; ++i) {
-    if (!ops[i].materialize) continue;
-    MicroOutputSpec spec;
-    spec.reg = reg_of[i];
-    spec.shape = ops[i].shape.dims();
-    if (scalar[i]) {
-      spec.store.kind = MicroAccessKind::kScalar;
-    } else if (psi[i].flat) {
-      spec.store.kind = MicroAccessKind::kContiguous;
-    } else {
-      std::vector<int64_t> node_rm = RowMajorStrides(ops[i].shape.dims());
-      spec.store.kind = MicroAccessKind::kStrided;
-      spec.store.dims = eval_dims;
-      spec.store.strides.resize(eval_dims.size());
-      for (size_t d = 0; d < eval_dims.size(); ++d) {
-        spec.store.strides[d] = node_rm[psi[i].dim_of[d]];
-      }
-    }
-    prog.outputs.push_back(spec.reg);
-    prog.output_specs.push_back(std::move(spec));
-    out.output_members.push_back(i);
-  }
-  if (has_reduce) {
-    prog.reduce.kind = reduce_kind;
-    prog.reduce.src = reg_of[ops[n - 1].args[0].producer];
-    prog.reduce.reduce_count = reduce_count;
-    prog.reduce.shape = ops[n - 1].shape.dims();
-    out.output_members.push_back(n - 1);
-    out.has_reduce = true;
-  }
-  if (out.output_members.empty()) {
-    return InvalidArgument("fused run materializes nothing");
-  }
-
-  // Lower to the v3 compact form: shared subexpressions (a DAG value read by
-  // several consumers compiles each read against one instruction) and
-  // liveness-driven row reuse, so scratch stays at a few rows however long
-  // the run is. Donation analysis below only reasons about slots and the
-  // row-vs-slot distinction, both of which compaction preserves.
-  CompactProgram(&prog);
-
-  // Donation plan: alias a uniquely-owned external operand's buffer as a
-  // fused output so the run writes in place instead of allocating. The
-  // interpreter processes disjoint contiguous blocks, and within a block
-  // every gather/instruction read happens before any output store — so
-  // overwriting a donor is safe iff (a) the output stores contiguously over
-  // the full evaluation space (its block writes exactly the block's element
-  // range), (b) every slot reading the donor is contiguous (strided/gather
-  // reads cross block boundaries), and (c) none of those slots feed an
-  // output store or the reduction epilogue, both of which read *after* the
-  // block's stores. The donated output's register is always an instruction
-  // row (condition on spec.reg below), so its own in-block reads precede
-  // the store.
-  out.donations.assign(prog.output_specs.size(), -1);
-  std::vector<char> donor_taken(operands.size(), 0);
-  for (size_t o = 0; o < prog.output_specs.size(); ++o) {
-    const MicroOutputSpec& spec = prog.output_specs[o];
-    if (spec.store.kind != MicroAccessKind::kContiguous) continue;
-    if (spec.reg < prog.num_operands) continue;  // slot alias, reads a buffer
-    if (ProductOf(spec.shape) != count) continue;
-    for (size_t oi = 0; oi < operands.size(); ++oi) {
-      if (donor_taken[oi] || !operands[oi].may_donate) continue;
-      if (operands[oi].dtype != run_dtype) continue;
-      if (operands[oi].shape.num_elements() != count) continue;
-      bool safe = true;
-      for (size_t s = 0; safe && s < prog.slots.size(); ++s) {
-        if (prog.slots[s].input != static_cast<int64_t>(oi)) continue;
-        if (prog.slots[s].access.kind != MicroAccessKind::kContiguous) {
-          safe = false;
-          break;
-        }
-        for (int32_t out_reg : prog.outputs) {
-          if (out_reg == static_cast<int32_t>(s)) {
-            safe = false;
-            break;
-          }
-        }
-        if (prog.reduce.kind != MicroReduceKind::kNone &&
-            prog.reduce.src == static_cast<int32_t>(s)) {
-          safe = false;
-        }
-      }
-      if (!safe) continue;
-      out.donations[o] = static_cast<int>(oi);
-      donor_taken[oi] = 1;
-      break;
-    }
-  }
-  return out;
+  return true;
 }
 
+// Rewrites the one-row-per-instruction program emission builds (instruction
+// j's result is register num_operands + j) into its final form: dedups
+// identical (opcode, a, b) instructions, then assigns destination rows by
+// liveness so dead rows are reused, remapping later instructions, output
+// specs, and the reduce epilogue. Rows feeding outputs or the reduce
+// epilogue stay live to the end of the program.
 void CompactProgram(MicroProgram* program) {
-  if (!program->extended || program->compact) return;
   const int64_t n_ops = program->num_operands;
 
   // CSE over the one-value-per-instruction form: value id n_ops + j names
@@ -1089,7 +731,6 @@ void CompactProgram(MicroProgram* program) {
       reg = static_cast<int32_t>(n_ops + row_of[val[reg] - n_ops]);
     }
     program->output_specs[o].reg = reg;
-    program->outputs[o] = reg;
   }
   if (program->reduce.kind != MicroReduceKind::kNone &&
       program->reduce.src >= n_ops) {
@@ -1099,7 +740,381 @@ void CompactProgram(MicroProgram* program) {
 
   program->insts = std::move(merged);
   program->num_rows = next_row;
-  program->compact = true;
+}
+
+}  // namespace
+
+StatusOr<CompiledRun> CompileFusedRun(
+    const std::vector<FusedRunOp>& ops,
+    const std::vector<FusedRunOperand>& operands, DType run_dtype) {
+  const int n = static_cast<int>(ops.size());
+  if (n < 2) return InvalidArgument("fused run needs at least two members");
+  if (!MicroOpSupports(MicroOpCode::kAdd, run_dtype)) {
+    return InvalidArgument("fused run dtype is not numeric");
+  }
+
+  std::vector<FusedMemberClass> cls(n);
+  for (int i = 0; i < n; ++i) {
+    if (!MemberKindFor(ops[i].op, &cls[i])) {
+      return InvalidArgument("op is not fusable: " + ops[i].op);
+    }
+    if (cls[i].kind == FusedMemberKind::kReduce && i != n - 1) {
+      return InvalidArgument("reduction must terminate the fused run");
+    }
+    if (!ops[i].shape.IsFullyDefined()) {
+      return InvalidArgument("fused run member shape not fully defined");
+    }
+    const size_t want_args = cls[i].kind == FusedMemberKind::kCompute
+                                 ? MicroOpArity(cls[i].code)
+                                 : 1;
+    if (ops[i].args.size() != want_args) {
+      return InvalidArgument("fused run member arity mismatch");
+    }
+    for (const FusedRunArg& a : ops[i].args) {
+      const bool is_producer = a.producer >= 0 && a.producer < i;
+      const bool is_operand =
+          a.operand >= 0 && a.operand < static_cast<int>(operands.size());
+      if (is_producer == is_operand) {
+        return InvalidArgument("fused run argument unresolved");
+      }
+    }
+  }
+
+  // The evaluation space: the reduction's input shape when a reduction
+  // terminates the run, else the last member's shape.
+  const bool has_reduce = cls[n - 1].kind == FusedMemberKind::kReduce;
+  Shape eval_shape;
+  int64_t reduce_count = 1;
+  MicroReduceKind reduce_kind = MicroReduceKind::kNone;
+  if (has_reduce) {
+    MicroReduceKindFor(ops[n - 1].op, &reduce_kind);
+    const FusedRunArg& arg = ops[n - 1].args[0];
+    if (arg.producer < 0) {
+      return InvalidArgument("fused reduction input must be in-run");
+    }
+    eval_shape = ops[arg.producer].shape;
+    // Anything but a trailing block of axes falls back to the standalone
+    // reduction kernel.
+    reduce_count = TrailingReduceCount(eval_shape, ops[n - 1].axes);
+    if (reduce_count == 0) {
+      return InvalidArgument("fused reduction must reduce trailing axes");
+    }
+    if (ops[n - 1].shape.num_elements() * reduce_count !=
+        eval_shape.num_elements()) {
+      return InvalidArgument("fused reduction output does not tile the input");
+    }
+    if (ops[n - 1].dtype != run_dtype) {
+      return InvalidArgument("fused run member dtype mismatch");
+    }
+  } else {
+    eval_shape = ops[n - 1].shape;
+  }
+  const int64_t count = eval_shape.num_elements();
+  if (count <= 0) return InvalidArgument("fused run over an empty tensor");
+
+  const int limit = has_reduce ? n - 1 : n;
+  std::vector<char> scalar(n, 0);
+  for (int i = 0; i < limit; ++i) {
+    scalar[i] = ops[i].shape.num_elements() == 1;
+    if (ops[i].dtype != run_dtype) {
+      return InvalidArgument("fused run member dtype mismatch");
+    }
+    if (!scalar[i] && ops[i].shape.num_elements() != count) {
+      return InvalidArgument("fused run member count mismatch");
+    }
+    if (cls[i].kind == FusedMemberKind::kCompute &&
+        !MicroOpSupports(cls[i].code, run_dtype)) {
+      return InvalidArgument("fused run opcode unsupported for dtype");
+    }
+  }
+
+  // Backward index-map analysis: walk members last-to-first (every consumer
+  // of a producer has a larger index, so all proposals for a member precede
+  // its own processing) and assign each member the map its consumers need.
+  // Conflicting needs — one consumer wants the value flat, another wants it
+  // transposed — are unsupported; the caller falls back.
+  const std::vector<int64_t>& eval_dims = eval_shape.dims();
+  std::vector<IndexMap> psi(n);
+  std::vector<char> psi_set(n, 0);
+  auto propose = [&](int p, const IndexMap& m) -> bool {
+    if (scalar[p]) return true;  // index-independent
+    if (!ValidateIndexMap(m, ops[p].shape, eval_dims)) return false;
+    if (!psi_set[p]) {
+      psi[p] = m;
+      psi_set[p] = 1;
+      return true;
+    }
+    return psi[p] == m;
+  };
+  for (int i = n - 1; i >= 0; --i) {
+    if (cls[i].kind == FusedMemberKind::kReduce) {
+      if (!propose(ops[i].args[0].producer, IndexMap{})) {
+        return InvalidArgument("fused run has conflicting layouts");
+      }
+      continue;
+    }
+    if (scalar[i]) continue;  // its inputs are scalars too
+    if (!psi_set[i]) {
+      psi[i] = IndexMap{};  // unconsumed in-run: evaluate flat
+      psi_set[i] = 1;
+    }
+    const IndexMap m = psi[i];
+    if (cls[i].kind == FusedMemberKind::kCompute) {
+      for (const FusedRunArg& a : ops[i].args) {
+        if (a.producer < 0 || scalar[a.producer]) continue;
+        if (!(ops[a.producer].shape == ops[i].shape) ||
+            !propose(a.producer, m)) {
+          return InvalidArgument("fused run has conflicting layouts");
+        }
+      }
+      continue;
+    }
+    // Layout member: compose its index transform into the producer's map.
+    // External-operand inputs are handled at emission (a load descriptor is
+    // more flexible than a register map).
+    const FusedRunArg& a = ops[i].args[0];
+    if (a.producer < 0 || scalar[a.producer]) continue;
+    const int p = a.producer;
+    if (ops[i].op == "Transpose") {
+      const std::vector<int64_t>& perm = ops[i].perm;
+      const int rank = ops[i].shape.rank();
+      if (!IsPermutation(perm, rank) || ops[p].shape.rank() != rank) {
+        return InvalidArgument("fused transpose perm malformed");
+      }
+      for (int d = 0; d < rank; ++d) {
+        if (ops[p].shape.dims()[perm[d]] != ops[i].shape.dims()[d]) {
+          return InvalidArgument("fused transpose shape mismatch");
+        }
+      }
+      IndexMap pm;
+      pm.flat = false;
+      if (m.flat) {
+        pm.dim_of.assign(perm.begin(), perm.end());
+      } else {
+        pm.dim_of.resize(m.dim_of.size());
+        for (size_t d = 0; d < m.dim_of.size(); ++d) {
+          pm.dim_of[d] = static_cast<int>(perm[m.dim_of[d]]);
+        }
+      }
+      pm = NormalizeIndexMap(std::move(pm), ops[p].shape, eval_dims);
+      if (!propose(p, pm)) {
+        return InvalidArgument("fused run has conflicting layouts");
+      }
+    } else {
+      // Reshape/ExpandDims/Squeeze share the producer's buffer verbatim, so
+      // they are exactly the flat map; under a permuted map the producer's
+      // register would need a walk its own dims cannot express.
+      if (!m.flat || !propose(p, IndexMap{})) {
+        return InvalidArgument("fused run has conflicting layouts");
+      }
+    }
+  }
+
+  // ---- Emission ----
+  CompiledRun out;
+  MicroProgram& prog = out.program;
+  prog.eval_dims = eval_dims;
+
+  auto slot_for = [&](int64_t input, MicroAccess access) -> int32_t {
+    // Collapse a strided descriptor that is actually contiguous (the walk
+    // visits offsets 0..count-1 in order whenever strides are row-major for
+    // its own dims, whatever those dims are).
+    if (access.kind == MicroAccessKind::kStrided &&
+        access.strides == RowMajorStrides(access.dims)) {
+      access = MicroAccess{MicroAccessKind::kContiguous, {}, {}};
+    }
+    for (size_t s = 0; s < prog.slots.size(); ++s) {
+      if (prog.slots[s].input == input && prog.slots[s].access == access) {
+        return static_cast<int32_t>(s);
+      }
+    }
+    prog.slots.push_back(MicroOperandSlot{input, std::move(access)});
+    return static_cast<int32_t>(prog.slots.size() - 1);
+  };
+
+  // Access descriptor for an external operand of a compute member.
+  auto compute_operand_access = [&](int oi, int member) -> MicroAccess {
+    const FusedRunOperand& od = operands[oi];
+    if (od.shape.num_elements() == 1) {
+      return MicroAccess{MicroAccessKind::kScalar, {}, {}};
+    }
+    const Shape& node_shape = ops[member].shape;
+    std::vector<int64_t> b = BroadcastStrides(od.shape, node_shape);
+    const IndexMap& m = psi[member];
+    MicroAccess access;
+    access.kind = MicroAccessKind::kStrided;
+    if (m.flat) {
+      access.dims = node_shape.dims();
+      access.strides = std::move(b);
+    } else {
+      access.dims = eval_dims;
+      access.strides.resize(eval_dims.size());
+      for (size_t d = 0; d < eval_dims.size(); ++d) {
+        access.strides[d] = b[m.dim_of[d]];
+      }
+    }
+    return access;
+  };
+
+  // Access descriptor for an external operand read through a layout member.
+  auto layout_operand_access = [&](int oi, int member) -> StatusOr<MicroAccess> {
+    const FusedRunOperand& od = operands[oi];
+    if (od.shape.num_elements() == 1) {
+      return MicroAccess{MicroAccessKind::kScalar, {}, {}};
+    }
+    const IndexMap& m = psi[member];
+    MicroAccess access;
+    access.kind = MicroAccessKind::kStrided;
+    if (ops[member].op == "Transpose") {
+      const std::vector<int64_t>& perm = ops[member].perm;
+      const int rank = ops[member].shape.rank();
+      if (!IsPermutation(perm, rank) || od.shape.rank() != rank) {
+        return InvalidArgument("fused transpose perm malformed");
+      }
+      std::vector<int64_t> in_rm = RowMajorStrides(od.shape.dims());
+      std::vector<int64_t> walk(rank);
+      for (int d = 0; d < rank; ++d) {
+        if (od.shape.dims()[perm[d]] != ops[member].shape.dims()[d]) {
+          return InvalidArgument("fused transpose shape mismatch");
+        }
+        walk[d] = in_rm[perm[d]];
+      }
+      if (m.flat) {
+        access.dims = ops[member].shape.dims();
+        access.strides = std::move(walk);
+      } else {
+        access.dims = eval_dims;
+        access.strides.resize(eval_dims.size());
+        for (size_t d = 0; d < eval_dims.size(); ++d) {
+          access.strides[d] = walk[m.dim_of[d]];
+        }
+      }
+    } else {
+      if (m.flat) {
+        return MicroAccess{MicroAccessKind::kContiguous, {}, {}};
+      }
+      std::vector<int64_t> node_rm = RowMajorStrides(ops[member].shape.dims());
+      access.dims = eval_dims;
+      access.strides.resize(eval_dims.size());
+      for (size_t d = 0; d < eval_dims.size(); ++d) {
+        access.strides[d] = node_rm[m.dim_of[d]];
+      }
+    }
+    return access;
+  };
+
+  // Pass 1: resolve every argument to a slot or a producer, creating slots
+  // in first-use order (slot ids must be final before registers number).
+  struct ArgRef {
+    bool is_slot = false;
+    int32_t index = 0;  // slot id, or producer member index
+  };
+  std::vector<std::array<ArgRef, 2>> arg_refs(n);
+  for (int i = 0; i < limit; ++i) {
+    for (size_t k = 0; k < ops[i].args.size(); ++k) {
+      const FusedRunArg& a = ops[i].args[k];
+      if (a.producer >= 0) {
+        arg_refs[i][k] = {false, a.producer};
+        continue;
+      }
+      const FusedRunOperand& od = operands[a.operand];
+      if (!FusedOperandOk(cls[i], ops[i].dtype, ops[i].shape, od.dtype,
+                          od.shape)) {
+        return InvalidArgument("fused operand incompatible with its member");
+      }
+      MicroAccess access;
+      if (cls[i].kind == FusedMemberKind::kCompute) {
+        access = compute_operand_access(a.operand, i);
+      } else {
+        TFE_ASSIGN_OR_RETURN(access, layout_operand_access(a.operand, i));
+      }
+      arg_refs[i][k] = {true, slot_for(a.operand, std::move(access))};
+    }
+  }
+  prog.num_operands = static_cast<int64_t>(prog.slots.size());
+  if (prog.num_operands < 1) {
+    return InvalidArgument("fused run reads no operands");
+  }
+
+  // Pass 2: emit instructions and resolve member registers.
+  std::vector<int32_t> reg_of(n, -1);
+  for (int i = 0; i < limit; ++i) {
+    auto resolve = [&](const ArgRef& r) -> int32_t {
+      return r.is_slot ? r.index : reg_of[r.index];
+    };
+    if (cls[i].kind == FusedMemberKind::kCompute) {
+      MicroInst inst;
+      inst.opcode = cls[i].code;
+      inst.a = resolve(arg_refs[i][0]);
+      inst.b =
+          MicroOpArity(cls[i].code) == 2 ? resolve(arg_refs[i][1]) : inst.a;
+      reg_of[i] = static_cast<int32_t>(prog.num_operands + prog.insts.size());
+      prog.insts.push_back(inst);
+    } else {
+      reg_of[i] = resolve(arg_refs[i][0]);
+    }
+  }
+
+  // Outputs: every materialized member, in member order; the reduction's
+  // output (when present) is the extra last kernel output.
+  for (int i = 0; i < limit; ++i) {
+    if (!ops[i].materialize) continue;
+    MicroOutputSpec spec;
+    spec.reg = reg_of[i];
+    spec.shape = ops[i].shape.dims();
+    if (scalar[i]) {
+      spec.store.kind = MicroAccessKind::kScalar;
+    } else if (psi[i].flat) {
+      spec.store.kind = MicroAccessKind::kContiguous;
+    } else {
+      std::vector<int64_t> node_rm = RowMajorStrides(ops[i].shape.dims());
+      spec.store.kind = MicroAccessKind::kStrided;
+      spec.store.dims = eval_dims;
+      spec.store.strides.resize(eval_dims.size());
+      for (size_t d = 0; d < eval_dims.size(); ++d) {
+        spec.store.strides[d] = node_rm[psi[i].dim_of[d]];
+      }
+    }
+    prog.output_specs.push_back(std::move(spec));
+    out.output_members.push_back(i);
+  }
+  if (has_reduce) {
+    prog.reduce.kind = reduce_kind;
+    prog.reduce.src = reg_of[ops[n - 1].args[0].producer];
+    prog.reduce.reduce_count = reduce_count;
+    prog.reduce.shape = ops[n - 1].shape.dims();
+    out.output_members.push_back(n - 1);
+    out.has_reduce = true;
+  }
+  if (out.output_members.empty()) {
+    return InvalidArgument("fused run materializes nothing");
+  }
+
+  // Shared subexpressions (a DAG value read by several consumers compiles
+  // each read against one instruction) and liveness-driven row reuse keep
+  // scratch at a few rows however long the run is. Donation analysis below
+  // only reasons about slots and the row-vs-slot distinction, both of which
+  // compaction preserves.
+  CompactProgram(&prog);
+
+  // Donation plan: alias a uniquely-owned external operand's buffer as a
+  // fused output so the run writes in place instead of allocating.
+  out.donations.assign(prog.output_specs.size(), -1);
+  std::vector<char> donor_taken(operands.size(), 0);
+  for (size_t o = 0; o < prog.output_specs.size(); ++o) {
+    for (size_t oi = 0; oi < operands.size(); ++oi) {
+      if (donor_taken[oi] || !operands[oi].may_donate ||
+          operands[oi].dtype != run_dtype ||
+          operands[oi].shape.num_elements() != count ||
+          !DonationSafe(prog, o, static_cast<int64_t>(oi))) {
+        continue;
+      }
+      out.donations[o] = static_cast<int>(oi);
+      donor_taken[oi] = 1;
+      break;
+    }
+  }
+  return out;
 }
 
 // ---- Interpreter -----------------------------------------------------------
@@ -1214,7 +1229,7 @@ struct ResolvedSlot {
 template <typename T>
 struct ResolvedOutput {
   T* data = nullptr;
-  MicroAccessKind kind = MicroAccessKind::kAuto;
+  MicroAccessKind kind = MicroAccessKind::kContiguous;
   const MicroAccess* store = nullptr;  // kStrided only
   int32_t reg = 0;
 };
@@ -1259,9 +1274,8 @@ void RunTyped(EagerContext* ectx, const MicroProgram& program,
     std::vector<T> rows;
     std::vector<int64_t> coord;
   };
-  // Decode normalized every program (v1/v2/v3) to explicit dst rows, so
-  // scratch is num_rows rows — for compact programs a few rows however long
-  // the instruction list is.
+  // Scratch is the program's num_rows rows — a few however long the
+  // instruction list is.
   const size_t scratch_rows =
       num_gather_rows + static_cast<size_t>(program.num_rows);
   auto make_scratch = [&]() {
@@ -1363,7 +1377,7 @@ void RunTyped(EagerContext* ectx, const MicroProgram& program,
           ScatterBlock(*o.store, o.data, base, len, p,
                        static_cast<int64_t>(stride), s.coord);
           break;
-        default: {  // kAuto / kContiguous
+        case MicroAccessKind::kContiguous: {
           T* dst = o.data + base;
           if (stride == 1) {
             std::copy(p, p + len, dst);
@@ -1471,62 +1485,31 @@ Status FusedElementwiseKernel(KernelContext* ctx) {
   // carry foreign source dtypes), otherwise every operand's shared dtype.
   const DType dtype = ctx->GetAttrOr<DType>("dtype", inputs[0].dtype());
 
-  int64_t count = 0;
-  Shape legacy_shape;
-  if (program.extended) {
-    count = ProductOf(program.eval_dims);
-    for (const MicroOperandSlot& slot : program.slots) {
-      if (slot.input < 0 ||
-          slot.input >= static_cast<int64_t>(inputs.size())) {
-        return InvalidArgument("FusedElementwise slot input out of range");
-      }
-      const Tensor& input = inputs[slot.input];
-      switch (slot.access.kind) {
-        case MicroAccessKind::kScalar:
-          if (input.num_elements() != 1) {
-            return InvalidArgument(
-                "FusedElementwise scalar slot reads a non-scalar input");
-          }
-          break;
-        case MicroAccessKind::kStrided:
-          if (MaxAccessOffset(slot.access) >= input.num_elements()) {
-            return InvalidArgument(
-                "FusedElementwise strided slot escapes its input");
-          }
-          break;
-        default:  // kAuto / kContiguous
-          if (input.num_elements() != count &&
-              !(slot.access.kind == MicroAccessKind::kAuto &&
-                input.num_elements() == 1)) {
-            return InvalidArgument(
-                "FusedElementwise slot does not cover the evaluation space");
-          }
-          break;
-      }
+  const int64_t count = ProductOf(program.eval_dims);
+  for (const MicroOperandSlot& slot : program.slots) {
+    if (slot.input >= static_cast<int64_t>(inputs.size())) {
+      return InvalidArgument("FusedElementwise slot input out of range");
     }
-  } else {
-    // v1: slot i reads input i; shapes must match the run shape or be
-    // broadcast scalars, and the run shape is the largest operand's.
-    if (program.num_operands != static_cast<int64_t>(inputs.size())) {
-      return InvalidArgument("FusedElementwise operand count mismatch");
-    }
-    legacy_shape = inputs[0].shape();
-    for (const Tensor& input : inputs) {
-      if (input.num_elements() > legacy_shape.num_elements()) {
-        legacy_shape = input.shape();
-      }
-    }
-    for (const Tensor& input : inputs) {
-      if (input.shape() != legacy_shape && input.num_elements() != 1) {
-        return InvalidArgument(
-            "FusedElementwise operands must match the run shape or be scalars");
-      }
-    }
-    count = legacy_shape.num_elements();
-    program.slots.resize(inputs.size());
-    for (size_t i = 0; i < inputs.size(); ++i) {
-      program.slots[i].input = static_cast<int64_t>(i);
-      program.slots[i].access.kind = MicroAccessKind::kAuto;
+    const Tensor& input = inputs[slot.input];
+    switch (slot.access.kind) {
+      case MicroAccessKind::kScalar:
+        if (input.num_elements() != 1) {
+          return InvalidArgument(
+              "FusedElementwise scalar slot reads a non-scalar input");
+        }
+        break;
+      case MicroAccessKind::kStrided:
+        if (MaxAccessOffset(slot.access) >= input.num_elements()) {
+          return InvalidArgument(
+              "FusedElementwise strided slot escapes its input");
+        }
+        break;
+      case MicroAccessKind::kContiguous:
+        if (input.num_elements() != count) {
+          return InvalidArgument(
+              "FusedElementwise slot does not cover the evaluation space");
+        }
+        break;
     }
   }
 
@@ -1556,8 +1539,8 @@ Status FusedElementwiseKernel(KernelContext* ctx) {
     }
   }
   // Published registers (outputs, reduce source) must carry the run dtype.
-  for (int32_t reg : program.outputs) {
-    if (reads_foreign(reg)) {
+  for (const MicroOutputSpec& spec : program.output_specs) {
+    if (reads_foreign(spec.reg)) {
       return InvalidArgument(
           "FusedElementwise foreign-dtype operand published as an output");
     }
@@ -1570,50 +1553,22 @@ Status FusedElementwiseKernel(KernelContext* ctx) {
 
   // Donation plan ("donate" attr): output k writes donate[k]'s buffer in
   // place (-1 = fresh allocation). The compiler only assigns donations it
-  // proved safe, but the kernel is publicly invocable, so re-validate the
-  // in-place rules here: dtype/size match, a contiguous full-space store
-  // from an instruction register, and no slot of the donor feeding an
-  // output store or the reduction epilogue (both read after the block's
-  // stores — everything else reads before them).
+  // proved safe, but the kernel is publicly invocable, so re-validate them.
   const std::vector<int64_t> donate =
       ctx->GetAttrOr<std::vector<int64_t>>("donate", {});
-  if (!donate.empty()) {
-    if (!program.extended) {
-      return InvalidArgument("FusedElementwise donation requires a v2 program");
+  if (!donate.empty() && donate.size() != program.output_specs.size()) {
+    return InvalidArgument("FusedElementwise donate length mismatch");
+  }
+  for (size_t o = 0; o < donate.size(); ++o) {
+    const int64_t donor = donate[o];
+    if (donor < 0) continue;
+    if (donor >= static_cast<int64_t>(inputs.size())) {
+      return InvalidArgument("FusedElementwise donor index out of range");
     }
-    if (donate.size() != program.outputs.size()) {
-      return InvalidArgument("FusedElementwise donate length mismatch");
-    }
-    for (size_t o = 0; o < donate.size(); ++o) {
-      const int64_t donor = donate[o];
-      if (donor < 0) continue;
-      if (donor >= static_cast<int64_t>(inputs.size())) {
-        return InvalidArgument("FusedElementwise donor index out of range");
-      }
-      const MicroOutputSpec& spec = program.output_specs[o];
-      const Tensor& src = inputs[donor];
-      if (src.dtype() != dtype || foreign[donor] ||
-          src.num_elements() != count ||
-          spec.store.kind != MicroAccessKind::kContiguous ||
-          ProductOf(spec.shape) != count ||
-          spec.reg < program.num_operands) {
-        return InvalidArgument("FusedElementwise unsafe donation");
-      }
-      for (size_t s = 0; s < program.slots.size(); ++s) {
-        if (program.slots[s].input != donor) continue;
-        bool stored = program.slots[s].access.kind !=
-                      MicroAccessKind::kContiguous;
-        for (int32_t out_reg : program.outputs) {
-          if (out_reg == static_cast<int32_t>(s)) stored = true;
-        }
-        if (program.reduce.kind != MicroReduceKind::kNone &&
-            program.reduce.src == static_cast<int32_t>(s)) {
-          stored = true;
-        }
-        if (stored) {
-          return InvalidArgument("FusedElementwise unsafe donation");
-        }
-      }
+    if (inputs[donor].dtype() != dtype ||
+        inputs[donor].num_elements() != count ||
+        !DonationSafe(program, o, donor)) {
+      return InvalidArgument("FusedElementwise unsafe donation");
     }
   }
 
@@ -1634,7 +1589,7 @@ Status FusedElementwiseKernel(KernelContext* ctx) {
     // in-run value consumed by several instructions. Rows are storage, not
     // values — a write retires the row's previous value — so read counts
     // reset at each redefinition.
-    bool dag = program.outputs.size() +
+    bool dag = program.output_specs.size() +
                    (program.reduce.kind != MicroReduceKind::kNone ? 1 : 0) >
                1;
     if (!dag) {
@@ -1645,7 +1600,7 @@ Status FusedElementwiseKernel(KernelContext* ctx) {
             ++reads[inst.b] > 1) {
           dag = true;
         }
-        if (inst.dst >= 0) reads[inst.dst] = 0;
+        reads[inst.dst] = 0;
       }
     }
     if (dag) {
@@ -1694,45 +1649,31 @@ Status FusedElementwiseKernel(KernelContext* ctx) {
           slots[s].gather = num_gather_rows++;
           slots[s].access = &slot.access;
           break;
-        case MicroAccessKind::kAuto:
-          slots[s].stride =
-              inputs[slot.input].num_elements() == 1 && count > 1 ? 0 : 1;
-          break;
         case MicroAccessKind::kContiguous:
           slots[s].stride = 1;
           break;
       }
     }
     std::vector<ResolvedOutput<T>> outputs;
-    outputs.reserve(program.outputs.size());
-    for (size_t o = 0; o < program.outputs.size(); ++o) {
+    outputs.reserve(program.output_specs.size());
+    for (size_t o = 0; o < program.output_specs.size(); ++o) {
+      const MicroOutputSpec& spec = program.output_specs[o];
+      const int64_t donor = o < donate.size() ? donate[o] : -1;
+      Tensor out = donor >= 0 ? DonateOutput(ctx, static_cast<int>(o), dtype,
+                                             Shape(spec.shape), inputs[donor])
+                              : ctx->AllocateOutput(static_cast<int>(o), dtype,
+                                                    Shape(spec.shape));
       ResolvedOutput<T> res;
-      res.reg = program.outputs[o];
-      if (program.extended) {
-        const MicroOutputSpec& spec = program.output_specs[o];
-        const int64_t donor = o < donate.size() ? donate[o] : -1;
-        Tensor out =
-            donor >= 0
-                ? DonateOutput(ctx, static_cast<int>(o), dtype,
-                               Shape(spec.shape), inputs[donor])
-                : ctx->AllocateOutput(static_cast<int>(o), dtype,
-                                      Shape(spec.shape));
-        res.data = out.mutable_data<T>();
-        res.kind = spec.store.kind;
-        if (spec.store.kind == MicroAccessKind::kStrided) {
-          res.store = &spec.store;
-        }
-      } else {
-        Tensor out =
-            ctx->AllocateOutput(static_cast<int>(o), dtype, legacy_shape);
-        res.data = out.mutable_data<T>();
-        res.kind = MicroAccessKind::kAuto;
-      }
+      res.data = out.mutable_data<T>();
+      res.kind = spec.store.kind;
+      if (spec.store.kind == MicroAccessKind::kStrided) res.store = &spec.store;
+      res.reg = spec.reg;
       outputs.push_back(res);
     }
     T* reduce_out = nullptr;
     if (program.reduce.kind != MicroReduceKind::kNone) {
-      Tensor out = ctx->AllocateOutput(static_cast<int>(program.outputs.size()),
+      Tensor out = ctx->AllocateOutput(
+          static_cast<int>(program.output_specs.size()),
                                        dtype, Shape(program.reduce.shape));
       reduce_out = out.mutable_data<T>();
     }

@@ -4,54 +4,41 @@
 //
 // Both fusion frontends — the op-queue drain (dynamic, paper §5) and the
 // graph pass in graph/passes.cpp (static, the §4.6 staged-optimization
-// opportunity) — describe a recognized run to CompileFusedRun() below and
-// lower it to the same program encoding and the same interpreter, so fused
-// execution is bitwise identical in either stage.
+// opportunity) — decide run membership with the rules below, describe a
+// recognized run to CompileFusedRun(), and lower it to the same program
+// encoding and the same interpreter, so fused execution is bitwise identical
+// in either stage.
 //
-// Two program encodings share the "program" attr (a vector<int64_t>):
+// The "program" attr (a vector<int64_t>) has one encoding:
 //
-// v1 (legacy, first element >= 0) — pure elementwise runs:
-//
-//     [num_operands, num_insts,
-//      opcode_0, a_0, b_0, ..., opcode_{n-1}, a_{n-1}, b_{n-1},
-//      num_outputs, out_reg_0, ...]
-//
-// Registers [0, num_operands) hold the kernel's inputs (full tensors of the
-// run shape, or broadcast scalars); register num_operands + i holds
-// instruction i's result. `b` is ignored for unary opcodes. Output registers
-// name which instruction results materialize as kernel outputs.
-//
-// v2 (extended, first element == kMicroProgramMagic) — map-reduce runs. The
-// operand registers become *slots*: each names a kernel input plus an access
-// descriptor (contiguous, broadcast scalar, or a strided odometer walk), so
-// one input can be read under several index maps and layout ops (Transpose /
-// Reshape / ExpandDims / Squeeze) fold into the run as indexed loads instead
-// of cutting it. Outputs carry their own shape and store descriptor, and an
-// optional reduction epilogue (Sum/Mean/Max/Min over the trailing axes of
-// the evaluation space) folds the mapped values into per-chunk partial
-// accumulators combined by the fixed stride-doubling tree in reduce_util.h:
-//
-//     [kMicroProgramMagic, num_slots, eval_rank, eval_dims...,
+//     [kMicroProgramMagicV3, num_slots, eval_rank, eval_dims..., num_rows,
 //      {input, kind, [rank, dims..., strides...] if strided} per slot,
-//      num_insts, {opcode, a, b}*,
+//      num_insts, {opcode, a, b, dst}*,
 //      num_outputs, {reg, shape_rank, shape_dims...,
 //                    kind, [rank, dims..., strides...] if strided} per output,
 //      reduce_kind, [src_reg, reduce_count, out_rank, out_dims...] if any]
 //
-// v3 (compact, first element == kMicroProgramMagicV3) — DAG segments. Same
-// layout as v2 with two changes: the header carries an explicit scratch-row
-// count (num_rows, placed after eval_dims), and every instruction carries an
-// explicit destination register {opcode, a, b, dst}. v1/v2 pin instruction
-// i's result to register num_operands + i, so a 64-op run needs 64 scratch
-// rows; v3 lets the compiler CSE identical instructions (shared
-// subexpressions load once) and reuse dead rows by liveness, so a long chain
-// runs in 2-3 rows regardless of length and multi-consumer values occupy one
-// row read by many instructions. dst registers live in
-// [num_operands, num_operands + num_rows); a register may only be read after
-// an earlier instruction wrote it, and rows named by outputs or the reduce
-// epilogue stay live to the end. Decode normalizes v1/v2 programs to the
-// same form (dst = num_operands + i), so the interpreter has one execution
-// path.
+// Registers [0, num_slots) are operand *slots*: each names a kernel input
+// plus an access descriptor (contiguous, broadcast scalar, or a strided
+// odometer walk), so one input can be read under several index maps and
+// layout ops (Transpose / Reshape / ExpandDims / Squeeze) fold into the run
+// as indexed loads instead of cutting it. Registers
+// [num_slots, num_slots + num_rows) are scratch rows: every instruction
+// names its destination row, and a row may only be read after an earlier
+// instruction wrote it. The compiler dedups identical instructions (shared
+// subexpressions load once) and reuses dead rows by liveness, so a long
+// chain runs in 2-3 rows regardless of length and multi-consumer values
+// occupy one row read by many instructions; rows named by outputs or the
+// reduce epilogue stay live to the end. Outputs carry their own shape and
+// store descriptor, and an optional reduction epilogue (Sum/Mean/Max/Min
+// over the trailing axes of the evaluation space) folds the mapped values
+// into per-chunk partial accumulators combined by the fixed stride-doubling
+// tree in reduce_util.h.
+//
+// A program that does not begin with kMicroProgramMagicV3 — including the
+// retired layouts that began with a non-negative operand count or with -2 —
+// fails Decode with InvalidArgument, so the kernel and shape inference
+// reject it loudly rather than reinterpret it.
 #ifndef TFE_KERNELS_FUSED_ELEMENTWISE_H_
 #define TFE_KERNELS_FUSED_ELEMENTWISE_H_
 
@@ -59,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "ops/attr_value.h"
 #include "support/status.h"
 #include "tensor/dtype.h"
 #include "tensor/shape.h"
@@ -106,21 +94,15 @@ struct MicroInst {
   int32_t a = 0;
   int32_t b = 0;
   // Destination register, in [num_operands, num_operands + num_rows).
-  // Encoded only by v3; Decode normalizes v1/v2 to dst = num_operands + i.
   int32_t dst = -1;
 };
 
-// First element of a v2-encoded program (v1 starts with num_operands >= 0).
-constexpr int64_t kMicroProgramMagic = -2;
-// First element of a v3 (compact DAG) program.
+// First element of every encoded program.
 constexpr int64_t kMicroProgramMagicV3 = -3;
 
 // How an operand slot reads its input — or an output stores its register —
 // relative to the flat evaluation index.
 enum class MicroAccessKind : int64_t {
-  // v1 semantics: broadcast scalar when the input has one element and the
-  // run has more, contiguous otherwise.
-  kAuto = 0,
   kContiguous = 1,  // offset == flat evaluation index
   kScalar = 2,      // stride-0 broadcast of a single element
   // offset = dot(decompose(flat, dims), strides); product(dims) equals the
@@ -130,7 +112,7 @@ enum class MicroAccessKind : int64_t {
 };
 
 struct MicroAccess {
-  MicroAccessKind kind = MicroAccessKind::kAuto;
+  MicroAccessKind kind = MicroAccessKind::kContiguous;
   std::vector<int64_t> dims;     // kStrided only
   std::vector<int64_t> strides;  // kStrided only; parallel to dims
 
@@ -139,14 +121,14 @@ struct MicroAccess {
   }
 };
 
-// One operand register of a v2 program: which kernel input it reads, how.
+// One operand register: which kernel input it reads, and how.
 struct MicroOperandSlot {
-  int64_t input = -1;  // kernel input index; -1 in v1 (slot i reads input i)
+  int64_t input = -1;
   MicroAccess access;
 };
 
-// One kernel output of a v2 program: which register, the allocated shape,
-// and how register rows land in the output buffer.
+// One kernel output: which register, the allocated shape, and how register
+// rows land in the output buffer.
 struct MicroOutputSpec {
   int32_t reg = 0;
   std::vector<int64_t> shape;
@@ -172,29 +154,16 @@ struct MicroReduce {
 
 struct MicroProgram {
   int64_t num_operands = 0;
+  std::vector<int64_t> eval_dims;        // the evaluation space
+  int64_t num_rows = 0;                  // scratch rows
+  std::vector<MicroOperandSlot> slots;   // size == num_operands
   std::vector<MicroInst> insts;
-  // Registers published as kernel outputs, in output order (the reduction
-  // epilogue's output is extra and always last; it is not listed here).
-  std::vector<int32_t> outputs;
-
-  // --- v2 extensions (engaged when `extended` is true) ---------------------
-  bool extended = false;
-  std::vector<int64_t> eval_dims;            // the evaluation space
-  std::vector<MicroOperandSlot> slots;       // size == num_operands
-  std::vector<MicroOutputSpec> output_specs;  // parallel to `outputs`
+  // Published registers in kernel-output order (the reduction epilogue's
+  // output is extra and always last; it is not listed here).
+  std::vector<MicroOutputSpec> output_specs;
   MicroReduce reduce;
 
-  // --- v3 extensions (engaged when `compact` is true) ----------------------
-  // Compact programs carry explicit dst registers and a scratch-row count;
-  // CompactProgram() below rewrites a freshly compiled v2 program into this
-  // form (CSE + liveness-driven row reuse).
-  bool compact = false;
-  int64_t num_rows = 0;  // scratch rows; insts[i].dst - num_operands < this
-
-  int64_t num_registers() const {
-    return num_operands + (compact ? num_rows
-                                   : static_cast<int64_t>(insts.size()));
-  }
+  int64_t num_registers() const { return num_operands + num_rows; }
 
   std::vector<int64_t> Encode() const;
   static StatusOr<MicroProgram> Decode(const std::vector<int64_t>& encoded);
@@ -206,26 +175,78 @@ bool MicroOpCodeFor(const std::string& op_name, MicroOpCode* code);
 // 1 or 2. Only meaningful for codes produced by MicroOpCodeFor.
 int MicroOpArity(MicroOpCode code);
 
-// Transcendental opcodes require floating dtypes; arithmetic ones accept any
-// numeric dtype.
-bool MicroOpSupports(MicroOpCode code, DType dtype);
-
-// Layout ops the run compiler folds as indexed loads (no instruction):
-// Transpose, Reshape, ExpandDims, Squeeze.
-bool MicroLayoutOp(const std::string& op_name);
-
 // Reductions the run compiler accepts as epilogues; maps Sum/Mean/Max/Min.
 bool MicroReduceKindFor(const std::string& op_name, MicroReduceKind* kind);
 
-// True when `shape` broadcasts to `out` under trailing-dim alignment (every
-// trailing dim equal or 1) — the layouts BroadcastStrides expresses.
-bool BroadcastsTo(const Shape& shape, const Shape& out);
+// ---- Run membership ---------------------------------------------------------
+//
+// The one rule set both fusion frontends apply while growing a run. What
+// stays per frontend is how an input resolves (the drain: a resolved handle
+// on this device and the donation use-count proof; the pass: a graph
+// endpoint that precedes the run's anchor), the scan window, and the tail
+// policy (the drain hands scalar tails back to the queue; the pass shrinks
+// the run until it trial-compiles).
+
+// The role an op plays inside a run: a compute member contributes a micro-op
+// instruction, a layout member (Transpose/Reshape/ExpandDims/Squeeze) folds
+// into operand access descriptors, and a reduce member (Sum/Mean/Max/Min)
+// terminates the run as its epilogue.
+enum class FusedMemberKind { kCompute, kLayout, kReduce };
+
+struct FusedMemberClass {
+  FusedMemberKind kind = FusedMemberKind::kCompute;
+  MicroOpCode code = MicroOpCode::kAdd;  // kCompute only
+};
+
+// Whether a single-output op producing `dtype`/`shape` from `num_inputs`
+// inputs can be a run member: an elementwise micro-op, layout op, or
+// reduction; its kind's input arity; exactly the attrs the compiler folds
+// (Cast's "dst" — the target is the run dtype, carried on the fused node —
+// Transpose's "perm", Reshape's "shape", ExpandDims's "axis", Squeeze's
+// optional "axis", a reduction's "axis"/"keep_dims"); a fully-defined shape;
+// and a dtype the interpreter holds (transcendental opcodes: floating only).
+bool ClassifyFusedMember(const std::string& op, const AttrMap& attrs,
+                         size_t num_inputs, DType dtype, const Shape& shape,
+                         FusedMemberClass* cls);
+
+// Whether an external (not produced in-run) input of `dtype`/`shape` may
+// feed a non-reduce member producing `member_dtype`/`member_shape`. A compute
+// member reads it in the member's dtype — or, as a Cast's source, in any
+// numeric dtype the kernel pre-converts — under trailing-dim broadcast (the
+// member shape itself, bias rows, scalars). A layout member reads it
+// verbatim: same dtype, same element count. A reduction never takes one.
+bool FusedOperandOk(const FusedMemberClass& cls, DType member_dtype,
+                    const Shape& member_shape, DType dtype,
+                    const Shape& shape);
+
+// Most members one run absorbs. Bounds each frontend's scan and the size of
+// the interpreted program.
+constexpr size_t kMaxFusedRunMembers = 64;
+
+// Whether a non-reduce member of `count` elements fits a run whose members
+// so far span `run_count`: members are broadcast scalars or share one count.
+inline bool FusedCountFits(int64_t count, int64_t run_count) {
+  return count == run_count || count == 1 || run_count == 1;
+}
+
+// The trailing-axes rule: a reduction over `input` along `axes` (the "axis"
+// attr; empty = all, negative counts from the back) folds as an epilogue
+// only when the axes form a trailing block, so the elements each output
+// folds are contiguous in evaluation order. Returns that element count, or
+// 0 when an axis is out of range or the block is not trailing.
+int64_t TrailingReduceCount(const Shape& input, std::vector<int64_t> axes);
+
+// Whether reduction member `attrs` over an in-run value of `input` shape
+// closes a run spanning `run_count`: the value covers the full evaluation
+// count and the reduction passes the trailing-axes rule.
+bool FusedReduceFits(const AttrMap& attrs, const Shape& input,
+                     int64_t run_count);
 
 // ---- Run compiler ----------------------------------------------------------
 //
 // Both fusion frontends describe a candidate run as a vector of FusedRunOp
 // (one per member, in queue/topological order) plus the deduplicated
-// external operands, and get back a v2 program. Any unsupported pattern —
+// external operands, and get back a program. Any unsupported pattern —
 // layout under an incompatible index map, a non-trailing reduction,
 // conflicting index maps for a multiply-consumed producer — returns an
 // error, and the caller falls back to op-at-a-time execution (the drain) or
@@ -246,6 +267,12 @@ struct FusedRunOp {
   bool materialize = false;   // publish this member's value as an output
 };
 
+// Describes a member ClassifyFusedMember accepted, extracting the attrs the
+// compiler folds (Transpose's perm, a reduction's axes). The caller fills in
+// `args` and `materialize`.
+FusedRunOp MakeFusedRunOp(const std::string& op, const AttrMap& attrs,
+                          DType dtype, const Shape& shape);
+
 struct FusedRunOperand {
   DType dtype = DType::kFloat32;
   Shape shape;
@@ -261,27 +288,20 @@ struct CompiledRun {
   // Member index per kernel output, in kernel-output order; when the run
   // ends in a reduction its member is last.
   std::vector<int> output_members;
-  bool has_cast = false;
   bool has_reduce = false;
-  // Donation plan, parallel to program.outputs: the operand index whose
-  // buffer output k writes in place, or -1 for a fresh allocation. Assigned
-  // only where the interpreter's block order proves every read of the donor
-  // precedes the overwriting store (see AssignDonations in the .cpp).
+  // Donation plan, parallel to program.output_specs: the operand index
+  // whose buffer output k writes in place, or -1 for a fresh allocation.
+  // Assigned only where the interpreter's block order proves every read of
+  // the donor precedes the overwriting store (see CompileFusedRun).
   std::vector<int> donations;
 };
 
+// Emits the compacted program: identical instructions merge and scratch
+// rows are reassigned by liveness, so scratch stays at a few rows however
+// long the run is.
 StatusOr<CompiledRun> CompileFusedRun(const std::vector<FusedRunOp>& ops,
                                       const std::vector<FusedRunOperand>& operands,
                                       DType run_dtype);
-
-// Rewrites a one-row-per-instruction program into v3 compact form: dedups
-// identical (opcode, a, b) instructions (shared subexpressions compute
-// once), then reassigns destination rows by liveness so dead rows are
-// reused. References in later instructions, output specs, and the reduce
-// epilogue are remapped. Rows feeding outputs or the reduce epilogue stay
-// live to the end of the program. Exposed for tests; CompileFusedRun applies
-// it to every program it emits.
-void CompactProgram(MicroProgram* program);
 
 void RegisterFusedElementwiseKernels();
 

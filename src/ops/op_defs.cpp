@@ -13,10 +13,9 @@
 namespace tfe {
 namespace {
 
-Status RegisterOrDie(OpDef def) {
+void RegisterOrDie(OpDef def) {
   Status status = OpRegistry::Global()->Register(std::move(def));
   TFE_CHECK(status.ok()) << status.ToString();
-  return status;
 }
 
 // ---- generic shape helpers -------------------------------------------------
@@ -694,7 +693,7 @@ struct Registrar {
                    .shape_fn = NoOutputs});
 
     // A fused run of elementwise/layout/reduction ops interpreting a
-    // micro-op program (see kernels/fused_elementwise.h for the encodings).
+    // micro-op program (see kernels/fused_elementwise.h for the encoding).
     // Produced only by the op-queue drain and the FuseElementwise graph
     // pass, never by tracing — autodiff sees the original per-op graph, so
     // no gradient exists.
@@ -714,26 +713,15 @@ struct Registrar {
                      }
                      const DType dtype =
                          ctx->GetAttrOr<DType>("dtype", ctx->input_dtype(0));
-                     if (program.extended) {
-                       // v2: every output carries its own shape; the
-                       // reduction epilogue's output is the extra last one.
-                       for (const kernels::MicroOutputSpec& spec :
-                            program.output_specs) {
-                         ctx->AddOutput(dtype, Shape(spec.shape));
-                       }
-                       if (program.reduce.kind !=
-                           kernels::MicroReduceKind::kNone) {
-                         ctx->AddOutput(dtype, Shape(program.reduce.shape));
-                       }
-                       return Status::OK();
+                     // Every output carries its own shape; the reduction
+                     // epilogue's output is the extra last one.
+                     for (const kernels::MicroOutputSpec& spec :
+                          program.output_specs) {
+                       ctx->AddOutput(dtype, Shape(spec.shape));
                      }
-                     Shape out = ctx->input_shape(0);
-                     for (int i = 1; i < ctx->num_inputs(); ++i) {
-                       TFE_ASSIGN_OR_RETURN(
-                           out, BroadcastShapes(out, ctx->input_shape(i)));
-                     }
-                     for (size_t o = 0; o < program.outputs.size(); ++o) {
-                       ctx->AddOutput(dtype, out);
+                     if (program.reduce.kind !=
+                         kernels::MicroReduceKind::kNone) {
+                       ctx->AddOutput(dtype, Shape(program.reduce.shape));
                      }
                      return Status::OK();
                    }});

@@ -39,82 +39,24 @@ std::shared_ptr<TensorHandle> FirstUnresolvedInput(const OpQueue::Node& node,
   return nullptr;
 }
 
-// Longest run of elementwise ops one fused kernel invocation will absorb.
-// Bounds the peek-ahead work per drain step and the register footprint of
-// the interpreted program.
-constexpr size_t kMaxFusedRun = 64;
-
 // How many non-joining queued nodes the DAG capture scan will step over
 // while looking for more members. Bounds the per-drain scan (and the deque
 // middle-erase cost) when the queue is deep.
 constexpr size_t kMaxPeekSkip = 128;
 
-// What role a node plays inside a fused run: a compute member contributes a
-// micro-op instruction, a layout member (Transpose/Reshape/ExpandDims/
-// Squeeze) folds into operand access descriptors, and a reduce member
-// (Sum/Mean/Max/Min over trailing axes) terminates the run as its epilogue.
-enum class MemberKind { kCompute, kLayout, kReduce };
+// Classifies a queued node with the run-membership rules shared with the
+// static graph pass.
+bool ClassifyNode(const OpQueue::Node& node, kernels::FusedMemberClass* cls) {
+  return node.outputs.size() == 1 &&
+         kernels::ClassifyFusedMember(node.op_name, node.attrs,
+                                      node.inputs.size(),
+                                      node.outputs[0]->dtype(),
+                                      node.outputs[0]->shape(), cls);
+}
 
-struct MemberClass {
-  MemberKind kind = MemberKind::kCompute;
-  kernels::MicroOpCode code = kernels::MicroOpCode::kAdd;  // kCompute only
-};
-
-// Structural half of fusability: a single output whose dtype the interpreter
-// supports, and exactly the attrs the run compiler knows how to fold (Cast's
-// "dst", Transpose's "perm", a reduction's "axis"/"keep_dims", ...).
-// Value/shape checks are the caller's job.
-bool FusableNode(const OpQueue::Node& node, MemberClass* cls) {
-  if (node.outputs.size() != 1) return false;
-  const DType dtype = node.outputs[0]->dtype();
-  if (kernels::MicroOpCodeFor(node.op_name, &cls->code)) {
-    cls->kind = MemberKind::kCompute;
-    if (cls->code == kernels::MicroOpCode::kCast) {
-      if (node.attrs.size() != 1 || node.attrs.count("dst") == 0) return false;
-    } else if (!node.attrs.empty()) {
-      return false;
-    }
-    return kernels::MicroOpSupports(cls->code, dtype);
-  }
-  if (kernels::MicroLayoutOp(node.op_name)) {
-    cls->kind = MemberKind::kLayout;
-    if (node.op_name == "Transpose") {
-      auto it = node.attrs.find("perm");
-      if (node.attrs.size() != 1 || it == node.attrs.end() ||
-          !it->second.Is<std::vector<int64_t>>()) {
-        return false;
-      }
-    } else if (node.op_name == "Reshape") {
-      if (node.attrs.size() != 1 || node.attrs.count("shape") == 0) {
-        return false;
-      }
-    } else if (node.op_name == "ExpandDims") {
-      if (node.attrs.size() != 1 || node.attrs.count("axis") == 0) {
-        return false;
-      }
-    } else {  // Squeeze: "axis" is optional
-      if (!node.attrs.empty() &&
-          (node.attrs.size() != 1 || node.attrs.count("axis") == 0)) {
-        return false;
-      }
-    }
-    // The interpreter is numeric-typed; layout members only ride along for
-    // dtypes it can hold in registers (kCast support == "is numeric").
-    return kernels::MicroOpSupports(kernels::MicroOpCode::kCast, dtype);
-  }
-  kernels::MicroReduceKind rkind;
-  if (kernels::MicroReduceKindFor(node.op_name, &rkind)) {
-    cls->kind = MemberKind::kReduce;
-    for (const auto& [name, value] : node.attrs) {
-      if (name != "axis" && name != "keep_dims") return false;
-    }
-    auto it = node.attrs.find("axis");
-    if (it != node.attrs.end() && !it->second.Is<std::vector<int64_t>>()) {
-      return false;
-    }
-    return kernels::MicroOpSupports(kernels::MicroOpCode::kCast, dtype);
-  }
-  return false;
+bool IsReduction(const OpQueue::Node& node) {
+  kernels::MicroReduceKind kind;
+  return kernels::MicroReduceKindFor(node.op_name, &kind);
 }
 
 // Resolves an external (not produced in-run) input to its concrete value.
@@ -135,24 +77,18 @@ bool ResolvedOperand(const Tensor& input, Tensor* value) {
          !value->is_opaque();
 }
 
-// Whether `value` can feed a fused compute member of the given dtype/shape
-// on `device` without a transparent copy: dtype matches (a cast's source
-// operand may instead be any numeric dtype — the kernel pre-converts it), it
-// broadcasts to the member's shape under trailing-dim alignment (which
-// covers the member shape itself, bias rows, and scalars), and it is already
-// resident (nullptr means host data, which the host CPU reads in place).
-bool OperandCompatible(const Tensor& value, DType dtype, const Shape& shape,
-                       const Device* device, bool cast_source = false) {
-  if (cast_source) {
-    if (!kernels::MicroOpSupports(kernels::MicroOpCode::kCast, value.dtype())) {
-      return false;
-    }
-  } else if (value.dtype() != dtype) {
-    return false;
-  }
-  if (value.device() != nullptr && value.device() != device) return false;
-  return value.num_elements() == 1 ||
-         kernels::BroadcastsTo(value.shape(), shape);
+// Whether external input `input` can feed run member `member` without a
+// transparent copy: it resolves to plain data already resident on `device`
+// (nullptr means host data, which the host CPU reads in place) and passes
+// the shared operand rule.
+bool ExternalOperandOk(const Tensor& input,
+                       const kernels::FusedMemberClass& cls,
+                       const TensorHandle& member, const Device* device) {
+  Tensor value;
+  return ResolvedOperand(input, &value) &&
+         (value.device() == nullptr || value.device() == device) &&
+         kernels::FusedOperandOk(cls, member.dtype(), member.shape(),
+                                 value.dtype(), value.shape());
 }
 
 // Whether run node `n`'s output can be observed outside the run. False only
@@ -276,17 +212,15 @@ void OpQueue::Drain() {
       // see its handle resolve when the fused kernel completes.
       if (NodeStartsRun(run.front())) {
         size_t scan = 0;
-        kernels::MicroReduceKind close_kind;
-        while (run.size() < kMaxFusedRun && scan < queue_.size() &&
+        while (run.size() < kernels::kMaxFusedRunMembers &&
+               scan < queue_.size() &&
                scan < kMaxPeekSkip) {
           if (NodeJoinsRun(queue_[scan], run)) {
             run.push_back(std::move(queue_[scan]));
             queue_.erase(queue_.begin() +
                          static_cast<std::ptrdiff_t>(scan));
             // A reduce epilogue closes the run; stop scanning.
-            if (kernels::MicroReduceKindFor(run.back().op_name, &close_kind)) {
-              break;
-            }
+            if (IsReduction(run.back())) break;
           } else {
             ++scan;
           }
@@ -296,10 +230,9 @@ void OpQueue::Drain() {
         // compile. Hand such tails back; the next iteration runs them alone.
         // (A scalar *reduction* tail is exempt: its epilogue evaluates over
         // the producer's shape.)
-        kernels::MicroReduceKind tail_kind;
         while (run.size() > 1 &&
                run.back().outputs[0]->shape().num_elements() == 1 &&
-               !kernels::MicroReduceKindFor(run.back().op_name, &tail_kind)) {
+               !IsReduction(run.back())) {
           int64_t prefix_count = 1;
           for (size_t i = 0; i + 1 < run.size(); ++i) {
             prefix_count = std::max(
@@ -333,28 +266,14 @@ bool OpQueue::NodeStartsRun(const Node& node) const {
   // Fuse only where the kernel actually computes: simulated accelerators are
   // virtual-time devices and fusing would perturb their cost model.
   if (device_->is_accelerator() || !device_->executes_kernels()) return false;
-  MemberClass cls;
-  if (!FusableNode(node, &cls)) return false;
+  kernels::FusedMemberClass cls;
   // A reduction only terminates a run — alone it IS the standalone kernel.
-  if (cls.kind == MemberKind::kReduce) return false;
-  const auto& out = *node.outputs[0];
-  if (!out.shape().IsFullyDefined()) return false;
-  if (cls.kind == MemberKind::kLayout) {
-    if (node.inputs.size() != 1) return false;
-    Tensor value;
-    if (!ResolvedOperand(node.inputs[0], &value)) return false;
-    // Layout members never cast or broadcast: same dtype, same element
-    // count, already resident.
-    return value.dtype() == out.dtype() &&
-           (value.device() == nullptr || value.device() == device_) &&
-           value.num_elements() == out.shape().num_elements();
+  if (!ClassifyNode(node, &cls) ||
+      cls.kind == kernels::FusedMemberKind::kReduce) {
+    return false;
   }
-  const bool cast_source = cls.code == kernels::MicroOpCode::kCast;
   for (const Tensor& input : node.inputs) {
-    Tensor value;
-    if (!ResolvedOperand(input, &value)) return false;
-    if (!OperandCompatible(value, out.dtype(), out.shape(), device_,
-                           cast_source)) {
+    if (!ExternalOperandOk(input, cls, *node.outputs[0], device_)) {
       return false;
     }
   }
@@ -364,15 +283,11 @@ bool OpQueue::NodeStartsRun(const Node& node) const {
 bool OpQueue::NodeJoinsRun(const Node& node,
                            const std::vector<Node>& run) const {
   // A reduction closes the run; nothing fuses behind its epilogue.
-  kernels::MicroReduceKind tail_kind;
-  if (kernels::MicroReduceKindFor(run.back().op_name, &tail_kind)) {
-    return false;
-  }
-  MemberClass cls;
-  if (!FusableNode(node, &cls)) return false;
-  const DType run_dtype = run.front().outputs[0]->dtype();
-  const auto& out = *node.outputs[0];
-  if (out.dtype() != run_dtype || !out.shape().IsFullyDefined()) return false;
+  if (IsReduction(run.back())) return false;
+  kernels::FusedMemberClass cls;
+  if (!ClassifyNode(node, &cls)) return false;
+  const TensorHandle& out = *node.outputs[0];
+  if (out.dtype() != run.front().outputs[0]->dtype()) return false;
 
   // The run's evaluation count so far. Members are scalar or share one
   // count, so the maximum is that count.
@@ -391,56 +306,20 @@ bool OpQueue::NodeJoinsRun(const Node& node,
     return nullptr;
   };
 
-  if (cls.kind == MemberKind::kReduce) {
-    // A reduce epilogue folds an in-run value of the full evaluation count
-    // over a trailing block of axes; anything else stays standalone rather
-    // than dragging the whole run into the op-at-a-time fallback.
-    if (node.inputs.size() != 1) return false;
+  if (cls.kind == kernels::FusedMemberKind::kReduce) {
+    // A reduction that cannot be the epilogue stays standalone rather than
+    // dragging the whole run into the op-at-a-time fallback.
     const Node* producer = producer_of(node.inputs[0]);
-    if (producer == nullptr) return false;
-    const Shape& in_shape = producer->outputs[0]->shape();
-    if (in_shape.num_elements() != run_count) return false;
-    std::vector<int64_t> axes;
-    auto it = node.attrs.find("axis");
-    if (it != node.attrs.end()) axes = it->second.Get<std::vector<int64_t>>();
-    const int rank = in_shape.rank();
-    std::vector<bool> reduced(rank, axes.empty());
-    for (int64_t axis : axes) {
-      if (axis < 0) axis += rank;
-      if (axis < 0 || axis >= rank) return false;
-      reduced[axis] = true;
-    }
-    bool seen = false;
-    for (bool r : reduced) {
-      if (r) {
-        seen = true;
-      } else if (seen) {
-        return false;  // non-trailing reduction
-      }
-    }
-    return true;
+    return producer != nullptr &&
+           kernels::FusedReduceFits(node.attrs, producer->outputs[0]->shape(),
+                                    run_count);
   }
-
-  const int64_t count = out.shape().num_elements();
-  if (count != run_count && count != 1 && run_count != 1) return false;
-
-  if (cls.kind == MemberKind::kLayout) {
-    if (node.inputs.size() != 1) return false;
-    if (producer_of(node.inputs[0]) != nullptr) return true;
-    Tensor value;
-    if (!ResolvedOperand(node.inputs[0], &value)) return false;
-    return value.dtype() == run_dtype &&
-           (value.device() == nullptr || value.device() == device_) &&
-           value.num_elements() == count;
+  if (!kernels::FusedCountFits(out.shape().num_elements(), run_count)) {
+    return false;
   }
-
-  const bool cast_source = cls.code == kernels::MicroOpCode::kCast;
   for (const Tensor& input : node.inputs) {
-    if (producer_of(input) != nullptr) continue;
-    Tensor value;
-    if (!ResolvedOperand(input, &value)) return false;
-    if (!OperandCompatible(value, run_dtype, out.shape(), device_,
-                           cast_source)) {
+    if (producer_of(input) == nullptr &&
+        !ExternalOperandOk(input, cls, out, device_)) {
       return false;
     }
   }
@@ -461,7 +340,8 @@ void OpQueue::ExecuteFused(std::vector<Node> run) {
   // Describe the run to the compiler shared with the static graph pass.
   // Pass 1 resolves each member's args: external operands deduplicate into
   // `operands`; in-run values reference their producing member.
-  std::vector<kernels::FusedRunOp> ops(run.size());
+  std::vector<kernels::FusedRunOp> ops;
+  ops.reserve(run.size());
   std::vector<Tensor> operands;
   std::vector<kernels::FusedRunOperand> operand_descs;
   std::unordered_map<const TensorHandle*, int> produced;
@@ -471,29 +351,9 @@ void OpQueue::ExecuteFused(std::vector<Node> run) {
   for (size_t n = 0; ok && n < run.size(); ++n) {
     const Node& node = run[n];
     start_ns = std::max(start_ns, node.enqueue_host_ns);
-    kernels::FusedRunOp& op = ops[n];
-    op.op = node.op_name;
-    op.dtype = node.outputs[0]->dtype();
-    op.shape = node.outputs[0]->shape();
-    if (node.op_name == "Transpose") {
-      auto it = node.attrs.find("perm");
-      if (it == node.attrs.end() || !it->second.Is<std::vector<int64_t>>()) {
-        ok = false;
-        break;
-      }
-      op.perm = it->second.Get<std::vector<int64_t>>();
-    }
-    kernels::MicroReduceKind rkind;
-    if (kernels::MicroReduceKindFor(node.op_name, &rkind)) {
-      auto it = node.attrs.find("axis");
-      if (it != node.attrs.end()) {
-        if (!it->second.Is<std::vector<int64_t>>()) {
-          ok = false;
-          break;
-        }
-        op.axes = it->second.Get<std::vector<int64_t>>();
-      }
-    }
+    kernels::FusedRunOp& op = ops.emplace_back(kernels::MakeFusedRunOp(
+        node.op_name, node.attrs, node.outputs[0]->dtype(),
+        node.outputs[0]->shape()));
     for (const Tensor& input : node.inputs) {
       const auto& handle = input.pending_handle();
       if (handle != nullptr) {
@@ -547,12 +407,10 @@ void OpQueue::ExecuteFused(std::vector<Node> run) {
   // observe (the last node's always is — it is the run's result), then
   // compile. Compilation rejects layout conflicts and other patterns the
   // join rules cannot see; those runs execute op-at-a-time.
-  std::vector<bool> materialize(run.size(), false);
   kernels::CompiledRun compiled;
   if (ok) {
     for (size_t n = 0; n < run.size(); ++n) {
-      materialize[n] = n + 1 == run.size() || Observable(n, run);
-      ops[n].materialize = materialize[n];
+      ops[n].materialize = n + 1 == run.size() || Observable(n, run);
     }
     // Steady-state steps recognize the same DAG segment every iteration;
     // the program cache keys on the segment's shape/dtype signature and
@@ -616,7 +474,7 @@ void OpQueue::ExecuteFused(std::vector<Node> run) {
         std::move(result->outputs[k]), done_ns);
   }
   for (size_t n = 0; n < run.size(); ++n) {
-    if (materialize[n]) continue;
+    if (ops[n].materialize) continue;
     const auto& out = run[n].outputs[0];
     out->SetTensor(Tensor::Opaque(out->dtype(), out->shape(), device_),
                    done_ns);

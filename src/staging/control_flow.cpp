@@ -616,7 +616,7 @@ StatusOr<std::vector<Tensor>> WhileGradImpl(const TapeEntry& e,
   TFE_ASSIGN_OR_RETURN(std::shared_ptr<GraphFunction> body_fwd,
                        BuildForwardFunction(ctx, body));
   TFE_ASSIGN_OR_RETURN(
-      LoopBackwardFunction loop_backward,
+      BackwardFunction loop_backward,
       GetOrBuildLoopBackwardFunction(ctx, body_fwd,
                                      static_cast<int>(num_vars)));
 

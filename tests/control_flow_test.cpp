@@ -282,6 +282,60 @@ TEST(WhileGradTest, DataDependentIterationCount) {
   EXPECT_EQ(staged.num_traces(), 1);
 }
 
+TEST(WhileGradTest, GradientsSurviveContextReset) {
+  // Function names come from each context's library, so a fresh context
+  // hands out the same names again; a backward cached under a name in one
+  // context must never be found from another.
+  auto while_grad = [] {
+    Function below = function(
+        [](const std::vector<Tensor>& vars) -> std::vector<Tensor> {
+          return {ops::less(vars[0], vars[1])};
+        },
+        "wgr_below");
+    Function body = function(
+        [](const std::vector<Tensor>& vars) -> std::vector<Tensor> {
+          return {ops::mul(vars[0], ops::fill(DType::kFloat32, {}, 2.0)),
+                  vars[1]};
+        },
+        "wgr_body");
+    Function staged = function(
+        [&](const std::vector<Tensor>& args) -> std::vector<Tensor> {
+          return {ops::while_loop(below, body, {args[0], args[1]})[0]};
+        },
+        "wgr_staged");
+    Tensor x = ops::scalar<float>(1.0f);
+    GradientTape tape;
+    tape.watch(x);
+    Tensor y = staged({x, ops::scalar<float>(10.0f)})[0];
+    tape.StopRecording();
+    return tape.gradient(y, {x});
+  };
+  auto call_grad = [] {
+    Function cube = function(
+        [](const std::vector<Tensor>& args) -> std::vector<Tensor> {
+          return {ops::mul(ops::square(args[0]), args[0])};
+        },
+        "wgr_cube");
+    Tensor x = ops::scalar<float>(2.0f);
+    GradientTape tape;
+    tape.watch(x);
+    Tensor y = cube({x})[0];
+    tape.StopRecording();
+    return tape.gradient(y, {x});
+  };
+  for (int round = 0; round < 2; ++round) {
+    EagerContext::ResetGlobal(EagerContext::Options{});
+    auto loop = while_grad();
+    ASSERT_TRUE(loop.ok()) << "round " << round << ": "
+                           << loop.status().ToString();
+    EXPECT_FLOAT_EQ((*loop)[0].scalar<float>(), 16.0f);
+    auto call = call_grad();
+    ASSERT_TRUE(call.ok()) << "round " << round << ": "
+                           << call.status().ToString();
+    EXPECT_FLOAT_EQ((*call)[0].scalar<float>(), 12.0f);
+  }
+}
+
 TEST(WhileGradTest, OneGraphTrainingStep) {
   // Forward while_loop AND its gradient staged into a single graph
   // function: the tape lives inside the trace, so tape.gradient records a

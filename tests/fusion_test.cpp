@@ -12,6 +12,7 @@
 #include "api/tfe.h"
 #include "kernels/fused_elementwise.h"
 #include "kernels/program_cache.h"
+#include "ops/op_registry.h"
 #include "runtime/dispatch.h"
 #include "runtime/eager_context.h"
 #include "tensor/tensor_handle.h"
@@ -35,6 +36,22 @@ using tensor_util::ToVector;
     }
   }
   return ::testing::AssertionSuccess();
+}
+
+// A hand-built program over {n}-element operands: slot i reads input i
+// contiguously, and each entry of `outputs` is a contiguous {n} output.
+kernels::MicroProgram MakeProgram(int64_t num_operands, int64_t n,
+                                  int64_t num_rows,
+                                  std::vector<kernels::MicroInst> insts,
+                                  std::vector<int32_t> outputs) {
+  kernels::MicroProgram p;
+  p.num_operands = num_operands;
+  p.eval_dims = {n};
+  p.num_rows = num_rows;
+  for (int64_t i = 0; i < num_operands; ++i) p.slots.push_back({i, {}});
+  p.insts = std::move(insts);
+  for (int32_t reg : outputs) p.output_specs.push_back({reg, {n}, {}});
+  return p;
 }
 
 // Fusion on the drain is opportunistic: it needs queue depth, and an idle
@@ -344,13 +361,13 @@ TEST_F(FusionTest, CastToDifferentDtypeCutsRunButValuesAgree) {
 }
 
 TEST_F(FusionTest, HandcraftedCastProgramConvertsOperand) {
-  // Exercise the kernel directly: reg1 is int32 (foreign), kCast folds it
+  // Exercise the kernel directly: slot 1 is int32 (foreign), kCast folds it
   // into the float run, then kAdd consumes the converted value.
-  kernels::MicroProgram program;
-  program.num_operands = 2;
-  program.insts.push_back({kernels::MicroOpCode::kCast, 1, 0});
-  program.insts.push_back({kernels::MicroOpCode::kAdd, 0, 2});
-  program.outputs = {3};
+  kernels::MicroProgram program =
+      MakeProgram(2, 3, 2,
+                  {{kernels::MicroOpCode::kCast, 1, 1, 2},
+                   {kernels::MicroOpCode::kAdd, 0, 2, 3}},
+                  {3});
   AttrMap attrs;
   attrs.emplace("program", AttrValue(program.Encode()));
   attrs.emplace("dtype", AttrValue(DType::kFloat32));
@@ -368,10 +385,8 @@ TEST_F(FusionTest, HandcraftedCastProgramConvertsOperand) {
 TEST_F(FusionTest, ForeignOperandReadByNonCastIsRejected) {
   // A non-cast instruction reading a foreign-dtype operand is a malformed
   // program: only kCast may consume registers that need conversion.
-  kernels::MicroProgram program;
-  program.num_operands = 2;
-  program.insts.push_back({kernels::MicroOpCode::kAdd, 0, 1});
-  program.outputs = {2};
+  kernels::MicroProgram program =
+      MakeProgram(2, 2, 1, {{kernels::MicroOpCode::kAdd, 0, 1, 2}}, {2});
   AttrMap attrs;
   attrs.emplace("program", AttrValue(program.Encode()));
   attrs.emplace("dtype", AttrValue(DType::kFloat32));
@@ -706,111 +721,137 @@ TEST_F(ParallelKernelsTest, LargeElementwiseBitwise) {
 // --- micro-op program encoding ---------------------------------------------
 
 TEST(MicroProgramTest, EncodeDecodeRoundTrip) {
-  kernels::MicroProgram program;
-  program.num_operands = 2;
-  program.insts.push_back({kernels::MicroOpCode::kAdd, 0, 1});
-  program.insts.push_back({kernels::MicroOpCode::kTanh, 2, 0});
-  program.outputs = {3};
-  auto decoded = kernels::MicroProgram::Decode(program.Encode());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->num_operands, 2);
+  // Every encoded field: contiguous, scalar, and strided slots over a 2x3
+  // evaluation space, explicit dst rows, a contiguous and a strided
+  // (transposed) output, and a trailing-axis Sum epilogue.
+  using kernels::MicroAccessKind;
+  kernels::MicroProgram p;
+  p.num_operands = 3;
+  p.eval_dims = {2, 3};
+  p.num_rows = 2;
+  p.slots = {{0, {MicroAccessKind::kContiguous, {}, {}}},
+             {1, {MicroAccessKind::kScalar, {}, {}}},
+             {0, {MicroAccessKind::kStrided, {2, 3}, {1, 2}}}};
+  p.insts = {{kernels::MicroOpCode::kAdd, 0, 1, 3},
+             {kernels::MicroOpCode::kMul, 3, 2, 4}};
+  p.output_specs = {{3, {2, 3}, {}},
+                    {4, {3, 2}, {MicroAccessKind::kStrided, {2, 3}, {1, 2}}}};
+  p.reduce = {kernels::MicroReduceKind::kSum, 4, 3, {2}};
+  const std::vector<int64_t> encoded = p.Encode();
+  EXPECT_EQ(encoded[0], kernels::kMicroProgramMagicV3);
+  auto decoded = kernels::MicroProgram::Decode(encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->num_operands, 3);
+  EXPECT_EQ(decoded->eval_dims, (std::vector<int64_t>{2, 3}));
+  EXPECT_EQ(decoded->num_rows, 2);
+  ASSERT_EQ(decoded->slots.size(), 3u);
+  EXPECT_TRUE(decoded->slots[2].access == p.slots[2].access);
   ASSERT_EQ(decoded->insts.size(), 2u);
-  EXPECT_EQ(decoded->insts[1].opcode, kernels::MicroOpCode::kTanh);
-  EXPECT_EQ(decoded->outputs, std::vector<int32_t>{3});
+  EXPECT_EQ(decoded->insts[1].opcode, kernels::MicroOpCode::kMul);
+  EXPECT_EQ(decoded->insts[1].dst, 4);
+  ASSERT_EQ(decoded->output_specs.size(), 2u);
+  EXPECT_EQ(decoded->output_specs[1].shape, (std::vector<int64_t>{3, 2}));
+  EXPECT_TRUE(decoded->output_specs[1].store == p.output_specs[1].store);
+  EXPECT_EQ(decoded->reduce.kind, kernels::MicroReduceKind::kSum);
+  EXPECT_EQ(decoded->reduce.reduce_count, 3);
+  EXPECT_EQ(decoded->Encode(), encoded);
 }
 
 TEST(MicroProgramTest, DecodeRejectsMalformedPrograms) {
+  const kernels::MicroProgram valid =
+      MakeProgram(1, 4, 1, {{kernels::MicroOpCode::kNeg, 0, 0, 1}}, {1});
+  ASSERT_TRUE(kernels::MicroProgram::Decode(valid.Encode()).ok());
   EXPECT_FALSE(kernels::MicroProgram::Decode({}).ok());
-  // Forward reference: inst 0 reads register 2 (its own result).
-  EXPECT_FALSE(kernels::MicroProgram::Decode({2, 1, 0, 2, 0, 1, 2}).ok());
+  // Forward reference: inst 0 reads register 1 (its own, unwritten row).
+  kernels::MicroProgram forward = valid;
+  forward.insts[0].a = 1;
+  EXPECT_FALSE(kernels::MicroProgram::Decode(forward.Encode()).ok());
   // Unknown opcode.
-  EXPECT_FALSE(kernels::MicroProgram::Decode({1, 1, 99, 0, 0, 1, 1}).ok());
+  kernels::MicroProgram unknown = valid;
+  unknown.insts[0].opcode = static_cast<kernels::MicroOpCode>(99);
+  EXPECT_FALSE(kernels::MicroProgram::Decode(unknown.Encode()).ok());
   // Output register out of range.
-  EXPECT_FALSE(kernels::MicroProgram::Decode({1, 1, 0, 0, 0, 1, 5}).ok());
+  kernels::MicroProgram out_of_range = valid;
+  out_of_range.output_specs[0].reg = 5;
+  EXPECT_FALSE(kernels::MicroProgram::Decode(out_of_range.Encode()).ok());
+  // Truncated, and trailing data.
+  std::vector<int64_t> truncated = valid.Encode();
+  truncated.pop_back();
+  EXPECT_FALSE(kernels::MicroProgram::Decode(truncated).ok());
+  std::vector<int64_t> trailing = valid.Encode();
+  trailing.push_back(0);
+  EXPECT_FALSE(kernels::MicroProgram::Decode(trailing).ok());
 }
 
 TEST(MicroProgramTest, CastOpcodeDecodesAndBoundsTheOpcodeRange) {
-  const int64_t cast_code = static_cast<int64_t>(kernels::MicroOpCode::kCast);
-  auto decoded = kernels::MicroProgram::Decode({1, 1, cast_code, 0, 0, 1, 1});
+  kernels::MicroProgram p =
+      MakeProgram(1, 4, 1, {{kernels::MicroOpCode::kCast, 0, 0, 1}}, {1});
+  auto decoded = kernels::MicroProgram::Decode(p.Encode());
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->insts[0].opcode, kernels::MicroOpCode::kCast);
   EXPECT_EQ(kernels::MicroOpArity(kernels::MicroOpCode::kCast), 1);
   // kCast is the last opcode; one past it is unknown.
-  EXPECT_FALSE(
-      kernels::MicroProgram::Decode({1, 1, cast_code + 1, 0, 0, 1, 1}).ok());
+  p.insts[0].opcode = static_cast<kernels::MicroOpCode>(
+      static_cast<int64_t>(kernels::MicroOpCode::kCast) + 1);
+  EXPECT_FALSE(kernels::MicroProgram::Decode(p.Encode()).ok());
 }
 
-// Builds the minimal extended program around `insts` (one slot per operand,
-// contiguous {n}-element evaluation, one contiguous output per entry of
-// `outputs`), the shape CompileFusedRun emits before compaction.
-kernels::MicroProgram MakeExtendedProgram(
-    int64_t num_operands, int64_t n, std::vector<kernels::MicroInst> insts,
-    std::vector<int32_t> outputs) {
-  kernels::MicroProgram p;
-  p.num_operands = num_operands;
-  p.extended = true;
-  p.eval_dims = {n};
-  for (int64_t i = 0; i < num_operands; ++i) {
-    kernels::MicroOperandSlot slot;
-    slot.input = i;
-    slot.access.kind = kernels::MicroAccessKind::kContiguous;
-    p.slots.push_back(slot);
+TEST(MicroProgramTest, RetiredEncodingsAreRejectedLoudly) {
+  // The retired layouts: v1 starts with the operand count (here 2 operands,
+  // one Add, output register 2); v2 starts with -2 and carries neither a
+  // row count nor dst registers (one contiguous slot, one Neg, one output).
+  const int64_t neg = static_cast<int64_t>(kernels::MicroOpCode::kNeg);
+  const std::vector<std::vector<int64_t>> retired = {
+      {2, 1, 0, 0, 1, 1, 2},
+      {-2, 1, 1, 4, 0, 1, 1, neg, 0, 0, 1, 1, 1, 4, 1, 0}};
+  const OpDef* def = *OpRegistry::Global()->LookUp("FusedElementwise");
+  for (const std::vector<int64_t>& encoded : retired) {
+    EXPECT_EQ(kernels::MicroProgram::Decode(encoded).status().code(),
+              ErrorCode::kInvalidArgument);
+
+    AttrMap attrs;
+    attrs.emplace("program", AttrValue(encoded));
+    attrs.emplace("dtype", AttrValue(DType::kFloat32));
+    Tensor x = ops::constant<float>({1, 2, 3, 4}, {4});
+    auto result = DispatchSingle({.op_name = "FusedElementwise",
+                                  .inputs = {x, x},
+                                  .attrs = attrs});
+    Status status = result.ok() ? result->Materialize() : result.status();
+    EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument) << status.ToString();
+    if (result.ok()) (void)EagerContext::Global()->Sync();  // async: absorb
+
+    InferenceContext infer({{DType::kFloat32, Shape({4})},
+                            {DType::kFloat32, Shape({4})}},
+                           &attrs);
+    EXPECT_EQ(def->shape_fn(&infer).code(), ErrorCode::kInvalidArgument);
   }
-  for (size_t i = 0; i < insts.size(); ++i) {
-    insts[i].dst = static_cast<int32_t>(num_operands + i);
-  }
-  p.insts = std::move(insts);
-  p.outputs = outputs;
-  for (int32_t reg : p.outputs) {
-    kernels::MicroOutputSpec spec;
-    spec.reg = reg;
-    spec.shape = {n};
-    spec.store.kind = kernels::MicroAccessKind::kContiguous;
-    p.output_specs.push_back(spec);
-  }
-  return p;
 }
 
 TEST(MicroProgramTest, V3RoundTripKeepsDstAndRowCount) {
   // add → relu in one reused row: dst of both instructions is row 0.
-  kernels::MicroProgram p = MakeExtendedProgram(
-      2, 8,
-      {{kernels::MicroOpCode::kAdd, 0, 1},
-       {kernels::MicroOpCode::kRelu, 2, 0}},
-      {3});
-  p.compact = true;
-  p.num_rows = 1;
-  p.insts[0].dst = 2;
-  p.insts[1].dst = 2;
-  p.outputs = {2};
-  p.output_specs[0].reg = 2;
-
+  kernels::MicroProgram p =
+      MakeProgram(2, 8, 1,
+                  {{kernels::MicroOpCode::kAdd, 0, 1, 2},
+                   {kernels::MicroOpCode::kRelu, 2, 0, 2}},
+                  {2});
   auto decoded = kernels::MicroProgram::Decode(p.Encode());
   ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->compact);
   EXPECT_EQ(decoded->num_rows, 1);
   EXPECT_EQ(decoded->num_registers(), 3);
   ASSERT_EQ(decoded->insts.size(), 2u);
   EXPECT_EQ(decoded->insts[0].dst, 2);
   EXPECT_EQ(decoded->insts[1].dst, 2);
-  EXPECT_EQ(decoded->outputs, std::vector<int32_t>{2});
+  ASSERT_EQ(decoded->output_specs.size(), 1u);
+  EXPECT_EQ(decoded->output_specs[0].reg, 2);
 }
 
 TEST(MicroProgramTest, V3RejectsRowMisuse) {
-  auto make = [](int32_t inst1_a, int32_t inst1_dst,
-                 int32_t out_reg) -> std::vector<int64_t> {
-    kernels::MicroProgram p = MakeExtendedProgram(
-        2, 8,
-        {{kernels::MicroOpCode::kAdd, 0, 1},
-         {kernels::MicroOpCode::kRelu, inst1_a, 0}},
-        {3});
-    p.compact = true;
-    p.num_rows = 2;
-    p.insts[0].dst = 2;
-    p.insts[1].dst = inst1_dst;
-    p.outputs = {out_reg};
-    p.output_specs[0].reg = out_reg;
-    return p.Encode();
+  auto make = [](int32_t inst1_a, int32_t inst1_dst, int32_t out_reg) {
+    return MakeProgram(2, 8, 2,
+                       {{kernels::MicroOpCode::kAdd, 0, 1, 2},
+                        {kernels::MicroOpCode::kRelu, inst1_a, 0, inst1_dst}},
+                       {out_reg})
+        .Encode();
   };
   // The valid baseline decodes.
   ASSERT_TRUE(kernels::MicroProgram::Decode(make(2, 3, 3)).ok());
@@ -819,55 +860,202 @@ TEST(MicroProgramTest, V3RejectsRowMisuse) {
   // dst out of the declared row range.
   EXPECT_FALSE(kernels::MicroProgram::Decode(make(2, 4, 3)).ok());
   // Output naming a row no instruction wrote.
-  kernels::MicroProgram unwritten = MakeExtendedProgram(
-      2, 8, {{kernels::MicroOpCode::kAdd, 0, 1}}, {3});
-  unwritten.compact = true;
-  unwritten.num_rows = 2;
-  unwritten.insts[0].dst = 2;
-  EXPECT_FALSE(kernels::MicroProgram::Decode(unwritten.Encode()).ok());
+  EXPECT_FALSE(kernels::MicroProgram::Decode(
+                   MakeProgram(2, 8, 2, {{kernels::MicroOpCode::kAdd, 0, 1, 2}},
+                               {3})
+                       .Encode())
+                   .ok());
+}
+
+// A compute member producing {8} floats from `args`.
+kernels::FusedRunOp ComputeMember(const char* op,
+                                  std::vector<kernels::FusedRunArg> args) {
+  kernels::FusedRunOp member;
+  member.op = op;
+  member.shape = Shape({8});
+  member.args = std::move(args);
+  return member;
 }
 
 TEST(MicroProgramTest, CompactProgramDedupsAndReusesRows) {
-  // add(0,1) computed twice (a shared subexpression), then multiplied with
-  // itself. CSE must merge the duplicate and liveness must recycle its row.
-  kernels::MicroProgram p = MakeExtendedProgram(
-      2, 8,
-      {{kernels::MicroOpCode::kAdd, 0, 1},
-       {kernels::MicroOpCode::kAdd, 0, 1},
-       {kernels::MicroOpCode::kMul, 2, 3}},
-      {4});
-  kernels::CompactProgram(&p);
-  EXPECT_TRUE(p.compact);
+  // add(o0, o1) computed twice (a shared subexpression), then multiplied
+  // with itself. The compiler must merge the duplicate and recycle its row.
+  std::vector<kernels::FusedRunOp> ops = {
+      ComputeMember("Add", {{-1, 0}, {-1, 1}}),
+      ComputeMember("Add", {{-1, 0}, {-1, 1}}),
+      ComputeMember("Mul", {{0, -1}, {1, -1}})};
+  ops.back().materialize = true;
+  const std::vector<kernels::FusedRunOperand> operands(
+      2, {DType::kFloat32, Shape({8})});
+  auto compiled = kernels::CompileFusedRun(ops, operands, DType::kFloat32);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const kernels::MicroProgram& p = compiled->program;
   ASSERT_EQ(p.insts.size(), 2u);  // duplicate add merged
   EXPECT_EQ(p.insts[1].opcode, kernels::MicroOpCode::kMul);
   // Both mul operands read the single shared add row.
   EXPECT_EQ(p.insts[1].a, p.insts[0].dst);
   EXPECT_EQ(p.insts[1].b, p.insts[0].dst);
   EXPECT_LE(p.num_rows, 2);
-  ASSERT_EQ(p.outputs.size(), 1u);
-  EXPECT_EQ(p.outputs[0], p.insts[1].dst);
+  ASSERT_EQ(p.output_specs.size(), 1u);
   EXPECT_EQ(p.output_specs[0].reg, p.insts[1].dst);
-  // Compaction is idempotent.
-  const auto encoded = p.Encode();
-  kernels::CompactProgram(&p);
-  EXPECT_EQ(p.Encode(), encoded);
+  EXPECT_TRUE(kernels::MicroProgram::Decode(p.Encode()).ok());
 }
 
 TEST(MicroProgramTest, CompactProgramBoundsRowsOnLongChains) {
   // A 32-op chain needs a constant number of rows once dead rows recycle,
-  // not one per instruction (the v1/v2 regime).
-  std::vector<kernels::MicroInst> insts;
-  insts.push_back({kernels::MicroOpCode::kAdd, 0, 1});
+  // not one per instruction.
+  std::vector<kernels::FusedRunOp> ops = {
+      ComputeMember("Add", {{-1, 0}, {-1, 1}})};
   for (int i = 1; i < 32; ++i) {
-    insts.push_back({kernels::MicroOpCode::kRelu,
-                     static_cast<int32_t>(2 + i - 1), 0});
+    ops.push_back(ComputeMember("Relu", {{i - 1, -1}}));
   }
-  kernels::MicroProgram p = MakeExtendedProgram(
-      2, 8, std::move(insts), {static_cast<int32_t>(2 + 31)});
-  kernels::CompactProgram(&p);
-  EXPECT_TRUE(p.compact);
-  EXPECT_EQ(p.insts.size(), 32u);
-  EXPECT_LE(p.num_rows, 2);
+  ops.back().materialize = true;
+  const std::vector<kernels::FusedRunOperand> operands(
+      2, {DType::kFloat32, Shape({8})});
+  auto compiled = kernels::CompileFusedRun(ops, operands, DType::kFloat32);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  EXPECT_EQ(compiled->program.insts.size(), 32u);
+  EXPECT_LE(compiled->program.num_rows, 2);
+}
+
+// --- shared run-membership rules -------------------------------------------
+
+TEST(FusionMembershipTest, ClassifierAcceptsAndRejectsByRule) {
+  using kernels::FusedMemberKind;
+  const AttrMap none;
+  const AttrMap perm = {{"perm", AttrValue(std::vector<int64_t>{1, 0})}};
+  const AttrMap axis = {{"axis", AttrValue(std::vector<int64_t>{1})}};
+  const AttrMap dst = {{"dst", AttrValue(DType::kFloat32)}};
+  AttrMap dst_extra = dst;
+  dst_extra.emplace("truncate", AttrValue(true));
+  AttrMap axis_keep = axis;
+  axis_keep.emplace("keep_dims", AttrValue(true));
+  const AttrMap shape_attr = {{"shape", AttrValue(Shape({3, 4}))}};
+  const AttrMap scalar_perm = {{"perm", AttrValue(int64_t{1})}};
+  struct Row {
+    const char* what;
+    const char* op;
+    const AttrMap* attrs;
+    size_t num_inputs;
+    DType dtype;
+    Shape shape;
+    bool accept;
+    FusedMemberKind kind;
+  };
+  const DType f32 = DType::kFloat32;
+  const Shape m({3, 4});
+  const std::vector<Row> rows = {
+      {"binary op", "Add", &none, 2, f32, m, true, FusedMemberKind::kCompute},
+      {"attrs on a plain op", "Add", &axis, 2, f32, m, false, {}},
+      {"cast with dst", "Cast", &dst, 1, f32, m, true,
+       FusedMemberKind::kCompute},
+      {"cast with an extra attr", "Cast", &dst_extra, 1, f32, m, false, {}},
+      {"transpose with perm", "Transpose", &perm, 1, f32, m, true,
+       FusedMemberKind::kLayout},
+      {"transpose without perm", "Transpose", &none, 1, f32, m, false, {}},
+      {"transpose with a scalar perm", "Transpose", &scalar_perm, 1, f32, m,
+       false, {}},
+      {"reshape with shape", "Reshape", &shape_attr, 1, f32, m, true,
+       FusedMemberKind::kLayout},
+      {"expand_dims without axis", "ExpandDims", &none, 1, f32, m, false, {}},
+      {"squeeze without axis", "Squeeze", &none, 1, f32, m, true,
+       FusedMemberKind::kLayout},
+      {"squeeze with axis", "Squeeze", &axis, 1, f32, m, true,
+       FusedMemberKind::kLayout},
+      {"squeeze with a foreign attr", "Squeeze", &perm, 1, f32, m, false, {}},
+      {"reduction with keep_dims", "Sum", &axis_keep, 1, f32, Shape({3, 1}),
+       true, FusedMemberKind::kReduce},
+      {"reduction with a foreign attr", "Max", &perm, 1, f32, Shape({3}),
+       false, {}},
+      {"non-numeric dtype", "Add", &none, 2, DType::kBool, m, false, {}},
+      {"non-numeric layout", "Squeeze", &none, 1, DType::kBool, m, false, {}},
+      {"transcendental on ints", "Exp", &none, 1, DType::kInt32, m, false, {}},
+      {"unary arity mismatch", "Neg", &none, 2, f32, m, false, {}},
+      {"binary arity mismatch", "Add", &none, 1, f32, m, false, {}},
+      {"layout arity mismatch", "Transpose", &perm, 2, f32, m, false, {}},
+      {"reduction arity mismatch", "Sum", &axis, 2, f32, Shape({3}), false,
+       {}},
+      {"unknown dim", "Relu", &none, 1, f32, Shape({kUnknownDim, 4}), false,
+       {}},
+      {"not a member op", "MatMul", &none, 2, f32, m, false, {}},
+  };
+  for (const Row& row : rows) {
+    kernels::FusedMemberClass cls;
+    EXPECT_EQ(kernels::ClassifyFusedMember(row.op, *row.attrs, row.num_inputs,
+                                           row.dtype, row.shape, &cls),
+              row.accept)
+        << row.what;
+    if (row.accept) {
+      EXPECT_EQ(cls.kind, row.kind) << row.what;
+    }
+  }
+}
+
+TEST(FusionMembershipTest, OperandCountAndReductionRules) {
+  using kernels::FusedMemberClass;
+  using kernels::FusedMemberKind;
+  const FusedMemberClass add{FusedMemberKind::kCompute,
+                             kernels::MicroOpCode::kAdd};
+  const FusedMemberClass cast{FusedMemberKind::kCompute,
+                              kernels::MicroOpCode::kCast};
+  const FusedMemberClass layout{FusedMemberKind::kLayout, {}};
+  const FusedMemberClass reduce{FusedMemberKind::kReduce, {}};
+  const DType f32 = DType::kFloat32;
+  const Shape m({3, 4});
+  // Compute members read the member shape, trailing broadcasts, scalars.
+  EXPECT_TRUE(kernels::FusedOperandOk(add, f32, m, f32, m));
+  EXPECT_TRUE(kernels::FusedOperandOk(add, f32, m, f32, Shape({4})));
+  EXPECT_TRUE(kernels::FusedOperandOk(add, f32, m, f32, Shape({1, 1})));
+  EXPECT_FALSE(kernels::FusedOperandOk(add, f32, m, f32, Shape({3})));
+  EXPECT_FALSE(kernels::FusedOperandOk(add, f32, m, DType::kInt32, m));
+  EXPECT_FALSE(kernels::FusedOperandOk(add, f32, m, f32, Shape({kUnknownDim})));
+  // Only a cast reads a foreign dtype, and only a numeric one.
+  EXPECT_TRUE(kernels::FusedOperandOk(cast, f32, m, DType::kInt32, m));
+  EXPECT_FALSE(kernels::FusedOperandOk(cast, f32, m, DType::kBool, m));
+  // Layout members read verbatim: same dtype, same element count.
+  EXPECT_TRUE(kernels::FusedOperandOk(layout, f32, m, f32, Shape({4, 3})));
+  EXPECT_FALSE(kernels::FusedOperandOk(layout, f32, m, f32, Shape({4})));
+  EXPECT_FALSE(kernels::FusedOperandOk(layout, f32, m, DType::kInt32, m));
+  // A reduction takes no external operand.
+  EXPECT_FALSE(kernels::FusedOperandOk(reduce, f32, Shape({3}), f32, m));
+
+  EXPECT_TRUE(kernels::FusedCountFits(12, 12));
+  EXPECT_TRUE(kernels::FusedCountFits(1, 12));
+  EXPECT_TRUE(kernels::FusedCountFits(12, 1));
+  EXPECT_FALSE(kernels::FusedCountFits(6, 12));
+
+  const Shape in({2, 3, 4});
+  EXPECT_EQ(kernels::TrailingReduceCount(in, {}), 24);
+  EXPECT_EQ(kernels::TrailingReduceCount(in, {2}), 4);
+  EXPECT_EQ(kernels::TrailingReduceCount(in, {-1, 1, 2}), 12);
+  EXPECT_EQ(kernels::TrailingReduceCount(in, {0}), 0);     // non-trailing
+  EXPECT_EQ(kernels::TrailingReduceCount(in, {0, 2}), 0);  // gap
+  EXPECT_EQ(kernels::TrailingReduceCount(in, {3}), 0);     // out of range
+  const AttrMap trailing = {{"axis", AttrValue(std::vector<int64_t>{2})},
+                            {"keep_dims", AttrValue(true)}};
+  const AttrMap leading = {{"axis", AttrValue(std::vector<int64_t>{0})}};
+  EXPECT_TRUE(kernels::FusedReduceFits(trailing, in, 24));
+  EXPECT_FALSE(kernels::FusedReduceFits(trailing, in, 48));  // not full count
+  EXPECT_FALSE(kernels::FusedReduceFits(leading, in, 24));
+}
+
+TEST(FusionMembershipTest, MemberDescriptionExtractsFoldedAttrs) {
+  const kernels::FusedRunOp transpose = kernels::MakeFusedRunOp(
+      "Transpose", {{"perm", AttrValue(std::vector<int64_t>{1, 0})}},
+      DType::kFloat32, Shape({4, 3}));
+  EXPECT_EQ(transpose.perm, (std::vector<int64_t>{1, 0}));
+  EXPECT_TRUE(transpose.axes.empty());
+  EXPECT_EQ(transpose.shape, Shape({4, 3}));
+  const kernels::FusedRunOp mean = kernels::MakeFusedRunOp(
+      "Mean",
+      {{"axis", AttrValue(std::vector<int64_t>{-1})},
+       {"keep_dims", AttrValue(true)}},
+      DType::kFloat64, Shape({4, 1}));
+  EXPECT_EQ(mean.axes, (std::vector<int64_t>{-1}));
+  EXPECT_EQ(mean.dtype, DType::kFloat64);
+  EXPECT_TRUE(mean.perm.empty());
+  EXPECT_TRUE(mean.args.empty());
+  EXPECT_FALSE(mean.materialize);
 }
 
 // --- compiled-program cache -------------------------------------------------
