@@ -261,6 +261,12 @@ struct UnaryGradCase {
   std::vector<float> probe_points;
 };
 
+// Cases print by name: gtest's default byte dump of a case holds heap
+// addresses, which would make the listed test names differ on every run.
+void PrintTo(const UnaryGradCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
+
 class UnaryGradientCheck : public ::testing::TestWithParam<UnaryGradCase> {};
 
 TEST_P(UnaryGradientCheck, MatchesFiniteDifference) {
@@ -331,6 +337,10 @@ struct BinaryGradCase {
   std::function<Tensor(const Tensor&, const Tensor&)> fn;
   float a, b;
 };
+
+void PrintTo(const BinaryGradCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
 
 class BinaryGradientCheck : public ::testing::TestWithParam<BinaryGradCase> {};
 

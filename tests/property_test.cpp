@@ -179,6 +179,11 @@ struct ShapeAgreementCase {
   std::function<Tensor()> run;
 };
 
+// Print by name so the listed test names do not carry heap addresses.
+void PrintTo(const ShapeAgreementCase& test_case, std::ostream* os) {
+  *os << test_case.name;
+}
+
 class ShapeInferenceAgreement
     : public ::testing::TestWithParam<ShapeAgreementCase> {};
 
