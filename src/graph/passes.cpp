@@ -373,15 +373,15 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
       const int64_t count = node.outputs[0].shape.num_elements();
       bool ok;
       if (cls.kind == kernels::FusedMemberKind::kReduce) {
-        // Joins only as the terminating epilogue of an in-run value of the
-        // full evaluation count. Unlike the drain, the pass leaves the
-        // trailing-axes rule to the trial compile: a non-trailing reduction
-        // still ends the scan, and the shrink below drops it.
+        // Joins only as the terminating epilogue of an in-run value; a
+        // reduction of an in-run value of the full count ends the scan
+        // whether or not it fits.
         const Endpoint& e = node.inputs[0];
-        ok = member_pos(e.node_id) >= 0 && e.index == 0 &&
-             graph.node(e.node_id).outputs[0].shape.num_elements() ==
-                 run_count;
-        saw_reduce = ok;
+        const Shape& producer_shape = graph.node(e.node_id).outputs[0].shape;
+        saw_reduce = member_pos(e.node_id) >= 0 && e.index == 0 &&
+                     producer_shape.num_elements() == run_count;
+        ok = saw_reduce &&
+             kernels::FusedReduceFits(node.attrs, producer_shape, run_count);
       } else {
         ok = kernels::FusedCountFits(count, run_count) &&
              inputs_ok(node, cls);
