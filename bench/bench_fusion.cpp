@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "graph/memory_planner.h"
 #include "profiler/profiler.h"
 #include "runtime/eager_context.h"
 #include "tensor/allocator.h"
@@ -238,10 +237,8 @@ struct AllocatorVariant {
 
 AllocatorVariant MeasureAllocatorVariant(tfe::AllocatorKind kind,
                                          bool donation) {
-  // Flip the allocator between contexts (never under live allocating
-  // threads), then rebuild devices so each owns an allocator of `kind`.
-  tfe::OverrideDefaultAllocatorKind(kind);
-  tfe::EagerContext::ResetGlobal({});
+  // A fresh context whose devices each own an allocator of `kind`.
+  tfe::EagerContext::ResetGlobal({.allocator = kind});
   tfe::EagerContext* ctx = tfe::EagerContext::Global();
   ctx->set_buffer_donation(donation);
   ctx->set_async(true);
@@ -313,9 +310,9 @@ struct PlanVariant {
 };
 
 PlanVariant MeasurePlanVariant(bool planning) {
-  tfe::memplan::OverrideMemoryPlanning(planning);
   tfe::EagerContext::ResetGlobal({});
   tfe::EagerContext* ctx = tfe::EagerContext::Global();
+  ctx->set_memory_plan(planning);
 
   Tensor x = ops::mul(ops::random_normal({64, 64}, 0, 1, /*seed=*/17),
                       ops::scalar<float>(0.05f));
@@ -363,7 +360,6 @@ PlanVariant MeasurePlanVariant(bool planning) {
   // Deterministic tip for the bitwise check: the measured loop above ran a
   // fixed step count from fixed seeds in both variants.
   out.values = tfe::tensor_util::ToVector<float>(h);
-  tfe::memplan::ClearMemoryPlanningOverride();
   return out;
 }
 
@@ -502,7 +498,6 @@ int main() {
       MeasureAllocatorVariant(tfe::AllocatorKind::kSystem, /*donation=*/false);
   AllocatorVariant alloc_arena =
       MeasureAllocatorVariant(tfe::AllocatorKind::kArena, /*donation=*/true);
-  tfe::ClearAllocatorKindOverride();
   tfe::EagerContext::ResetGlobal({});
   const double bytes_reduction =
       alloc_system.bytes_moved > 0

@@ -112,12 +112,12 @@ if [[ "$MODE" == "--tier2" ]]; then
   # sanitizers still catch lifetime bugs there, and the suite is small
   # enough to afford it. The arena would recycle blocks and hide
   # use-after-free behind reuse, so the sweep pins every buffer to a fresh
-  # system allocation for byte-level ASan/TSan visibility. The memory plan
-  # would likewise pack intermediates into one slab and hide per-tensor
-  # bounds; disable it so every staged intermediate is its own allocation.
+  # system allocation for byte-level ASan/TSan visibility. A system
+  # allocator also bypasses the memory plan, so every staged intermediate is
+  # its own allocation. (Tests that pin Options::allocator to the arena keep
+  # the arena, and plan, on purpose.)
   FILTER='*'
   export TFE_ALLOCATOR=system
-  export TFE_MEMORY_PLAN=off
 else
   # Concurrency tests only: the async queues, the drain fuser, the
   # threadpool-parallel kernels, the remote dispatch path, the allocator +
@@ -141,30 +141,6 @@ ASAN_OPTIONS="detect_leaks=1" \
   ./build-asan/tests/tfe_tests --gtest_filter="$FILTER"
 
 if [[ "$MODE" == "--tier2" ]]; then
-  # The program cache's enabled/disabled switch is latched once per process,
-  # so the full-suite pass above (cache on by default) cannot also cover
-  # concurrent drains racing GetOrCompile with the cache pinned on under a
-  # focused filter. Run the fusion + cache subset again with the cache
-  # explicitly enabled under both sanitizers.
-  CACHE_FILTER='Fusion*:MicroProgram*:ProgramCache*:Async*'
-  echo "==== tsan: cache-enabled fusion subset ===="
-  TSAN_OPTIONS="halt_on_error=1" TFE_FUSION_CACHE=on \
-    ./build-tsan/tests/tfe_tests --gtest_filter="$CACHE_FILTER"
-  echo "==== asan: cache-enabled fusion subset ===="
-  ASAN_OPTIONS="detect_leaks=1" TFE_FUSION_CACHE=on \
-    ./build-asan/tests/tfe_tests --gtest_filter="$CACHE_FILTER"
-
-  # The serving subsystem is client threads racing the batcher thread racing
-  # the executor: run its subset (plus the donation proofs it leans on)
-  # under both sanitizers with a small window so coalescing actually forms.
-  SERVING_FILTER='Serving*:Donation*'
-  echo "==== tsan: serving subset ===="
-  TSAN_OPTIONS="halt_on_error=1" TFE_BATCH_MAX=4 \
-    ./build-tsan/tests/tfe_tests --gtest_filter="$SERVING_FILTER"
-  echo "==== asan: serving subset ===="
-  ASAN_OPTIONS="detect_leaks=1" TFE_BATCH_MAX=4 \
-    ./build-asan/tests/tfe_tests --gtest_filter="$SERVING_FILTER"
-
   # Staged control flow: While iterations drive the executor pool through a
   # cached body variant, the While gradient replays staged backwards off
   # per-iteration snapshot stacks, and recursion nests depth-capped Calls —

@@ -6,7 +6,8 @@ namespace tfe {
 // are only used when a benchmark asks for virtual-time accounting of CPU
 // kernels; by default CPU kernel time is *measured*, not modelled (the
 // dispatcher records wall time into the timeline).
-std::unique_ptr<Device> MakeCpuDevice(DeviceNameParts name) {
+std::unique_ptr<Device> MakeCpuDevice(DeviceNameParts name,
+                                      AllocatorKind allocator) {
   name.kind = DeviceKind::kCpu;
   DeviceCostParams params;
   // Xeon W-2135-class single socket (the paper's testbed host): ~0.5 TFLOPs
@@ -17,7 +18,7 @@ std::unique_ptr<Device> MakeCpuDevice(DeviceNameParts name) {
   params.kernel_launch_ns = 500;  // C++ kernel call + allocator
   params.executor_node_ns = 700;  // staged per-node scheduling cost
   return std::make_unique<Device>(name, params, /*executes_kernels=*/true,
-                                  /*synchronous=*/true);
+                                  /*synchronous=*/true, allocator);
 }
 
 }  // namespace tfe

@@ -30,7 +30,8 @@ namespace tfe {
 class Device {
  public:
   Device(DeviceNameParts name, DeviceCostParams cost_params,
-         bool executes_kernels, bool synchronous);
+         bool executes_kernels, bool synchronous,
+         AllocatorKind allocator = DefaultAllocatorKind());
   virtual ~Device() = default;
 
   Device(const Device&) = delete;
@@ -62,8 +63,9 @@ class Device {
   // The allocator serving this device's tensor storage (never null). Each
   // device owns its own instance — the allocator-behind-context pattern —
   // so per-device stats() separate CPU, sim, and remote allocation traffic.
-  // The kind (arena vs system) is fixed at device construction from
-  // TFE_ALLOCATOR / the programmatic override.
+  // The kind (arena vs system) is fixed at construction: an EagerContext
+  // builds its own devices with Options::allocator; devices added later
+  // (a Cluster's remote devices) take DefaultAllocatorKind().
   Allocator* allocator() const { return allocator_.get(); }
   const std::shared_ptr<Allocator>& allocator_shared() const {
     return allocator_;
@@ -96,15 +98,16 @@ class Device {
 
 // Preset factories. `executes_kernels` toggles numerics vs. timing-only mode
 // for the simulated accelerators (CPU always executes for real).
-std::unique_ptr<Device> MakeCpuDevice(DeviceNameParts name = {});
-std::unique_ptr<Device> MakeSimGpuDevice(int index = 0,
-                                         bool executes_kernels = true,
-                                         const std::string& job = "localhost",
-                                         int task = 0);
-std::unique_ptr<Device> MakeSimTpuDevice(int index = 0,
-                                         bool executes_kernels = true,
-                                         const std::string& job = "localhost",
-                                         int task = 0);
+std::unique_ptr<Device> MakeCpuDevice(
+    DeviceNameParts name = {}, AllocatorKind allocator = DefaultAllocatorKind());
+std::unique_ptr<Device> MakeSimGpuDevice(
+    int index = 0, bool executes_kernels = true,
+    const std::string& job = "localhost", int task = 0,
+    AllocatorKind allocator = DefaultAllocatorKind());
+std::unique_ptr<Device> MakeSimTpuDevice(
+    int index = 0, bool executes_kernels = true,
+    const std::string& job = "localhost", int task = 0,
+    AllocatorKind allocator = DefaultAllocatorKind());
 
 }  // namespace tfe
 

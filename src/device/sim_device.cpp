@@ -10,7 +10,8 @@ namespace tfe {
 // device timeline — this overlap is what makes eager catch up with staged
 // execution at large batch sizes (Figure 3).
 std::unique_ptr<Device> MakeSimGpuDevice(int index, bool executes_kernels,
-                                         const std::string& job, int task) {
+                                         const std::string& job, int task,
+                                         AllocatorKind allocator) {
   DeviceNameParts name;
   name.job = job;
   name.task = task;
@@ -29,7 +30,7 @@ std::unique_ptr<Device> MakeSimGpuDevice(int index, bool executes_kernels,
   params.fused_discount = 1.0;       // no XLA fusion modelled on GPU
   params.eager_host_sync_fraction = 0.3;
   return std::make_unique<Device>(name, params, executes_kernels,
-                                  /*synchronous=*/false);
+                                  /*synchronous=*/false, allocator);
 }
 
 // Cloud-TPU-class device. Eager per-op execution pays a compile cost the
@@ -41,7 +42,8 @@ std::unique_ptr<Device> MakeSimGpuDevice(int index, bool executes_kernels,
 // unit: per-node costs shrink by the fusion discount and no per-op dispatch
 // is charged. Constants are calibrated against Table 1 (see EXPERIMENTS.md).
 std::unique_ptr<Device> MakeSimTpuDevice(int index, bool executes_kernels,
-                                         const std::string& job, int task) {
+                                         const std::string& job, int task,
+                                         AllocatorKind allocator) {
   DeviceNameParts name;
   name.job = job;
   name.task = task;
@@ -58,7 +60,7 @@ std::unique_ptr<Device> MakeSimTpuDevice(int index, bool executes_kernels,
   params.fused_discount = 0.35;          // whole-graph XLA fusion gain
   params.compiled_call_overhead_ns = 40'000'000;  // step launch + infeed
   return std::make_unique<Device>(name, params, executes_kernels,
-                                  /*synchronous=*/true);
+                                  /*synchronous=*/true, allocator);
 }
 
 }  // namespace tfe

@@ -77,13 +77,14 @@ StatusOr<Executor::Result> Executor::Run(const GraphFunction& function,
   const uint64_t rng_base = random::SplitMix64(
       rng_stream_base != 0 ? rng_stream_base : ctx_->NextRngStream());
 
-  // Static memory plan (graph/memory_planner.h): when it applies, one slab
-  // acquisition covers every planned intermediate of this run. Declared
-  // before `states` so the per-node tensors — which may be views into the
-  // slab — are destroyed first, and the slab's return-to-pool use-count
-  // proof can pass.
+  // Static memory plan (graph/memory_planner.h): when the context enables
+  // it and it applies, one slab acquisition covers every planned
+  // intermediate of this run. Declared before `states` so the per-node
+  // tensors — which may be views into the slab — are destroyed first, and
+  // the slab's return-to-pool use-count proof can pass.
   std::unique_ptr<memplan::RunPlan> plan_run =
-      memplan::BeginRun(function, default_device);
+      ctx_->memory_plan() ? memplan::BeginRun(function, default_device)
+                          : nullptr;
 
   std::vector<NodeState> states(n);
   // Map arg index -> node id for fast Arg lookup.

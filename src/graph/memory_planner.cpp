@@ -1,7 +1,6 @@
 #include "graph/memory_planner.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <string>
@@ -154,8 +153,6 @@ PlanMetrics& Metrics() {
   return *metrics;
 }
 
-std::atomic<int> g_plan_override{-1};  // -1 unset, else 0/1
-
 // Thread-local (run, node) binding installed by the executor around each
 // kernel invocation. Kernels execute synchronously on the installing thread
 // (EagerContext::ExecuteKernel), so this is exact; nested executor runs
@@ -167,21 +164,6 @@ struct Binding {
 thread_local Binding t_binding;
 
 }  // namespace
-
-bool PlanningEnabled() {
-  int override_value = g_plan_override.load(std::memory_order_acquire);
-  if (override_value >= 0) return override_value != 0;
-  const char* env = std::getenv("TFE_MEMORY_PLAN");
-  return env == nullptr || std::strcmp(env, "off") != 0;
-}
-
-void OverrideMemoryPlanning(bool enabled) {
-  g_plan_override.store(enabled ? 1 : 0, std::memory_order_release);
-}
-
-void ClearMemoryPlanningOverride() {
-  g_plan_override.store(-1, std::memory_order_release);
-}
 
 int MemoryPlan::num_skip_zero_slots() const {
   int count = 0;
@@ -375,9 +357,8 @@ std::unique_ptr<RunPlan> BeginRun(const GraphFunction& function,
       device->is_accelerator() || device->IsRemote()) {
     return nullptr;
   }
-  if (!PlanningEnabled()) return nullptr;
-  // TFE_ALLOCATOR=system (or any non-arena allocator) disables planning so
-  // sanitizers keep true per-buffer lifetimes.
+  // A system (non-arena) allocator disables planning so sanitizers keep
+  // true per-buffer lifetimes.
   if (std::strcmp(device->allocator()->kind(), "arena") != 0) return nullptr;
   // Serving sessions manage storage through their workspace; stay out.
   if (serving::Workspace::Current() != nullptr) return nullptr;

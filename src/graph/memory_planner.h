@@ -27,10 +27,11 @@
 //     execution: a freed block may be assigned to node c only if every
 //     releasing consumer is an ancestor of c (precomputed bitsets), so
 //     dataflow ordering itself serializes the writes.
-//   * TFE_MEMORY_PLAN=off, TFE_ALLOCATOR=system (any non-arena device
-//     allocator), serving workspaces, simulated accelerators, and remote
-//     devices all disable planning entirely (ASan/TSan keep true per-buffer
-//     lifetimes under the system allocator).
+//   * EagerContext::set_memory_plan(false) (the executor then never calls
+//     BeginRun), a system allocator (any non-arena device allocator),
+//     serving workspaces, simulated accelerators, and remote devices all
+//     disable planning entirely (ASan/TSan keep true per-buffer lifetimes
+//     under the system allocator).
 #ifndef TFE_GRAPH_MEMORY_PLANNER_H_
 #define TFE_GRAPH_MEMORY_PLANNER_H_
 
@@ -148,13 +149,6 @@ class RunPlan {
   // FinishRun after the run's completion barrier.
   std::atomic<bool> used_forwarding_{false};
 };
-
-// True when planning is globally enabled: programmatic override if set, else
-// TFE_MEMORY_PLAN != "off". (Benches flip the override between runs instead
-// of racing setenv against running threads.)
-bool PlanningEnabled();
-void OverrideMemoryPlanning(bool enabled);
-void ClearMemoryPlanningOverride();
 
 // The graph pass: lifetime analysis + greedy offset packing over `function`'s
 // node order. Returns null when nothing in the graph is plannable (also for

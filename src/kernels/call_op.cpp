@@ -1,8 +1,6 @@
 // The Call kernel: graph functions are executed *by an operation* (paper
 // §4.1), which is what makes staged functions compose, run on devices, and
 // appear on gradient tapes like any primitive.
-#include <cstdlib>
-
 #include "executor/executor.h"
 #include "graph/passes.h"
 #include "kernels/kernel_util.h"
@@ -16,17 +14,8 @@ namespace {
 // cap: an unbounded recursion would otherwise exhaust the host stack, since
 // nested calls execute inline on the calling thread. Overflow surfaces as a
 // FailedPrecondition that poisons the call's outputs like any deferred
-// kernel error. TFE_MAX_CALL_DEPTH overrides the default.
-int64_t MaxCallDepth() {
-  static const int64_t cap = [] {
-    if (const char* env = std::getenv("TFE_MAX_CALL_DEPTH")) {
-      int64_t v = std::atoll(env);
-      if (v > 0) return v;
-    }
-    return static_cast<int64_t>(64);
-  }();
-  return cap;
-}
+// kernel error.
+constexpr int64_t kMaxCallDepth = 64;
 
 thread_local int64_t t_call_depth = 0;
 
@@ -39,10 +28,10 @@ Status CallKernel(KernelContext* ctx) {
 
   // Depth accounting is per-thread, which matches execution: a top-level
   // call's nested Call kernels all run inline on one executor thread.
-  if (t_call_depth >= MaxCallDepth()) {
-    return FailedPrecondition(
-        "Call recursion depth exceeded TFE_MAX_CALL_DEPTH (" +
-        std::to_string(MaxCallDepth()) + ") in function " + function_name);
+  if (t_call_depth >= kMaxCallDepth) {
+    return FailedPrecondition("Call recursion depth exceeded kMaxCallDepth (" +
+                              std::to_string(kMaxCallDepth) +
+                              ") in function " + function_name);
   }
   struct DepthGuard {
     DepthGuard() { ++t_call_depth; }

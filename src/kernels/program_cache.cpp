@@ -1,6 +1,5 @@
 #include "kernels/program_cache.h"
 
-#include <cstdlib>
 #include <utility>
 
 #include "profiler/metrics.h"
@@ -10,20 +9,6 @@
 
 namespace tfe {
 namespace kernels {
-
-namespace {
-
-bool CacheEnabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("TFE_FUSION_CACHE");
-    if (env == nullptr) return true;
-    const std::string v(env);
-    return !(v == "off" || v == "0" || v == "false");
-  }();
-  return enabled;
-}
-
-}  // namespace
 
 FusedProgramCache::FusedProgramCache(size_t capacity) : capacity_(capacity) {}
 
@@ -58,8 +43,6 @@ std::string FusedProgramCache::Key(const std::vector<FusedRunOp>& ops,
 StatusOr<CompiledRun> FusedProgramCache::GetOrCompile(
     const std::vector<FusedRunOp>& ops,
     const std::vector<FusedRunOperand>& operands, DType run_dtype) {
-  if (!CacheEnabled()) return CompileFusedRun(ops, operands, run_dtype);
-
   static profiler::Counter* hit_counter =
       profiler::Metrics().GetCounter("fusion.program_cache.hit");
   static profiler::Counter* miss_counter =

@@ -17,7 +17,6 @@
 // Eviction is LRU with a fixed entry cap. Counters
 // fusion.program_cache.{hit,miss,evict} and a program_cache_hit trace
 // instant surface behavior through the profiler registry.
-// TFE_FUSION_CACHE=off disables lookups (every call compiles).
 #ifndef TFE_KERNELS_PROGRAM_CACHE_H_
 #define TFE_KERNELS_PROGRAM_CACHE_H_
 
@@ -50,9 +49,7 @@ class FusedProgramCache {
                          DType run_dtype);
 
   // Returns the cached compile result for this segment signature, compiling
-  // (outside the cache lock) and inserting on a miss. With the cache
-  // disabled (TFE_FUSION_CACHE=off) every call compiles and the counters
-  // stay untouched.
+  // (outside the cache lock) and inserting on a miss.
   StatusOr<CompiledRun> GetOrCompile(const std::vector<FusedRunOp>& ops,
                                      const std::vector<FusedRunOperand>& operands,
                                      DType run_dtype);

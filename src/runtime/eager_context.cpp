@@ -59,10 +59,7 @@ std::mutex& GlobalMu() {
 EagerContext::EagerContext() : EagerContext(Options()) {}
 
 EagerContext::EagerContext(const Options& options)
-    : fuse_elementwise_(options.fuse_elementwise),
-      intra_op_parallelism_(options.intra_op_parallelism),
-      buffer_donation_(options.buffer_donation),
-      host_profile_(options.host_profile),
+    : host_profile_(options.host_profile),
       rng_(options.random_seed, /*stream=*/0x7465666f),
       random_seed_(options.random_seed),
       async_(options.async) {
@@ -72,15 +69,18 @@ EagerContext::EagerContext(const Options& options)
   EnsureOpsRegistered();
   // Paper §4.4: "During program startup, the runtime detects the devices
   // that are available to the machine."
-  host_cpu_ = devices_.AddDevice(MakeCpuDevice()).value();
+  host_cpu_ =
+      devices_.AddDevice(MakeCpuDevice({}, options.allocator)).value();
   if (options.register_sim_gpu) {
     devices_
-        .AddDevice(MakeSimGpuDevice(0, options.accelerators_execute_kernels))
+        .AddDevice(MakeSimGpuDevice(0, options.accelerators_execute_kernels,
+                                    "localhost", 0, options.allocator))
         .value();
   }
   if (options.register_sim_tpu) {
     devices_
-        .AddDevice(MakeSimTpuDevice(0, options.accelerators_execute_kernels))
+        .AddDevice(MakeSimTpuDevice(0, options.accelerators_execute_kernels,
+                                    "localhost", 0, options.allocator))
         .value();
   }
   int threads = options.executor_threads;

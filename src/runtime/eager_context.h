@@ -30,6 +30,7 @@
 #include "ops/kernel.h"
 #include "support/random.h"
 #include "support/threadpool.h"
+#include "tensor/allocator.h"
 
 namespace tfe {
 
@@ -64,19 +65,10 @@ class EagerContext {
     // per-device queues and return pending handles. Off by default — all
     // synchronous semantics (and tests) are unchanged unless opted in.
     bool async = false;
-    // Cross-op elementwise fusion: the op-queue drain and the Call kernel
-    // collapse runs of shape-compatible elementwise ops into one
-    // FusedElementwise kernel (single traversal, bitwise-identical values).
-    bool fuse_elementwise = true;
-    // Intra-op parallelism: large CPU kernels shard across the dedicated
-    // intra-op pool via kernels::ParallelFor. Values are bitwise identical
-    // to serial execution (shards never change accumulation order).
-    bool intra_op_parallelism = true;
-    // Buffer donation: a drain-fused run whose input buffer is uniquely
-    // owned (no outstanding handles or tensors, tape not watching) writes
-    // its output in place instead of allocating. Values stay bitwise
-    // identical; off switches every fused run to the copying path.
-    bool buffer_donation = true;
+    // Storage kind of every device allocator this context builds. Defaults
+    // to TFE_ALLOCATOR (arena unless it names `system`; parsed once per
+    // process). Sanitizer runs pick `system` for per-buffer visibility.
+    AllocatorKind allocator = DefaultAllocatorKind();
   };
 
   EagerContext();  // default Options
@@ -100,6 +92,20 @@ class EagerContext {
   // against other kernels occupying executor threads.
   ThreadPool& intraop_pool() { return *intraop_pool_; }
 
+  // Execution-mechanism switches. Each is on by default, flips per context
+  // at any time, and leaves values bitwise identical:
+  //  * fuse_elementwise — the op-queue drain and the Call kernel collapse
+  //    runs of shape-compatible elementwise ops into one FusedElementwise
+  //    kernel (single traversal).
+  //  * intra_op_parallelism — large CPU kernels shard across the intra-op
+  //    pool via kernels::ParallelFor (shards never change accumulation
+  //    order).
+  //  * buffer_donation — a fused run whose input buffer is uniquely owned
+  //    (no outstanding handles or tensors, tape not watching) writes its
+  //    output in place instead of allocating.
+  //  * memory_plan — staged runs pack non-escaping intermediates into one
+  //    plan slab (graph/memory_planner.h); off, every intermediate is its
+  //    own allocation.
   bool fuse_elementwise() const {
     return fuse_elementwise_.load(std::memory_order_relaxed);
   }
@@ -117,6 +123,12 @@ class EagerContext {
   }
   void set_buffer_donation(bool donate) {
     buffer_donation_.store(donate, std::memory_order_relaxed);
+  }
+  bool memory_plan() const {
+    return memory_plan_.load(std::memory_order_relaxed);
+  }
+  void set_memory_plan(bool plan) {
+    memory_plan_.store(plan, std::memory_order_relaxed);
   }
 
   const HostProfile& host_profile() const { return host_profile_; }
@@ -303,6 +315,7 @@ class EagerContext {
   std::atomic<bool> fuse_elementwise_{true};
   std::atomic<bool> intra_op_parallelism_{true};
   std::atomic<bool> buffer_donation_{true};
+  std::atomic<bool> memory_plan_{true};
   HostProfile host_profile_;
   std::atomic<uint64_t> host_now_ns_{0};
   Stats stats_;

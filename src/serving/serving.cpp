@@ -1,7 +1,6 @@
 #include "serving/serving.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -20,12 +19,6 @@ namespace tfe {
 namespace serving {
 
 namespace {
-
-int EnvInt(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || value[0] == '\0') return fallback;
-  return std::atoi(value);
-}
 
 int NextPow2(int n) {
   int p = 1;
@@ -121,15 +114,9 @@ Serving::Serving(ServingOptions options, EagerContext* ctx)
     : ctx_(ctx != nullptr ? ctx : EagerContext::Global()),
       options_(std::move(options)) {
   DynamicBatcher::Options batcher_options;
-  batcher_options.max_batch_size = options_.max_batch_size > 0
-                                       ? options_.max_batch_size
-                                       : EnvInt("TFE_BATCH_MAX", 8);
+  batcher_options.max_batch_size = std::max(1, options_.max_batch_size);
   batcher_options.max_queue_delay_us =
-      options_.max_queue_delay_us >= 0 ? options_.max_queue_delay_us
-                                       : EnvInt("TFE_BATCH_DELAY_US", 200);
-  batcher_options.max_batch_size = std::max(1, batcher_options.max_batch_size);
-  batcher_options.max_queue_delay_us =
-      std::max(0, batcher_options.max_queue_delay_us);
+      std::max(0, options_.max_queue_delay_us);
   batcher_ = std::make_unique<DynamicBatcher>(
       batcher_options,
       [this](std::vector<PendingCall> batch) { RunBatch(std::move(batch)); });

@@ -23,11 +23,6 @@
 // are unaffected. Determinism: each session draws Philox substreams
 // reserved per call at submit time, so sampled values never depend on
 // batching or on other tenants.
-//
-// Environment knobs (read at construction when options are defaulted):
-//   TFE_BATCH_MAX      — window size (default 8); 1 disables coalescing.
-//   TFE_BATCH_DELAY_US — max queueing delay before a partial window
-//                        flushes (default 200).
 #ifndef TFE_SERVING_SERVING_H_
 #define TFE_SERVING_SERVING_H_
 
@@ -57,10 +52,10 @@ namespace serving {
 using SessionId = int64_t;
 
 struct ServingOptions {
-  // <= 0 reads TFE_BATCH_MAX (default 8). 1 disables coalescing.
-  int max_batch_size = 0;
-  // < 0 reads TFE_BATCH_DELAY_US (default 200).
-  int max_queue_delay_us = -1;
+  // Window size; 1 (or less) disables coalescing.
+  int max_batch_size = 8;
+  // Max queueing delay before a partial window flushes (negative means 0).
+  int max_queue_delay_us = 200;
   // Name of an existing workspace every session's workspace chains to
   // (shared model weights). Empty: sessions are fully isolated.
   std::string shared_workspace;

@@ -47,9 +47,9 @@ std::vector<Tensor> while_loop(Function& cond_fn, Function& body_fn,
 // Calls graph function `function_name` by *declared* signature: the callee
 // does not have to exist yet, which is what lets a function body call itself
 // (or a mutually-recursive sibling) while it is still being traced. Eagerly
-// the callee must be registered by call time; execution depth is capped by
-// TFE_MAX_CALL_DEPTH (default 64) and overflow poisons the outputs with a
-// deferred FailedPrecondition. Throws on failure.
+// the callee must be registered by call time; execution depth is capped at
+// 64 nested calls (kMaxCallDepth, kernels/call_op.cpp) and overflow poisons
+// the outputs with a deferred FailedPrecondition. Throws on failure.
 std::vector<Tensor> call(const std::string& function_name,
                          const std::vector<Tensor>& args,
                          const std::vector<TypeAndShape>& output_types);

@@ -58,8 +58,6 @@ void RaiseHighWater(profiler::Gauge* high_water, int64_t in_use) {
   if (in_use > high_water->value()) high_water->Set(in_use);
 }
 
-std::atomic<int> g_kind_override{-1};  // -1 unset, else AllocatorKind
-
 }  // namespace
 
 void Allocator::NoteAlloc(size_t requested, size_t footprint, bool reused) {
@@ -203,22 +201,20 @@ void ArenaAllocator::DeallocateRaw(void* ptr, size_t bytes) {
   NoteFree(footprint);
 }
 
-AllocatorKind DefaultAllocatorKind() {
-  int override_kind = g_kind_override.load(std::memory_order_acquire);
-  if (override_kind >= 0) return static_cast<AllocatorKind>(override_kind);
-  const char* env = std::getenv("TFE_ALLOCATOR");
-  if (env != nullptr && std::strcmp(env, "system") == 0) {
-    return AllocatorKind::kSystem;
+AllocatorKind ParseAllocatorKind(const char* value) {
+  if (value == nullptr || value[0] == '\0') return AllocatorKind::kArena;
+  if (std::strcmp(value, "system") == 0) return AllocatorKind::kSystem;
+  if (std::strcmp(value, "arena") != 0) {
+    TFE_LOG(WARNING) << "TFE_ALLOCATOR=" << value
+                     << " is not one of arena|system; using arena";
   }
   return AllocatorKind::kArena;
 }
 
-void OverrideDefaultAllocatorKind(AllocatorKind kind) {
-  g_kind_override.store(static_cast<int>(kind), std::memory_order_release);
-}
-
-void ClearAllocatorKindOverride() {
-  g_kind_override.store(-1, std::memory_order_release);
+AllocatorKind DefaultAllocatorKind() {
+  static const AllocatorKind kind =
+      ParseAllocatorKind(std::getenv("TFE_ALLOCATOR"));
+  return kind;
 }
 
 std::shared_ptr<Allocator> MakeAllocator(AllocatorKind kind,
@@ -230,13 +226,11 @@ std::shared_ptr<Allocator> MakeAllocator(AllocatorKind kind,
 }
 
 const std::shared_ptr<Allocator>& ProcessAllocator() {
-  // Leaked singletons: buffers may outlive every context and static
-  // destruction order is unknowable, so the process allocators never die.
-  static const auto* arena = new std::shared_ptr<Allocator>(
-      std::make_shared<ArenaAllocator>("process"));
-  static const auto* system = new std::shared_ptr<Allocator>(
-      std::make_shared<SystemAllocator>("process"));
-  return DefaultAllocatorKind() == AllocatorKind::kSystem ? *system : *arena;
+  // Leaked singleton: buffers may outlive every context and static
+  // destruction order is unknowable, so the process allocator never dies.
+  static const auto* process = new std::shared_ptr<Allocator>(
+      MakeAllocator(DefaultAllocatorKind(), "process"));
+  return *process;
 }
 
 }  // namespace tfe

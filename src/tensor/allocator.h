@@ -14,8 +14,9 @@
 // Each Device owns one allocator instance (the allocator-behind-context
 // pattern), so CPU, sim, and remote devices account allocations separately;
 // device-less buffers go through a process-wide default. The implementation
-// is selected per instance at construction from `TFE_ALLOCATOR=system|arena`
-// (arena when unset) or a programmatic override for A/B benching.
+// is fixed per instance at construction: EagerContext::Options::allocator
+// for a context's devices, whose default (and the process allocator's kind)
+// is `TFE_ALLOCATOR=system|arena`, parsed once per process.
 //
 // Observability: every instance keeps an AllocatorStats block, and all
 // instances additionally aggregate into the process-wide `allocator.*`
@@ -146,20 +147,18 @@ class ArenaAllocator : public Allocator {
 
 enum class AllocatorKind { kArena, kSystem };
 
-// The kind new allocator instances are built with: programmatic override if
-// set, else TFE_ALLOCATOR=system|arena, else arena.
+// Maps a TFE_ALLOCATOR value to a kind: "system" or "arena"; null or empty
+// means unset (arena). Anything else logs a WARNING naming the accepted
+// values and falls back to arena, so a typo never passes silently.
+AllocatorKind ParseAllocatorKind(const char* value);
+// The TFE_ALLOCATOR environment value through ParseAllocatorKind, parsed
+// on first call and latched for the process.
 AllocatorKind DefaultAllocatorKind();
-// Programmatic override for A/B benching (takes precedence over the env;
-// benches flip it between ResetGlobal calls instead of racing setenv
-// against allocating threads).
-void OverrideDefaultAllocatorKind(AllocatorKind kind);
-void ClearAllocatorKindOverride();
 
 std::shared_ptr<Allocator> MakeAllocator(AllocatorKind kind, std::string name);
 
-// Process-wide allocator for device-less buffers. Picks between two leaked
-// singletons (one arena, one system) per the current default kind, so every
-// buffer deallocates through the instance that produced it.
+// Process-wide allocator for device-less buffers: one leaked instance of
+// DefaultAllocatorKind().
 const std::shared_ptr<Allocator>& ProcessAllocator();
 
 }  // namespace tfe

@@ -8,8 +8,9 @@
 // readers holding the old buffer are never invalidated.
 //
 // Storage comes from an Allocator (allocator.h): per-device arenas by
-// default, a pass-through SystemAllocator under TFE_ALLOCATOR=system. The
-// buffer keeps its allocator alive and returns the bytes through it.
+// default, a pass-through SystemAllocator when the context's
+// Options::allocator is `system`. The buffer keeps its allocator alive and
+// returns the bytes through it.
 #ifndef TFE_TENSOR_BUFFER_H_
 #define TFE_TENSOR_BUFFER_H_
 

@@ -6,8 +6,8 @@
 // donated run's outputs are bitwise identical to the copying path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -17,6 +17,7 @@
 #include "kernels/fused_elementwise.h"
 #include "profiler/profiler.h"
 #include "runtime/eager_context.h"
+#include "support/logging.h"
 #include "tensor/allocator.h"
 #include "tensor/buffer.h"
 #include "tensor/tensor_handle.h"
@@ -112,30 +113,50 @@ TEST(AllocatorTest, SystemAllocatorPassesThrough) {
 }
 
 TEST(AllocatorTest, KindSelectionHonorsOverrideAndEnv) {
-  const char* saved = std::getenv("TFE_ALLOCATOR");
-  std::string saved_value = saved != nullptr ? saved : "";
-
-  ClearAllocatorKindOverride();
-  unsetenv("TFE_ALLOCATOR");
-  EXPECT_EQ(DefaultAllocatorKind(), AllocatorKind::kArena);  // default
-  setenv("TFE_ALLOCATOR", "system", 1);
-  EXPECT_EQ(DefaultAllocatorKind(), AllocatorKind::kSystem);
-  setenv("TFE_ALLOCATOR", "arena", 1);
-  EXPECT_EQ(DefaultAllocatorKind(), AllocatorKind::kArena);
-  setenv("TFE_ALLOCATOR", "bogus", 1);
-  EXPECT_EQ(DefaultAllocatorKind(), AllocatorKind::kArena);
-  // The programmatic override wins over the environment.
-  setenv("TFE_ALLOCATOR", "system", 1);
-  OverrideDefaultAllocatorKind(AllocatorKind::kArena);
-  EXPECT_EQ(DefaultAllocatorKind(), AllocatorKind::kArena);
-  ClearAllocatorKindOverride();
-  EXPECT_EQ(DefaultAllocatorKind(), AllocatorKind::kSystem);
-
-  if (saved != nullptr) {
-    setenv("TFE_ALLOCATOR", saved_value.c_str(), 1);
-  } else {
-    unsetenv("TFE_ALLOCATOR");
+  // TFE_ALLOCATOR accepts exactly "arena" and "system". Unset or empty
+  // means arena; any other value warns once, naming the accepted values,
+  // and falls back to arena.
+  struct Case {
+    const char* value;
+    AllocatorKind kind;
+    bool warns;
+  };
+  const Case cases[] = {
+      {nullptr, AllocatorKind::kArena, false},
+      {"", AllocatorKind::kArena, false},
+      {"arena", AllocatorKind::kArena, false},
+      {"system", AllocatorKind::kSystem, false},
+      {"System", AllocatorKind::kArena, true},
+      {"bogus", AllocatorKind::kArena, true},
+  };
+  const logging::Severity saved_severity = logging::min_severity();
+  logging::set_min_severity(logging::Severity::kWarning);
+  for (const Case& c : cases) {
+    const std::string label = c.value != nullptr ? c.value : "(unset)";
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(ParseAllocatorKind(c.value), c.kind) << label;
+    const std::string err = testing::internal::GetCapturedStderr();
+    if (c.warns) {
+      EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+      EXPECT_NE(err.find("[tfe W "), std::string::npos) << err;
+      EXPECT_NE(err.find(label), std::string::npos) << err;
+      EXPECT_NE(err.find("arena|system"), std::string::npos) << err;
+    } else {
+      EXPECT_EQ(err, "") << label;
+    }
   }
+  logging::set_min_severity(saved_severity);
+
+  // Options::allocator pins a context's devices whatever TFE_ALLOCATOR says,
+  // and defaults to the process-wide kind.
+  EXPECT_EQ(EagerContext::Options().allocator, DefaultAllocatorKind());
+  EagerContext::ResetGlobal({.allocator = AllocatorKind::kSystem});
+  EXPECT_STREQ(EagerContext::Global()->HostCpu()->allocator()->kind(),
+               "system");
+  EagerContext::ResetGlobal({.allocator = AllocatorKind::kArena});
+  EXPECT_STREQ(EagerContext::Global()->HostCpu()->allocator()->kind(),
+               "arena");
+  EagerContext::ResetGlobal(EagerContext::Options());
 }
 
 TEST(AllocatorTest, EachDeviceOwnsAnAccountingAllocator) {
@@ -523,22 +544,17 @@ TEST_F(DonationTest, ArenaAndSystemAllocatorsAgreeBitwise) {
     ASSERT_TRUE(EagerContext::Global()->Sync().ok());
     *out_values = ToVector<float>(out);
   };
-  EagerContext::Options options;
-  options.async = true;
-
   // Copying system-allocator baseline...
-  OverrideDefaultAllocatorKind(AllocatorKind::kSystem);
-  EagerContext::ResetGlobal(options);
+  EagerContext::ResetGlobal(
+      {.async = true, .allocator = AllocatorKind::kSystem});
   EagerContext::Global()->set_buffer_donation(false);
   std::vector<float> system_values;
   compute(&system_values);
 
   // ...vs recycled arena buffers with in-place donation. Same bits.
-  OverrideDefaultAllocatorKind(AllocatorKind::kArena);
-  EagerContext::ResetGlobal(options);
+  EagerContext::ResetGlobal({.async = true, .allocator = AllocatorKind::kArena});
   std::vector<float> arena_values;
   compute(&arena_values);
-  ClearAllocatorKindOverride();
 
   ASSERT_EQ(system_values.size(), arena_values.size());
   for (size_t i = 0; i < arena_values.size(); ++i) {

@@ -523,8 +523,9 @@ TEST(RecursionTest, MutualRecursion) {
 }
 
 TEST(RecursionTest, DepthOverflowPoisonsOutputs) {
-  // No base case: execution recurses until TFE_MAX_CALL_DEPTH and the
-  // FailedPrecondition poisons the output like any deferred kernel error.
+  // No base case: execution recurses until the Call kernel's constant cap
+  // (kMaxCallDepth = 64) and the FailedPrecondition poisons the output like
+  // any deferred kernel error.
   std::vector<TypeAndShape> sig = {{DType::kFloat32, Shape({})}};
   auto inf = DefineRecursiveFunction(
       "rt_infinite", sig, sig,

@@ -3,8 +3,8 @@
 // a staged run's intermediates land in — one packed slab plus forwarded
 // retired blocks instead of per-op arena allocations — and nothing else.
 // Outputs must stay bitwise-identical with planning on, off, or bypassed,
-// and every bypass (TFE_MEMORY_PLAN=off, a non-arena allocator) must fully
-// disable the machinery so sanitizers keep true per-buffer lifetimes.
+// and every bypass (EagerContext::set_memory_plan(false), a non-arena
+// allocator) must fully disable the machinery so sanitizers keep true per-buffer lifetimes.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -43,8 +43,6 @@ using tensor_util::ToVector;
 class MemoryPlanTest : public ::testing::Test {
  protected:
   void TearDown() override {
-    memplan::ClearMemoryPlanningOverride();
-    ClearAllocatorKindOverride();
     EagerContext::ResetGlobal(EagerContext::Options());
   }
 };
@@ -147,12 +145,11 @@ TEST_F(MemoryPlanTest, FusedVariantProvesSkipZeroStores) {
 // plus the allocator calls per steady-state step.
 std::vector<float> RunTower(bool planning, int steps,
                             uint64_t* alloc_calls_per_step) {
-  memplan::OverrideMemoryPlanning(planning);
   // Pin the arena so the measurement survives a TFE_ALLOCATOR=system
   // environment (the tier-2 sanitizer sweep): the point here is the planned
   // vs per-op allocation delta, not the allocator family.
-  OverrideDefaultAllocatorKind(AllocatorKind::kArena);
-  EagerContext::ResetGlobal(EagerContext::Options());
+  EagerContext::ResetGlobal({.allocator = AllocatorKind::kArena});
+  EagerContext::Global()->set_memory_plan(planning);
   Tensor x = ops::mul(ops::random_normal({32, 32}, 0, 1, /*seed=*/21),
                       ops::scalar<float>(0.05f));
   Tensor w = ops::mul(ops::random_normal({32, 32}, 0, 1, /*seed=*/22),
@@ -170,9 +167,7 @@ std::vector<float> RunTower(bool planning, int steps,
     *alloc_calls_per_step =
         (alloc_calls->value() - before) / static_cast<uint64_t>(steps);
   }
-  std::vector<float> values = ToVector<float>(y);
-  memplan::ClearMemoryPlanningOverride();
-  return values;
+  return ToVector<float>(y);
 }
 
 TEST_F(MemoryPlanTest, OutputsBitwiseIdenticalAndFewerAllocatorCalls) {
@@ -193,8 +188,8 @@ TEST_F(MemoryPlanTest, OverrideAndSystemAllocatorBypassPlanning) {
       profiler::Metrics().GetCounter("allocator.plan.runs");
 
   // Planning off: the staged run must never touch the planner.
-  memplan::OverrideMemoryPlanning(false);
   EagerContext::ResetGlobal(EagerContext::Options());
+  EagerContext::Global()->set_memory_plan(false);
   {
     Tensor x = ops::random_normal({16, 16}, 0, 1, /*seed=*/7);
     Function step = MakeTower("bypass_off");
@@ -206,9 +201,7 @@ TEST_F(MemoryPlanTest, OverrideAndSystemAllocatorBypassPlanning) {
 
   // Planning on but a system allocator (the TFE_ALLOCATOR=system
   // configuration): still fully bypassed.
-  memplan::OverrideMemoryPlanning(true);
-  OverrideDefaultAllocatorKind(AllocatorKind::kSystem);
-  EagerContext::ResetGlobal(EagerContext::Options());
+  EagerContext::ResetGlobal({.allocator = AllocatorKind::kSystem});
   {
     Tensor x = ops::random_normal({16, 16}, 0, 1, /*seed=*/7);
     Function step = MakeTower("bypass_system");
@@ -220,8 +213,7 @@ TEST_F(MemoryPlanTest, OverrideAndSystemAllocatorBypassPlanning) {
 
   // Planning on, arena allocator (forced, so a TFE_ALLOCATOR=system
   // environment cannot mask the positive control): the plan activates.
-  OverrideDefaultAllocatorKind(AllocatorKind::kArena);
-  EagerContext::ResetGlobal(EagerContext::Options());
+  EagerContext::ResetGlobal({.allocator = AllocatorKind::kArena});
   {
     Tensor x = ops::random_normal({16, 16}, 0, 1, /*seed=*/7);
     Function step = MakeTower("bypass_arena");
@@ -230,12 +222,25 @@ TEST_F(MemoryPlanTest, OverrideAndSystemAllocatorBypassPlanning) {
     ASSERT_TRUE(EagerContext::Global()->Sync().ok());
     EXPECT_GT(plan_runs->value(), before);
   }
+
+  // The switch is context state, not process state: a planning-off context
+  // followed by a fresh default (arena) context plans again.
+  EagerContext::ResetGlobal({.allocator = AllocatorKind::kArena});
+  EagerContext::Global()->set_memory_plan(false);
+  EagerContext::ResetGlobal({.allocator = AllocatorKind::kArena});
+  EXPECT_TRUE(EagerContext::Global()->memory_plan());
+  {
+    Tensor x = ops::random_normal({16, 16}, 0, 1, /*seed=*/7);
+    Function step = MakeTower("bypass_fresh");
+    const uint64_t before = plan_runs->value();
+    for (int i = 0; i < 2; ++i) (void)step({x, x});
+    ASSERT_TRUE(EagerContext::Global()->Sync().ok());
+    EXPECT_GT(plan_runs->value(), before);
+  }
 }
 
 TEST_F(MemoryPlanTest, CrossRunForwardingClaimsRetiredOutputs) {
-  memplan::OverrideMemoryPlanning(true);
-  OverrideDefaultAllocatorKind(AllocatorKind::kArena);
-  EagerContext::ResetGlobal(EagerContext::Options());
+  EagerContext::ResetGlobal({.allocator = AllocatorKind::kArena});
   Tensor x = ops::mul(ops::random_normal({32, 32}, 0, 1, /*seed=*/31),
                       ops::scalar<float>(0.05f));
   Tensor w = ops::mul(ops::random_normal({32, 32}, 0, 1, /*seed=*/32),
@@ -253,8 +258,8 @@ TEST_F(MemoryPlanTest, CrossRunForwardingClaimsRetiredOutputs) {
 
   // And the forwarded storage computed the same values as planning off.
   std::vector<float> got = ToVector<float>(h);
-  memplan::OverrideMemoryPlanning(false);
-  EagerContext::ResetGlobal(EagerContext::Options());
+  EagerContext::ResetGlobal({.allocator = AllocatorKind::kArena});
+  EagerContext::Global()->set_memory_plan(false);
   Tensor x2 = ops::mul(ops::random_normal({32, 32}, 0, 1, /*seed=*/31),
                        ops::scalar<float>(0.05f));
   Tensor w2 = ops::mul(ops::random_normal({32, 32}, 0, 1, /*seed=*/32),
@@ -300,8 +305,8 @@ TEST_F(MemoryPlanTest, WhileGradientBitwiseWithPlanning) {
   // stacks (PR 9). Snapshots retain body *outputs*, which always escape the
   // body's plan — so planning must not perturb the gradient bitwise.
   auto run_grad = [](bool planning) -> std::vector<float> {
-    memplan::OverrideMemoryPlanning(planning);
     EagerContext::ResetGlobal(EagerContext::Options());
+    EagerContext::Global()->set_memory_plan(planning);
     Tensor x0 = ops::mul(ops::random_normal({8, 8}, 0, 1, /*seed=*/41),
                          ops::scalar<float>(0.1f));
     Tensor w = ops::mul(ops::random_normal({8, 8}, 0, 1, /*seed=*/42),
@@ -333,7 +338,6 @@ TEST_F(MemoryPlanTest, WhileGradientBitwiseWithPlanning) {
     std::vector<float> flat = ToVector<float>(grads[0]);
     std::vector<float> gw = ToVector<float>(grads[1]);
     flat.insert(flat.end(), gw.begin(), gw.end());
-    memplan::ClearMemoryPlanningOverride();
     return flat;
   };
   std::vector<float> baseline = run_grad(false);
