@@ -289,80 +289,6 @@ AllocatorVariant MeasureAllocatorVariant(tfe::AllocatorKind kind,
   return out;
 }
 
-// ---- Static memory planning A/B -------------------------------------------
-//
-// A staged residual tower whose matmuls keep the elementwise segments from
-// collapsing into one node, so the execution variant carries real planned
-// intermediates. With planning on, one slab acquisition replaces the per-op
-// arena calls for every non-escaping intermediate, and chaining h = step(h)
-// lets each run claim the previous run's retired output block instead of
-// allocating it (cross-run forwarding). Same graph, same bits, either way.
-
-constexpr int kPlanTowerLayers = 8;
-constexpr int kPlanSteps = 20;
-
-struct PlanVariant {
-  double seconds = 0;
-  double alloc_calls_per_step = 0;  // arena/system calls per staged step
-  double planned_per_step = 0;      // slab-offset handouts per staged step
-  double forwarded_runs = 0;        // runs that claimed a retired block
-  std::vector<float> values;        // final tower tip, for the bitwise check
-};
-
-PlanVariant MeasurePlanVariant(bool planning) {
-  tfe::EagerContext::ResetGlobal({});
-  tfe::EagerContext* ctx = tfe::EagerContext::Global();
-  ctx->set_memory_plan(planning);
-
-  Tensor x = ops::mul(ops::random_normal({64, 64}, 0, 1, /*seed=*/17),
-                      ops::scalar<float>(0.05f));
-  Tensor w = ops::mul(ops::random_normal({64, 64}, 0, 1, /*seed=*/18),
-                      ops::scalar<float>(0.05f));
-  tfe::Function step = tfe::function(
-      [](const std::vector<Tensor>& args) -> std::vector<Tensor> {
-        Tensor h = args[0];
-        for (int i = 0; i < kPlanTowerLayers; ++i) {
-          h = ops::add(ops::relu(ops::matmul(h, args[1])), h);
-        }
-        return {h};
-      },
-      planning ? "plan_tower_on" : "plan_tower_off");
-  ctx->SyncAllDevices();
-
-  PlanVariant out;
-  Tensor h = x;
-  for (int i = 0; i < 3; ++i) h = step({h, w})[0];  // warm-up: trace + slab
-  ctx->SyncAllDevices();
-
-  profiler::Counter* alloc_calls =
-      profiler::Metrics().GetCounter("allocator.alloc_calls");
-  profiler::Counter* planned =
-      profiler::Metrics().GetCounter("allocator.plan.planned_allocs");
-  profiler::Counter* forwarded =
-      profiler::Metrics().GetCounter("allocator.plan.forwarded_runs");
-  const uint64_t alloc_before = alloc_calls->value();
-  const uint64_t planned_before = planned->value();
-  const uint64_t forwarded_before = forwarded->value();
-  int steps = 0;
-  out.seconds = bench::MeasureWallSeconds(
-      [&] {
-        for (int i = 0; i < kPlanSteps; ++i, ++steps) h = step({h, w})[0];
-        ctx->SyncAllDevices();
-      },
-      /*iterations=*/1);
-  out.alloc_calls_per_step =
-      static_cast<double>(alloc_calls->value() - alloc_before) / steps;
-  out.planned_per_step =
-      static_cast<double>(planned->value() - planned_before) / steps;
-  out.forwarded_runs =
-      static_cast<double>(forwarded->value() - forwarded_before);
-
-  // Deterministic tip for the bitwise check: the measured loop above ran a
-  // fixed step count from fixed seeds in both variants.
-  out.values = tfe::tensor_util::ToVector<float>(h);
-  return out;
-}
-
 double MatMulSeconds(bool parallel) {
   tfe::EagerContext* ctx = tfe::EagerContext::Global();
   ctx->set_intra_op_parallelism(parallel);
@@ -380,27 +306,6 @@ double MatMulSeconds(bool parallel) {
 int main() {
   tfe::EagerContext::ResetGlobal({});
   tfe::EagerContext* ctx = tfe::EagerContext::Global();
-
-  // Under TFE_PROFILE, land the static planner's trace evidence up front:
-  // the per-thread event buffers are bounded and the eager chain series
-  // flood them, so the "memory_plan" / "buffer_forward" instants from the
-  // A/B series at the end of this binary would be dropped. Every series
-  // resets the context before measuring, so these staged warm runs cost
-  // nothing downstream.
-  if (profiler::enabled()) {
-    Tensor x = ops::mul(ops::random_normal({32, 32}, 0, 1, /*seed=*/3),
-                        ops::scalar<float>(0.05f));
-    tfe::Function warm = tfe::function(
-        [](const std::vector<Tensor>& args) -> std::vector<Tensor> {
-          Tensor h = ops::add(ops::relu(ops::matmul(args[0], args[0])),
-                              args[0]);
-          return {ops::matmul(h, args[0])};
-        },
-        "bench_fusion_plan_warm");
-    Tensor h = x;
-    for (int i = 0; i < 3; ++i) h = warm({h})[0];  // run 3 forwards run 2
-    ctx->SyncAllDevices();
-  }
 
   std::printf("Elementwise fusion + intra-op parallelism (wall time)\n");
 
@@ -524,35 +429,6 @@ int main() {
   std::printf("%-22s%10s\n", "bitwise identical",
               alloc_bitwise_equal ? "yes" : "NO");
 
-  // Static planning A/B: per-op arena calls vs one slab + forwarded blocks.
-  PlanVariant plan_off = MeasurePlanVariant(/*planning=*/false);
-  PlanVariant plan_on = MeasurePlanVariant(/*planning=*/true);
-  tfe::EagerContext::ResetGlobal({});
-  const double plan_alloc_reduction =
-      plan_off.alloc_calls_per_step > 0
-          ? 1.0 - plan_on.alloc_calls_per_step / plan_off.alloc_calls_per_step
-          : 0.0;
-  const bool plan_bitwise_equal =
-      plan_off.values.size() == plan_on.values.size() &&
-      std::memcmp(plan_off.values.data(), plan_on.values.data(),
-                  plan_on.values.size() * sizeof(float)) == 0;
-
-  std::printf("\n%d-layer staged residual tower: per-op alloc vs memory plan\n",
-              kPlanTowerLayers);
-  std::printf("%-22s%10.2f ms (%d steps)\n", "planning off",
-              plan_off.seconds * 1e3, kPlanSteps);
-  std::printf("%-22s%10.2f ms (%d steps)\n", "planning on",
-              plan_on.seconds * 1e3, kPlanSteps);
-  std::printf("%-22s%10.1f -> %.1f per step (-%.0f%%)\n", "allocator calls",
-              plan_off.alloc_calls_per_step, plan_on.alloc_calls_per_step,
-              plan_alloc_reduction * 100.0);
-  std::printf("%-22s%10.1f slab offsets per step\n", "planned allocs",
-              plan_on.planned_per_step);
-  std::printf("%-22s%10.0f runs claimed a retired block\n", "forwarded",
-              plan_on.forwarded_runs);
-  std::printf("%-22s%10s\n", "bitwise identical",
-              plan_bitwise_equal ? "yes" : "NO");
-
   // The MatMul parallel-speedup series only measures anything on a machine
   // with more than one hardware thread; on a single-core host the sharded
   // product degenerates to the serial one plus threadpool overhead, so the
@@ -614,14 +490,6 @@ int main() {
   report.Add("alloc_bytes_moved_reduction", bytes_reduction);
   report.Add("alloc_donations", alloc_arena.donations);
   report.Add("alloc_bitwise_equal", alloc_bitwise_equal ? 1.0 : 0.0);
-  report.Add("plan_off_seconds", plan_off.seconds);
-  report.Add("plan_on_seconds", plan_on.seconds);
-  report.Add("plan_off_alloc_calls_per_step", plan_off.alloc_calls_per_step);
-  report.Add("plan_on_alloc_calls_per_step", plan_on.alloc_calls_per_step);
-  report.Add("plan_alloc_calls_reduction", plan_alloc_reduction);
-  report.Add("plan_planned_allocs_per_step", plan_on.planned_per_step);
-  report.Add("plan_forwarded_runs", plan_on.forwarded_runs);
-  report.Add("plan_bitwise_equal", plan_bitwise_equal ? 1.0 : 0.0);
   if (run_matmul_series) {
     report.Add("matmul_serial_seconds", serial);
     report.Add("matmul_parallel_seconds", parallel);
@@ -712,42 +580,6 @@ int main() {
     std::fprintf(stderr,
                  "FAIL: arena+donation results differ bitwise from "
                  "system+copy\n");
-    rc = 1;
-  }
-  // Static-planning gates: a planned steady-state step must issue >=30%
-  // fewer allocator calls than per-op allocation, actually forward retired
-  // blocks across runs, cost no wall-clock (10% tolerance for timer noise on
-  // a sub-ms step), and not move a single bit of the result.
-  if (plan_alloc_reduction < 0.30) {
-    std::fprintf(stderr,
-                 "FAIL: memory plan cut allocator calls by only %.0f%% < 30%% "
-                 "(%.1f -> %.1f per step)\n",
-                 plan_alloc_reduction * 100.0, plan_off.alloc_calls_per_step,
-                 plan_on.alloc_calls_per_step);
-    rc = 1;
-  }
-  if (plan_on.planned_per_step < 1.0) {
-    std::fprintf(stderr,
-                 "FAIL: no intermediate was served from the plan slab\n");
-    rc = 1;
-  }
-  if (plan_on.forwarded_runs < 1.0) {
-    std::fprintf(stderr,
-                 "FAIL: no run claimed a retired output block — cross-run "
-                 "forwarding never fired\n");
-    rc = 1;
-  }
-  if (plan_on.seconds > plan_off.seconds * 1.10) {
-    std::fprintf(stderr,
-                 "FAIL: planning regressed the staged step (%.2f ms vs "
-                 "%.2f ms)\n",
-                 plan_on.seconds * 1e3, plan_off.seconds * 1e3);
-    rc = 1;
-  }
-  if (!plan_bitwise_equal) {
-    std::fprintf(stderr,
-                 "FAIL: planned tower differs bitwise from the per-op "
-                 "allocated one\n");
     rc = 1;
   }
   return rc;

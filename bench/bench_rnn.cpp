@@ -79,20 +79,6 @@ int main() {
   uint64_t iters_before = loop_iterations->value();
   uint64_t hits_before = loop_body_hits->value();
 
-  // Static-memory-plan activity over the sweep (graph/memory_planner.h):
-  // staged runs that drew from a plan slab, and runs that claimed a retired
-  // output block. Recorded in the JSON so plan coverage on a real staged
-  // model is trackable, not gated here (bench_fusion owns the A/B gates).
-  tfe::profiler::Counter* plan_runs =
-      tfe::profiler::Metrics().GetCounter("allocator.plan.runs");
-  tfe::profiler::Counter* plan_allocs =
-      tfe::profiler::Metrics().GetCounter("allocator.plan.planned_allocs");
-  tfe::profiler::Counter* plan_forwarded =
-      tfe::profiler::Metrics().GetCounter("allocator.plan.forwarded_runs");
-  uint64_t plan_runs_before = plan_runs->value();
-  uint64_t plan_allocs_before = plan_allocs->value();
-  uint64_t plan_forwarded_before = plan_forwarded->value();
-
   for (int64_t T : lengths) {
     Tensor sequence =
         ops::random_normal({kBatch, T, kInput}, 0, 1, /*seed=*/100 + T);
@@ -187,13 +173,6 @@ int main() {
   report.Add("loop_body_cache_hit_rate", hit_rate);
   report.Add("gate_staged_loop_3x", staged_vs_retrace >= 3.0 ? 1 : 0);
   report.Add("gate_body_cache_90", hit_rate >= 0.9 ? 1 : 0);
-  report.Add("plan_runs",
-             static_cast<double>(plan_runs->value() - plan_runs_before));
-  report.Add("plan_planned_allocs",
-             static_cast<double>(plan_allocs->value() - plan_allocs_before));
-  report.Add("plan_forwarded_runs",
-             static_cast<double>(plan_forwarded->value() -
-                                 plan_forwarded_before));
   report.AddProfilerMetrics();
   report.Write();
   return 0;

@@ -38,11 +38,6 @@ instant (one execution serving a window of >= 2 sessions' calls) and a
 With --require-loop the trace must contain a "staged_loop" instant — the
 While kernel completing a loop (its arg carries the iteration count), the
 evidence that a staged while_loop actually iterated instead of unrolling.
-
-With --require-memory-plan the trace must contain the static planner's
-instants: a "memory_plan" (a staged run acquiring its plan slab; arg is the
-slab size) and a "buffer_forward" (a retired run's output block claimed as
-a later run's allocation; arg is the forwarded byte count).
 """
 import json
 import sys
@@ -61,17 +56,15 @@ def main():
     require_dag_fusion = "--require-dag-fusion" in args
     require_batching = "--require-batching" in args
     require_loop = "--require-loop" in args
-    require_memory_plan = "--require-memory-plan" in args
     args = [a for a in args
             if a not in ("--require-remote", "--require-reduce-fusion",
                          "--require-allocator", "--require-dag-fusion",
-                         "--require-batching", "--require-loop",
-                         "--require-memory-plan")]
+                         "--require-batching", "--require-loop")]
     if len(args) != 1:
         fail(f"usage: {sys.argv[0]} [--require-remote] "
              "[--require-reduce-fusion] [--require-allocator] "
              "[--require-dag-fusion] [--require-batching] "
-             "[--require-loop] [--require-memory-plan] <trace.json>")
+             "[--require-loop] <trace.json>")
     path = args[0]
     try:
         with open(path) as f:
@@ -138,15 +131,6 @@ def main():
     if require_loop and "staged_loop" not in instant_names:
         fail("no 'staged_loop' instant — no While kernel completed a loop "
              f"(instants seen: {sorted(instant_names)})")
-
-    if require_memory_plan:
-        if "memory_plan" not in instant_names:
-            fail("no 'memory_plan' instant — no staged run acquired a plan "
-                 f"slab (instants seen: {sorted(instant_names)})")
-        if "buffer_forward" not in instant_names:
-            fail("no 'buffer_forward' instant — no retired output block was "
-                 "forwarded into a later run "
-                 f"(instants seen: {sorted(instant_names)})")
 
     print(f"check_trace: OK: {len(events)} events, "
           f"{len(span_tids)} span threads, categories {sorted(categories)}")

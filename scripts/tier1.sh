@@ -40,7 +40,7 @@ if [[ "$MODE" == "--profile" ]]; then
   echo "==== profile smoke: bench_fusion under TFE_PROFILE ===="
   (cd build && TFE_PROFILE="profile_smoke_trace.json" ./bench/bench_fusion)
   python3 scripts/check_trace.py --require-reduce-fusion --require-allocator \
-    --require-dag-fusion --require-memory-plan "$TRACE"
+    --require-dag-fusion "$TRACE"
   REMOTE_TRACE="build/profile_smoke_remote_trace.json"
   echo "==== profile smoke: bench_distrib under TFE_PROFILE ===="
   (cd build && TFE_PROFILE="profile_smoke_remote_trace.json" \
@@ -112,10 +112,8 @@ if [[ "$MODE" == "--tier2" ]]; then
   # sanitizers still catch lifetime bugs there, and the suite is small
   # enough to afford it. The arena would recycle blocks and hide
   # use-after-free behind reuse, so the sweep pins every buffer to a fresh
-  # system allocation for byte-level ASan/TSan visibility. A system
-  # allocator also bypasses the memory plan, so every staged intermediate is
-  # its own allocation. (Tests that pin Options::allocator to the arena keep
-  # the arena, and plan, on purpose.)
+  # system allocation for byte-level ASan/TSan visibility. (Tests that pin
+  # Options::allocator to the arena keep the arena on purpose.)
   FILTER='*'
   export TFE_ALLOCATOR=system
 else
@@ -125,7 +123,7 @@ else
   # staged control-flow paths (While iteration reuses cached execution
   # variants across the executor pool; recursion runs depth-capped nested
   # calls).
-  FILTER='Async*:*Async*:Fusion*:ParallelKernels*:MicroProgram*:Profiler*:Remote*:Cluster*:Allocator*:Donation*:ProgramCache*:Serving*:While*:WhileGrad*:Recursion*:MemoryPlan*'
+  FILTER='Async*:*Async*:Fusion*:ParallelKernels*:MicroProgram*:Profiler*:Remote*:Cluster*:Allocator*:Donation*:ProgramCache*:Serving*:While*:WhileGrad*:Recursion*'
 fi
 
 echo "==== tsan: filter=$FILTER ===="

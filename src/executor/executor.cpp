@@ -5,7 +5,6 @@
 #include <set>
 #include <mutex>
 
-#include "graph/memory_planner.h"
 #include "profiler/profiler.h"
 #include "runtime/eager_context.h"
 #include "support/strings.h"
@@ -77,15 +76,6 @@ StatusOr<Executor::Result> Executor::Run(const GraphFunction& function,
   const uint64_t rng_base = random::SplitMix64(
       rng_stream_base != 0 ? rng_stream_base : ctx_->NextRngStream());
 
-  // Static memory plan (graph/memory_planner.h): when the context enables
-  // it and it applies, one slab acquisition covers every planned
-  // intermediate of this run. Declared before `states` so the per-node
-  // tensors — which may be views into the slab — are destroyed first, and
-  // the slab's return-to-pool use-count proof can pass.
-  std::unique_ptr<memplan::RunPlan> plan_run =
-      ctx_->memory_plan() ? memplan::BeginRun(function, default_device)
-                          : nullptr;
-
   std::vector<NodeState> states(n);
   // Map arg index -> node id for fast Arg lookup.
   std::vector<int> arg_of_node(n, -1);
@@ -155,12 +145,6 @@ StatusOr<Executor::Result> Executor::Run(const GraphFunction& function,
     uint64_t node_stream =
         rng_base + static_cast<uint64_t>(node.rng_id >= 0 ? node.rng_id : id);
     if (node_stream == 0) node_stream = 1;  // 0 means "unassigned"
-    // Installed even when this run is unplanned: a null binding masks any
-    // enclosing planned run, so kernels of nested (Call/While/Cond) runs
-    // never consult the outer plan. ExecuteKernel runs the kernel
-    // synchronously on this thread, which is what makes the thread-local
-    // binding exact.
-    memplan::ScopedNode plan_scope(plan_run.get(), id);
     TFE_ASSIGN_OR_RETURN(
         EagerContext::KernelRun run,
         ctx_->ExecuteKernel(node.op, inputs, node.attrs, device, compiled,
@@ -295,9 +279,6 @@ StatusOr<Executor::Result> Executor::Run(const GraphFunction& function,
       result.finish_ns = std::max(result.finish_ns, states[id].completion_ns);
     }
   }
-  // Offer this run's escaping outputs to the next run via the plan's
-  // forwarding pool (claimable once the caller drops them).
-  memplan::FinishRun(plan_run.get(), function, result.outputs);
   return result;
 }
 

@@ -49,17 +49,6 @@ std::shared_ptr<GraphFunction> GraphFunction::GetOrBuildExecutionVariant(
   return execution_variant_;
 }
 
-std::shared_ptr<const memplan::MemoryPlan> GraphFunction::GetOrBuildMemoryPlan(
-    const std::function<std::shared_ptr<const memplan::MemoryPlan>()>& build)
-    const {
-  std::lock_guard<std::mutex> lock(plan_mu_);
-  if (!plan_ready_) {
-    memory_plan_ = build();
-    plan_ready_ = true;
-  }
-  return memory_plan_;
-}
-
 StatusOr<std::shared_ptr<const BackwardFunction>>
 GraphFunction::GetOrBuildBackward(
     const std::string& key,

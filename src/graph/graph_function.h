@@ -15,10 +15,6 @@
 
 namespace tfe {
 
-namespace memplan {
-class MemoryPlan;
-}  // namespace memplan
-
 struct BackwardFunction;  // autodiff/function_grad.h
 
 // A value the trace closed over. Lexical captures are "silently passed to
@@ -84,15 +80,6 @@ class GraphFunction {
   std::shared_ptr<GraphFunction> GetOrBuildExecutionVariant(
       const std::function<std::shared_ptr<GraphFunction>()>& build);
 
-  // Cached static memory plan over *this* function's node order (built on
-  // the execution variant the executor actually runs — same lifecycle as the
-  // variant above; null, also cached, when nothing in the graph is
-  // plannable). Const because the executor only holds const references:
-  // the plan is derived state, invisible to autodiff and serialization.
-  std::shared_ptr<const memplan::MemoryPlan> GetOrBuildMemoryPlan(
-      const std::function<std::shared_ptr<const memplan::MemoryPlan>()>&
-          build) const;
-
   // Pristine pre-optimization snapshot of the trace, attached by the tracer
   // before graph passes run. Autodiff builds forward/backward variants from
   // this graph — never the optimized one — so gradient accumulation keeps
@@ -130,10 +117,6 @@ class GraphFunction {
   bool variant_ready_ = false;
   std::shared_ptr<GraphFunction> execution_variant_;
   std::shared_ptr<const GraphFunction> autodiff_source_;
-
-  mutable std::mutex plan_mu_;
-  mutable bool plan_ready_ = false;
-  mutable std::shared_ptr<const memplan::MemoryPlan> memory_plan_;
 
   std::mutex backward_mu_;
   std::map<std::string, std::shared_ptr<const BackwardFunction>> backwards_;

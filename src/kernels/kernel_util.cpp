@@ -13,13 +13,6 @@ namespace kernels {
 
 Tensor DonateOutput(KernelContext* ctx, int i, DType dtype, const Shape& shape,
                     const Tensor& donor) {
-  // A plan-slab view must never become a donation target: its bytes belong
-  // to the plan's block-reuse schedule, and publishing them as an output
-  // would let them outlive the planned lifetime. Allocate fresh instead —
-  // the kernel writes through the returned handle either way.
-  if (donor.buffer() != nullptr && donor.buffer()->is_view()) {
-    return ctx->AllocateOutput(i, dtype, shape);
-  }
   Tensor out = Tensor::Concrete(dtype, shape, donor.buffer(), ctx->device());
   ctx->SetOutput(i, out);
   static profiler::Counter* donations =

@@ -1,6 +1,5 @@
 #include "ops/kernel.h"
 
-#include "graph/memory_planner.h"
 #include "profiler/profiler.h"
 
 namespace tfe {
@@ -88,12 +87,7 @@ KernelFn WrapKernelForProfiling(const std::string& op_name, KernelFn fn) {
 
 Tensor KernelContext::AllocateOutput(int i, DType dtype, const Shape& shape) {
   if (static_cast<int>(outputs_.size()) <= i) outputs_.resize(i + 1);
-  // Under an active memory plan this kernel's output may have a precomputed
-  // slab offset (or claim a forwarded block); otherwise allocate normally.
-  // Either way the returned storage is zero-ready on this device.
-  Tensor planned = memplan::TryPlannedOutput(i, dtype, shape, device_);
-  outputs_[i] =
-      planned.defined() ? std::move(planned) : Tensor::Empty(dtype, shape, device_);
+  outputs_[i] = Tensor::Empty(dtype, shape, device_);
   return outputs_[i];
 }
 

@@ -807,13 +807,7 @@ void EagerContext::ResetVirtualTime() {
   for (Device* device : devices_.ListDevices()) {
     device->ResetSimulation();
   }
-  stats_.eager_ops.store(0);
-  stats_.executor_nodes.store(0);
-  stats_.function_calls.store(0);
-  stats_.traces.store(0);
-  stats_.device_copies.store(0);
-  stats_.fused_runs.store(0);
-  stats_.fused_ops.store(0);
+  stats_.Reset();
 }
 
 // ---- DeviceScope ------------------------------------------------------------

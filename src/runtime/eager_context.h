@@ -103,9 +103,6 @@ class EagerContext {
   //  * buffer_donation — a fused run whose input buffer is uniquely owned
   //    (no outstanding handles or tensors, tape not watching) writes its
   //    output in place instead of allocating.
-  //  * memory_plan — staged runs pack non-escaping intermediates into one
-  //    plan slab (graph/memory_planner.h); off, every intermediate is its
-  //    own allocation.
   bool fuse_elementwise() const {
     return fuse_elementwise_.load(std::memory_order_relaxed);
   }
@@ -123,12 +120,6 @@ class EagerContext {
   }
   void set_buffer_donation(bool donate) {
     buffer_donation_.store(donate, std::memory_order_relaxed);
-  }
-  bool memory_plan() const {
-    return memory_plan_.load(std::memory_order_relaxed);
-  }
-  void set_memory_plan(bool plan) {
-    memory_plan_.store(plan, std::memory_order_relaxed);
   }
 
   const HostProfile& host_profile() const { return host_profile_; }
@@ -243,7 +234,19 @@ class EagerContext {
     // Fused runs whose program was a DAG rather than a linear chain:
     // several published outputs, or an in-run value with several consumers.
     std::atomic<uint64_t> fused_dag_runs{0};
+
+    // Zeroes every field. The static_assert below fails the build when a
+    // field is added without being listed here.
+    void Reset() {
+      for (std::atomic<uint64_t>* field :
+           {&eager_ops, &executor_nodes, &function_calls, &traces,
+            &device_copies, &fused_runs, &fused_ops, &fused_dag_runs}) {
+        field->store(0, std::memory_order_relaxed);
+      }
+    }
   };
+  static_assert(sizeof(Stats) == 8 * sizeof(std::atomic<uint64_t>),
+                "Stats::Reset must list every field");
   Stats& stats() { return stats_; }
 
   // The context-level stateful RNG stream backing seed-0 random ops that
@@ -315,7 +318,6 @@ class EagerContext {
   std::atomic<bool> fuse_elementwise_{true};
   std::atomic<bool> intra_op_parallelism_{true};
   std::atomic<bool> buffer_donation_{true};
-  std::atomic<bool> memory_plan_{true};
   HostProfile host_profile_;
   std::atomic<uint64_t> host_now_ns_{0};
   Stats stats_;

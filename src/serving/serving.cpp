@@ -83,20 +83,8 @@ StatusOr<std::vector<Tensor>> RunConcrete(
 
   ctx->stats().function_calls.fetch_add(1, std::memory_order_relaxed);
   Device* device = ctx->HostCpu();
-  std::shared_ptr<GraphFunction> to_run = concrete;
-  if (ctx->fuse_elementwise()) {
-    auto fused = concrete->GetOrBuildExecutionVariant(
-        [&]() -> std::shared_ptr<GraphFunction> {
-          auto variant =
-              std::make_shared<GraphFunction>(concrete->name() + "__fused_ew");
-          if (!CloneGraphFunctionInto(*concrete, *variant).ok()) return nullptr;
-          passes::PassStats pstats;
-          if (!passes::FuseElementwise(*variant, &pstats).ok()) return nullptr;
-          if (pstats.fused_runs == 0) return nullptr;
-          return variant;
-        });
-    if (fused != nullptr) to_run = std::move(fused);
-  }
+  std::shared_ptr<GraphFunction> to_run =
+      passes::FusedExecutionVariant(ctx, device, concrete);
 
   Executor executor(ctx);
   TFE_ASSIGN_OR_RETURN(

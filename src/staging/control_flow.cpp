@@ -1,5 +1,7 @@
 #include "staging/control_flow.h"
 
+#include <functional>
+
 #include "api/ops_api.h"
 #include "autodiff/function_grad.h"
 #include "autodiff/gradient_registry.h"
@@ -125,6 +127,59 @@ Status CondKernel(KernelContext* ctx) {
   return Status::OK();
 }
 
+// Drives one While loop over resolved (fused) cond and body functions: runs
+// cond, then body, until cond yields false. The While kernel and WhileGrad's
+// forward replay both loop here, so they share the iteration cap, the arity
+// checks and the stream spread: iteration k runs cond on 2k+1 and body on
+// 2k+2 in the space spread from this node's stream, so random ops draw fresh
+// values each iteration, deterministically. `before_body`, when set, sees
+// each iteration's loop variables before the body consumes them. On success
+// `vars` holds the final loop variables, `now_ns` the loop's finish time, and
+// the result is the number of completed iterations.
+StatusOr<int64_t> RunWhileLoop(
+    KernelContext* ctx, const GraphFunction& cond_run,
+    const GraphFunction& body_run, const std::vector<Tensor>& cond_captures,
+    const std::vector<Tensor>& body_captures, int64_t max_iterations,
+    std::vector<Tensor>* vars, uint64_t* now_ns,
+    const std::function<void(const std::vector<Tensor>&)>& before_body =
+        nullptr) {
+  EagerContext* ectx = ctx->eager_context();
+  const uint64_t rng_root = random::SplitMix64(ctx->rng_stream());
+  for (int64_t iteration = 0;; ++iteration) {
+    if (iteration >= max_iterations) {
+      return FailedPrecondition("While exceeded maximum_iterations");
+    }
+    const uint64_t iter_base = rng_root + 2 * static_cast<uint64_t>(iteration);
+    std::vector<Tensor> cond_inputs = *vars;
+    cond_inputs.insert(cond_inputs.end(), cond_captures.begin(),
+                       cond_captures.end());
+    TFE_ASSIGN_OR_RETURN(
+        Executor::Result cond_result,
+        RunResolved(ectx, cond_run, std::move(cond_inputs), ctx->device(),
+                    *now_ns, ctx->compiled(), iter_base + 1));
+    *now_ns = cond_result.finish_ns;
+    if (cond_result.outputs.size() != 1) {
+      return InvalidArgument("While condition must produce one output");
+    }
+    TFE_ASSIGN_OR_RETURN(bool keep_going, ScalarPred(cond_result.outputs[0]));
+    if (!keep_going) return iteration;
+
+    if (before_body) before_body(*vars);
+    std::vector<Tensor> body_inputs = *vars;
+    body_inputs.insert(body_inputs.end(), body_captures.begin(),
+                       body_captures.end());
+    TFE_ASSIGN_OR_RETURN(
+        Executor::Result body_result,
+        RunResolved(ectx, body_run, std::move(body_inputs), ctx->device(),
+                    *now_ns, ctx->compiled(), iter_base + 2));
+    *now_ns = body_result.finish_ns;
+    if (body_result.outputs.size() != vars->size()) {
+      return InvalidArgument("While body must return the loop variables");
+    }
+    *vars = std::move(body_result.outputs);
+  }
+}
+
 Status WhileKernel(KernelContext* ctx) {
   TFE_ASSIGN_OR_RETURN(auto cond_name, ctx->GetAttr<std::string>("cond_function"));
   TFE_ASSIGN_OR_RETURN(auto body_name, ctx->GetAttr<std::string>("body_function"));
@@ -166,50 +221,16 @@ Status WhileKernel(KernelContext* ctx) {
   std::shared_ptr<GraphFunction> body_run = passes::FusedExecutionVariant(
       ectx, ctx->device(), body_fn, &body_built_now);
 
-  int64_t completed = 0;
-  for (int64_t iteration = 0;; ++iteration) {
-    if (iteration >= max_iterations) {
-      return FailedPrecondition("While exceeded maximum_iterations");
-    }
-    std::vector<Tensor> cond_inputs = vars;
-    cond_inputs.insert(cond_inputs.end(), cond_captures.begin(),
-                       cond_captures.end());
-    // Every cond/body run gets its own stream base so random ops draw fresh
-    // values each iteration, deterministically: 2k+1 / 2k+2 in the space
-    // spread from this While node's stream.
-    const uint64_t iter_base =
-        random::SplitMix64(ctx->rng_stream()) +
-        2 * static_cast<uint64_t>(iteration);
-    TFE_ASSIGN_OR_RETURN(
-        Executor::Result cond_result,
-        RunResolved(ectx, *cond_run, std::move(cond_inputs), ctx->device(),
-                    now_ns, ctx->compiled(), iter_base + 1));
-    now_ns = cond_result.finish_ns;
-    if (cond_result.outputs.size() != 1) {
-      return InvalidArgument("While condition must produce one output");
-    }
-    TFE_ASSIGN_OR_RETURN(bool keep_going, ScalarPred(cond_result.outputs[0]));
-    if (!keep_going) break;
-
-    std::vector<Tensor> body_inputs = vars;
-    body_inputs.insert(body_inputs.end(), body_captures.begin(),
-                       body_captures.end());
-    TFE_ASSIGN_OR_RETURN(
-        Executor::Result body_result,
-        RunResolved(ectx, *body_run, std::move(body_inputs), ctx->device(),
-                    now_ns, ctx->compiled(), iter_base + 2));
-    now_ns = body_result.finish_ns;
-    if (static_cast<int64_t>(body_result.outputs.size()) != num_vars) {
-      return InvalidArgument("While body must return the loop variables");
-    }
-    vars = std::move(body_result.outputs);
-    ++completed;
-    iterations_counter->Increment();
-    // Every iteration after the loop's one-time variant resolution is a
-    // body-cache hit; only the very first iteration of the execution that
-    // actually built the variant pays the miss.
-    if (iteration > 0 || !body_built_now) body_hit_counter->Increment();
-  }
+  TFE_ASSIGN_OR_RETURN(
+      int64_t completed,
+      RunWhileLoop(ctx, *cond_run, *body_run, cond_captures, body_captures,
+                   max_iterations, &vars, &now_ns));
+  iterations_counter->Increment(static_cast<uint64_t>(completed));
+  // Every iteration after the loop's one-time variant resolution is a
+  // body-cache hit; only the very first iteration of the execution that
+  // actually built the variant pays the miss.
+  body_hit_counter->Increment(
+      static_cast<uint64_t>(completed - (body_built_now && completed > 0)));
   profiler::RecordInstant(profiler::EventKind::kLoop, loop_name_id,
                           completed);
   for (int64_t i = 0; i < num_vars; ++i) {
@@ -459,41 +480,18 @@ Status WhileGradKernel(KernelContext* ctx) {
   std::shared_ptr<GraphFunction> bwd_run =
       passes::FusedExecutionVariant(ectx, device, bwd_fn);
 
-  // Forward replay, snapshotting the loop variables per iteration. The rng
-  // spread mirrors WhileKernel's so seeded randomness inside the body draws
-  // iteration-stable values; seed-0 stream randomness replays from THIS
-  // node's stream, not the forward While's — the same rematerialization
-  // caveat Cond's gradient has.
+  // Forward replay, snapshotting the loop variables per iteration. The
+  // shared driver gives it WhileKernel's stream spread, so seeded randomness
+  // inside the body draws iteration-stable values; seed-0 stream randomness
+  // replays from THIS node's stream, not the forward While's — the same
+  // rematerialization caveat Cond's gradient has.
   uint64_t now_ns = ctx->start_ns();
-  const uint64_t rng_root = random::SplitMix64(ctx->rng_stream());
   std::vector<std::vector<Tensor>> stack;
-  for (int64_t iteration = 0;; ++iteration) {
-    if (iteration >= max_iterations) {
-      return FailedPrecondition("WhileGrad replay exceeded maximum_iterations");
-    }
-    const uint64_t iter_base = rng_root + 2 * static_cast<uint64_t>(iteration);
-    std::vector<Tensor> cond_inputs = vars;
-    cond_inputs.insert(cond_inputs.end(), cond_captures.begin(),
-                       cond_captures.end());
-    TFE_ASSIGN_OR_RETURN(
-        Executor::Result cond_result,
-        RunResolved(ectx, *cond_run, std::move(cond_inputs), device, now_ns,
-                    ctx->compiled(), iter_base + 1));
-    now_ns = cond_result.finish_ns;
-    TFE_ASSIGN_OR_RETURN(bool keep_going, ScalarPred(cond_result.outputs.at(0)));
-    if (!keep_going) break;
-    stack.push_back(vars);
-    std::vector<Tensor> body_inputs = vars;
-    body_inputs.insert(body_inputs.end(), body_captures.begin(),
-                       body_captures.end());
-    TFE_ASSIGN_OR_RETURN(
-        Executor::Result body_result,
-        RunResolved(ectx, *body_run, std::move(body_inputs), device, now_ns,
-                    ctx->compiled(), iter_base + 2));
-    now_ns = body_result.finish_ns;
-    vars = std::move(body_result.outputs);
-  }
-  const int64_t n_iters = static_cast<int64_t>(stack.size());
+  TFE_ASSIGN_OR_RETURN(
+      const int64_t n_iters,
+      RunWhileLoop(ctx, *cond_run, *body_run, cond_captures, body_captures,
+                   max_iterations, &vars, &now_ns,
+                   [&](const std::vector<Tensor>& v) { stack.push_back(v); }));
 
   // Incoming gradients for the loop outputs (zeros where the tape had none).
   std::vector<Tensor> grad_vars(num_vars);
@@ -529,6 +527,7 @@ Status WhileGradKernel(KernelContext* ctx) {
 
   // Reverse sweep: rematerialize iteration i's intermediates, run the loop
   // backward, chain var gradients, thread capture accumulators.
+  const uint64_t rng_root = random::SplitMix64(ctx->rng_stream());
   for (int64_t i = n_iters - 1; i >= 0; --i) {
     const uint64_t iter_base = rng_root + 2 * static_cast<uint64_t>(i);
     std::vector<Tensor> fwd_inputs = stack[i];

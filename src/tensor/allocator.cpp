@@ -14,9 +14,8 @@ namespace {
 // pointers; counters/gauges are cheap enough to update unconditionally.
 struct GlobalAllocatorMetrics {
   profiler::Counter* allocations;
-  // Alias of `allocations` under the name the memory-planning benches gate
-  // on: calls that actually reached an allocator (planned slab views and
-  // forwarded blocks never do).
+  // Alias of `allocations` under the name perfbench reads for
+  // tensor.alloc_calls_per_step.
   profiler::Counter* alloc_calls;
   profiler::Counter* deallocations;
   profiler::Counter* bytes_requested;
@@ -172,10 +171,7 @@ void* ArenaAllocator::AllocateRaw(size_t bytes) {
     }
   }
   // Re-zero even reused blocks: Buffer's contract is zero-initialized
-  // storage, and the previous tenant's bytes are still in there. Planned
-  // slab offsets (graph/memory_planner.*) don't come through here — the
-  // planner zeroes each handout itself, and skips it only for slots whose
-  // first use is a provable full-space store (MemoryPlan skip_zero).
+  // storage, and the previous tenant's bytes are still in there.
   std::memset(ptr, 0, footprint);
   NoteAlloc(bytes, footprint, reused);
   return ptr;

@@ -19,21 +19,6 @@ std::shared_ptr<Buffer> Buffer::Allocate(
       new Buffer(data, bytes, std::move(allocator)));
 }
 
-std::shared_ptr<Buffer> Buffer::View(std::shared_ptr<Buffer> base,
-                                     size_t offset, size_t bytes) {
-  TFE_CHECK(base != nullptr && !base->is_view());
-  TFE_CHECK(offset + bytes <= base->bytes())
-      << "Buffer view [" << offset << ", " << offset + bytes
-      << ") exceeds slab of " << base->bytes() << " bytes";
-  void* data = static_cast<char*>(base->data()) + offset;
-  std::shared_ptr<Allocator> allocator = base->allocator();
-  return std::shared_ptr<Buffer>(
-      new Buffer(data, bytes, std::move(allocator), std::move(base)));
-}
-
-Buffer::~Buffer() {
-  // Views borrow their slab's storage; only owning buffers return bytes.
-  if (base_ == nullptr) allocator_->DeallocateRaw(data_, bytes_);
-}
+Buffer::~Buffer() { allocator_->DeallocateRaw(data_, bytes_); }
 
 }  // namespace tfe

@@ -30,14 +30,6 @@ class Buffer {
   static std::shared_ptr<Buffer> Allocate(size_t bytes,
                                           std::shared_ptr<Allocator> allocator);
 
-  // Non-owning view of [offset, offset + bytes) of `base` — the static
-  // memory planner's handout into a plan slab (graph/memory_planner.h). The
-  // view holds `base`'s shared_ptr, so the slab outlives every view by
-  // construction; destroying a view returns nothing to the allocator.
-  // `base` must itself own its storage (no views of views).
-  static std::shared_ptr<Buffer> View(std::shared_ptr<Buffer> base,
-                                      size_t offset, size_t bytes);
-
   ~Buffer();
 
   Buffer(const Buffer&) = delete;
@@ -50,26 +42,13 @@ class Buffer {
   // The allocator this buffer's storage came from (never null).
   const std::shared_ptr<Allocator>& allocator() const { return allocator_; }
 
-  // True for offset views into a plan slab. Views are never donation
-  // targets and never enter the cross-run forwarding pool: their bytes
-  // belong to the plan's block-reuse schedule, not to this buffer's
-  // lifetime.
-  bool is_view() const { return base_ != nullptr; }
-  // The owning slab for views, null otherwise.
-  const std::shared_ptr<Buffer>& base() const { return base_; }
-
  private:
-  Buffer(void* data, size_t bytes, std::shared_ptr<Allocator> allocator,
-         std::shared_ptr<Buffer> base = nullptr)
-      : data_(data),
-        bytes_(bytes),
-        allocator_(std::move(allocator)),
-        base_(std::move(base)) {}
+  Buffer(void* data, size_t bytes, std::shared_ptr<Allocator> allocator)
+      : data_(data), bytes_(bytes), allocator_(std::move(allocator)) {}
 
   void* data_;
   size_t bytes_;
   std::shared_ptr<Allocator> allocator_;
-  std::shared_ptr<Buffer> base_;
 };
 
 }  // namespace tfe

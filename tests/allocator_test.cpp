@@ -212,6 +212,50 @@ Tensor UnaryChain(const Tensor& x, int length) {
   return h;
 }
 
+// Staged runs allocate every intermediate through the device arena. Once
+// warm, the size-class freelists serve each step of a staged residual tower
+// without a single new system allocation, and the tower computes the same
+// bits as the same layers run op by op.
+TEST(AllocatorTest, StagedTowerSteadyStateAllocatesNoNewSystemMemory) {
+  // Pin the arena so a TFE_ALLOCATOR=system environment (the tier-2
+  // sanitizer sweep) cannot swap out the allocator under test.
+  EagerContext::ResetGlobal({.allocator = AllocatorKind::kArena});
+  EagerContext* ctx = EagerContext::Global();
+  auto tower = [](const std::vector<Tensor>& args) -> std::vector<Tensor> {
+    Tensor h = args[0];
+    for (int layer = 0; layer < 4; ++layer) {
+      h = ops::add(ops::relu(ops::matmul(h, args[1])), h);  // residual join
+    }
+    return {h};
+  };
+  Tensor x = ops::mul(ops::random_normal({32, 32}, 0, 1, /*seed=*/21),
+                      ops::scalar<float>(0.05f));
+  Tensor w = ops::mul(ops::random_normal({32, 32}, 0, 1, /*seed=*/22),
+                      ops::scalar<float>(0.05f));
+  Function step = function(tower, "steady_tower");
+
+  constexpr int kWarmup = 3;
+  constexpr int kSteps = 8;
+  Tensor staged = x;
+  for (int i = 0; i < kWarmup; ++i) staged = step({staged, w})[0];
+  ASSERT_TRUE(ctx->Sync().ok());
+  const AllocatorStats& host = ctx->HostCpu()->allocator()->stats();
+  const uint64_t misses_before = host.freelist_misses.load();
+  for (int i = 0; i < kSteps; ++i) staged = step({staged, w})[0];
+  ASSERT_TRUE(ctx->Sync().ok());
+  EXPECT_EQ(host.freelist_misses.load(), misses_before);
+
+  Tensor eager = x;
+  for (int i = 0; i < kWarmup + kSteps; ++i) eager = tower({eager, w})[0];
+  std::vector<float> staged_values = ToVector<float>(staged);
+  std::vector<float> eager_values = ToVector<float>(eager);
+  ASSERT_EQ(staged_values.size(), eager_values.size());
+  EXPECT_EQ(std::memcmp(staged_values.data(), eager_values.data(),
+                        staged_values.size() * sizeof(float)),
+            0);
+  EagerContext::ResetGlobal(EagerContext::Options());
+}
+
 class DonationTest : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -1194,6 +1194,27 @@ TEST_F(FusionTest, DiamondDagFusesAndMatchesUnfused) {
   EXPECT_TRUE(BitwiseEqual(ToVector<float>(fused), ToVector<float>(plain)));
 }
 
+TEST_F(FusionTest, ResetVirtualTimeZeroesEveryStat) {
+  EagerContext* ctx = EagerContext::Global();
+  Tensor x = ops::random_normal({48, 32}, 0, 1, /*seed=*/5);
+  Tensor s = ops::scalar<float>(0.5f);
+  ASSERT_NO_FATAL_FAILURE(BlockQueueHead());
+  (void)ResidualTower(x, s, 12);
+  ASSERT_TRUE(ctx->Sync().ok());
+  ASSERT_GT(ctx->stats().fused_dag_runs.load(), 0u);
+
+  ctx->ResetVirtualTime();
+  const EagerContext::Stats& stats = ctx->stats();
+  EXPECT_EQ(stats.eager_ops.load(), 0u);
+  EXPECT_EQ(stats.executor_nodes.load(), 0u);
+  EXPECT_EQ(stats.function_calls.load(), 0u);
+  EXPECT_EQ(stats.traces.load(), 0u);
+  EXPECT_EQ(stats.device_copies.load(), 0u);
+  EXPECT_EQ(stats.fused_runs.load(), 0u);
+  EXPECT_EQ(stats.fused_ops.load(), 0u);
+  EXPECT_EQ(stats.fused_dag_runs.load(), 0u);
+}
+
 TEST_F(FusionTest, MultiOutputRunMatchesUnfused) {
   // Intermediates held by the test escape the run and must materialize as
   // extra fused outputs; every escaping value must match the unfused bits.
