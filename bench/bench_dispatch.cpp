@@ -8,10 +8,15 @@
 //   * eager + active tape  — + gradient recording,
 //   * staged call          — one Call op executing an N-op graph, i.e. the
 //                            per-op cost the executor achieves,
-//   * staged per-op        — that call cost divided across its ops.
+//   * staged per-op        — that call cost divided across its ops,
+//   * staged node overhead — an unfusable MatMul chain on [1,1] operands,
+//                            reported as wall ns per executor node (the
+//                            executor's per-node cost around a tiny kernel).
 //
 //   build/bench/bench_dispatch
 #include <benchmark/benchmark.h>
+
+#include <chrono>
 
 #include "bench/bench_util.h"
 
@@ -78,6 +83,32 @@ void BM_StagedCall(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * num_ops);
 }
 BENCHMARK(BM_StagedCall)->Arg(1)->Arg(16)->Arg(256);
+
+void BM_StagedNodeOverhead(benchmark::State& state) {
+  const int num_ops = static_cast<int>(state.range(0));
+  tfe::Function chain = tfe::function(
+      [num_ops](const std::vector<Tensor>& args) -> std::vector<Tensor> {
+        Tensor h = args[0];
+        for (int i = 0; i < num_ops; ++i) h = ops::matmul(h, args[0]);
+        return {h};
+      },
+      "matmul_chain_" + std::to_string(num_ops));
+  Tensor x = ops::constant<float>({1.0f}, tfe::Shape({1, 1}));
+  chain({x});  // trace, build the fused variant and its plan
+  tfe::EagerContext* ctx = tfe::EagerContext::Global();
+  const uint64_t nodes_before = ctx->stats().executor_nodes.load();
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(chain({x})[0]);
+  }
+  const double elapsed_ns = std::chrono::duration<double, std::nano>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  const uint64_t nodes = ctx->stats().executor_nodes.load() - nodes_before;
+  state.counters["ns_per_node"] =
+      nodes > 0 ? elapsed_ns / static_cast<double>(nodes) : 0.0;
+}
+BENCHMARK(BM_StagedNodeOverhead)->Arg(16)->Arg(256);
 
 void BM_DeviceScopeLookup(benchmark::State& state) {
   Tensor x = SmallTensor();

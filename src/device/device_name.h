@@ -14,6 +14,7 @@
 namespace tfe {
 
 enum class DeviceKind { kCpu, kGpu, kTpu };
+constexpr int kNumDeviceKinds = 3;
 
 const char* DeviceKindName(DeviceKind kind);  // "CPU" / "GPU" / "TPU"
 StatusOr<DeviceKind> DeviceKindFromName(const std::string& name);

@@ -1,8 +1,10 @@
 #include "executor/executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <set>
+#include <functional>
+#include <memory>
 #include <mutex>
 
 #include "profiler/profiler.h"
@@ -11,22 +13,65 @@
 
 namespace tfe {
 
-namespace {
+// Everything Executor::Run derives from a function's graph alone, built on
+// the function's first run and cached on it (GraphFunction::GetOrBuildPlan).
+// A run allocates one flat value array with a slot per node output, writes
+// the Arg and Const values into it, and walks the kernel steps.
+struct ExecPlan {
+  // `uses` value of a slot that is never released (a function output).
+  static constexpr int kKeep = -1;
 
-struct NodeState {
-  std::atomic<int> pending{0};
-  std::vector<Tensor> outputs;
-  uint64_t completion_ns = 0;
+  // An Arg or Const node, bound before the first kernel runs.
+  struct Binding {
+    int node;
+    int slot;
+    int arg_index;  // -1 for Const
+  };
+
+  // A kernel node. Ranges index the flat arrays below.
+  struct Step {
+    int node = 0;
+    uint64_t rng_offset = 0;  // added to the run's RNG base
+    int inputs_begin = 0, inputs_end = 0;        // input_slots
+    int deps_begin = 0, deps_end = 0;            // deps: kernel node ids
+    int consumers_begin = 0, consumers_end = 0;  // consumers: step indices
+    int pending = 0;           // initial pending count (pool engine)
+    int required_outputs = 0;  // 1 + the highest output index anything reads
+    ResolvedKernel kernel;
+  };
+
+  int num_nodes = 0;
+  int num_slots = 0;
+  std::vector<int> slot_base;  // per node: slot of its output 0
+  std::vector<Binding> bindings;
+  std::vector<Step> steps;  // node order, which is a topological order
+  std::vector<int> input_slots;
+  std::vector<int> deps;
+  std::vector<int> consumers;
+  std::vector<int> initial_ready;  // steps with no pending deps
+  // Per slot: how many kernel inputs read it, or kKeep. A slot is released
+  // when its last reader takes it; a slot nobody reads is never stored.
+  std::vector<int> uses;
+  std::vector<int> output_slots;
+  // Per output: the endpoint was already returned by an earlier output.
+  std::vector<bool> output_repeats;
+  // Nodes whose completion bounds the run's finish time: outputs, side
+  // effects, and what bound outputs wait on.
+  std::vector<int> finish_nodes;
+  // The largest number of kernel steps ready together when every step takes
+  // unit time. 1 means a chain: the pool engine would only add hand-offs.
+  int max_width = 0;
 };
 
-// Shared run state for one (parallel) executor invocation.
+namespace {
+
 struct RunState {
   std::mutex mu;
   std::condition_variable done_cv;
   int completed = 0;
-  int in_flight = 0;  // scheduled or running nodes
+  int in_flight = 0;  // scheduled or running steps
   Status first_error;
-  bool failed = false;
+  std::atomic<bool> failed{false};
 };
 
 thread_local int g_executor_depth = 0;
@@ -35,6 +80,135 @@ struct ScopedExecutorDepth {
   ScopedExecutorDepth() { ++g_executor_depth; }
   ~ScopedExecutorDepth() { --g_executor_depth; }
 };
+
+bool IsBound(const Node& node) {
+  return node.op == "Arg" || node.op == "Const";
+}
+
+std::shared_ptr<const ExecPlan> BuildPlan(const GraphFunction& function) {
+  const Graph& graph = function.graph();
+  const int n = graph.num_nodes();
+  auto plan = std::make_shared<ExecPlan>();
+  plan->num_nodes = n;
+  plan->slot_base.resize(n + 1, 0);
+  for (int id = 0; id < n; ++id) {
+    plan->slot_base[id + 1] =
+        plan->slot_base[id] + graph.node(id).num_outputs();
+  }
+  plan->num_slots = plan->slot_base[n];
+  plan->uses.assign(plan->num_slots, 0);
+  const auto slot_of = [&](const Endpoint& e) {
+    TFE_CHECK_LT(e.index, graph.node(e.node_id).num_outputs());
+    return plan->slot_base[e.node_id] + e.index;
+  };
+
+  std::vector<int> arg_of_node(n, -1);
+  for (int i = 0; i < function.num_args(); ++i) {
+    arg_of_node[function.arg_nodes()[i]] = i;
+  }
+  std::vector<int> step_of(n, -1);
+  // Per bound node: the kernel nodes it waits on through control inputs.
+  // Its consumers wait on those instead.
+  std::vector<std::vector<int>> bound_deps(n);
+  std::vector<int> required(n, 0);
+  for (int id = 0; id < n; ++id) {
+    const Node& node = graph.node(id);
+    std::vector<int> node_deps;
+    const auto add_dep = [&](int dep) {
+      if (step_of[dep] >= 0) {
+        node_deps.push_back(dep);
+      } else {
+        node_deps.insert(node_deps.end(), bound_deps[dep].begin(),
+                         bound_deps[dep].end());
+      }
+    };
+    for (const Endpoint& e : node.inputs) add_dep(e.node_id);
+    for (int dep : node.control_inputs) add_dep(dep);
+
+    if (IsBound(node)) {
+      int arg_index = -1;
+      if (node.op == "Arg") {
+        arg_index = arg_of_node[id];
+        TFE_CHECK_GE(arg_index, 0);
+      }
+      if (node.num_outputs() > 0) {
+        plan->bindings.push_back({id, plan->slot_base[id], arg_index});
+      }
+      bound_deps[id] = std::move(node_deps);
+      continue;
+    }
+
+    ExecPlan::Step step;
+    step.node = id;
+    step.rng_offset =
+        static_cast<uint64_t>(node.rng_id >= 0 ? node.rng_id : id);
+    step.inputs_begin = static_cast<int>(plan->input_slots.size());
+    for (const Endpoint& e : node.inputs) {
+      const int slot = slot_of(e);
+      plan->input_slots.push_back(slot);
+      ++plan->uses[slot];
+      required[e.node_id] = std::max(required[e.node_id], e.index + 1);
+    }
+    step.inputs_end = static_cast<int>(plan->input_slots.size());
+    step.deps_begin = static_cast<int>(plan->deps.size());
+    plan->deps.insert(plan->deps.end(), node_deps.begin(), node_deps.end());
+    step.deps_end = static_cast<int>(plan->deps.size());
+    step.pending = static_cast<int>(node_deps.size());
+    step.kernel = EagerContext::ResolveKernel(node.op, node.attrs);
+    step_of[id] = static_cast<int>(plan->steps.size());
+    plan->steps.push_back(std::move(step));
+  }
+
+  // Consumer lists (one entry per pending count they release) and ready
+  // widths, both in step order.
+  const int num_steps = static_cast<int>(plan->steps.size());
+  std::vector<std::vector<int>> consumers(num_steps);
+  std::vector<int> level(num_steps, 0);
+  std::vector<int> width;
+  for (int s = 0; s < num_steps; ++s) {
+    const ExecPlan::Step& step = plan->steps[s];
+    for (int i = step.deps_begin; i < step.deps_end; ++i) {
+      const int producer = step_of[plan->deps[i]];
+      consumers[producer].push_back(s);
+      level[s] = std::max(level[s], level[producer] + 1);
+    }
+    if (step.pending == 0) plan->initial_ready.push_back(s);
+    if (level[s] >= static_cast<int>(width.size())) width.resize(level[s] + 1);
+    plan->max_width = std::max(plan->max_width, ++width[level[s]]);
+  }
+  for (int s = 0; s < num_steps; ++s) {
+    ExecPlan::Step& step = plan->steps[s];
+    step.consumers_begin = static_cast<int>(plan->consumers.size());
+    plan->consumers.insert(plan->consumers.end(), consumers[s].begin(),
+                           consumers[s].end());
+    step.consumers_end = static_cast<int>(plan->consumers.size());
+  }
+
+  std::vector<bool> returned(plan->num_slots, false);
+  for (const Endpoint& e : function.outputs()) {
+    const int slot = slot_of(e);
+    plan->uses[slot] = ExecPlan::kKeep;
+    plan->output_slots.push_back(slot);
+    plan->output_repeats.push_back(returned[slot]);
+    returned[slot] = true;
+    required[e.node_id] = std::max(required[e.node_id], e.index + 1);
+    plan->finish_nodes.push_back(e.node_id);
+    plan->finish_nodes.insert(plan->finish_nodes.end(),
+                              bound_deps[e.node_id].begin(),
+                              bound_deps[e.node_id].end());
+  }
+  for (ExecPlan::Step& step : plan->steps) {
+    step.required_outputs = required[step.node];
+    if (graph.node(step.node).is_stateful()) {
+      plan->finish_nodes.push_back(step.node);
+    }
+  }
+  std::sort(plan->finish_nodes.begin(), plan->finish_nodes.end());
+  plan->finish_nodes.erase(
+      std::unique(plan->finish_nodes.begin(), plan->finish_nodes.end()),
+      plan->finish_nodes.end());
+  return plan;
+}
 
 }  // namespace
 
@@ -57,6 +231,8 @@ StatusOr<Executor::Result> Executor::Run(const GraphFunction& function,
 
   static profiler::Counter* executor_runs =
       profiler::Metrics().GetCounter("executor.runs");
+  static profiler::Counter* plans_built =
+      profiler::Metrics().GetCounter("executor.plans_built");
   executor_runs->Increment();
   profiler::Scope run_span(profiler::EventKind::kExecutorRun, function.name());
   run_span.set_arg(n);
@@ -69,6 +245,18 @@ StatusOr<Executor::Result> Executor::Run(const GraphFunction& function,
     TFE_RETURN_IF_ERROR(arg.Materialize());
   }
 
+  const std::shared_ptr<const ExecPlan> plan_ptr =
+      function.GetOrBuildPlan([&function] {
+        plans_built->Increment();
+        return BuildPlan(function);
+      });
+  const ExecPlan& plan = *plan_ptr;
+  if (plan.num_nodes != n) {
+    return Internal(strings::StrCat(
+        "Function ", function.name(), " changed after its first run: its plan ",
+        "has ", plan.num_nodes, " nodes, its graph ", n));
+  }
+
   // Each node gets a deterministic Philox stream derived from this run's
   // base and its (topological-order) id, fixed before any node executes —
   // ready-queue scheduling cannot change which stream a random op draws
@@ -76,57 +264,72 @@ StatusOr<Executor::Result> Executor::Run(const GraphFunction& function,
   const uint64_t rng_base = random::SplitMix64(
       rng_stream_base != 0 ? rng_stream_base : ctx_->NextRngStream());
 
-  std::vector<NodeState> states(n);
-  // Map arg index -> node id for fast Arg lookup.
-  std::vector<int> arg_of_node(n, -1);
-  for (int i = 0; i < function.num_args(); ++i) {
-    arg_of_node[function.arg_nodes()[i]] = i;
+  const int num_steps = static_cast<int>(plan.steps.size());
+  std::vector<Tensor> values(plan.num_slots);
+  // Bound nodes complete at start_ns; their control inputs are folded into
+  // their consumers' deps.
+  std::vector<uint64_t> completion(n, start_ns);
+  // Remaining reads of each multi-use slot, then each step's pending count.
+  std::unique_ptr<std::atomic<int>[]> counters(
+      new std::atomic<int>[plan.num_slots + num_steps]);
+  std::atomic<int>* remaining = counters.get();
+  std::atomic<int>* pending = counters.get() + plan.num_slots;
+  for (int slot = 0; slot < plan.num_slots; ++slot) {
+    remaining[slot].store(plan.uses[slot], std::memory_order_relaxed);
   }
 
-  // Executes one node; returns non-OK to abort the run.
-  auto exec_node = [&](int id) -> Status {
+  for (const ExecPlan::Binding& binding : plan.bindings) {
+    const Node& node = graph.node(binding.node);
+    if (binding.arg_index < 0) {
+      if (plan.uses[binding.slot] != 0) {
+        values[binding.slot] = node.constant_value;
+      }
+      continue;
+    }
+    const int index = binding.arg_index;
+    const Tensor& arg = args[index];
+    if (!arg.defined() || arg.is_symbolic()) {
+      return InvalidArgument(strings::StrCat(
+          "Function ", function.name(), " argument ", index,
+          " is not a concrete tensor"));
+    }
+    const TypeAndShape& expected = node.outputs[0];
+    if (arg.dtype() != expected.dtype && expected.dtype != DType::kInvalid) {
+      return InvalidArgument(strings::StrCat(
+          "Function ", function.name(), " argument ", index, " has dtype ",
+          DTypeName(arg.dtype()), ", expected ", DTypeName(expected.dtype)));
+    }
+    if (!arg.is_resource() && !expected.shape.IsCompatibleWith(arg.shape())) {
+      return InvalidArgument(strings::StrCat(
+          "Function ", function.name(), " argument ", index, " has shape ",
+          arg.shape().ToString(), ", expected ", expected.shape.ToString()));
+    }
+    if (plan.uses[binding.slot] != 0) values[binding.slot] = arg;
+  }
+
+  // A kernel input. A slot's only reader takes its value; with several
+  // readers each copies it first, and the last one then clears the slot.
+  // Either way the value is released once its last reader retires.
+  const auto take = [&](int slot) -> Tensor {
+    const int uses = plan.uses[slot];
+    if (uses == 1) return std::move(values[slot]);
+    Tensor value = values[slot];
+    if (uses > 1 &&
+        remaining[slot].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      values[slot] = Tensor();
+    }
+    return value;
+  };
+
+  // Executes one kernel step; returns non-OK to abort the run.
+  const auto exec_step = [&](int s) -> Status {
     ScopedExecutorDepth depth_guard;
-    const Node& node = graph.node(id);
-    NodeState& state = states[id];
+    const ExecPlan::Step& step = plan.steps[s];
+    const Node& node = graph.node(step.node);
 
     uint64_t ready_ns = start_ns;
-    for (const Endpoint& e : node.inputs) {
-      ready_ns = std::max(ready_ns, states[e.node_id].completion_ns);
-    }
-    for (int dep : node.control_inputs) {
-      ready_ns = std::max(ready_ns, states[dep].completion_ns);
-    }
-
-    if (node.op == "Arg") {
-      int index = arg_of_node[id];
-      TFE_CHECK_GE(index, 0);
-      const Tensor& arg = args[index];
-      if (!arg.defined() || arg.is_symbolic()) {
-        return InvalidArgument(strings::StrCat(
-            "Function ", function.name(), " argument ", index,
-            " is not a concrete tensor"));
-      }
-      const TypeAndShape& expected = node.outputs[0];
-      if (arg.dtype() != expected.dtype && expected.dtype != DType::kInvalid) {
-        return InvalidArgument(strings::StrCat(
-            "Function ", function.name(), " argument ", index, " has dtype ",
-            DTypeName(arg.dtype()), ", expected ",
-            DTypeName(expected.dtype)));
-      }
-      if (!arg.is_resource() && !expected.shape.IsCompatibleWith(arg.shape())) {
-        return InvalidArgument(strings::StrCat(
-            "Function ", function.name(), " argument ", index, " has shape ",
-            arg.shape().ToString(), ", expected ",
-            expected.shape.ToString()));
-      }
-      state.outputs = {arg};
-      state.completion_ns = ready_ns;
-      return Status::OK();
-    }
-    if (node.op == "Const") {
-      state.outputs = {node.constant_value};
-      state.completion_ns = ready_ns;
-      return Status::OK();
+    for (int i = step.deps_begin; i < step.deps_end; ++i) {
+      ready_ns = std::max(ready_ns, completion[plan.deps[i]]);
     }
 
     Device* device = default_device;
@@ -136,133 +339,131 @@ StatusOr<Executor::Result> Executor::Run(const GraphFunction& function,
     }
 
     std::vector<Tensor> inputs;
-    inputs.reserve(node.inputs.size());
-    for (const Endpoint& e : node.inputs) {
-      inputs.push_back(states[e.node_id].outputs.at(e.index));
+    inputs.reserve(step.inputs_end - step.inputs_begin);
+    for (int i = step.inputs_begin; i < step.inputs_end; ++i) {
+      inputs.push_back(take(plan.input_slots[i]));
     }
 
     ctx_->stats().executor_nodes.fetch_add(1, std::memory_order_relaxed);
-    uint64_t node_stream =
-        rng_base + static_cast<uint64_t>(node.rng_id >= 0 ? node.rng_id : id);
+    uint64_t node_stream = rng_base + step.rng_offset;
     if (node_stream == 0) node_stream = 1;  // 0 means "unassigned"
     TFE_ASSIGN_OR_RETURN(
         EagerContext::KernelRun run,
-        ctx_->ExecuteKernel(node.op, inputs, node.attrs, device, compiled,
-                            ready_ns, node_stream));
+        ctx_->ExecuteKernel(node.op, std::move(inputs), node.attrs, device,
+                            compiled, ready_ns, node_stream, &step.kernel));
     if (run.completion_ns != 0) {
-      state.completion_ns = run.completion_ns;
+      completion[step.node] = run.completion_ns;
     } else {
       uint64_t total_ns = run.device_ns;
       if (!compiled) total_ns += device->cost_params().executor_node_ns;
-      state.completion_ns =
+      completion[step.node] =
           total_ns > 0 ? device->timeline().Schedule(ready_ns, total_ns)
                        : ready_ns;
     }
-    state.outputs = std::move(run.outputs);
+    const int produced = static_cast<int>(run.outputs.size());
+    if (produced < step.required_outputs) {
+      return Internal(strings::StrCat(
+          "Node ", step.node, " (", node.op, ") of function ",
+          function.name(), " produced ", produced, " outputs, but output ",
+          step.required_outputs - 1, " is read"));
+    }
+    const int base = plan.slot_base[step.node];
+    const int stored = std::min(produced, node.num_outputs());
+    for (int i = 0; i < stored; ++i) {
+      if (plan.uses[base + i] != 0) {
+        values[base + i] = std::move(run.outputs[i]);
+      }
+    }
     return Status::OK();
   };
 
-  if (!parallel) {
-    // Nodes are appended in creation order during tracing, so ids are a
-    // valid topological order.
-    for (int id = 0; id < n; ++id) {
-      TFE_RETURN_IF_ERROR(exec_node(id));
+  if (!parallel || plan.max_width <= 1) {
+    // Node ids are a valid topological order (nodes are appended in
+    // creation order during tracing), and so is step order.
+    for (int s = 0; s < num_steps; ++s) {
+      TFE_RETURN_IF_ERROR(exec_step(s));
     }
   } else {
     // Ready-queue execution over the context's thread pool.
-    std::vector<std::vector<int>> consumers(n);
-    for (int id = 0; id < n; ++id) {
-      const Node& node = graph.node(id);
-      int pending = static_cast<int>(node.inputs.size()) +
-                    static_cast<int>(node.control_inputs.size());
-      states[id].pending.store(pending, std::memory_order_relaxed);
-      for (const Endpoint& e : node.inputs) {
-        consumers[e.node_id].push_back(id);
-      }
-      for (int dep : node.control_inputs) {
-        consumers[dep].push_back(id);
-      }
+    for (int s = 0; s < num_steps; ++s) {
+      pending[s].store(plan.steps[s].pending, std::memory_order_relaxed);
     }
-
     RunState run_state;
 
-    // Defined before use in the recursive lambda below. Lives until the wait
-    // below observes every launched node finished, so reference captures in
+    // Runs `s`, then keeps draining one ready successor per finished step
+    // on this thread (cache-friendly) while scheduling the rest — a loop,
+    // so a long chain never deepens the stack. Lives until the wait below
+    // observes every launched step finished, so reference captures in
     // scheduled closures stay valid.
-    std::function<void(int)> run_node = [&](int id) {
-      {
-        std::lock_guard<std::mutex> lock(run_state.mu);
-        if (run_state.failed) {
+    std::function<void(int)> run_from = [&](int s) {
+      std::vector<int> ready;
+      while (true) {
+        if (run_state.failed.load(std::memory_order_acquire)) {
+          std::lock_guard<std::mutex> lock(run_state.mu);
           if (--run_state.in_flight == 0) run_state.done_cv.notify_all();
           return;
         }
-      }
-      Status status = exec_node(id);
-      std::vector<int> ready;
-      if (status.ok()) {
-        for (int consumer : consumers[id]) {
-          if (states[consumer].pending.fetch_sub(
-                  1, std::memory_order_acq_rel) == 1) {
-            ready.push_back(consumer);
+        Status status = exec_step(s);
+        ready.clear();
+        if (status.ok()) {
+          const ExecPlan::Step& step = plan.steps[s];
+          for (int i = step.consumers_begin; i < step.consumers_end; ++i) {
+            const int consumer = plan.consumers[i];
+            if (pending[consumer].fetch_sub(1, std::memory_order_acq_rel) ==
+                1) {
+              ready.push_back(consumer);
+            }
           }
         }
-      }
-      {
-        std::lock_guard<std::mutex> lock(run_state.mu);
-        if (!status.ok() && !run_state.failed) {
-          run_state.failed = true;
-          run_state.first_error = status;
+        {
+          std::lock_guard<std::mutex> lock(run_state.mu);
+          if (!status.ok() && !run_state.failed.load()) {
+            run_state.first_error = status;
+            run_state.failed.store(true, std::memory_order_release);
+          }
+          ++run_state.completed;
+          run_state.in_flight += static_cast<int>(ready.size()) - 1;
+          if (run_state.completed == num_steps ||
+              (run_state.failed.load() && run_state.in_flight == 0)) {
+            run_state.done_cv.notify_all();
+          }
         }
-        ++run_state.completed;
-        run_state.in_flight += static_cast<int>(ready.size()) - 1;
-        if (run_state.completed == n ||
-            (run_state.failed && run_state.in_flight == 0)) {
-          run_state.done_cv.notify_all();
+        if (ready.empty()) return;
+        for (size_t i = 1; i < ready.size(); ++i) {
+          const int successor = ready[i];
+          ctx_->executor_pool().Schedule(
+              [&run_from, successor] { run_from(successor); });
         }
+        s = ready[0];
       }
-      // Run one successor inline (cache-friendly), schedule the rest.
-      for (size_t i = 1; i < ready.size(); ++i) {
-        int successor = ready[i];
-        ctx_->executor_pool().Schedule([&run_node, successor] {
-          run_node(successor);
-        });
-      }
-      if (!ready.empty()) run_node(ready[0]);
     };
 
-    std::vector<int> initial;
-    for (int id = 0; id < n; ++id) {
-      if (states[id].pending.load(std::memory_order_relaxed) == 0) {
-        initial.push_back(id);
-      }
+    run_state.in_flight = static_cast<int>(plan.initial_ready.size());
+    for (size_t i = 1; i < plan.initial_ready.size(); ++i) {
+      const int s = plan.initial_ready[i];
+      ctx_->executor_pool().Schedule([&run_from, s] { run_from(s); });
     }
-    run_state.in_flight = static_cast<int>(initial.size());
-    for (size_t i = 1; i < initial.size(); ++i) {
-      int id = initial[i];
-      ctx_->executor_pool().Schedule([&run_node, id] { run_node(id); });
-    }
-    if (!initial.empty()) run_node(initial[0]);
+    run_from(plan.initial_ready[0]);
 
     std::unique_lock<std::mutex> lock(run_state.mu);
     run_state.done_cv.wait(lock, [&] {
-      return run_state.completed == n ||
-             (run_state.failed && run_state.in_flight == 0);
+      return run_state.completed == num_steps ||
+             (run_state.failed.load() && run_state.in_flight == 0);
     });
-    if (run_state.failed) return run_state.first_error;
+    if (run_state.failed.load()) return run_state.first_error;
   }
 
   Result result;
   result.finish_ns = start_ns;
-  result.outputs.reserve(function.num_outputs());
-  std::set<std::pair<int, int>> seen_endpoints;
-  for (const Endpoint& e : function.outputs()) {
-    Tensor output = states[e.node_id].outputs.at(e.index);
+  result.outputs.reserve(plan.output_slots.size());
+  for (size_t i = 0; i < plan.output_slots.size(); ++i) {
+    Tensor output = values[plan.output_slots[i]];
     // A graph endpoint returned through several output slots must surface
     // as several tensor identities: gradient tapes key on tensor ids, and a
     // shared id would double-count seeded gradients (forward variants list
     // user outputs and intermediates in one list).
-    if (!seen_endpoints.insert({e.node_id, e.index}).second &&
-        output.defined() && !output.is_resource() && !output.is_symbolic()) {
+    if (plan.output_repeats[i] && output.defined() && !output.is_resource() &&
+        !output.is_symbolic()) {
       output = output.is_opaque()
                    ? Tensor::Opaque(output.dtype(), output.shape(),
                                     output.device())
@@ -270,14 +471,11 @@ StatusOr<Executor::Result> Executor::Run(const GraphFunction& function,
                                       output.buffer(), output.device());
     }
     result.outputs.push_back(std::move(output));
-    result.finish_ns = std::max(result.finish_ns, states[e.node_id].completion_ns);
   }
   // Side effects count toward completion: a caller synchronizing on the
   // function must observe its assignments.
-  for (int id = 0; id < n; ++id) {
-    if (graph.node(id).is_stateful()) {
-      result.finish_ns = std::max(result.finish_ns, states[id].completion_ns);
-    }
+  for (int node : plan.finish_nodes) {
+    result.finish_ns = std::max(result.finish_ns, completion[node]);
   }
   return result;
 }

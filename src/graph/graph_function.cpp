@@ -49,6 +49,13 @@ std::shared_ptr<GraphFunction> GraphFunction::GetOrBuildExecutionVariant(
   return execution_variant_;
 }
 
+std::shared_ptr<const ExecPlan> GraphFunction::GetOrBuildPlan(
+    const std::function<std::shared_ptr<const ExecPlan>()>& build) const {
+  std::lock_guard<std::mutex> lock(plan_mu_);
+  if (plan_ == nullptr) plan_ = build();
+  return plan_;
+}
+
 StatusOr<std::shared_ptr<const BackwardFunction>>
 GraphFunction::GetOrBuildBackward(
     const std::string& key,

@@ -16,6 +16,7 @@
 namespace tfe {
 
 struct BackwardFunction;  // autodiff/function_grad.h
+struct ExecPlan;          // executor/executor.cpp
 
 // A value the trace closed over. Lexical captures are "silently passed to
 // the graph function at call-time, without programmer intervention" (§4.6):
@@ -80,6 +81,12 @@ class GraphFunction {
   std::shared_ptr<GraphFunction> GetOrBuildExecutionVariant(
       const std::function<std::shared_ptr<GraphFunction>()>& build);
 
+  // Returns this function's cached execution plan, building it with `build`
+  // on first call (the executor does this on its first run). The plan
+  // indexes the graph as it is then: the graph must not change afterwards.
+  std::shared_ptr<const ExecPlan> GetOrBuildPlan(
+      const std::function<std::shared_ptr<const ExecPlan>()>& build) const;
+
   // Pristine pre-optimization snapshot of the trace, attached by the tracer
   // before graph passes run. Autodiff builds forward/backward variants from
   // this graph — never the optimized one — so gradient accumulation keeps
@@ -117,6 +124,9 @@ class GraphFunction {
   bool variant_ready_ = false;
   std::shared_ptr<GraphFunction> execution_variant_;
   std::shared_ptr<const GraphFunction> autodiff_source_;
+
+  mutable std::mutex plan_mu_;
+  mutable std::shared_ptr<const ExecPlan> plan_;
 
   std::mutex backward_mu_;
   std::map<std::string, std::shared_ptr<const BackwardFunction>> backwards_;

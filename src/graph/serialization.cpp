@@ -20,7 +20,7 @@ void WriteString(std::ostringstream& out, const std::string& text) {
 
 class Reader {
  public:
-  explicit Reader(const std::string& data) : in_(data) {}
+  explicit Reader(const std::string& data) : in_(data), size_(data.size()) {}
 
   StatusOr<std::string> ReadString() {
     size_t size = 0;
@@ -51,6 +51,21 @@ class Reader {
     return value;
   }
 
+  // An element count: non-negative, and no larger than the bytes left,
+  // since every element takes at least one. Sizing a container from an
+  // unchecked count would abort on a corrupt input.
+  StatusOr<int64_t> ReadCount(const char* what) {
+    TFE_ASSIGN_OR_RETURN(int64_t count, ReadInt());
+    const std::streamoff pos = in_.tellg();
+    const int64_t remaining =
+        pos < 0 ? 0 : static_cast<int64_t>(size_) - static_cast<int64_t>(pos);
+    if (count < 0 || count > remaining) {
+      return InvalidArgument(
+          strings::StrCat("Corrupt serialized function (", what, " count)"));
+    }
+    return count;
+  }
+
   // Whitespace-delimited raw token (attr kind tags).
   StatusOr<std::string> ReadToken() {
     std::string token;
@@ -62,6 +77,7 @@ class Reader {
 
  private:
   std::istringstream in_;
+  size_t size_;
 };
 
 void WriteShape(std::ostringstream& out, const Shape& shape) {
@@ -135,41 +151,47 @@ Status WriteAttr(std::ostringstream& out, const AttrValue& attr) {
   return Status::OK();
 }
 
-StatusOr<AttrValue> ReadAttr(Reader& reader) {
+// Reads one attr value and adds it to `attrs` under `name`. Each value is
+// constructed in place in the map.
+Status ReadAttr(Reader& reader, std::string name, AttrMap& attrs) {
   StatusOr<std::string> token = reader.ReadToken();
   if (!token.ok()) return token.status();
   const std::string& kind = *token;
+  const auto add = [&](auto value) {
+    attrs.emplace(std::move(name), std::move(value));
+    return Status::OK();
+  };
   if (kind == "i") {
     TFE_ASSIGN_OR_RETURN(int64_t v, reader.ReadInt());
-    return AttrValue(v);
+    return add(v);
   }
   if (kind == "d") {
     TFE_ASSIGN_OR_RETURN(double v, reader.ReadDouble());
-    return AttrValue(v);
+    return add(v);
   }
   if (kind == "b") {
     TFE_ASSIGN_OR_RETURN(int64_t v, reader.ReadInt());
-    return AttrValue(v != 0);
+    return add(v != 0);
   }
   if (kind == "s") {
     TFE_ASSIGN_OR_RETURN(std::string v, reader.ReadString());
-    return AttrValue(std::move(v));
+    return add(std::move(v));
   }
   if (kind == "t") {
     TFE_ASSIGN_OR_RETURN(int64_t v, reader.ReadInt());
-    return AttrValue(static_cast<DType>(v));
+    return add(static_cast<DType>(v));
   }
   if (kind == "h") {
     TFE_ASSIGN_OR_RETURN(Shape v, ReadShape(reader));
-    return AttrValue(std::move(v));
+    return add(std::move(v));
   }
   if (kind == "v") {
-    TFE_ASSIGN_OR_RETURN(int64_t count, reader.ReadInt());
+    TFE_ASSIGN_OR_RETURN(int64_t count, reader.ReadCount("attr list"));
     std::vector<int64_t> values(count);
     for (int64_t i = 0; i < count; ++i) {
       TFE_ASSIGN_OR_RETURN(values[i], reader.ReadInt());
     }
-    return AttrValue(std::move(values));
+    return add(std::move(values));
   }
   return InvalidArgument("Corrupt serialized function (attr kind)");
 }
@@ -258,14 +280,15 @@ StatusOr<std::shared_ptr<GraphFunction>> DeserializeFunction(
   TFE_ASSIGN_OR_RETURN(int64_t num_nodes, body.ReadInt());
   for (int64_t id = 0; id < num_nodes; ++id) {
     TFE_ASSIGN_OR_RETURN(std::string op, body.ReadString());
-    TFE_ASSIGN_OR_RETURN(int64_t num_inputs, body.ReadInt());
+    TFE_ASSIGN_OR_RETURN(int64_t num_inputs, body.ReadCount("input"));
     std::vector<Endpoint> inputs(num_inputs);
     for (auto& e : inputs) {
       TFE_ASSIGN_OR_RETURN(int64_t node_id, body.ReadInt());
       TFE_ASSIGN_OR_RETURN(int64_t index, body.ReadInt());
       e = {static_cast<int>(node_id), static_cast<int>(index)};
     }
-    TFE_ASSIGN_OR_RETURN(int64_t num_controls, body.ReadInt());
+    TFE_ASSIGN_OR_RETURN(int64_t num_controls,
+                         body.ReadCount("control input"));
     std::vector<int> controls(num_controls);
     for (int& dep : controls) {
       TFE_ASSIGN_OR_RETURN(int64_t value, body.ReadInt());
@@ -276,10 +299,9 @@ StatusOr<std::shared_ptr<GraphFunction>> DeserializeFunction(
     AttrMap attrs;
     for (int64_t i = 0; i < num_attrs; ++i) {
       TFE_ASSIGN_OR_RETURN(std::string attr_name, body.ReadString());
-      TFE_ASSIGN_OR_RETURN(AttrValue attr, ReadAttr(body));
-      attrs.emplace(std::move(attr_name), std::move(attr));
+      TFE_RETURN_IF_ERROR(ReadAttr(body, std::move(attr_name), attrs));
     }
-    TFE_ASSIGN_OR_RETURN(int64_t num_outputs, body.ReadInt());
+    TFE_ASSIGN_OR_RETURN(int64_t num_outputs, body.ReadCount("output"));
     std::vector<TypeAndShape> outputs(num_outputs);
     for (auto& type : outputs) {
       TFE_ASSIGN_OR_RETURN(int64_t dtype_raw, body.ReadInt());
@@ -300,7 +322,7 @@ StatusOr<std::shared_ptr<GraphFunction>> DeserializeFunction(
     TFE_ASSIGN_OR_RETURN(int64_t arg, body.ReadInt());
     function->arg_nodes().push_back(static_cast<int>(arg));
   }
-  TFE_ASSIGN_OR_RETURN(int64_t num_outputs, body.ReadInt());
+  TFE_ASSIGN_OR_RETURN(int64_t num_outputs, body.ReadCount("output"));
   for (int64_t i = 0; i < num_outputs; ++i) {
     TFE_ASSIGN_OR_RETURN(int64_t node_id, body.ReadInt());
     TFE_ASSIGN_OR_RETURN(int64_t index, body.ReadInt());

@@ -34,8 +34,10 @@ std::vector<int64_t> BroadcastStrides(const Shape& input,
   return strides;
 }
 
-void RegisterKernel(const char* op_name, KernelFn fn) {
-  Status status = KernelRegistry::Global()->Register(op_name, std::move(fn));
+void RegisterKernel(const char* op_name, KernelFn fn,
+                    KernelPrepareFn prepare) {
+  Status status = KernelRegistry::Global()->Register(
+      op_name, std::move(fn), /*kinds=*/{}, std::move(prepare));
   TFE_CHECK(status.ok()) << status.ToString();
 }
 

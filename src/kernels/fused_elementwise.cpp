@@ -1472,10 +1472,57 @@ void RunTyped(EagerContext* ectx, const MicroProgram& program,
   reduce_out[0] = acc;
 }
 
-Status FusedElementwiseKernel(KernelContext* ctx) {
+// The FusedElementwise prepare hook's output: the decoded "program" attr,
+// the "donate" attr, and whether the program is a DAG run (vs a linear
+// chain) — everything the kernel derives from attrs alone.
+struct PreparedFusedProgram : PreparedKernel {
+  MicroProgram program;
+  std::vector<int64_t> donate;
+  bool dag = false;
+};
+
+// A DAG run: more than one published output, or an in-run value consumed
+// by several instructions. Rows are storage, not values — a write retires
+// the row's previous value — so read counts reset at each redefinition.
+bool IsDagRun(const MicroProgram& program) {
+  if (program.output_specs.size() +
+          (program.reduce.kind != MicroReduceKind::kNone ? 1 : 0) >
+      1) {
+    return true;
+  }
+  std::vector<int> reads(program.num_registers(), 0);
+  for (const MicroInst& inst : program.insts) {
+    if (inst.a >= program.num_operands && ++reads[inst.a] > 1) return true;
+    if (MicroOpArity(inst.opcode) == 2 && inst.b >= program.num_operands &&
+        ++reads[inst.b] > 1) {
+      return true;
+    }
+    reads[inst.dst] = 0;
+  }
+  return false;
+}
+
+StatusOr<std::shared_ptr<const PreparedKernel>> PrepareFusedElementwise(
+    const AttrMap& attrs) {
   TFE_ASSIGN_OR_RETURN(auto encoded,
-                       ctx->GetAttr<std::vector<int64_t>>("program"));
-  TFE_ASSIGN_OR_RETURN(MicroProgram program, MicroProgram::Decode(encoded));
+                       GetAttr<std::vector<int64_t>>(attrs, "program"));
+  auto prepared = std::make_shared<PreparedFusedProgram>();
+  TFE_ASSIGN_OR_RETURN(prepared->program, MicroProgram::Decode(encoded));
+  auto donate = attrs.find("donate");
+  if (donate != attrs.end() && donate->second.Is<std::vector<int64_t>>()) {
+    prepared->donate = donate->second.Get<std::vector<int64_t>>();
+  }
+  prepared->dag = IsDagRun(prepared->program);
+  return std::shared_ptr<const PreparedKernel>(std::move(prepared));
+}
+
+Status FusedElementwiseKernel(KernelContext* ctx) {
+  const auto* prepared =
+      static_cast<const PreparedFusedProgram*>(ctx->prepared());
+  if (prepared == nullptr) {
+    return Internal("FusedElementwise ran without its prepared program");
+  }
+  const MicroProgram& program = prepared->program;
   const std::vector<Tensor>& inputs = ctx->inputs();
   if (inputs.empty()) {
     return InvalidArgument("FusedElementwise requires at least one operand");
@@ -1554,8 +1601,7 @@ Status FusedElementwiseKernel(KernelContext* ctx) {
   // Donation plan ("donate" attr): output k writes donate[k]'s buffer in
   // place (-1 = fresh allocation). The compiler only assigns donations it
   // proved safe, but the kernel is publicly invocable, so re-validate them.
-  const std::vector<int64_t> donate =
-      ctx->GetAttrOr<std::vector<int64_t>>("donate", {});
+  const std::vector<int64_t>& donate = prepared->donate;
   if (!donate.empty() && donate.size() != program.output_specs.size()) {
     return InvalidArgument("FusedElementwise donate length mismatch");
   }
@@ -1584,34 +1630,14 @@ Status FusedElementwiseKernel(KernelContext* ctx) {
     profiler::RecordInstant(profiler::EventKind::kFusionRun, reduce_name_id,
                             static_cast<int64_t>(program.insts.size()) + 1);
   }
-  {
-    // A DAG run (vs a linear chain): more than one published output, or an
-    // in-run value consumed by several instructions. Rows are storage, not
-    // values — a write retires the row's previous value — so read counts
-    // reset at each redefinition.
-    bool dag = program.output_specs.size() +
-                   (program.reduce.kind != MicroReduceKind::kNone ? 1 : 0) >
-               1;
-    if (!dag) {
-      std::vector<int> reads(program.num_registers(), 0);
-      for (const MicroInst& inst : program.insts) {
-        if (inst.a >= program.num_operands && ++reads[inst.a] > 1) dag = true;
-        if (MicroOpArity(inst.opcode) == 2 && inst.b >= program.num_operands &&
-            ++reads[inst.b] > 1) {
-          dag = true;
-        }
-        reads[inst.dst] = 0;
-      }
-    }
-    if (dag) {
-      static profiler::Counter* dag_runs =
-          profiler::Metrics().GetCounter("fusion.dag_runs");
-      static const uint32_t dag_name_id = profiler::Intern("dag_fused_run");
-      dag_runs->Increment();
-      ectx->stats().fused_dag_runs.fetch_add(1, std::memory_order_relaxed);
-      profiler::RecordInstant(profiler::EventKind::kFusionRun, dag_name_id,
-                              static_cast<int64_t>(program.insts.size()));
-    }
+  if (prepared->dag) {
+    static profiler::Counter* dag_runs =
+        profiler::Metrics().GetCounter("fusion.dag_runs");
+    static const uint32_t dag_name_id = profiler::Intern("dag_fused_run");
+    dag_runs->Increment();
+    ectx->stats().fused_dag_runs.fetch_add(1, std::memory_order_relaxed);
+    profiler::RecordInstant(profiler::EventKind::kFusionRun, dag_name_id,
+                            static_cast<int64_t>(program.insts.size()));
   }
 
   TFE_SWITCH_NUMERIC(dtype, T, {
@@ -1686,7 +1712,8 @@ Status FusedElementwiseKernel(KernelContext* ctx) {
 }  // namespace
 
 void RegisterFusedElementwiseKernels() {
-  RegisterKernel("FusedElementwise", FusedElementwiseKernel);
+  RegisterKernel("FusedElementwise", FusedElementwiseKernel,
+                 PrepareFusedElementwise);
 }
 
 }  // namespace kernels

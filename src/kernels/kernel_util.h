@@ -67,9 +67,10 @@ std::vector<int64_t> ComputeStrides(const Shape& shape);
 // alignment). Lengths equal output rank.
 std::vector<int64_t> BroadcastStrides(const Shape& input, const Shape& output);
 
-// Registers `fn` for `op_name` on all device kinds, CHECK-failing on
-// duplicates (used by the startup registrars).
-void RegisterKernel(const char* op_name, KernelFn fn);
+// Registers `fn` (and its optional prepare hook) for `op_name` on all device
+// kinds, CHECK-failing on duplicates (used by the startup registrars).
+void RegisterKernel(const char* op_name, KernelFn fn,
+                    KernelPrepareFn prepare = nullptr);
 
 // Shards [0, total) into contiguous ranges and runs `fn(begin, end)` on the
 // context's intra-op thread pool, with the calling thread taking the first

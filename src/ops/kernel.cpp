@@ -102,42 +102,50 @@ KernelRegistry* KernelRegistry::Global() {
 }
 
 Status KernelRegistry::Register(const std::string& op_name, KernelFn fn,
-                                std::vector<DeviceKind> kinds) {
+                                std::vector<DeviceKind> kinds,
+                                KernelPrepareFn prepare) {
   fn = WrapKernelForProfiling(op_name, std::move(fn));
   if (kinds.empty()) {
     kinds = {DeviceKind::kCpu, DeviceKind::kGpu, DeviceKind::kTpu};
   }
   std::lock_guard<std::mutex> lock(mu_);
-  auto& per_kind = kernels_[op_name];
+  OpKernels& entry = ops_[op_name];
+  entry.op_name = op_name;
   for (DeviceKind kind : kinds) {
-    if (!per_kind.emplace(kind, fn).second) {
+    KernelFn& slot = entry.fns[static_cast<size_t>(kind)];
+    if (slot) {
       return AlreadyExists("Kernel already registered: " + op_name + " on " +
                            DeviceKindName(kind));
     }
+    slot = fn;
   }
+  if (prepare) entry.prepare = std::move(prepare);
   return Status::OK();
 }
 
-StatusOr<const KernelFn*> KernelRegistry::LookUp(const std::string& op_name,
-                                                 DeviceKind kind) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = kernels_.find(op_name);
-  if (it == kernels_.end()) {
-    return NotFound("No kernel registered for op " + op_name);
-  }
-  auto kernel_it = it->second.find(kind);
-  if (kernel_it == it->second.end()) {
+StatusOr<const KernelFn*> OpKernels::For(DeviceKind kind) const {
+  const KernelFn& fn = fns[static_cast<size_t>(kind)];
+  if (!fn) {
     return NotFound("No " + std::string(DeviceKindName(kind)) +
                     " kernel for op " + op_name);
   }
-  return &kernel_it->second;
+  return &fn;
+}
+
+StatusOr<const OpKernels*> KernelRegistry::LookUpOp(
+    const std::string& op_name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = ops_.find(op_name);
+  if (it == ops_.end()) {
+    return NotFound("No kernel registered for op " + op_name);
+  }
+  return &it->second;
 }
 
 bool KernelRegistry::HasKernel(const std::string& op_name,
                                DeviceKind kind) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = kernels_.find(op_name);
-  return it != kernels_.end() && it->second.count(kind) > 0;
+  StatusOr<const OpKernels*> kernels = LookUpOp(op_name);
+  return kernels.ok() && (*kernels)->fns[static_cast<size_t>(kind)];
 }
 
 }  // namespace tfe

@@ -8,8 +8,10 @@
 #ifndef TFE_OPS_KERNEL_H_
 #define TFE_OPS_KERNEL_H_
 
+#include <array>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -23,14 +25,37 @@ namespace tfe {
 
 class EagerContext;
 
+// Attr `name` of `attrs` as a T, or InvalidArgument when it is missing or
+// holds another type.
+template <typename T>
+StatusOr<T> GetAttr(const AttrMap& attrs, const std::string& name) {
+  auto it = attrs.find(name);
+  if (it == attrs.end()) {
+    return InvalidArgument("Missing attr '" + name + "'");
+  }
+  if (!it->second.Is<T>()) {
+    return InvalidArgument("Attr '" + name + "' has unexpected type");
+  }
+  return it->second.Get<T>();
+}
+
+// What an op's prepare hook derives from a node's attrs (see
+// KernelRegistry::Register). Kernels downcast to their own subclass.
+class PreparedKernel {
+ public:
+  virtual ~PreparedKernel() = default;
+};
+
 class KernelContext {
  public:
   KernelContext(EagerContext* eager_context, Device* device,
-                std::vector<Tensor> inputs, const AttrMap* attrs)
+                std::vector<Tensor> inputs, const AttrMap* attrs,
+                const PreparedKernel* prepared = nullptr)
       : eager_context_(eager_context),
         device_(device),
         inputs_(std::move(inputs)),
-        attrs_(attrs) {}
+        attrs_(attrs),
+        prepared_(prepared) {}
 
   int num_inputs() const { return static_cast<int>(inputs_.size()); }
   const Tensor& input(int i) const { return inputs_.at(i); }
@@ -44,14 +69,7 @@ class KernelContext {
 
   template <typename T>
   StatusOr<T> GetAttr(const std::string& name) const {
-    auto it = attrs_->find(name);
-    if (it == attrs_->end()) {
-      return InvalidArgument("Missing attr '" + name + "'");
-    }
-    if (!it->second.Is<T>()) {
-      return InvalidArgument("Attr '" + name + "' has unexpected type");
-    }
-    return it->second.Get<T>();
+    return ::tfe::GetAttr<T>(*attrs_, name);
   }
 
   template <typename T>
@@ -62,6 +80,10 @@ class KernelContext {
   }
 
   const AttrMap& attrs() const { return *attrs_; }
+
+  // The op's prepare-hook output for these attrs; null when the op has no
+  // prepare hook.
+  const PreparedKernel* prepared() const { return prepared_; }
 
   // Allocates output `i` (zero-initialized) on this context's device.
   // Returns the handle by value — handles share state, and a reference into
@@ -100,6 +122,7 @@ class KernelContext {
   Device* device_;
   std::vector<Tensor> inputs_;
   const AttrMap* attrs_;
+  const PreparedKernel* prepared_;
   std::vector<Tensor> outputs_;
   uint64_t start_ns_ = 0;
   uint64_t completion_ns_ = 0;
@@ -108,6 +131,31 @@ class KernelContext {
 };
 
 using KernelFn = std::function<Status(KernelContext*)>;
+using KernelPrepareFn =
+    std::function<StatusOr<std::shared_ptr<const PreparedKernel>>(
+        const AttrMap&)>;
+
+// One op's registry entry: a kernel per device kind and the optional
+// prepare hook they share.
+struct OpKernels {
+  std::string op_name;
+  // Indexed by DeviceKind; an empty function means no kernel for that kind.
+  std::array<KernelFn, kNumDeviceKinds> fns;
+  KernelPrepareFn prepare;
+
+  // The kernel for `kind`, or NotFound naming the op and kind.
+  StatusOr<const KernelFn*> For(DeviceKind kind) const;
+};
+
+// A kernel call resolved once for a graph node that runs many times (see
+// EagerContext::ResolveKernel): the op's entry, whether it executes on
+// timing-only devices, and its prepare hook's result for the node's attrs.
+struct ResolvedKernel {
+  const OpKernels* kernels = nullptr;  // null: the op has no kernels
+  bool always_executes = false;
+  Status prepare_status;  // surfaces when the kernel would run
+  std::shared_ptr<const PreparedKernel> prepared;
+};
 
 class KernelRegistry {
  public:
@@ -118,16 +166,26 @@ class KernelRegistry {
   // is wrapped with the profiler hook: while profiling is on, each
   // invocation records a kKernel span (device, output shape, bytes touched)
   // and updates the per-op metrics; off, the hook is one relaxed load.
+  //
+  // `prepare`, when set, derives a PreparedKernel from a node's attrs (e.g.
+  // decoding a fused program). Execution plans call it once per graph node;
+  // ExecuteKernel without a plan calls it before every kernel call. The
+  // kernel reads the result through KernelContext::prepared(); checks
+  // against the actual inputs stay in the kernel.
+  //
+  // Kernels are registered at startup, before any of them runs: entries are
+  // read without the lock once looked up.
   Status Register(const std::string& op_name, KernelFn fn,
-                  std::vector<DeviceKind> kinds = {});
+                  std::vector<DeviceKind> kinds = {},
+                  KernelPrepareFn prepare = nullptr);
 
-  StatusOr<const KernelFn*> LookUp(const std::string& op_name,
-                                   DeviceKind kind) const;
+  // The op's entry, or NotFound when no kernel is registered for it.
+  StatusOr<const OpKernels*> LookUpOp(const std::string& op_name) const;
   bool HasKernel(const std::string& op_name, DeviceKind kind) const;
 
  private:
   mutable std::mutex mu_;
-  std::map<std::string, std::map<DeviceKind, KernelFn>> kernels_;
+  std::map<std::string, OpKernels> ops_;
 };
 
 }  // namespace tfe

@@ -231,37 +231,86 @@ StatusOr<Tensor> EagerContext::CopyTo(const Tensor& tensor, Device* device) {
   return Tensor::FromHandle(std::move(out));
 }
 
+ResolvedKernel EagerContext::ResolveKernel(const std::string& op_name,
+                                           const AttrMap& attrs) {
+  ResolvedKernel resolved;
+  resolved.always_executes = AlwaysExecutes(op_name);
+  StatusOr<const OpKernels*> kernels =
+      KernelRegistry::Global()->LookUpOp(op_name);
+  if (!kernels.ok()) return resolved;
+  resolved.kernels = *kernels;
+  if (resolved.kernels->prepare) {
+    StatusOr<std::shared_ptr<const PreparedKernel>> prepared =
+        resolved.kernels->prepare(attrs);
+    if (prepared.ok()) {
+      resolved.prepared = std::move(prepared).value();
+    } else {
+      resolved.prepare_status = prepared.status();
+    }
+  }
+  return resolved;
+}
+
 StatusOr<EagerContext::KernelRun> EagerContext::ExecuteKernel(
-    const std::string& op_name, const std::vector<Tensor>& inputs,
+    const std::string& op_name, std::vector<Tensor> inputs,
     const AttrMap& attrs, Device* device, bool compiled, uint64_t start_ns,
-    uint64_t rng_stream) {
+    uint64_t rng_stream, const ResolvedKernel* resolved) {
   KernelRun run;
   if (device->IsRemote()) {
     return Internal(strings::StrCat(
         "ExecuteKernel invoked for remote device ", device->name(),
         "; remote ops must flow through the dispatch path"));
   }
-  const bool execute = device->executes_kernels() || AlwaysExecutes(op_name);
+  const bool always_executes =
+      resolved != nullptr ? resolved->always_executes
+                          : AlwaysExecutes(op_name);
+  const bool execute = device->executes_kernels() || always_executes;
   // An opaque input forces simulation regardless: there are no values to
   // compute with (state ops handle opacity themselves).
   bool opaque_inputs = false;
   for (const Tensor& input : inputs) {
     if (input.defined() && input.is_opaque()) opaque_inputs = true;
   }
-
-  std::vector<Shape> input_shapes;
-  input_shapes.reserve(inputs.size());
-  for (const Tensor& input : inputs) {
-    if (input.defined() && !input.is_resource()) {
-      input_shapes.push_back(input.shape());
+  // Input shapes feed the accelerator cost model only.
+  const auto input_shapes = [&inputs] {
+    std::vector<Shape> shapes;
+    shapes.reserve(inputs.size());
+    for (const Tensor& input : inputs) {
+      if (input.defined() && !input.is_resource()) {
+        shapes.push_back(input.shape());
+      }
     }
-  }
+    return shapes;
+  };
 
-  if (execute && (!opaque_inputs || AlwaysExecutes(op_name))) {
-    TFE_ASSIGN_OR_RETURN(
-        const KernelFn* kernel,
-        KernelRegistry::Global()->LookUp(op_name, device->kind()));
-    KernelContext ctx(this, device, inputs, &attrs);
+  if (execute && (!opaque_inputs || always_executes)) {
+    const OpKernels* kernels =
+        resolved != nullptr ? resolved->kernels : nullptr;
+    if (kernels == nullptr) {
+      TFE_ASSIGN_OR_RETURN(kernels,
+                           KernelRegistry::Global()->LookUpOp(op_name));
+    }
+    TFE_ASSIGN_OR_RETURN(const KernelFn* kernel,
+                         kernels->For(device->kind()));
+    std::shared_ptr<const PreparedKernel> prepared_here;
+    const PreparedKernel* prepared = nullptr;
+    if (resolved != nullptr) {
+      TFE_RETURN_IF_ERROR(resolved->prepare_status);
+      prepared = resolved->prepared.get();
+    } else if (kernels->prepare) {
+      TFE_ASSIGN_OR_RETURN(prepared_here, kernels->prepare(attrs));
+      prepared = prepared_here.get();
+    }
+    // Accelerators cost the kernel from its input shapes; take them before
+    // the inputs move into the kernel.
+    std::vector<Shape> accelerator_input_shapes;
+    size_t accelerator_dtype_size = 0;
+    if (device->is_accelerator()) {
+      accelerator_input_shapes = input_shapes();
+      accelerator_dtype_size = DTypeSize(inputs.empty() ? DType::kFloat32
+                                                        : inputs[0].dtype());
+    }
+    KernelContext ctx(this, device, std::move(inputs), &attrs, prepared);
     ctx.set_start_ns(start_ns);
     ctx.set_compiled(compiled);
     ctx.set_rng_stream(rng_stream);
@@ -282,10 +331,8 @@ StatusOr<EagerContext::KernelRun> EagerContext::ExecuteKernel(
           output_shapes.push_back(output.shape());
         }
       }
-      OpCost cost = EstimateOpCost(op_name, input_shapes, output_shapes,
-                                   DTypeSize(inputs.empty()
-                                                 ? DType::kFloat32
-                                                 : inputs[0].dtype()));
+      OpCost cost = EstimateOpCost(op_name, accelerator_input_shapes,
+                                   output_shapes, accelerator_dtype_size);
       run.device_ns = KernelTimeNs(cost, device->cost_params(), compiled);
     } else {
       run.device_ns = wall_ns;  // CPU: measured, not modelled
@@ -314,7 +361,7 @@ StatusOr<EagerContext::KernelRun> EagerContext::ExecuteKernel(
     output_shapes.push_back(out.shape);
   }
   OpCost cost =
-      EstimateOpCost(op_name, input_shapes, output_shapes,
+      EstimateOpCost(op_name, input_shapes(), output_shapes,
                      DTypeSize(inputs.empty() || inputs[0].is_resource()
                                    ? DType::kFloat32
                                    : inputs[0].dtype()));
@@ -433,7 +480,7 @@ StatusOr<std::vector<Tensor>> EagerContext::RunPrimitive(
   }
 
   TFE_ASSIGN_OR_RETURN(KernelRun run,
-                       ExecuteKernel(op_name, inputs, attrs, device,
+                       ExecuteKernel(op_name, std::move(inputs), attrs, device,
                                      /*compiled=*/false, host_now_ns(),
                                      NextRngStream()));
 

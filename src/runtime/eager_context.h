@@ -172,12 +172,23 @@ class EagerContext {
   };
   // `rng_stream` is the deterministic Philox stream for seed-0 random ops
   // (see KernelContext::rng_stream); 0 leaves the kernel on the shared
-  // stateful stream.
+  // stateful stream. `inputs` is taken by value so callers that are done
+  // with their inputs can move them into the kernel. `resolved`, when set,
+  // is the node's ResolveKernel result: the registry lookup and the prepare
+  // hook are then skipped.
   StatusOr<KernelRun> ExecuteKernel(const std::string& op_name,
-                                    const std::vector<Tensor>& inputs,
+                                    std::vector<Tensor> inputs,
                                     const AttrMap& attrs, Device* device,
                                     bool compiled, uint64_t start_ns,
-                                    uint64_t rng_stream = 0);
+                                    uint64_t rng_stream = 0,
+                                    const ResolvedKernel* resolved = nullptr);
+
+  // Resolves `op_name`'s kernels and runs its prepare hook on `attrs` once,
+  // for callers (execution plans) that run the same node many times. A
+  // prepare error is kept in the result and returned by ExecuteKernel when
+  // the kernel would run.
+  static ResolvedKernel ResolveKernel(const std::string& op_name,
+                                      const AttrMap& attrs);
 
   // Placement: explicit request > device scope > first input's device (if a
   // kernel exists there) > host CPU. Variable ops stick to the variable's

@@ -9,8 +9,10 @@
 #include "api/tfe.h"
 #include "executor/executor.h"
 #include "graph/graph_function.h"
+#include "profiler/metrics.h"
 #include "runtime/eager_context.h"
 #include "staging/trace_context.h"
+#include "tensor/tensor_util.h"
 
 namespace tfe {
 namespace {
@@ -176,6 +178,138 @@ TEST(ExecutorTest, ManyConcurrentTopLevelCalls) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(ExecutorTest, DeepGraphOnPoolEngineDoesNotOverflowStack) {
+  // Two interleaved 50,000-step MatMul chains: the graph is 2 wide, so the
+  // pool engine runs it, and each worker drains a 50,000-node chain. A
+  // worker that recursed once per chained node overflowed its 8 MB stack
+  // here.
+  constexpr int kSteps = 50000;
+  auto fn = std::make_shared<GraphFunction>("exec_deep_pool");
+  {
+    TraceContext trace(fn, EagerContext::Global());
+    Tensor w = trace.AddParameter(DType::kFloat32, Shape({1, 1})).value();
+    Tensor a = w;
+    Tensor b = w;
+    for (int i = 0; i < kSteps; ++i) {
+      a = ops::matmul(a, w);
+      b = ops::matmul(b, w);
+    }
+    fn->outputs().push_back({a.node_id(), a.output_index()});
+    fn->outputs().push_back({b.node_id(), b.output_index()});
+  }
+  Executor executor(EagerContext::Global());
+  auto result = executor.Run(*fn, {ops::constant<float>({1.0f}, {1, 1})},
+                             nullptr, 0, false, /*parallel=*/true);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FLOAT_EQ(tensor_util::ToVector<float>(result->outputs[0])[0], 1.0f);
+  EXPECT_FLOAT_EQ(tensor_util::ToVector<float>(result->outputs[1])[0], 1.0f);
+}
+
+TEST(ExecutorTest, WhileBuildsEachPlanOnce) {
+  profiler::Counter* plans =
+      profiler::Metrics().GetCounter("executor.plans_built");
+  Function below = function(
+      [](const std::vector<Tensor>& vars) -> std::vector<Tensor> {
+        return {ops::less(vars[0], ops::fill(DType::kFloat32, {}, 20.0))};
+      },
+      "plan_below");
+  Function body = function(
+      [](const std::vector<Tensor>& vars) -> std::vector<Tensor> {
+        return {ops::add(vars[0], ops::fill(DType::kFloat32, {}, 1.0))};
+      },
+      "plan_body");
+  Function staged = function(
+      [&](const std::vector<Tensor>& args) -> std::vector<Tensor> {
+        return ops::while_loop(below, body, {args[0]});
+      },
+      "plan_staged");
+  uint64_t before = plans->value();
+  EXPECT_FLOAT_EQ(staged({ops::scalar<float>(0.0f)})[0].scalar<float>(),
+                  20.0f);
+  // The staged function, the loop condition and the loop body: one plan
+  // each, however many iterations run.
+  EXPECT_EQ(plans->value() - before, 3u);
+  before = plans->value();
+  EXPECT_FLOAT_EQ(staged({ops::scalar<float>(0.0f)})[0].scalar<float>(),
+                  20.0f);
+  EXPECT_EQ(plans->value() - before, 0u);
+}
+
+TEST(ExecutorTest, PlannedRunsKeepArgMismatchMessages) {
+  auto fn = Build("exec_plan_args", 1, [](const std::vector<Tensor>& args) {
+    return std::vector<Tensor>{ops::identity(args[0])};
+  });
+  Executor executor(EagerContext::Global());
+  // The first run builds the plan; the later ones run on it.
+  ASSERT_TRUE(executor.Run(*fn, {ops::scalar<float>(1)}, nullptr, 0, false)
+                  .ok());
+  auto wrong_dtype =
+      executor.Run(*fn, {tensor_util::Scalar<int32_t>(1)}, nullptr, 0, false);
+  ASSERT_FALSE(wrong_dtype.ok());
+  EXPECT_EQ(wrong_dtype.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(wrong_dtype.status().message(),
+            "Function exec_plan_args argument 0 has dtype int32, expected "
+            "float32");
+  auto wrong_shape = executor.Run(*fn, {ops::ones(DType::kFloat32, {2})},
+                                  nullptr, 0, false);
+  ASSERT_FALSE(wrong_shape.ok());
+  EXPECT_EQ(wrong_shape.status().message(),
+            "Function exec_plan_args argument 0 has shape [2], expected []");
+  auto symbolic = executor.Run(*fn, {Tensor()}, nullptr, 0, false);
+  ASSERT_FALSE(symbolic.ok());
+  EXPECT_EQ(symbolic.status().message(),
+            "Function exec_plan_args argument 0 is not a concrete tensor");
+}
+
+TEST(ExecutorTest, DuplicatedOutputEndpointYieldsDistinctTensors) {
+  auto fn = Build("exec_dup_out", 1, [](const std::vector<Tensor>& args) {
+    Tensor y = ops::mul(args[0], args[0]);
+    return std::vector<Tensor>{y, y, args[0], args[0]};
+  });
+  Executor executor(EagerContext::Global());
+  for (int run = 0; run < 2; ++run) {
+    auto result =
+        executor.Run(*fn, {ops::scalar<float>(3)}, nullptr, 0, false);
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result->outputs.size(), 4u);
+    EXPECT_NE(result->outputs[0].id(), result->outputs[1].id());
+    EXPECT_NE(result->outputs[2].id(), result->outputs[3].id());
+    EXPECT_FLOAT_EQ(result->outputs[0].scalar<float>(), 9.0f);
+    EXPECT_FLOAT_EQ(result->outputs[1].scalar<float>(), 9.0f);
+    EXPECT_FLOAT_EQ(result->outputs[3].scalar<float>(), 3.0f);
+  }
+}
+
+TEST(ExecutorTest, RandomOpsDrawTheSameValuesOnBothEngines) {
+  // Eight independent random branches (seed 0: per-node streams): wide
+  // enough that the pool engine runs it.
+  auto fn = Build("exec_rng_engines", 1, [](const std::vector<Tensor>& args) {
+    std::vector<Tensor> outs;
+    for (int i = 0; i < 8; ++i) {
+      outs.push_back(ops::mul(ops::random_normal({16}), args[0]));
+      outs.push_back(ops::random_uniform({16}));
+    }
+    return outs;
+  });
+  Executor executor(EagerContext::Global());
+  constexpr uint64_t kStream = 1234;
+  auto pool = executor.Run(*fn, {ops::scalar<float>(2)}, nullptr, 0, false,
+                           /*parallel=*/true, kStream);
+  auto inline_run = executor.Run(*fn, {ops::scalar<float>(2)}, nullptr, 0,
+                                 false, /*parallel=*/false, kStream);
+  ASSERT_TRUE(pool.ok());
+  ASSERT_TRUE(inline_run.ok());
+  ASSERT_EQ(pool->outputs.size(), inline_run->outputs.size());
+  for (size_t i = 0; i < pool->outputs.size(); ++i) {
+    EXPECT_EQ(tensor_util::ToVector<float>(pool->outputs[i]),
+              tensor_util::ToVector<float>(inline_run->outputs[i]))
+        << "output " << i;
+  }
+  // Distinct nodes draw distinct streams.
+  EXPECT_NE(tensor_util::ToVector<float>(pool->outputs[1]),
+            tensor_util::ToVector<float>(pool->outputs[3]));
 }
 
 }  // namespace

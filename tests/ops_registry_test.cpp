@@ -143,8 +143,14 @@ TEST(KernelRegistryTest, DuplicateKernelRejected) {
 }
 
 TEST(KernelRegistryTest, LookupMissingKernel) {
-  EXPECT_FALSE(
-      KernelRegistry::Global()->LookUp("NoSuchOp", DeviceKind::kCpu).ok());
+  EnsureOpsRegistered();
+  StatusOr<const OpKernels*> missing =
+      KernelRegistry::Global()->LookUpOp("NoSuchOp");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().message(), "No kernel registered for op NoSuchOp");
+  StatusOr<const OpKernels*> add = KernelRegistry::Global()->LookUpOp("Add");
+  ASSERT_TRUE(add.ok());
+  EXPECT_TRUE((*add)->For(DeviceKind::kCpu).ok());
 }
 
 }  // namespace

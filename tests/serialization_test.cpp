@@ -127,6 +127,34 @@ TEST(SerializationTest, CorruptDataRejected) {
   EXPECT_FALSE(DeserializeFunction("tfe_function_v1 5:hello 9999999").ok());
 }
 
+TEST(SerializationTest, CorruptCountsRejected) {
+  Function f = function(
+      [](const std::vector<Tensor>& args) -> std::vector<Tensor> {
+        return {ops::reduce_sum(args[0], {0})};
+      },
+      "corrupt_counts");
+  Tensor x = ops::constant<float>({1, 2, 3}, {3});
+  auto concrete = f.GetConcreteFunction({x});
+  ASSERT_TRUE(concrete.ok());
+  auto serialized = SerializeFunction(**concrete);
+  ASSERT_TRUE(serialized.ok());
+  ASSERT_TRUE(DeserializeFunction(*serialized).ok());
+
+  // The reduction's `axes` attr is the one list attr: "v 1 0".
+  const std::string axes = " v 1 0 ";
+  const size_t at = serialized->find(axes);
+  ASSERT_NE(at, std::string::npos);
+  for (const std::string corrupt : {" v -1 0 ", " v 99999999999 0 "}) {
+    std::string edited = *serialized;
+    edited.replace(at, axes.size(), corrupt);
+    auto restored = DeserializeFunction(edited);
+    ASSERT_FALSE(restored.ok()) << corrupt;
+    EXPECT_EQ(restored.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(restored.status().message(),
+              "Corrupt serialized function (attr list count)");
+  }
+}
+
 TEST(SerializationTest, BundleCarriesNestedCallees) {
   Function inner = function(
       [](const std::vector<Tensor>& args) -> std::vector<Tensor> {
