@@ -55,7 +55,8 @@ void RunGraph(benchmark::State& state,
   Tensor x = ops::random_normal({64, 64}, 0, 0.05, /*seed=*/3);
   tfe::Executor executor(tfe::EagerContext::Global());
   for (auto _ : state) {
-    auto result = executor.Run(*fn, {x}, nullptr, 0, false, parallel);
+    auto result = executor.Run(*fn, {x}, nullptr, 0, false,
+                               /*rng_stream_base=*/0, parallel);
     if (!result.ok()) state.SkipWithError("executor failed");
     benchmark::DoNotOptimize(result->outputs[0]);
   }

@@ -122,8 +122,9 @@ else
   # donation machinery, the profiler's lock-free record/flush, and the
   # staged control-flow paths (While iteration reuses cached execution
   # variants across the executor pool; recursion runs depth-capped nested
-  # calls).
-  FILTER='Async*:*Async*:Fusion*:ParallelKernels*:MicroProgram*:Profiler*:Remote*:Cluster*:Allocator*:Donation*:ProgramCache*:Serving*:While*:WhileGrad*:Recursion*'
+  # calls), and the op registry (drain, executor and host threads read its
+  # entries through cached pointers).
+  FILTER='Async*:*Async*:Fusion*:ParallelKernels*:MicroProgram*:Profiler*:Remote*:Cluster*:Allocator*:Donation*:ProgramCache*:Serving*:While*:WhileGrad*:Recursion*:OpRegistry*:KernelRegistry*'
 fi
 
 echo "==== tsan: filter=$FILTER ===="

@@ -3,7 +3,7 @@
 #include <map>
 
 #include "api/ops_api.h"
-#include "autodiff/gradient_registry.h"
+#include "autodiff/tape.h"
 #include "graph/passes.h"
 #include "ops/op_registry.h"
 #include "runtime/dispatch.h"
@@ -142,10 +142,8 @@ StatusOr<BackwardFunction> BuildBackward(
     }
     if (!any_grad) continue;
 
-    const GradFn* grad_fn = GradientRegistry::Global()->Find(node.op);
-    if (grad_fn == nullptr) {
-      auto def = OpRegistry::Global()->LookUp(node.op);
-      if (def.ok() && !(*def)->differentiable) continue;
+    if (!node.def->gradient) {
+      if (!node.def->differentiable) continue;
       return Unimplemented("No gradient for op " + node.op +
                            " inside staged function " + forward->name());
     }
@@ -166,7 +164,7 @@ StatusOr<BackwardFunction> BuildBackward(
       synthetic.outputs.push_back(value_of[id][j]);
     }
     TFE_ASSIGN_OR_RETURN(std::vector<Tensor> grad_inputs,
-                         (*grad_fn)(synthetic, grad_outputs));
+                         node.def->gradient(synthetic, grad_outputs));
     if (grad_inputs.size() != node.inputs.size()) {
       return Internal("Gradient arity mismatch for " + node.op);
     }
@@ -418,9 +416,10 @@ StatusOr<std::vector<Tensor>> HostFuncGradImpl(const TapeEntry& e,
 }  // namespace
 
 void RegisterFunctionGradients() {
-  TFE_CHECK(GradientRegistry::Global()->Register("Call", CallGradImpl).ok());
-  TFE_CHECK(
-      GradientRegistry::Global()->Register("HostFunc", HostFuncGradImpl).ok());
+  TFE_CHECK(OpRegistry::Global()->RegisterGradient("Call", CallGradImpl).ok());
+  TFE_CHECK(OpRegistry::Global()
+                ->RegisterGradient("HostFunc", HostFuncGradImpl)
+                .ok());
 }
 
 }  // namespace tfe

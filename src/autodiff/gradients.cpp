@@ -4,7 +4,8 @@
 // is queried eagerly and is recorded as graph nodes when queried inside a
 // trace (paper §4.2). Registered by RegisterAllGradients().
 #include "api/ops_api.h"
-#include "autodiff/gradient_registry.h"
+#include "autodiff/tape.h"
+#include "ops/op_registry.h"
 #include "runtime/dispatch.h"
 #include "support/logging.h"
 
@@ -17,7 +18,8 @@ using ops::operator*;
 using ops::operator/;
 
 void RegisterGrad(const char* op_name, GradFn fn) {
-  Status status = GradientRegistry::Global()->Register(op_name, std::move(fn));
+  Status status =
+      OpRegistry::Global()->RegisterGradient(op_name, std::move(fn));
   TFE_CHECK(status.ok()) << status.ToString();
 }
 
@@ -112,6 +114,9 @@ std::string AttrString(const TapeEntry& entry, const char* name) {
 }
 
 }  // namespace
+
+// Gradients for composite ops (Call, HostFunc): autodiff/function_grad.cpp.
+void RegisterFunctionGradients();
 
 void RegisterAllGradients() {
   // ---- broadcasting binary ---------------------------------------------------

@@ -1,6 +1,5 @@
 #include "autodiff/tape.h"
 
-#include "autodiff/gradient_registry.h"
 #include "ops/op_registry.h"
 #include "runtime/dispatch.h"
 #include "staging/trace_context.h"
@@ -175,10 +174,9 @@ StatusOr<std::vector<Tensor>> GradientTape::gradient(
     }
     if (!any_grad) continue;
 
-    const GradFn* grad_fn = GradientRegistry::Global()->Find(entry.op_name);
-    if (grad_fn == nullptr) {
-      auto def = OpRegistry::Global()->LookUp(entry.op_name);
-      if (def.ok() && !(*def)->differentiable) continue;  // gradient is zero
+    StatusOr<const OpDef*> op = OpRegistry::Global()->LookUp(entry.op_name);
+    if (!op.ok() || !(*op)->gradient) {
+      if (op.ok() && !(*op)->differentiable) continue;  // gradient is zero
       return Unimplemented(strings::StrCat(
           "No gradient registered for op ", entry.op_name,
           " (op is marked differentiable)"));
@@ -194,7 +192,7 @@ StatusOr<std::vector<Tensor>> GradientTape::gradient(
     }
 
     TFE_ASSIGN_OR_RETURN(std::vector<Tensor> grad_inputs,
-                         (*grad_fn)(entry, grad_outputs));
+                         (*op)->gradient(entry, grad_outputs));
     if (grad_inputs.size() != entry.inputs.size()) {
       return Internal(strings::StrCat("Gradient for ", entry.op_name,
                                       " returned ", grad_inputs.size(),

@@ -181,6 +181,7 @@ void RegisterDataOps() {
   def.num_inputs = 1;
   def.is_stateful = true;
   def.differentiable = false;
+  def.always_executes = true;
   def.shape_fn = [](InferenceContext* ctx) {
     int64_t count = ctx->GetAttrOr<int64_t>("num_outputs", 0);
     for (int64_t i = 0; i < count; ++i) {

@@ -37,7 +37,8 @@ struct ExecPlan {
     int consumers_begin = 0, consumers_end = 0;  // consumers: step indices
     int pending = 0;           // initial pending count (pool engine)
     int required_outputs = 0;  // 1 + the highest output index anything reads
-    ResolvedKernel kernel;
+    const OpDef* op = nullptr;  // the node's registry entry
+    PreparedCall prepared;
   };
 
   int num_nodes = 0;
@@ -154,7 +155,10 @@ std::shared_ptr<const ExecPlan> BuildPlan(const GraphFunction& function) {
     plan->deps.insert(plan->deps.end(), node_deps.begin(), node_deps.end());
     step.deps_end = static_cast<int>(plan->deps.size());
     step.pending = static_cast<int>(node_deps.size());
-    step.kernel = EagerContext::ResolveKernel(node.op, node.attrs);
+    TFE_CHECK(node.def != nullptr) << "node " << id << " (" << node.op
+                                   << ") has no registry entry";
+    step.op = node.def;
+    step.prepared = EagerContext::Prepare(*node.def, node.attrs);
     step_of[id] = static_cast<int>(plan->steps.size());
     plan->steps.push_back(std::move(step));
   }
@@ -199,7 +203,7 @@ std::shared_ptr<const ExecPlan> BuildPlan(const GraphFunction& function) {
   }
   for (ExecPlan::Step& step : plan->steps) {
     step.required_outputs = required[step.node];
-    if (graph.node(step.node).is_stateful()) {
+    if (step.op->is_stateful) {
       plan->finish_nodes.push_back(step.node);
     }
   }
@@ -218,8 +222,8 @@ StatusOr<Executor::Result> Executor::Run(const GraphFunction& function,
                                          const std::vector<Tensor>& args,
                                          Device* default_device,
                                          uint64_t start_ns, bool compiled,
-                                         bool parallel,
-                                         uint64_t rng_stream_base) {
+                                         uint64_t rng_stream_base,
+                                         bool parallel) {
   const Graph& graph = function.graph();
   const int n = graph.num_nodes();
   if (static_cast<int>(args.size()) != function.num_args()) {
@@ -349,8 +353,8 @@ StatusOr<Executor::Result> Executor::Run(const GraphFunction& function,
     if (node_stream == 0) node_stream = 1;  // 0 means "unassigned"
     TFE_ASSIGN_OR_RETURN(
         EagerContext::KernelRun run,
-        ctx_->ExecuteKernel(node.op, std::move(inputs), node.attrs, device,
-                            compiled, ready_ns, node_stream, &step.kernel));
+        ctx_->ExecuteKernel(*step.op, std::move(inputs), node.attrs, device,
+                            compiled, ready_ns, node_stream, &step.prepared));
     if (run.completion_ns != 0) {
       completion[step.node] = run.completion_ns;
     } else {
@@ -377,7 +381,7 @@ StatusOr<Executor::Result> Executor::Run(const GraphFunction& function,
     return Status::OK();
   };
 
-  if (!parallel || plan.max_width <= 1) {
+  if (!parallel || InExecutor() || plan.max_width <= 1) {
     // Node ids are a valid topological order (nodes are appended in
     // creation order during tracing), and so is step order.
     for (int s = 0; s < num_steps; ++s) {

@@ -35,21 +35,21 @@ class Executor {
   // captures, all concrete). Nodes without an explicit device request run on
   // `default_device`. `start_ns` is the virtual time at which inputs are
   // available; `compiled` marks execution inside a whole-function
-  // accelerator compilation unit. `parallel` chooses the thread-pool
-  // ready-queue engine (top-level calls) or inline sequential execution
-  // (nested calls, which run on pool threads and must not block on the
-  // pool). `rng_stream_base` seeds the deterministic per-node RNG streams:
-  // kernels driving a nested run pass their own KernelContext stream so
-  // nesting stays deterministic; 0 reserves a fresh stream from the context.
+  // accelerator compilation unit. `rng_stream_base` seeds the deterministic
+  // per-node RNG streams: kernels driving a nested run pass their own
+  // KernelContext stream so nesting stays deterministic; 0 reserves a fresh
+  // stream from the context. `parallel` allows the thread-pool ready-queue
+  // engine; false forces inline sequential execution (the reference engine).
+  // A nested run (InExecutor) always runs inline, so pool threads never
+  // block on the pool.
   StatusOr<Result> Run(const GraphFunction& function,
                        const std::vector<Tensor>& args,
                        Device* default_device, uint64_t start_ns,
-                       bool compiled, bool parallel = true,
-                       uint64_t rng_stream_base = 0);
+                       bool compiled, uint64_t rng_stream_base = 0,
+                       bool parallel = true);
 
-  // True while the calling thread is executing a graph node — nested
-  // function calls use this to switch to inline execution so pool threads
-  // never block on the pool.
+  // True while the calling thread is executing a graph node; Run then
+  // executes inline.
   static bool InExecutor();
 
  private:

@@ -7,11 +7,6 @@
 
 namespace tfe {
 
-bool Node::is_stateful() const {
-  auto def = OpRegistry::Global()->LookUp(op);
-  return def.ok() && (*def)->is_stateful;
-}
-
 StatusOr<Node*> Graph::AddNode(const std::string& op,
                                std::vector<Endpoint> inputs, AttrMap attrs,
                                std::vector<TypeAndShape> inferred_outputs,
@@ -34,6 +29,7 @@ StatusOr<Node*> Graph::AddNode(const std::string& op,
   Node node;
   node.id = num_nodes();
   node.op = op;
+  node.def = def;
   node.attrs = std::move(attrs);
   node.inputs = std::move(inputs);
   node.requested_device = requested_device;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "ops/attr_value.h"
+#include "ops/op_def.h"
 #include "ops/shape_inference.h"
 #include "support/status.h"
 #include "tensor/tensor.h"
@@ -33,6 +34,8 @@ struct Endpoint {
 struct Node {
   int id = -1;
   std::string op;
+  // The op's registry entry, resolved once when the node is created.
+  const OpDef* def = nullptr;
   AttrMap attrs;
   std::vector<Endpoint> inputs;
   // Control dependencies: this node must run after these nodes. The tracer
@@ -53,7 +56,7 @@ struct Node {
   int rng_id = -1;
 
   int num_outputs() const { return static_cast<int>(outputs.size()); }
-  bool is_stateful() const;  // consults the op registry
+  bool is_stateful() const { return def->is_stateful; }
 };
 
 class Graph {

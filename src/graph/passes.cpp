@@ -10,6 +10,7 @@
 #include "device/device.h"
 #include "kernels/fused_elementwise.h"
 #include "kernels/program_cache.h"
+#include "ops/op_registry.h"
 #include "runtime/eager_context.h"
 #include "support/strings.h"
 
@@ -147,6 +148,8 @@ Status EliminateCommonSubexpressions(GraphFunction& function,
 Status FoldConstants(GraphFunction& function, PassStats* stats) {
   Graph& graph = function.graph();
   EagerContext* ctx = EagerContext::Global();
+  TFE_ASSIGN_OR_RETURN(const OpDef* const_def,
+                       OpRegistry::Global()->LookUp("Const"));
   const int n = graph.num_nodes();
   int folded = 0;
 
@@ -168,11 +171,13 @@ Status FoldConstants(GraphFunction& function, PassStats* stats) {
     }
     if (!all_const) continue;
 
-    auto run = ctx->ExecuteKernel(node.op, inputs, node.attrs, ctx->HostCpu(),
-                                  /*compiled=*/false, /*start_ns=*/0);
+    auto run = ctx->ExecuteKernel(*node.def, inputs, node.attrs,
+                                  ctx->HostCpu(), /*compiled=*/false,
+                                  /*start_ns=*/0);
     if (!run.ok() || run->outputs.size() != 1) continue;  // fold is best-effort
     // Rewrite in place as a Const node.
     node.op = "Const";
+    node.def = const_def;
     node.attrs.clear();
     node.inputs.clear();
     node.constant_value = run->outputs[0];
@@ -473,6 +478,8 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
   // FusedElementwise node at its anchor position. Nodes sitting in a run's
   // holes keep their relative order, which stays topological because every
   // external operand of the run precedes the anchor.
+  TFE_ASSIGN_OR_RETURN(const OpDef* fused_def,
+                       OpRegistry::Global()->LookUp("FusedElementwise"));
   std::deque<Node> nodes;
   std::vector<int> new_node_id(n, -1);
   std::vector<int> fused_out_index(n, -1);
@@ -492,6 +499,7 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
     RunCompiled& rc = run_compiled[r];
     Node fused;
     fused.op = "FusedElementwise";
+    fused.def = fused_def;
     for (size_t k = 0; k < rc.compiled.output_members.size(); ++k) {
       const int member = run.members[rc.compiled.output_members[k]];
       fused_out_index[member] = static_cast<int>(k);

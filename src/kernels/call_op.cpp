@@ -58,14 +58,10 @@ Status CallKernel(KernelContext* ctx) {
   std::shared_ptr<GraphFunction> to_run =
       passes::FusedExecutionVariant(ectx, device, function);
 
-  Executor executor(ectx);
-  // Nested calls (this kernel running on an executor thread) execute inline
-  // so pool threads never block waiting on the pool.
-  const bool parallel = !Executor::InExecutor();
   TFE_ASSIGN_OR_RETURN(
       Executor::Result result,
-      executor.Run(*to_run, ctx->inputs(), device, start_ns, compiled,
-                   parallel, ctx->rng_stream()));
+      Executor(ectx).Run(*to_run, ctx->inputs(), device, start_ns, compiled,
+                         ctx->rng_stream()));
   for (size_t i = 0; i < result.outputs.size(); ++i) {
     ctx->SetOutput(static_cast<int>(i), result.outputs[i]);
   }

@@ -5,6 +5,7 @@
 
 #include "kernels/elementwise_functors.h"
 #include "kernels/kernel_util.h"
+#include "ops/op_registry.h"
 #include "support/logging.h"
 #include "tensor/tensor_util.h"
 
@@ -36,8 +37,8 @@ std::vector<int64_t> BroadcastStrides(const Shape& input,
 
 void RegisterKernel(const char* op_name, KernelFn fn,
                     KernelPrepareFn prepare) {
-  Status status = KernelRegistry::Global()->Register(
-      op_name, std::move(fn), /*kinds=*/{}, std::move(prepare));
+  Status status = OpRegistry::Global()->RegisterKernel(op_name, std::move(fn),
+                                                      std::move(prepare));
   TFE_CHECK(status.ok()) << status.ToString();
 }
 

@@ -67,8 +67,9 @@ std::vector<int64_t> ComputeStrides(const Shape& shape);
 // alignment). Lengths equal output rank.
 std::vector<int64_t> BroadcastStrides(const Shape& input, const Shape& output);
 
-// Registers `fn` (and its optional prepare hook) for `op_name` on all device
-// kinds, CHECK-failing on duplicates (used by the startup registrars).
+// Attaches `fn` (and its optional prepare hook) to the registered op
+// `op_name`, CHECK-failing on an unknown op or a duplicate (used by the
+// startup registrars).
 void RegisterKernel(const char* op_name, KernelFn fn,
                     KernelPrepareFn prepare = nullptr);
 

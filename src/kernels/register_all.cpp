@@ -1,7 +1,6 @@
 // One-stop registration of op defs, kernels and gradients.
 #include <mutex>
 
-#include "autodiff/gradient_registry.h"
 #include "ops/op_registry.h"
 
 namespace tfe {
@@ -12,6 +11,7 @@ void RegisterDataOps();
 
 void RegisterHashTableOps();      // state/hash_table.cpp
 void RegisterControlFlowOps();    // staging/control_flow.cpp
+void RegisterAllGradients();      // autodiff/gradients.cpp
 
 namespace kernels {
 void RegisterElementwiseKernels();
@@ -21,7 +21,7 @@ void RegisterConvKernels();
 void RegisterPoolingKernels();
 void RegisterBatchNormKernels();
 void RegisterReductionKernels();
-void RegisterShapeOpKernels();
+void RegisterShapeKernels();
 void RegisterSoftmaxKernels();
 void RegisterRandomKernels();
 void RegisterVariableKernels();
@@ -41,7 +41,7 @@ void EnsureOpsRegistered() {
     kernels::RegisterPoolingKernels();
     kernels::RegisterBatchNormKernels();
     kernels::RegisterReductionKernels();
-    kernels::RegisterShapeOpKernels();
+    kernels::RegisterShapeKernels();
     kernels::RegisterSoftmaxKernels();
     kernels::RegisterRandomKernels();
     kernels::RegisterVariableKernels();

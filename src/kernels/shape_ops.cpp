@@ -381,7 +381,7 @@ Status UnsortedSegmentSumKernel(KernelContext* ctx) {
 
 }  // namespace
 
-void RegisterShapeOpKernels() {
+void RegisterShapeKernels() {
   RegisterKernel("Reshape", ReshapeKernel);
   RegisterKernel("ExpandDims", ExpandDimsKernel);
   RegisterKernel("Squeeze", SqueezeKernel);

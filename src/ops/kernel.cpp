@@ -51,9 +51,9 @@ int64_t MovedBytes(const std::vector<Tensor>& inputs,
   return bytes;
 }
 
-// The kernel observability hook (see Register). The op name is interned at
-// registration so the hot path never hashes it.
-KernelFn WrapKernelForProfiling(const std::string& op_name, KernelFn fn) {
+}  // namespace
+
+KernelFn WithKernelProfiling(const std::string& op_name, KernelFn fn) {
   const uint32_t name_id = profiler::Intern(op_name);
   return [op_name, name_id, fn = std::move(fn)](KernelContext* ctx) -> Status {
     if (!profiler::enabled()) return fn(ctx);
@@ -83,8 +83,6 @@ KernelFn WrapKernelForProfiling(const std::string& op_name, KernelFn fn) {
   };
 }
 
-}  // namespace
-
 Tensor KernelContext::AllocateOutput(int i, DType dtype, const Shape& shape) {
   if (static_cast<int>(outputs_.size()) <= i) outputs_.resize(i + 1);
   outputs_[i] = Tensor::Empty(dtype, shape, device_);
@@ -94,58 +92,6 @@ Tensor KernelContext::AllocateOutput(int i, DType dtype, const Shape& shape) {
 void KernelContext::SetOutput(int i, Tensor tensor) {
   if (static_cast<int>(outputs_.size()) <= i) outputs_.resize(i + 1);
   outputs_[i] = std::move(tensor);
-}
-
-KernelRegistry* KernelRegistry::Global() {
-  static KernelRegistry* registry = new KernelRegistry();
-  return registry;
-}
-
-Status KernelRegistry::Register(const std::string& op_name, KernelFn fn,
-                                std::vector<DeviceKind> kinds,
-                                KernelPrepareFn prepare) {
-  fn = WrapKernelForProfiling(op_name, std::move(fn));
-  if (kinds.empty()) {
-    kinds = {DeviceKind::kCpu, DeviceKind::kGpu, DeviceKind::kTpu};
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  OpKernels& entry = ops_[op_name];
-  entry.op_name = op_name;
-  for (DeviceKind kind : kinds) {
-    KernelFn& slot = entry.fns[static_cast<size_t>(kind)];
-    if (slot) {
-      return AlreadyExists("Kernel already registered: " + op_name + " on " +
-                           DeviceKindName(kind));
-    }
-    slot = fn;
-  }
-  if (prepare) entry.prepare = std::move(prepare);
-  return Status::OK();
-}
-
-StatusOr<const KernelFn*> OpKernels::For(DeviceKind kind) const {
-  const KernelFn& fn = fns[static_cast<size_t>(kind)];
-  if (!fn) {
-    return NotFound("No " + std::string(DeviceKindName(kind)) +
-                    " kernel for op " + op_name);
-  }
-  return &fn;
-}
-
-StatusOr<const OpKernels*> KernelRegistry::LookUpOp(
-    const std::string& op_name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = ops_.find(op_name);
-  if (it == ops_.end()) {
-    return NotFound("No kernel registered for op " + op_name);
-  }
-  return &it->second;
-}
-
-bool KernelRegistry::HasKernel(const std::string& op_name,
-                               DeviceKind kind) const {
-  StatusOr<const OpKernels*> kernels = LookUpOp(op_name);
-  return kernels.ok() && (*kernels)->fns[static_cast<size_t>(kind)];
 }
 
 }  // namespace tfe

@@ -1,23 +1,16 @@
-// Kernels: device-specific implementations of operations (paper §4
-// terminology), and the registry mapping (op, device kind) -> kernel.
-//
-// All kernels in this reproduction compute on host memory; the simulated
-// accelerators reuse the CPU math (device placement still matters — it
-// drives transfers, cost accounting, and kernel-availability-based
-// placement, as in the paper §4.4).
+// Kernel plumbing: the context a kernel runs in, the result of an op's
+// prepare hook, and the profiling wrapper every registered kernel gets.
+// Kernels themselves live in each op's registry entry (ops/op_def.h).
 #ifndef TFE_OPS_KERNEL_H_
 #define TFE_OPS_KERNEL_H_
 
-#include <array>
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "device/device.h"
 #include "ops/attr_value.h"
+#include "ops/op_def.h"
 #include "support/status.h"
 #include "tensor/tensor.h"
 
@@ -40,7 +33,7 @@ StatusOr<T> GetAttr(const AttrMap& attrs, const std::string& name) {
 }
 
 // What an op's prepare hook derives from a node's attrs (see
-// KernelRegistry::Register). Kernels downcast to their own subclass.
+// OpRegistry::RegisterKernel). Kernels downcast to their own subclass.
 class PreparedKernel {
  public:
   virtual ~PreparedKernel() = default;
@@ -130,63 +123,17 @@ class KernelContext {
   uint64_t rng_stream_ = 0;
 };
 
-using KernelFn = std::function<Status(KernelContext*)>;
-using KernelPrepareFn =
-    std::function<StatusOr<std::shared_ptr<const PreparedKernel>>(
-        const AttrMap&)>;
-
-// One op's registry entry: a kernel per device kind and the optional
-// prepare hook they share.
-struct OpKernels {
-  std::string op_name;
-  // Indexed by DeviceKind; an empty function means no kernel for that kind.
-  std::array<KernelFn, kNumDeviceKinds> fns;
-  KernelPrepareFn prepare;
-
-  // The kernel for `kind`, or NotFound naming the op and kind.
-  StatusOr<const KernelFn*> For(DeviceKind kind) const;
+// An op's prepare-hook result for one graph node's attrs, derived once by an
+// execution plan (EagerContext::Prepare) for a node that runs many times.
+struct PreparedCall {
+  Status status;  // surfaces when the kernel would run
+  std::shared_ptr<const PreparedKernel> kernel;  // null without a hook
 };
 
-// A kernel call resolved once for a graph node that runs many times (see
-// EagerContext::ResolveKernel): the op's entry, whether it executes on
-// timing-only devices, and its prepare hook's result for the node's attrs.
-struct ResolvedKernel {
-  const OpKernels* kernels = nullptr;  // null: the op has no kernels
-  bool always_executes = false;
-  Status prepare_status;  // surfaces when the kernel would run
-  std::shared_ptr<const PreparedKernel> prepared;
-};
-
-class KernelRegistry {
- public:
-  static KernelRegistry* Global();
-
-  // Registers `fn` for `op_name` on each kind in `kinds`. An empty `kinds`
-  // registers for all device kinds (CPU + simulated GPU/TPU). Every kernel
-  // is wrapped with the profiler hook: while profiling is on, each
-  // invocation records a kKernel span (device, output shape, bytes touched)
-  // and updates the per-op metrics; off, the hook is one relaxed load.
-  //
-  // `prepare`, when set, derives a PreparedKernel from a node's attrs (e.g.
-  // decoding a fused program). Execution plans call it once per graph node;
-  // ExecuteKernel without a plan calls it before every kernel call. The
-  // kernel reads the result through KernelContext::prepared(); checks
-  // against the actual inputs stay in the kernel.
-  //
-  // Kernels are registered at startup, before any of them runs: entries are
-  // read without the lock once looked up.
-  Status Register(const std::string& op_name, KernelFn fn,
-                  std::vector<DeviceKind> kinds = {},
-                  KernelPrepareFn prepare = nullptr);
-
-  // The op's entry, or NotFound when no kernel is registered for it.
-  StatusOr<const OpKernels*> LookUpOp(const std::string& op_name) const;
-  bool HasKernel(const std::string& op_name, DeviceKind kind) const;
-
- private:
-  mutable std::mutex mu_;
-  std::map<std::string, OpKernels> ops_;
-};
+// `fn` wrapped with the kernel observability hook (see
+// OpRegistry::RegisterKernel). The op name is interned here so the hot path
+// never hashes it.
+KernelFn WithKernelProfiling(const std::string& op_name, KernelFn fn);
 
 }  // namespace tfe
 

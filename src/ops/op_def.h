@@ -1,17 +1,48 @@
-// Operation definitions and the process-wide op registry.
+// Operation definitions: everything the runtime knows about one primitive.
 //
-// An OpDef is the stage-agnostic description of a primitive operation: both
+// An OpDef is the stage-agnostic description of a primitive operation — its
+// shape function, traits, kernel and gradient in one registry entry. Both
 // the imperative dispatcher and the tracer consult the same registry, which
 // is what gives TensorFlow Eager its "single set of primitive operations"
 // shared across execution modes (paper §1, contribution 1).
 #ifndef TFE_OPS_OP_DEF_H_
 #define TFE_OPS_OP_DEF_H_
 
+#include <functional>
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "ops/attr_value.h"
 #include "ops/shape_inference.h"
+#include "support/status.h"
+#include "tensor/tensor.h"
 
 namespace tfe {
+
+class KernelContext;
+class PreparedKernel;
+struct TapeEntry;
+
+// A kernel: the op's implementation (paper §4 terminology). All kernels in
+// this reproduction compute on host memory; the simulated accelerators reuse
+// the CPU math (device placement still matters — it drives transfers, cost
+// accounting, and kernel-availability-based placement, as in the paper §4.4).
+using KernelFn = std::function<Status(KernelContext*)>;
+
+// Derives a PreparedKernel from a node's attrs (see
+// OpRegistry::RegisterKernel).
+using KernelPrepareFn =
+    std::function<StatusOr<std::shared_ptr<const PreparedKernel>>(
+        const AttrMap&)>;
+
+// A gradient function receives the recorded forward entry and the gradients
+// flowing into its outputs, and returns gradients for each input (undefined
+// where no gradient flows). Gradient functions compute with primitive ops
+// through Dispatch(), so they run eagerly or staged depending on the ambient
+// context (paper §4.2).
+using GradFn = std::function<StatusOr<std::vector<Tensor>>(
+    const TapeEntry& entry, const std::vector<Tensor>& grad_outputs)>;
 
 struct OpDef {
   std::string name;
@@ -30,7 +61,24 @@ struct OpDef {
   // asked to differentiate through a non-differentiable op.
   bool differentiable = true;
 
+  // Must really execute even on timing-only simulated devices: function
+  // calls drive the executor, host funcs run imperative callbacks, and state
+  // ops maintain variable/checkpoint contents. Such ops stay on the
+  // synchronous path in async mode (variable ops excepted), and none but
+  // Call may be dispatched to a remote device.
+  bool always_executes = false;
+
+  // Reads or writes a variable: runs on the variable's device (paper §4.4)
+  // and is sequenced through that device's queue in async mode.
+  bool variable_op = false;
+
   ShapeInferenceFn shape_fn;
+
+  // Attached after the definition by OpRegistry::RegisterKernel and
+  // RegisterGradient; empty when the op has none.
+  KernelFn kernel;
+  KernelPrepareFn prepare;
+  GradFn gradient;
 };
 
 }  // namespace tfe

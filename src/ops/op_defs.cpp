@@ -626,6 +626,8 @@ struct Registrar {
     RegisterOrDie({.name = "ReadVariableOp",
                    .num_inputs = 1,
                    .is_stateful = true,
+                   .always_executes = true,
+                   .variable_op = true,
                    .shape_fn = ReadVariableShape});
     for (const char* name :
          {"AssignVariableOp", "AssignAddVariableOp", "AssignSubVariableOp"}) {
@@ -633,6 +635,8 @@ struct Registrar {
                      .num_inputs = 2,
                      .is_stateful = true,
                      .differentiable = false,
+                     .always_executes = true,
+                     .variable_op = true,
                      .shape_fn = NoOutputs});
     }
 
@@ -641,11 +645,13 @@ struct Registrar {
                    .num_inputs = 1,
                    .is_stateful = true,
                    .differentiable = false,
+                   .always_executes = true,
                    .shape_fn = NoOutputs});
     RegisterOrDie({.name = "RestoreTensor",
                    .num_inputs = 0,
                    .is_stateful = true,
                    .differentiable = false,
+                   .always_executes = true,
                    .shape_fn = [](InferenceContext* ctx) {
                      TFE_ASSIGN_OR_RETURN(DType dtype,
                                           ctx->GetAttr<DType>("dtype"));
@@ -662,6 +668,7 @@ struct Registrar {
     RegisterOrDie({.name = "Call",
                    .num_inputs = OpDef::kVariadic,
                    .is_stateful = true,
+                   .always_executes = true,
                    .shape_fn = NoOutputs});
 
     // Imperative escape hatch (paper §4.7). Output signature is carried in
@@ -670,6 +677,7 @@ struct Registrar {
     RegisterOrDie({.name = "HostFunc",
                    .num_inputs = OpDef::kVariadic,
                    .is_stateful = true,
+                   .always_executes = true,
                    .shape_fn = [](InferenceContext* ctx) {
                      int64_t count = ctx->GetAttrOr<int64_t>("num_outputs", 0);
                      for (int64_t i = 0; i < count; ++i) {
@@ -690,6 +698,7 @@ struct Registrar {
                    .num_inputs = 0,
                    .is_stateful = true,
                    .differentiable = false,
+                   .always_executes = true,
                    .shape_fn = NoOutputs});
 
     // A fused run of elementwise/layout/reduction ops interpreting a

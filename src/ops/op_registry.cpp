@@ -1,5 +1,7 @@
 #include "ops/op_registry.h"
 
+#include "ops/kernel.h"
+
 namespace tfe {
 
 OpRegistry* OpRegistry::Global() {
@@ -13,6 +15,36 @@ Status OpRegistry::Register(OpDef op_def) {
   if (!inserted) {
     return AlreadyExists("Op already registered: " + it->first);
   }
+  return Status::OK();
+}
+
+Status OpRegistry::RegisterKernel(const std::string& op_name, KernelFn fn,
+                                  KernelPrepareFn prepare) {
+  fn = WithKernelProfiling(op_name, std::move(fn));
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = ops_.find(op_name);
+  if (it == ops_.end()) {
+    return NotFound("Cannot register a kernel for unregistered op " + op_name);
+  }
+  if (it->second.kernel) {
+    return AlreadyExists("Kernel already registered: " + op_name);
+  }
+  it->second.kernel = std::move(fn);
+  it->second.prepare = std::move(prepare);
+  return Status::OK();
+}
+
+Status OpRegistry::RegisterGradient(const std::string& op_name, GradFn fn) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = ops_.find(op_name);
+  if (it == ops_.end()) {
+    return NotFound("Cannot register a gradient for unregistered op " +
+                    op_name);
+  }
+  if (it->second.gradient) {
+    return AlreadyExists("Gradient already registered for " + op_name);
+  }
+  it->second.gradient = std::move(fn);
   return Status::OK();
 }
 

@@ -11,14 +11,38 @@
 
 namespace tfe {
 
-// Process-wide registry of op definitions. Registration happens once at
-// startup (kernels/register_all.cpp); lookups are lock-free afterwards in
-// practice but guarded for safety.
+// Process-wide registry of ops: one OpDef entry per op holds its definition,
+// traits, kernel and gradient. Registration happens once at startup
+// (kernels/register_all.cpp). Lookups take the lock; callers resolve an op
+// once and keep the `const OpDef*`, which stays valid for the process
+// lifetime (map nodes never move) and is read without the lock.
 class OpRegistry {
  public:
   static OpRegistry* Global();
 
+  // Registers a definition. Its kernel and gradient attach afterwards
+  // through RegisterKernel and RegisterGradient.
   Status Register(OpDef op_def);
+
+  // Attaches `fn` to the registered op `op_name`. The kernel is wrapped with
+  // the profiler hook: while profiling is on, each invocation records a
+  // kKernel span (device, output shape, bytes touched) and updates the
+  // per-op metrics; off, the hook is one relaxed load.
+  //
+  // `prepare`, when set, derives a PreparedKernel from a node's attrs (e.g.
+  // decoding a fused program). Execution plans call it once per graph node;
+  // ExecuteKernel without a plan calls it before every kernel call. The
+  // kernel reads the result through KernelContext::prepared(); checks
+  // against the actual inputs stay in the kernel.
+  //
+  // NotFound for an unregistered op, AlreadyExists when it has a kernel.
+  Status RegisterKernel(const std::string& op_name, KernelFn fn,
+                        KernelPrepareFn prepare = nullptr);
+
+  // Attaches the gradient of the registered op `op_name`. NotFound for an
+  // unregistered op, AlreadyExists when it has a gradient.
+  Status RegisterGradient(const std::string& op_name, GradFn fn);
+
   StatusOr<const OpDef*> LookUp(const std::string& name) const;
   bool Contains(const std::string& name) const;
   std::vector<std::string> ListOps() const;

@@ -16,22 +16,46 @@ namespace tfe {
 
 namespace {
 
-// Ops that must really execute even on timing-only simulated devices:
-// function calls drive the executor, host funcs run imperative callbacks,
-// and state ops maintain variable/checkpoint contents.
-bool AlwaysExecutes(const std::string& op_name) {
-  return op_name == "Call" || op_name == "HostFunc" ||
-         op_name == "ReadVariableOp" || op_name == "AssignVariableOp" ||
-         op_name == "AssignAddVariableOp" || op_name == "AssignSubVariableOp" ||
-         op_name == "SaveTensor" || op_name == "RestoreTensor" ||
-         op_name == "IteratorNext" || op_name == "HashTableInsert" ||
-         op_name == "HashTableLookup" || op_name == "HashTableSize" ||
-         op_name == "Cond" || op_name == "While" || op_name == "NoOp";
+// The output types `op`'s shape function infers from `inputs` and `attrs`,
+// for the paths that must know them before the kernel runs. Shapes may be
+// partial; an undefined input or a failed inference is an error.
+StatusOr<std::vector<TypeAndShape>> InferOutputTypes(
+    const OpDef& op, const std::vector<Tensor>& inputs, const AttrMap& attrs) {
+  std::vector<TypeAndShape> input_types;
+  input_types.reserve(inputs.size());
+  for (const Tensor& input : inputs) {
+    if (!input.defined()) {
+      return InvalidArgument("Undefined input to op " + op.name);
+    }
+    input_types.push_back({input.dtype(), input.shape()});
+  }
+  InferenceContext infer(std::move(input_types), &attrs);
+  TFE_RETURN_IF_ERROR(op.shape_fn(&infer));
+  return infer.outputs();
 }
 
-bool IsVariableOp(const std::string& op_name) {
-  return op_name == "ReadVariableOp" || op_name == "AssignVariableOp" ||
-         op_name == "AssignAddVariableOp" || op_name == "AssignSubVariableOp";
+bool FullyDefined(const std::vector<TypeAndShape>& types) {
+  for (const TypeAndShape& type : types) {
+    if (!type.shape.IsFullyDefined()) return false;
+  }
+  return true;
+}
+
+// A pending handle for entry `id` of remote `device`'s worker store: reads
+// fetch the value from the store, and dropping the last reference deletes
+// the entry.
+std::shared_ptr<TensorHandle> RemoteStoreHandle(
+    Device* device, int64_t id, DType dtype, const Shape& shape,
+    std::atomic<uint64_t>* host_clock) {
+  std::shared_ptr<RemoteBackend> backend =
+      static_cast<RemoteDevice*>(device)->shared_backend();
+  TensorHandle::RemoteInfo info;
+  info.device = device;
+  info.handle_id = id;
+  info.fetch = [backend, id] { return backend->Fetch(id); };
+  info.release = [backend, id] { backend->DeleteAsync(id); };
+  return TensorHandle::PendingRemote(dtype, shape, std::move(info),
+                                     host_clock);
 }
 
 // Host<->accelerator interconnect bandwidth (PCIe-3 x16 class).
@@ -113,10 +137,10 @@ void EagerContext::ResetGlobal(const Options& options) {
 }
 
 StatusOr<Device*> EagerContext::ResolveDevice(
-    const std::string& op_name, const std::vector<Tensor>& inputs,
+    const OpDef& op, const std::vector<Tensor>& inputs,
     const std::string& requested_device) {
   // Variable ops execute where the variable's storage lives (paper §4.4).
-  if (IsVariableOp(op_name) && !inputs.empty() && inputs[0].defined() &&
+  if (op.variable_op && !inputs.empty() && inputs[0].defined() &&
       inputs[0].is_resource() && inputs[0].device() != nullptr) {
     return inputs[0].device();
   }
@@ -124,10 +148,9 @@ StatusOr<Device*> EagerContext::ResolveDevice(
   if (request.empty()) request = DeviceScope::Current();
   if (!request.empty()) {
     TFE_ASSIGN_OR_RETURN(Device * device, devices_.FindDevice(request));
-    if (!AlwaysExecutes(op_name) && op_name != "Const" &&
-        !KernelRegistry::Global()->HasKernel(op_name, device->kind())) {
+    if (!op.always_executes && op.name != "Const" && !op.kernel) {
       return InvalidArgument(strings::StrCat(
-          "Op ", op_name, " was explicitly placed on ", device->name(),
+          "Op ", op.name, " was explicitly placed on ", device->name(),
           " but has no kernel for that device"));
     }
     return device;
@@ -147,8 +170,7 @@ StatusOr<Device*> EagerContext::ResolveDevice(
   for (const Tensor& input : inputs) {
     if (!input.defined() || input.is_symbolic()) continue;
     Device* device = input.device();
-    if (device != nullptr && device->is_accelerator() &&
-        KernelRegistry::Global()->HasKernel(op_name, device->kind())) {
+    if (device != nullptr && device->is_accelerator() && op.kernel) {
       return device;
     }
   }
@@ -214,57 +236,50 @@ StatusOr<Tensor> EagerContext::CopyTo(const Tensor& tensor, Device* device) {
   // Remote target: ship the value into the target worker's store and hand
   // back a handle referencing it there, exactly as if an op on that worker
   // had produced it.
-  auto* remote = static_cast<RemoteDevice*>(device);
-  const std::shared_ptr<RemoteBackend>& backend = remote->shared_backend();
+  RemoteBackend* backend = static_cast<RemoteDevice*>(device)->backend();
   const int64_t id = backend->AllocateHandleId();
   TFE_RETURN_IF_ERROR(backend->Put(value, id));
   stats_.device_copies.fetch_add(1, std::memory_order_relaxed);
-  TensorHandle::RemoteInfo info;
-  info.device = device;
-  info.handle_id = id;
-  info.fetch = [backend, id] { return backend->Fetch(id); };
-  info.release = [backend, id] { backend->DeleteAsync(id); };
-  auto out = TensorHandle::PendingRemote(value.dtype(), value.shape(),
-                                         std::move(info), &host_now_ns_);
+  auto out = RemoteStoreHandle(device, id, value.dtype(), value.shape(),
+                               &host_now_ns_);
   out->SetTensor(Tensor::Opaque(value.dtype(), value.shape(), device),
                  /*ready_ns=*/0);
   return Tensor::FromHandle(std::move(out));
 }
 
-ResolvedKernel EagerContext::ResolveKernel(const std::string& op_name,
-                                           const AttrMap& attrs) {
-  ResolvedKernel resolved;
-  resolved.always_executes = AlwaysExecutes(op_name);
-  StatusOr<const OpKernels*> kernels =
-      KernelRegistry::Global()->LookUpOp(op_name);
-  if (!kernels.ok()) return resolved;
-  resolved.kernels = *kernels;
-  if (resolved.kernels->prepare) {
-    StatusOr<std::shared_ptr<const PreparedKernel>> prepared =
-        resolved.kernels->prepare(attrs);
-    if (prepared.ok()) {
-      resolved.prepared = std::move(prepared).value();
+PreparedCall EagerContext::Prepare(const OpDef& op, const AttrMap& attrs) {
+  PreparedCall prepared;
+  if (op.prepare) {
+    StatusOr<std::shared_ptr<const PreparedKernel>> kernel = op.prepare(attrs);
+    if (kernel.ok()) {
+      prepared.kernel = std::move(kernel).value();
     } else {
-      resolved.prepare_status = prepared.status();
+      prepared.status = kernel.status();
     }
   }
-  return resolved;
+  return prepared;
 }
 
 StatusOr<EagerContext::KernelRun> EagerContext::ExecuteKernel(
     const std::string& op_name, std::vector<Tensor> inputs,
     const AttrMap& attrs, Device* device, bool compiled, uint64_t start_ns,
-    uint64_t rng_stream, const ResolvedKernel* resolved) {
+    uint64_t rng_stream) {
+  TFE_ASSIGN_OR_RETURN(const OpDef* op, OpRegistry::Global()->LookUp(op_name));
+  return ExecuteKernel(*op, std::move(inputs), attrs, device, compiled,
+                       start_ns, rng_stream);
+}
+
+StatusOr<EagerContext::KernelRun> EagerContext::ExecuteKernel(
+    const OpDef& op, std::vector<Tensor> inputs, const AttrMap& attrs,
+    Device* device, bool compiled, uint64_t start_ns, uint64_t rng_stream,
+    const PreparedCall* prepared) {
   KernelRun run;
   if (device->IsRemote()) {
     return Internal(strings::StrCat(
         "ExecuteKernel invoked for remote device ", device->name(),
         "; remote ops must flow through the dispatch path"));
   }
-  const bool always_executes =
-      resolved != nullptr ? resolved->always_executes
-                          : AlwaysExecutes(op_name);
-  const bool execute = device->executes_kernels() || always_executes;
+  const bool execute = device->executes_kernels() || op.always_executes;
   // An opaque input forces simulation regardless: there are no values to
   // compute with (state ops handle opacity themselves).
   bool opaque_inputs = false;
@@ -283,24 +298,14 @@ StatusOr<EagerContext::KernelRun> EagerContext::ExecuteKernel(
     return shapes;
   };
 
-  if (execute && (!opaque_inputs || always_executes)) {
-    const OpKernels* kernels =
-        resolved != nullptr ? resolved->kernels : nullptr;
-    if (kernels == nullptr) {
-      TFE_ASSIGN_OR_RETURN(kernels,
-                           KernelRegistry::Global()->LookUpOp(op_name));
+  if (execute && (!opaque_inputs || op.always_executes)) {
+    if (!op.kernel) return NotFound("No kernel registered for op " + op.name);
+    PreparedCall prepared_here;
+    if (prepared == nullptr) {
+      prepared_here = Prepare(op, attrs);
+      prepared = &prepared_here;
     }
-    TFE_ASSIGN_OR_RETURN(const KernelFn* kernel,
-                         kernels->For(device->kind()));
-    std::shared_ptr<const PreparedKernel> prepared_here;
-    const PreparedKernel* prepared = nullptr;
-    if (resolved != nullptr) {
-      TFE_RETURN_IF_ERROR(resolved->prepare_status);
-      prepared = resolved->prepared.get();
-    } else if (kernels->prepare) {
-      TFE_ASSIGN_OR_RETURN(prepared_here, kernels->prepare(attrs));
-      prepared = prepared_here.get();
-    }
+    TFE_RETURN_IF_ERROR(prepared->status);
     // Accelerators cost the kernel from its input shapes; take them before
     // the inputs move into the kernel.
     std::vector<Shape> accelerator_input_shapes;
@@ -310,12 +315,13 @@ StatusOr<EagerContext::KernelRun> EagerContext::ExecuteKernel(
       accelerator_dtype_size = DTypeSize(inputs.empty() ? DType::kFloat32
                                                         : inputs[0].dtype());
     }
-    KernelContext ctx(this, device, std::move(inputs), &attrs, prepared);
+    KernelContext ctx(this, device, std::move(inputs), &attrs,
+                      prepared->kernel.get());
     ctx.set_start_ns(start_ns);
     ctx.set_compiled(compiled);
     ctx.set_rng_stream(rng_stream);
     uint64_t wall_begin = NowWallNs();
-    TFE_RETURN_IF_ERROR((*kernel)(&ctx));
+    TFE_RETURN_IF_ERROR(op.kernel(&ctx));
     uint64_t wall_ns = NowWallNs() - wall_begin;
     run.outputs = ctx.ConsumeOutputs();
     if (ctx.completion_ns() != 0) {
@@ -331,7 +337,7 @@ StatusOr<EagerContext::KernelRun> EagerContext::ExecuteKernel(
           output_shapes.push_back(output.shape());
         }
       }
-      OpCost cost = EstimateOpCost(op_name, accelerator_input_shapes,
+      OpCost cost = EstimateOpCost(op.name, accelerator_input_shapes,
                                    output_shapes, accelerator_dtype_size);
       run.device_ns = KernelTimeNs(cost, device->cost_params(), compiled);
     } else {
@@ -342,26 +348,20 @@ StatusOr<EagerContext::KernelRun> EagerContext::ExecuteKernel(
 
   // Simulation-only path: infer output shapes, produce opaque tensors,
   // charge modelled time.
-  TFE_ASSIGN_OR_RETURN(const OpDef* def, OpRegistry::Global()->LookUp(op_name));
-  std::vector<TypeAndShape> input_types;
-  input_types.reserve(inputs.size());
-  for (const Tensor& input : inputs) {
-    input_types.push_back({input.dtype(), input.shape()});
-  }
-  InferenceContext infer(std::move(input_types), &attrs);
-  TFE_RETURN_IF_ERROR(def->shape_fn(&infer));
+  TFE_ASSIGN_OR_RETURN(std::vector<TypeAndShape> output_types,
+                       InferOutputTypes(op, inputs, attrs));
   std::vector<Shape> output_shapes;
-  for (const TypeAndShape& out : infer.outputs()) {
+  for (const TypeAndShape& out : output_types) {
     if (!out.shape.IsFullyDefined()) {
       return Internal(strings::StrCat(
-          "Simulated execution of ", op_name,
+          "Simulated execution of ", op.name,
           " produced a partial output shape: ", out.shape.ToString()));
     }
     run.outputs.push_back(Tensor::Opaque(out.dtype, out.shape, device));
     output_shapes.push_back(out.shape);
   }
   OpCost cost =
-      EstimateOpCost(op_name, input_shapes(), output_shapes,
+      EstimateOpCost(op.name, input_shapes(), output_shapes,
                      DTypeSize(inputs.empty() || inputs[0].is_resource()
                                    ? DType::kFloat32
                                    : inputs[0].dtype()));
@@ -373,7 +373,8 @@ StatusOr<std::vector<Tensor>> EagerContext::RunPrimitive(
     const std::string& op_name, std::vector<Tensor> inputs,
     const AttrMap& attrs, const std::string& requested_device) {
   stats_.eager_ops.fetch_add(1, std::memory_order_relaxed);
-  if (IsVariableOp(op_name)) {
+  TFE_ASSIGN_OR_RETURN(const OpDef* op, OpRegistry::Global()->LookUp(op_name));
+  if (op->variable_op) {
     static profiler::Counter* variable_ops =
         profiler::Metrics().GetCounter("dispatch.variable_ops");
     variable_ops->Increment();
@@ -395,7 +396,7 @@ StatusOr<std::vector<Tensor>> EagerContext::RunPrimitive(
     }
   }
 
-  StatusOr<Device*> device_or = ResolveDevice(op_name, inputs, requested_device);
+  StatusOr<Device*> device_or = ResolveDevice(*op, inputs, requested_device);
   if (!device_or.ok()) {
     // An unknown *remote* device name is a deferred failure, not an eager
     // throw: outputs come back poisoned and the error surfaces at the next
@@ -406,7 +407,7 @@ StatusOr<std::vector<Tensor>> EagerContext::RunPrimitive(
     StatusOr<DeviceNameParts> parts = ParseDeviceName(request);
     if (parts.ok() && parts->job != "localhost") {
       std::vector<Tensor> poisoned;
-      if (DeferRemoteError(op_name, inputs, attrs, device_or.status(),
+      if (DeferRemoteError(*op, inputs, attrs, device_or.status(),
                            &poisoned)) {
         return poisoned;
       }
@@ -419,19 +420,19 @@ StatusOr<std::vector<Tensor>> EagerContext::RunPrimitive(
   // returning immediately is the whole point of forwarding ops instead of
   // round-tripping per call.
   if (device->IsRemote()) {
-    return RunRemote(op_name, std::move(inputs), attrs, device);
+    return RunRemote(*op, std::move(inputs), attrs, device);
   }
 
   // Async fast path (paper §5): enqueue and return pending handles. Variable
   // ops are sequenced through the owning variable's device queue too, so
   // optimizer updates overlap the next step's dispatch instead of acting as
   // sync points; in-order draining keeps assign/read ordering intact. Other
-  // composite and stateful ops (AlwaysExecutes) re-enter the runtime or
+  // composite and stateful ops (always_executes) re-enter the runtime or
   // touch shared state, so they stay on the synchronous path.
   if (async()) {
-    if (!AlwaysExecutes(op_name) || IsVariableOp(op_name)) {
+    if (!op->always_executes || op->variable_op) {
       std::vector<Tensor> pending;
-      if (EnqueueAsync(op_name, inputs, attrs, device, &pending)) {
+      if (EnqueueAsync(*op, inputs, attrs, device, &pending)) {
         return pending;
       }
     }
@@ -440,7 +441,7 @@ StatusOr<std::vector<Tensor>> EagerContext::RunPrimitive(
     // queues are still updating: order them behind every queued op. Executor
     // threads skip the wait — their enclosing Call already drained, and
     // blocking a pool thread here could starve the drains it waits on.
-    if (AlwaysExecutes(op_name) && !Executor::InExecutor()) {
+    if (op->always_executes && !Executor::InExecutor()) {
       WaitQueuesDrained();
     }
   }
@@ -480,7 +481,7 @@ StatusOr<std::vector<Tensor>> EagerContext::RunPrimitive(
   }
 
   TFE_ASSIGN_OR_RETURN(KernelRun run,
-                       ExecuteKernel(op_name, std::move(inputs), attrs, device,
+                       ExecuteKernel(*op, std::move(inputs), attrs, device,
                                      /*compiled=*/false, host_now_ns(),
                                      NextRngStream()));
 
@@ -508,29 +509,19 @@ uint64_t EagerContext::TransferTimeNs(int64_t bytes) {
                                kTransferBytesPerSecond * 1e9);
 }
 
-bool EagerContext::EnqueueAsync(const std::string& op_name,
+bool EagerContext::EnqueueAsync(const OpDef& op,
                                 const std::vector<Tensor>& inputs,
                                 const AttrMap& attrs, Device* device,
                                 std::vector<Tensor>* outputs) {
   // Output metadata must be known at dispatch time; anything shape inference
   // cannot pin down without values falls back to synchronous execution
   // (which also produces the familiar error messages for invalid calls).
-  auto def_or = OpRegistry::Global()->LookUp(op_name);
-  if (!def_or.ok()) return false;
-  std::vector<TypeAndShape> input_types;
-  input_types.reserve(inputs.size());
-  for (const Tensor& input : inputs) {
-    if (!input.defined()) return false;
-    input_types.push_back({input.dtype(), input.shape()});
-  }
-  InferenceContext infer(std::move(input_types), &attrs);
-  if (!(*def_or)->shape_fn(&infer).ok()) return false;
-  for (const TypeAndShape& out : infer.outputs()) {
-    if (!out.shape.IsFullyDefined()) return false;
-  }
+  StatusOr<std::vector<TypeAndShape>> output_types =
+      InferOutputTypes(op, inputs, attrs);
+  if (!output_types.ok() || !FullyDefined(*output_types)) return false;
 
   OpQueue::Node node;
-  node.op_name = op_name;
+  node.op = &op;
   node.inputs = inputs;
   node.attrs = attrs;
   node.enqueue_host_ns = host_now_ns();
@@ -538,8 +529,8 @@ bool EagerContext::EnqueueAsync(const std::string& op_name,
   // interleaving across devices cannot change a random op's stream.
   node.rng_stream = NextRngStream();
   std::vector<Tensor> result;
-  result.reserve(infer.outputs().size());
-  for (const TypeAndShape& out : infer.outputs()) {
+  result.reserve(output_types->size());
+  for (const TypeAndShape& out : *output_types) {
     auto handle =
         TensorHandle::Pending(out.dtype, out.shape, device, &host_now_ns_);
     node.outputs.push_back(handle);
@@ -551,52 +542,40 @@ bool EagerContext::EnqueueAsync(const std::string& op_name,
 }
 
 StatusOr<std::vector<Tensor>> EagerContext::RunRemote(
-    const std::string& op_name, std::vector<Tensor> inputs,
-    const AttrMap& attrs, Device* device) {
+    const OpDef& op, std::vector<Tensor> inputs, const AttrMap& attrs,
+    Device* device) {
   static profiler::Counter* remote_ops =
       profiler::Metrics().GetCounter("dispatch.remote_ops");
   remote_ops->Increment();
-  if (op_name == "Call") {
-    return RunRemoteCall(std::move(inputs), attrs, device);
+  if (op.name == "Call") {
+    return RunRemoteCall(op, std::move(inputs), attrs, device);
   }
-  if (AlwaysExecutes(op_name)) {
+  if (op.always_executes) {
     return InvalidArgument(strings::StrCat(
-        "Op ", op_name, " cannot be dispatched to remote device ",
+        "Op ", op.name, " cannot be dispatched to remote device ",
         device->name(),
         "; only primitive ops and staged function calls execute remotely"));
   }
   for (const Tensor& input : inputs) {
     if (!input.defined()) {
       return InvalidArgument(
-          strings::StrCat("Undefined input to remote op ", op_name));
+          strings::StrCat("Undefined input to remote op ", op.name));
     }
   }
   // Output metadata at dispatch time, mirroring EnqueueAsync; shapes that
   // inference cannot pin down without values fall back to the blocking
   // protocol (correct, just synchronous).
-  auto def_or = OpRegistry::Global()->LookUp(op_name);
-  if (!def_or.ok()) return def_or.status();
-  std::vector<TypeAndShape> input_types;
-  input_types.reserve(inputs.size());
-  for (const Tensor& input : inputs) {
-    input_types.push_back({input.dtype(), input.shape()});
+  StatusOr<std::vector<TypeAndShape>> output_types =
+      InferOutputTypes(op, inputs, attrs);
+  if (!output_types.ok() || !FullyDefined(*output_types)) {
+    return RunRemoteBlocking(op.name, std::move(inputs), attrs, device);
   }
-  InferenceContext infer(std::move(input_types), &attrs);
-  bool inferable = (*def_or)->shape_fn(&infer).ok();
-  if (inferable) {
-    for (const TypeAndShape& out : infer.outputs()) {
-      if (!out.shape.IsFullyDefined()) inferable = false;
-    }
-  }
-  if (!inferable) {
-    return RunRemoteBlocking(op_name, std::move(inputs), attrs, device);
-  }
-  return EnqueueRemote(op_name, std::move(inputs), attrs, device,
-                       infer.outputs());
+  return EnqueueRemote(op, std::move(inputs), attrs, device, *output_types);
 }
 
 StatusOr<std::vector<Tensor>> EagerContext::RunRemoteCall(
-    std::vector<Tensor> inputs, const AttrMap& attrs, Device* device) {
+    const OpDef& call, std::vector<Tensor> inputs, const AttrMap& attrs,
+    Device* device) {
   auto* remote = static_cast<RemoteDevice*>(device);
   auto fn_attr = attrs.find("function");
   if (fn_attr == attrs.end() || !fn_attr->second.Is<std::string>()) {
@@ -630,17 +609,16 @@ StatusOr<std::vector<Tensor>> EagerContext::RunRemoteCall(
   if (!inferable) {
     return RunRemoteBlocking("Call", std::move(inputs), call_attrs, device);
   }
-  return EnqueueRemote("Call", std::move(inputs), std::move(call_attrs),
-                       device, output_types);
+  return EnqueueRemote(call, std::move(inputs), std::move(call_attrs), device,
+                       output_types);
 }
 
 StatusOr<std::vector<Tensor>> EagerContext::EnqueueRemote(
-    const std::string& op_name, std::vector<Tensor> inputs, AttrMap attrs,
-    Device* device, const std::vector<TypeAndShape>& output_types) {
-  auto* remote = static_cast<RemoteDevice*>(device);
-  const std::shared_ptr<RemoteBackend>& backend = remote->shared_backend();
+    const OpDef& op, std::vector<Tensor> inputs, AttrMap attrs, Device* device,
+    const std::vector<TypeAndShape>& output_types) {
+  RemoteBackend* backend = static_cast<RemoteDevice*>(device)->backend();
   OpQueue::Node node;
-  node.op_name = op_name;
+  node.op = &op;
   node.inputs = std::move(inputs);
   node.attrs = std::move(attrs);
   node.enqueue_host_ns = host_now_ns();
@@ -651,14 +629,8 @@ StatusOr<std::vector<Tensor>> EagerContext::EnqueueRemote(
     // The pending-handle protocol: the client pre-assigns the worker-store
     // id each output will live under, so ops dispatched later can reference
     // results that do not exist yet without waiting for this one.
-    TensorHandle::RemoteInfo info;
-    info.device = device;
-    info.handle_id = backend->AllocateHandleId();
-    const int64_t id = info.handle_id;
-    info.fetch = [backend, id] { return backend->Fetch(id); };
-    info.release = [backend, id] { backend->DeleteAsync(id); };
-    auto handle = TensorHandle::PendingRemote(out.dtype, out.shape,
-                                              std::move(info), &host_now_ns_);
+    auto handle = RemoteStoreHandle(device, backend->AllocateHandleId(),
+                                    out.dtype, out.shape, &host_now_ns_);
     node.outputs.push_back(handle);
     result.push_back(Tensor::FromHandle(std::move(handle)));
   }
@@ -748,14 +720,8 @@ StatusOr<std::vector<Tensor>> EagerContext::RunRemoteBlocking(
   std::vector<Tensor> outputs;
   outputs.reserve(metas->size());
   for (const RemoteOutputMeta& meta : *metas) {
-    TensorHandle::RemoteInfo info;
-    info.device = device;
-    info.handle_id = meta.handle_id;
-    const int64_t id = meta.handle_id;
-    info.fetch = [backend, id] { return backend->Fetch(id); };
-    info.release = [backend, id] { backend->DeleteAsync(id); };
-    auto handle = TensorHandle::PendingRemote(meta.dtype, meta.shape,
-                                              std::move(info), &host_now_ns_);
+    auto handle = RemoteStoreHandle(device, meta.handle_id, meta.dtype,
+                                    meta.shape, &host_now_ns_);
     // Already executed: resolve to the opaque placeholder immediately (the
     // value stays remote; the first local read fetches it).
     handle->SetTensor(Tensor::Opaque(meta.dtype, meta.shape, device),
@@ -765,23 +731,16 @@ StatusOr<std::vector<Tensor>> EagerContext::RunRemoteBlocking(
   return outputs;
 }
 
-bool EagerContext::DeferRemoteError(const std::string& op_name,
+bool EagerContext::DeferRemoteError(const OpDef& op,
                                     const std::vector<Tensor>& inputs,
                                     const AttrMap& attrs, const Status& error,
                                     std::vector<Tensor>* outputs) {
-  auto def_or = OpRegistry::Global()->LookUp(op_name);
-  if (!def_or.ok()) return false;
-  std::vector<TypeAndShape> input_types;
-  input_types.reserve(inputs.size());
-  for (const Tensor& input : inputs) {
-    if (!input.defined()) return false;
-    input_types.push_back({input.dtype(), input.shape()});
-  }
-  InferenceContext infer(std::move(input_types), &attrs);
-  if (!(*def_or)->shape_fn(&infer).ok()) return false;
+  StatusOr<std::vector<TypeAndShape>> output_types =
+      InferOutputTypes(op, inputs, attrs);
+  if (!output_types.ok()) return false;
   std::vector<Tensor> result;
-  result.reserve(infer.outputs().size());
-  for (const TypeAndShape& out : infer.outputs()) {
+  result.reserve(output_types->size());
+  for (const TypeAndShape& out : *output_types) {
     // Partial shapes are fine here: the handles only ever report the error.
     auto handle = TensorHandle::Pending(out.dtype, out.shape,
                                         /*device=*/nullptr, &host_now_ns_);

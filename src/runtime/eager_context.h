@@ -173,27 +173,30 @@ class EagerContext {
   // `rng_stream` is the deterministic Philox stream for seed-0 random ops
   // (see KernelContext::rng_stream); 0 leaves the kernel on the shared
   // stateful stream. `inputs` is taken by value so callers that are done
-  // with their inputs can move them into the kernel. `resolved`, when set,
-  // is the node's ResolveKernel result: the registry lookup and the prepare
-  // hook are then skipped.
-  StatusOr<KernelRun> ExecuteKernel(const std::string& op_name,
+  // with their inputs can move them into the kernel. `prepared`, when set,
+  // is the node's Prepare result: the prepare hook is then skipped.
+  StatusOr<KernelRun> ExecuteKernel(const OpDef& op,
                                     std::vector<Tensor> inputs,
                                     const AttrMap& attrs, Device* device,
                                     bool compiled, uint64_t start_ns,
                                     uint64_t rng_stream = 0,
-                                    const ResolvedKernel* resolved = nullptr);
+                                    const PreparedCall* prepared = nullptr);
+  // Looks `op_name` up, then executes it as above.
+  StatusOr<KernelRun> ExecuteKernel(const std::string& op_name,
+                                    std::vector<Tensor> inputs,
+                                    const AttrMap& attrs, Device* device,
+                                    bool compiled, uint64_t start_ns,
+                                    uint64_t rng_stream = 0);
 
-  // Resolves `op_name`'s kernels and runs its prepare hook on `attrs` once,
-  // for callers (execution plans) that run the same node many times. A
-  // prepare error is kept in the result and returned by ExecuteKernel when
-  // the kernel would run.
-  static ResolvedKernel ResolveKernel(const std::string& op_name,
-                                      const AttrMap& attrs);
+  // Runs `op`'s prepare hook on `attrs` once, for callers (execution plans)
+  // that run the same node many times. A prepare error is kept in the
+  // result and returned by ExecuteKernel when the kernel would run.
+  static PreparedCall Prepare(const OpDef& op, const AttrMap& attrs);
 
   // Placement: explicit request > device scope > first input's device (if a
   // kernel exists there) > host CPU. Variable ops stick to the variable's
   // device (paper §4.4).
-  StatusOr<Device*> ResolveDevice(const std::string& op_name,
+  StatusOr<Device*> ResolveDevice(const OpDef& op,
                                   const std::vector<Tensor>& inputs,
                                   const std::string& requested_device);
 
@@ -282,9 +285,9 @@ class EagerContext {
   // pending tensors. Returns false (and leaves `outputs` untouched) when the
   // op must take the synchronous path — composite/stateful ops, or shapes
   // that inference cannot pin down without values.
-  bool EnqueueAsync(const std::string& op_name,
-                    const std::vector<Tensor>& inputs, const AttrMap& attrs,
-                    Device* device, std::vector<Tensor>* outputs);
+  bool EnqueueAsync(const OpDef& op, const std::vector<Tensor>& inputs,
+                    const AttrMap& attrs, Device* device,
+                    std::vector<Tensor>* outputs);
 
   // ---- Remote dispatch (device->IsRemote(), paper §4.5) --------------------
   // Remote ops always take the pending-handle path regardless of the async
@@ -292,13 +295,14 @@ class EagerContext {
   // remote-backed pending tensors immediately; the worker's completion
   // callback resolves (or poisons) them. Ops whose output shapes cannot be
   // pinned down at dispatch fall back to RunRemoteBlocking.
-  StatusOr<std::vector<Tensor>> RunRemote(const std::string& op_name,
+  StatusOr<std::vector<Tensor>> RunRemote(const OpDef& op,
                                           std::vector<Tensor> inputs,
                                           const AttrMap& attrs, Device* device);
   // Staged-function calls on a remote device: the serialized bundle ships on
   // first use (ship-once, per backend), after which each call is one small
   // request naming the registered function.
-  StatusOr<std::vector<Tensor>> RunRemoteCall(std::vector<Tensor> inputs,
+  StatusOr<std::vector<Tensor>> RunRemoteCall(const OpDef& call,
+                                              std::vector<Tensor> inputs,
                                               const AttrMap& attrs,
                                               Device* device);
   // Synchronous remote execution with worker-assigned output ids: the slow
@@ -311,15 +315,15 @@ class EagerContext {
   // Builds the pending remote handles (client-assigned store ids) and
   // enqueues the node on the remote device's queue.
   StatusOr<std::vector<Tensor>> EnqueueRemote(
-      const std::string& op_name, std::vector<Tensor> inputs, AttrMap attrs,
+      const OpDef& op, std::vector<Tensor> inputs, AttrMap attrs,
       Device* device, const std::vector<TypeAndShape>& output_types);
   // Poisoned-output fabrication for an op whose placement failed on a
   // remote-looking device name: the error defers to the next sync point
   // instead of throwing at dispatch, matching mid-flight worker failures.
   // False when output metadata cannot be inferred (caller reports eagerly).
-  bool DeferRemoteError(const std::string& op_name,
-                        const std::vector<Tensor>& inputs, const AttrMap& attrs,
-                        const Status& error, std::vector<Tensor>* outputs);
+  bool DeferRemoteError(const OpDef& op, const std::vector<Tensor>& inputs,
+                        const AttrMap& attrs, const Status& error,
+                        std::vector<Tensor>* outputs);
 
   DeviceManager devices_;
   Device* host_cpu_ = nullptr;

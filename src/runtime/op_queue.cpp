@@ -8,6 +8,7 @@
 #include "device/remote_device.h"
 #include "kernels/fused_elementwise.h"
 #include "kernels/program_cache.h"
+#include "ops/op_registry.h"
 #include "runtime/eager_context.h"
 #include "support/strings.h"
 #include "support/threadpool.h"
@@ -48,7 +49,7 @@ constexpr size_t kMaxPeekSkip = 128;
 // static graph pass.
 bool ClassifyNode(const OpQueue::Node& node, kernels::FusedMemberClass* cls) {
   return node.outputs.size() == 1 &&
-         kernels::ClassifyFusedMember(node.op_name, node.attrs,
+         kernels::ClassifyFusedMember(node.op->name, node.attrs,
                                       node.inputs.size(),
                                       node.outputs[0]->dtype(),
                                       node.outputs[0]->shape(), cls);
@@ -56,7 +57,7 @@ bool ClassifyNode(const OpQueue::Node& node, kernels::FusedMemberClass* cls) {
 
 bool IsReduction(const OpQueue::Node& node) {
   kernels::MicroReduceKind kind;
-  return kernels::MicroReduceKindFor(node.op_name, &kind);
+  return kernels::MicroReduceKindFor(node.op->name, &kind);
 }
 
 // Resolves an external (not produced in-run) input to its concrete value.
@@ -124,6 +125,7 @@ bool Observable(size_t n, const std::vector<OpQueue::Node>& run) {
 OpQueue::OpQueue(EagerContext* ctx, Device* device)
     : ctx_(ctx),
       device_(device),
+      fused_op_(OpRegistry::Global()->LookUp("FusedElementwise").value()),
       enqueued_counter_(profiler::Metrics().GetCounter("queue.enqueued")),
       depth_gauge_(
           profiler::Metrics().GetGauge("queue.depth." + device->name())),
@@ -139,7 +141,7 @@ void OpQueue::Enqueue(Node node) {
   uint32_t name_id = 0;
   if (profiler::enabled()) {
     node.enqueue_wall_ns = profiler::NowNs();
-    name_id = profiler::Intern(node.op_name);
+    name_id = profiler::Intern(node.op->name);
   }
   size_t depth;
   {
@@ -352,7 +354,7 @@ void OpQueue::ExecuteFused(std::vector<Node> run) {
     const Node& node = run[n];
     start_ns = std::max(start_ns, node.enqueue_host_ns);
     kernels::FusedRunOp& op = ops.emplace_back(kernels::MakeFusedRunOp(
-        node.op_name, node.attrs, node.outputs[0]->dtype(),
+        node.op->name, node.attrs, node.outputs[0]->dtype(),
         node.outputs[0]->shape()));
     for (const Tensor& input : node.inputs) {
       const auto& handle = input.pending_handle();
@@ -451,8 +453,8 @@ void OpQueue::ExecuteFused(std::vector<Node> run) {
                   AttrValue(std::vector<int64_t>(compiled.donations.begin(),
                                                  compiled.donations.end())));
   }
-  auto result = ctx_->ExecuteKernel("FusedElementwise", operands, attrs,
-                                    device_, /*compiled=*/false, start_ns);
+  auto result = ctx_->ExecuteKernel(*fused_op_, operands, attrs, device_,
+                                    /*compiled=*/false, start_ns);
   if (!result.ok()) {
     poison(result.status());
     return;
@@ -556,7 +558,7 @@ void OpQueue::Execute(Node node) {
   // Per-op-signature compile cost (simulated TPU eager mode) also rides on
   // the device occupancy in async mode.
   if (device_->cost_params().per_op_compile_ns > 0) {
-    std::string signature = node.op_name;
+    std::string signature = node.op->name;
     for (const Tensor& input : inputs) {
       if (input.defined() && !input.is_resource()) {
         signature += ";" + input.shape().ToString();
@@ -581,7 +583,7 @@ void OpQueue::Execute(Node node) {
       node.inputs.size() == inputs.size() &&
       (inputs.size() == 1 || inputs.size() == 2) && node.outputs.size() == 1) {
     kernels::MicroOpCode code;
-    if (kernels::MicroOpCodeFor(node.op_name, &code) &&
+    if (kernels::MicroOpCodeFor(node.op->name, &code) &&
         kernels::MicroOpArity(code) == static_cast<int>(inputs.size()) &&
         code != kernels::MicroOpCode::kCast) {
       for (size_t i = 0; i < inputs.size(); ++i) {
@@ -602,7 +604,7 @@ void OpQueue::Execute(Node node) {
     }
   }
 
-  auto run = ctx_->ExecuteKernel(node.op_name, inputs, node.attrs, device_,
+  auto run = ctx_->ExecuteKernel(*node.op, inputs, node.attrs, device_,
                                  /*compiled=*/false, start_ns,
                                  node.rng_stream);
   if (!run.ok()) {
@@ -615,7 +617,7 @@ void OpQueue::Execute(Node node) {
           : device_->timeline().Schedule(start_ns, extra_ns + run->device_ns);
 
   if (run->outputs.size() != node.outputs.size()) {
-    poison(Internal("Async op " + node.op_name + " produced " +
+    poison(Internal("Async op " + node.op->name + " produced " +
                     std::to_string(run->outputs.size()) + " outputs, expected " +
                     std::to_string(node.outputs.size())));
     return;
@@ -661,7 +663,7 @@ void OpQueue::ExecuteRemote(Node node) {
           static_cast<RemoteDevice*>(rinfo->device)->shared_backend().get() !=
               backend.get()) {
         poison(InvalidArgument(strings::StrCat(
-            "Remote op ", node.op_name, " on ", device_->name(),
+            "Remote op ", node.op->name, " on ", device_->name(),
             " takes an input living on ", rinfo->device->name(),
             ", a different worker; tensors do not implicitly hop between "
             "workers — move it explicitly with tfe::copy_to")));
@@ -681,7 +683,7 @@ void OpQueue::ExecuteRemote(Node node) {
     if (!value.defined() || value.is_symbolic() || value.is_resource() ||
         value.is_opaque()) {
       poison(InvalidArgument(strings::StrCat(
-          "Remote op ", node.op_name, " on ", device_->name(),
+          "Remote op ", node.op->name, " on ", device_->name(),
           " takes an input that is not a concrete value tensor")));
       return;
     }
@@ -705,7 +707,7 @@ void OpQueue::ExecuteRemote(Node node) {
     ++inflight_;
   }
   auto done = [this, backend, outputs = node.outputs, temp_ids,
-               op_name = node.op_name](
+               op_name = node.op->name](
                   StatusOr<std::vector<RemoteOutputMeta>> metas) {
     {
       profiler::Scope resolve_span(profiler::EventKind::kRemoteResolve,
@@ -743,9 +745,9 @@ void OpQueue::ExecuteRemote(Node node) {
   profiler::Scope enqueue_span(profiler::EventKind::kRemoteEnqueue,
                                "remote_enqueue");
   if (enqueue_span.active()) {
-    enqueue_span.set_detail(profiler::Intern(node.op_name));
+    enqueue_span.set_detail(profiler::Intern(node.op->name));
   }
-  if (node.op_name == "Call") {
+  if (node.op->name == "Call") {
     auto fn_attr = node.attrs.find("function");
     if (fn_attr == node.attrs.end() || !fn_attr->second.Is<std::string>()) {
       {
@@ -768,7 +770,7 @@ void OpQueue::ExecuteRemote(Node node) {
                               std::move(input_ids), std::move(output_ids),
                               /*append_captures=*/false, std::move(done));
   } else {
-    backend->RunOpAsync(remote->local_device_part(), node.op_name,
+    backend->RunOpAsync(remote->local_device_part(), node.op->name,
                         std::move(input_ids), std::move(node.attrs),
                         std::move(output_ids), std::move(done));
   }

@@ -32,13 +32,14 @@ namespace tfe {
 
 class Device;
 class EagerContext;
+struct OpDef;
 
 class OpQueue {
  public:
   // One enqueued primitive: inputs may be pending tensors from any queue;
   // `outputs` are the handles handed to the caller at dispatch time.
   struct Node {
-    std::string op_name;
+    const OpDef* op = nullptr;  // resolved once at dispatch
     std::vector<Tensor> inputs;
     AttrMap attrs;
     // Virtual host time when the op was dispatched (earliest device start).
@@ -120,6 +121,8 @@ class OpQueue {
 
   EagerContext* const ctx_;
   Device* const device_;
+  // The FusedElementwise entry every fused run executes.
+  const OpDef* const fused_op_;
 
   // Observability instruments, resolved once (metric pointers are
   // process-lifetime stable; see profiler/metrics.h).

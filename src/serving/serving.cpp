@@ -86,12 +86,10 @@ StatusOr<std::vector<Tensor>> RunConcrete(
   std::shared_ptr<GraphFunction> to_run =
       passes::FusedExecutionVariant(ctx, device, concrete);
 
-  Executor executor(ctx);
   TFE_ASSIGN_OR_RETURN(
       Executor::Result result,
-      executor.Run(*to_run, call_inputs, device, ctx->host_now_ns(),
-                   /*compiled=*/false, /*parallel=*/!Executor::InExecutor(),
-                   rng_stream));
+      Executor(ctx).Run(*to_run, call_inputs, device, ctx->host_now_ns(),
+                        /*compiled=*/false, rng_stream));
   ctx->RaiseHostNs(result.finish_ns);
   return std::move(result.outputs);
 }

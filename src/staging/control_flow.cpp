@@ -4,7 +4,7 @@
 
 #include "api/ops_api.h"
 #include "autodiff/function_grad.h"
-#include "autodiff/gradient_registry.h"
+#include "autodiff/tape.h"
 #include "executor/executor.h"
 #include "graph/passes.h"
 #include "kernels/kernel_util.h"
@@ -67,21 +67,8 @@ StatusOr<bool> ScalarPred(const Tensor& pred) {
   return pred.data<bool>()[0];
 }
 
-// Runs an already-resolved graph function on `inputs` (explicit + that
-// function's captures), sharing the executor conventions of the Call kernel.
-StatusOr<Executor::Result> RunResolved(EagerContext* ctx,
-                                       const GraphFunction& fn,
-                                       std::vector<Tensor> inputs,
-                                       Device* device, uint64_t start_ns,
-                                       bool compiled,
-                                       uint64_t rng_stream_base) {
-  Executor executor(ctx);
-  return executor.Run(fn, inputs, device, start_ns, compiled,
-                      /*parallel=*/!Executor::InExecutor(), rng_stream_base);
-}
-
-// Name-based variant: resolves `name` (and its fused execution variant, when
-// the device executes kernels) before running.
+// Resolves `name` (and its fused execution variant, when the device executes
+// kernels) and runs it on `inputs` (explicit + that function's captures).
 StatusOr<Executor::Result> RunBranch(EagerContext* ctx,
                                      const std::string& name,
                                      std::vector<Tensor> inputs,
@@ -91,8 +78,8 @@ StatusOr<Executor::Result> RunBranch(EagerContext* ctx,
                        ctx->functions().Find(name));
   std::shared_ptr<GraphFunction> to_run =
       passes::FusedExecutionVariant(ctx, device, fn);
-  return RunResolved(ctx, *to_run, std::move(inputs), device, start_ns,
-                     compiled, rng_stream_base);
+  return Executor(ctx).Run(*to_run, inputs, device, start_ns, compiled,
+                           rng_stream_base);
 }
 
 Status CondKernel(KernelContext* ctx) {
@@ -155,8 +142,8 @@ StatusOr<int64_t> RunWhileLoop(
                        cond_captures.end());
     TFE_ASSIGN_OR_RETURN(
         Executor::Result cond_result,
-        RunResolved(ectx, cond_run, std::move(cond_inputs), ctx->device(),
-                    *now_ns, ctx->compiled(), iter_base + 1));
+        Executor(ectx).Run(cond_run, cond_inputs, ctx->device(), *now_ns,
+                           ctx->compiled(), iter_base + 1));
     *now_ns = cond_result.finish_ns;
     if (cond_result.outputs.size() != 1) {
       return InvalidArgument("While condition must produce one output");
@@ -170,8 +157,8 @@ StatusOr<int64_t> RunWhileLoop(
                        body_captures.end());
     TFE_ASSIGN_OR_RETURN(
         Executor::Result body_result,
-        RunResolved(ectx, body_run, std::move(body_inputs), ctx->device(),
-                    *now_ns, ctx->compiled(), iter_base + 2));
+        Executor(ectx).Run(body_run, body_inputs, ctx->device(), *now_ns,
+                           ctx->compiled(), iter_base + 2));
     *now_ns = body_result.finish_ns;
     if (body_result.outputs.size() != vars->size()) {
       return InvalidArgument("While body must return the loop variables");
@@ -535,8 +522,8 @@ Status WhileGradKernel(KernelContext* ctx) {
                       body_captures.end());
     TFE_ASSIGN_OR_RETURN(
         Executor::Result fwd_result,
-        RunResolved(ectx, *fwd_run, std::move(fwd_inputs), device, now_ns,
-                    ctx->compiled(), iter_base + 2));
+        Executor(ectx).Run(*fwd_run, fwd_inputs, device, now_ns,
+                           ctx->compiled(), iter_base + 2));
     now_ns = fwd_result.finish_ns;
 
     std::vector<Tensor> bwd_inputs = stack[i];
@@ -550,8 +537,8 @@ Status WhileGradKernel(KernelContext* ctx) {
     bwd_inputs.insert(bwd_inputs.end(), accs.begin(), accs.end());
     TFE_ASSIGN_OR_RETURN(
         Executor::Result bwd_result,
-        RunResolved(ectx, *bwd_run, std::move(bwd_inputs), device, now_ns,
-                    ctx->compiled(), iter_base + 3));
+        Executor(ectx).Run(*bwd_run, bwd_inputs, device, now_ns,
+                           ctx->compiled(), iter_base + 3));
     now_ns = bwd_result.finish_ns;
     if (bwd_result.outputs.size() != grad_arg_indices.size()) {
       return Internal("While loop-backward output arity mismatch");
@@ -866,6 +853,7 @@ void RegisterControlFlowOps() {
     def.num_inputs = OpDef::kVariadic;
     def.is_stateful = true;  // branches may contain stateful ops
     def.differentiable = true;
+    def.always_executes = true;
     def.shape_fn = [](InferenceContext*) { return Status::OK(); };
     TFE_CHECK(OpRegistry::Global()->Register(std::move(def)).ok());
   }
@@ -875,6 +863,7 @@ void RegisterControlFlowOps() {
     def.num_inputs = OpDef::kVariadic;
     def.is_stateful = true;
     def.differentiable = true;
+    def.always_executes = true;
     def.shape_fn = [](InferenceContext*) { return Status::OK(); };
     TFE_CHECK(OpRegistry::Global()->Register(std::move(def)).ok());
   }
@@ -890,18 +879,20 @@ void RegisterControlFlowOps() {
   kernels::RegisterKernel("Cond", CondKernel);
   kernels::RegisterKernel("While", WhileKernel);
   kernels::RegisterKernel("WhileGrad", WhileGradKernel);
-  TFE_CHECK(GradientRegistry::Global()->Register("Cond", CondGradImpl).ok());
-  TFE_CHECK(GradientRegistry::Global()->Register("While", WhileGradImpl).ok());
+  TFE_CHECK(OpRegistry::Global()->RegisterGradient("Cond", CondGradImpl).ok());
+  TFE_CHECK(
+      OpRegistry::Global()->RegisterGradient("While", WhileGradImpl).ok());
   // Second-order While gradients are a loud Unimplemented error, never a
   // silent zero.
-  TFE_CHECK(GradientRegistry::Global()
-                ->Register("WhileGrad",
-                           [](const TapeEntry&, const std::vector<Tensor>&)
-                               -> StatusOr<std::vector<Tensor>> {
-                             return Unimplemented(
-                                 "second-order gradients through While are "
-                                 "not supported");
-                           })
+  TFE_CHECK(OpRegistry::Global()
+                ->RegisterGradient(
+                    "WhileGrad",
+                    [](const TapeEntry&, const std::vector<Tensor>&)
+                        -> StatusOr<std::vector<Tensor>> {
+                      return Unimplemented(
+                          "second-order gradients through While are not "
+                          "supported");
+                    })
                 .ok());
 }
 

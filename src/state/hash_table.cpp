@@ -208,6 +208,7 @@ void RegisterHashTableOps() {
     def.num_inputs = 3;
     def.is_stateful = true;
     def.differentiable = false;
+    def.always_executes = true;
     def.shape_fn = [](InferenceContext*) { return Status::OK(); };
     TFE_CHECK(OpRegistry::Global()->Register(std::move(def)).ok());
   }
@@ -217,6 +218,7 @@ void RegisterHashTableOps() {
     def.num_inputs = 3;  // handle, keys, default
     def.is_stateful = true;
     def.differentiable = false;
+    def.always_executes = true;
     def.shape_fn = [](InferenceContext* ctx) {
       TFE_ASSIGN_OR_RETURN(DType dtype, ctx->GetAttr<DType>("dtype"));
       std::vector<int64_t> dims = {ctx->input_shape(1).rank() == 1
@@ -234,6 +236,7 @@ void RegisterHashTableOps() {
     def.num_inputs = 1;
     def.is_stateful = true;
     def.differentiable = false;
+    def.always_executes = true;
     def.shape_fn = [](InferenceContext* ctx) {
       ctx->AddOutput(DType::kInt64, Shape());
       return Status::OK();

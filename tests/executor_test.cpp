@@ -60,10 +60,12 @@ TEST(ExecutorTest, ParallelAndInlineAgree) {
     return std::vector<Tensor>{sum};
   });
   Executor executor(EagerContext::Global());
-  auto parallel = executor.Run(*fn, {ops::scalar<float>(0.5f)}, nullptr, 0,
-                               false, /*parallel=*/true);
-  auto inline_run = executor.Run(*fn, {ops::scalar<float>(0.5f)}, nullptr, 0,
-                                 false, /*parallel=*/false);
+  auto parallel =
+      executor.Run(*fn, {ops::scalar<float>(0.5f)}, nullptr, 0, false,
+                   /*rng_stream_base=*/0, /*parallel=*/true);
+  auto inline_run =
+      executor.Run(*fn, {ops::scalar<float>(0.5f)}, nullptr, 0, false,
+                   /*rng_stream_base=*/0, /*parallel=*/false);
   ASSERT_TRUE(parallel.ok());
   ASSERT_TRUE(inline_run.ok());
   EXPECT_FLOAT_EQ(parallel->outputs[0].scalar<float>(),
@@ -201,7 +203,8 @@ TEST(ExecutorTest, DeepGraphOnPoolEngineDoesNotOverflowStack) {
   }
   Executor executor(EagerContext::Global());
   auto result = executor.Run(*fn, {ops::constant<float>({1.0f}, {1, 1})},
-                             nullptr, 0, false, /*parallel=*/true);
+                             nullptr, 0, false, /*rng_stream_base=*/0,
+                             /*parallel=*/true);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FLOAT_EQ(tensor_util::ToVector<float>(result->outputs[0])[0], 1.0f);
   EXPECT_FLOAT_EQ(tensor_util::ToVector<float>(result->outputs[1])[0], 1.0f);
@@ -296,9 +299,9 @@ TEST(ExecutorTest, RandomOpsDrawTheSameValuesOnBothEngines) {
   Executor executor(EagerContext::Global());
   constexpr uint64_t kStream = 1234;
   auto pool = executor.Run(*fn, {ops::scalar<float>(2)}, nullptr, 0, false,
-                           /*parallel=*/true, kStream);
+                           kStream, /*parallel=*/true);
   auto inline_run = executor.Run(*fn, {ops::scalar<float>(2)}, nullptr, 0,
-                                 false, /*parallel=*/false, kStream);
+                                 false, kStream, /*parallel=*/false);
   ASSERT_TRUE(pool.ok());
   ASSERT_TRUE(inline_run.ok());
   ASSERT_EQ(pool->outputs.size(), inline_run->outputs.size());

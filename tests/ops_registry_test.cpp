@@ -1,12 +1,13 @@
 // Registry invariants: every op has a kernel (or is a construction
 // pseudo-op), every differentiable op used by the models has a gradient,
-// and shape-inference error paths reject bad programs at trace time.
+// the traits set at registration are pinned, registrations that would
+// break the one-entry-per-op rule are rejected, and shape-inference error
+// paths reject bad programs at trace time.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "api/tfe.h"
-#include "autodiff/gradient_registry.h"
 #include "ops/kernel.h"
 #include "ops/op_registry.h"
 
@@ -40,21 +41,90 @@ TEST(OpRegistryTest, EveryOpHasAKernelOrIsAPseudoOp) {
   // Pseudo-ops are materialized by the tracer/executor, not kernels.
   const std::set<std::string> pseudo = {"Arg", "Const"};
   for (const std::string& op : OpRegistry::Global()->ListOps()) {
-    if (pseudo.count(op) > 0) continue;
-    EXPECT_TRUE(KernelRegistry::Global()->HasKernel(op, DeviceKind::kCpu))
-        << "op without CPU kernel: " << op;
+    const bool has_kernel =
+        static_cast<bool>((*OpRegistry::Global()->LookUp(op))->kernel);
+    EXPECT_EQ(has_kernel, pseudo.count(op) == 0) << op;
   }
 }
 
+// An op's one kernel serves every device kind: explicit placement on the
+// CPU and on each simulated accelerator finds it.
 TEST(OpRegistryTest, KernelsCoverAllSimulatedDeviceKinds) {
-  EnsureOpsRegistered();
+  EagerContext::ResetGlobal({});
+  EagerContext* ctx = EagerContext::Global();
   for (const char* op : {"Add", "MatMul", "Conv2D", "Relu"}) {
-    for (DeviceKind kind :
-         {DeviceKind::kCpu, DeviceKind::kGpu, DeviceKind::kTpu}) {
-      EXPECT_TRUE(KernelRegistry::Global()->HasKernel(op, kind))
-          << op << " on " << DeviceKindName(kind);
+    const OpDef* def = *OpRegistry::Global()->LookUp(op);
+    for (Device* device : ctx->devices().ListDevices()) {
+      StatusOr<Device*> placed = ctx->ResolveDevice(*def, {}, device->name());
+      ASSERT_TRUE(placed.ok()) << op << " on " << device->name() << ": "
+                               << placed.status().ToString();
+      EXPECT_EQ(*placed, device);
     }
   }
+}
+
+// The placement and async traits are pinned to the ops that carried them
+// as hard-coded name lists before they moved into the registry entry.
+TEST(OpRegistryTest, TraitsMatchTheirOps) {
+  EnsureOpsRegistered();
+  std::set<std::string> always_executes;
+  std::set<std::string> variable_ops;
+  for (const std::string& op : OpRegistry::Global()->ListOps()) {
+    const OpDef* def = *OpRegistry::Global()->LookUp(op);
+    if (def->always_executes) always_executes.insert(op);
+    if (def->variable_op) variable_ops.insert(op);
+  }
+  const std::set<std::string> variable_expected = {
+      "ReadVariableOp", "AssignVariableOp", "AssignAddVariableOp",
+      "AssignSubVariableOp"};
+  EXPECT_EQ(variable_ops, variable_expected);
+  std::set<std::string> always_expected = {
+      "Call",         "HostFunc",        "SaveTensor",    "RestoreTensor",
+      "IteratorNext", "HashTableInsert", "HashTableLookup", "HashTableSize",
+      "Cond",         "While",           "NoOp"};
+  always_expected.insert(variable_expected.begin(), variable_expected.end());
+  EXPECT_EQ(always_executes, always_expected);
+}
+
+// A kernel or gradient attaches only to a registered op, and only once.
+TEST(OpRegistryTest, AttachmentsRejected) {
+  EnsureOpsRegistered();
+  OpRegistry* registry = OpRegistry::Global();
+  const KernelFn kernel = [](KernelContext*) { return Status::OK(); };
+  const GradFn gradient = [](const TapeEntry&, const std::vector<Tensor>&)
+      -> StatusOr<std::vector<Tensor>> { return std::vector<Tensor>{}; };
+  EXPECT_EQ(registry->RegisterKernel("NoSuchOp", kernel).code(),
+            ErrorCode::kNotFound);
+  EXPECT_EQ(registry->RegisterGradient("NoSuchOp", gradient).code(),
+            ErrorCode::kNotFound);
+  EXPECT_FALSE(registry->Contains("NoSuchOp"));
+  EXPECT_EQ(registry->RegisterGradient("Add", gradient).code(),
+            ErrorCode::kAlreadyExists);
+}
+
+// A differentiable op without a gradient keeps its loud error: here the
+// second-order gradient through MaxPool meets MaxPoolGrad.
+TEST(OpRegistryTest, MissingGradientIsUnimplemented) {
+  EagerContext::ResetGlobal({});
+  Tensor x = ops::random_normal({1, 4, 4, 1}, 0, 1, /*seed=*/7);
+  GradientTape outer;
+  outer.watch(x);
+  Tensor dx;
+  {
+    GradientTape inner;
+    inner.watch(x);
+    Tensor y = ops::reduce_sum(ops::max_pool(x, {2, 2}, {2, 2}));
+    StatusOr<std::vector<Tensor>> grads = inner.gradient(y, {x});
+    ASSERT_TRUE(grads.ok()) << grads.status().ToString();
+    dx = (*grads)[0];
+  }
+  StatusOr<std::vector<Tensor>> second =
+      outer.gradient(ops::reduce_sum(dx), {x});
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), ErrorCode::kUnimplemented);
+  EXPECT_EQ(second.status().message(),
+            "No gradient registered for op MaxPoolGrad (op is marked "
+            "differentiable)");
 }
 
 TEST(OpRegistryTest, DifferentiableFloatOpsHaveGradients) {
@@ -71,7 +141,7 @@ TEST(OpRegistryTest, DifferentiableFloatOpsHaveGradients) {
     ASSERT_TRUE(def.ok());
     if (!(*def)->differentiable) continue;
     if (loud_error_by_design.count(op) > 0) continue;
-    EXPECT_NE(GradientRegistry::Global()->Find(op), nullptr)
+    EXPECT_TRUE((*def)->gradient)
         << "differentiable op without gradient: " << op;
   }
 }
@@ -135,22 +205,34 @@ TEST(ShapeInferenceErrors, RejectedAtTraceTime) {
   }
 }
 
+// The kernel half of the op registry (kernels live in each op's entry).
 TEST(KernelRegistryTest, DuplicateKernelRejected) {
   EnsureOpsRegistered();
-  Status status = KernelRegistry::Global()->Register(
+  Status status = OpRegistry::Global()->RegisterKernel(
       "Add", [](KernelContext*) { return Status::OK(); });
   EXPECT_EQ(status.code(), ErrorCode::kAlreadyExists);
 }
 
 TEST(KernelRegistryTest, LookupMissingKernel) {
-  EnsureOpsRegistered();
-  StatusOr<const OpKernels*> missing =
-      KernelRegistry::Global()->LookUpOp("NoSuchOp");
-  ASSERT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().message(), "No kernel registered for op NoSuchOp");
-  StatusOr<const OpKernels*> add = KernelRegistry::Global()->LookUpOp("Add");
+  EagerContext::ResetGlobal({});
+  EagerContext* ctx = EagerContext::Global();
+  const AttrMap attrs;
+  // An unknown op and a registered op without a kernel both fail NotFound;
+  // the latter names the missing kernel.
+  auto unknown = ctx->ExecuteKernel("NoSuchOp", {}, attrs, ctx->HostCpu(),
+                                    /*compiled=*/false, /*start_ns=*/0);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(ctx->RunPrimitive("NoSuchOp", {}, attrs, "").status().code(),
+            ErrorCode::kNotFound);
+  auto no_kernel = ctx->ExecuteKernel("Arg", {}, attrs, ctx->HostCpu(),
+                                      /*compiled=*/false, /*start_ns=*/0);
+  ASSERT_FALSE(no_kernel.ok());
+  EXPECT_EQ(no_kernel.status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(no_kernel.status().message(), "No kernel registered for op Arg");
+  StatusOr<const OpDef*> add = OpRegistry::Global()->LookUp("Add");
   ASSERT_TRUE(add.ok());
-  EXPECT_TRUE((*add)->For(DeviceKind::kCpu).ok());
+  EXPECT_TRUE((*add)->kernel);
 }
 
 }  // namespace
