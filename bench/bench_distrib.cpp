@@ -1,17 +1,16 @@
-// Distributed execution (paper §4.5) on the unified async dispatch path:
-// a dependent op chain on a remote worker, driven two ways.
+// Distributed execution (paper §4.5) on the async dispatch path: a
+// dependent op chain on a remote worker under `tfe::device`, driven two ways.
 //
-//   blocking  — the Cluster RPC API: every op is a full client<->worker
-//               round trip (Put/RunOp semantics, client waits per op).
-//   async     — `tfe::device("/job:worker/...")` dispatch: ops return
-//               pending handles immediately, consumers reference producers
-//               by pre-assigned store id, and the client joins the worker
-//               once at the final sync.
+//   blocking  — the same chain with `tfe::sync()` after every op, so the
+//               client waits out a full worker round trip per op.
+//   async     — ops return pending handles immediately, consumers reference
+//               producers by pre-assigned store id, and the client joins the
+//               worker once at the final sync.
 //
 // The async series must overlap client dispatch with worker execution well
 // enough to beat the per-op round trips by >= 1.5x — the bench exits
-// non-zero otherwise. A second section runs a staged function remotely and
-// publishes round-trip histograms through the profiler.
+// non-zero otherwise. A second section calls a staged function remotely and
+// publishes its round-trip histogram through the profiler.
 //
 //   build/bench/bench_distrib
 #include <memory>
@@ -32,22 +31,22 @@ constexpr int kChainOps = 256;
 constexpr int kFunctionCalls = 30;
 constexpr char kRemote[] = "/job:worker/task:1/device:CPU:0";
 
-// The whole dependent chain over blocking RPCs: the client waits out a
+// The dependent chain with a sync after every op: the client waits out a
 // worker round trip per op.
-void BlockingChain(Cluster& cluster, const Tensor& x) {
-  auto h = cluster.Put(kRemote, x);
-  TFE_CHECK(h.ok());
-  tfe::RemoteTensor cur = *h;
-  for (int i = 0; i < kChainOps; ++i) {
-    auto next = cluster.RunOp(kRemote, "Add", {cur, cur});
-    TFE_CHECK(next.ok());
-    cur = (*next)[0];
+void BlockingChain(const Tensor& x) {
+  tfe::device scope(kRemote);
+  Tensor h = ops::add(x, x);
+  TFE_CHECK(tfe::sync().ok());
+  for (int i = 1; i < kChainOps; ++i) {
+    h = ops::add(h, h);
+    TFE_CHECK(tfe::sync().ok());
   }
-  TFE_CHECK(cluster.Fetch(cur).ok());
+  TFE_CHECK(h.pending_handle() != nullptr &&
+            h.pending_handle()->resolved());
 }
 
-// The same chain through ordinary dispatch under a remote device scope:
-// every op returns a pending handle without waiting.
+// The same chain without the per-op syncs: every op returns a pending
+// handle without waiting.
 void AsyncChain(const Tensor& x) {
   Tensor h;
   {
@@ -69,23 +68,23 @@ int main() {
 
   Tensor x = ops::constant<float>({1, 2, 3, 4}, {4});
 
-  BlockingChain(*cluster, x);  // warm-up: store + queue + backend creation
+  BlockingChain(x);  // warm-up: store + queue + backend creation
   AsyncChain(x);
   const double blocking_s =
-      bench::MeasureWallSeconds([&] { BlockingChain(*cluster, x); },
+      bench::MeasureWallSeconds([&] { BlockingChain(x); },
                                 /*iterations=*/3);
   const double async_s =
       bench::MeasureWallSeconds([&] { AsyncChain(x); }, /*iterations=*/3);
   const double overlap_ratio = blocking_s / async_s;
 
   std::printf("\n%d-op dependent remote chain (wall clock)\n", kChainOps);
-  std::printf("%-22s%12.2f ms\n", "blocking RPC per op", blocking_s * 1e3);
+  std::printf("%-22s%12.2f ms\n", "sync after every op", blocking_s * 1e3);
   std::printf("%-22s%12.2f ms\n", "async dispatch", async_s * 1e3);
   std::printf("%-22s%11.2fx\n", "overlap ratio", overlap_ratio);
 
-  // Staged-function round trips, photographed by the profiler: the async
-  // dispatch-to-sync latency lands in remote.function_roundtrip_ns, and a
-  // blocking RunFunction series exercises the worker's rpc.roundtrip_ns.
+  // Staged-function round trips, photographed by the profiler: the
+  // dispatch-to-sync latency of each remote call lands in
+  // remote.function_roundtrip_ns.
   profiler::Start();
   tfe::Function f = tfe::function(
       [](const std::vector<Tensor>& args) -> std::vector<Tensor> {
@@ -105,13 +104,6 @@ int main() {
     TFE_CHECK(tfe::sync().ok());
     fn_roundtrip->Record(profiler::NowNs() - begin_ns);
   }
-  auto concrete = f.GetConcreteFunction({x});
-  TFE_CHECK(concrete.ok());
-  auto remote_x = cluster->Put(kRemote, x);
-  TFE_CHECK(remote_x.ok());
-  for (int i = 0; i < kFunctionCalls; ++i) {
-    TFE_CHECK(cluster->RunFunction(kRemote, **concrete, {*remote_x}).ok());
-  }
   const profiler::HistogramSnapshot fn_snap = fn_roundtrip->Snapshot();
   std::printf("\nremote function round trip: mean %.1f us, max %.1f us "
               "(%llu calls)\n",
@@ -130,7 +122,7 @@ int main() {
 
   if (overlap_ratio < 1.5) {
     std::fprintf(stderr,
-                 "FAIL: async dispatch only %.2fx over blocking RPCs "
+                 "FAIL: async dispatch only %.2fx over a sync per op "
                  "(needs >= 1.5x)\n",
                  overlap_ratio);
     return 1;

@@ -1,6 +1,9 @@
-// Distributed execution (paper §4.5): a two-worker cluster, remote ops by
-// device name, remote tensors that stay remote, whole graph functions
-// shipped to workers, and concurrent computations from host threads.
+// Distributed execution (paper §4.5): a two-worker cluster whose devices
+// join the pool, remote ops under `tfe::device` scopes whose results stay
+// remote until read, an explicit copy between workers, a staged function
+// shipped to a worker, and concurrent computations from host threads.
+// Exits non-zero if the loss computed on the worker differs from the local
+// one.
 //
 //   build/examples/example_distributed
 #include <cmath>
@@ -17,6 +20,7 @@ int main() {
   tfe::Cluster::Options options;
   options.jobs = {{"training", 2}};
   tfe::Cluster cluster(options);
+  cluster.Connect(tfe::EagerContext::Global()).ThrowIfError();
 
   std::printf("== remote device pool ==\n");
   for (const std::string& name : cluster.ListRemoteDevices()) {
@@ -24,70 +28,72 @@ int main() {
   }
 
   // Same syntax as local execution, but with a remote device name.
+  const std::string task0 = "/job:training/task:0/device:CPU:0";
   const std::string task1 = "/job:training/task:1/device:CPU:0";
-  auto weights =
-      cluster.Put(task1, ops::random_normal({4, 4}, 0, 1, /*seed=*/3));
-  weights.status().ThrowIfError();
-  auto activations =
-      cluster.Put(task1, ops::random_normal({4, 4}, 0, 1, /*seed=*/4));
-  activations.status().ThrowIfError();
+  Tensor weights = ops::random_normal({4, 4}, 0, 1, /*seed=*/3);
+  Tensor activations = ops::random_normal({4, 4}, 0, 1, /*seed=*/4);
+  Tensor product;
+  {
+    tfe::device scope(task1);
+    product = ops::matmul(weights, activations);
+  }
+  std::printf("\nMatMul ran on %s; the result stays there until read\n",
+              product.device()->name().c_str());
 
-  auto product = cluster.RunOp(task1, "MatMul", {*weights, *activations});
-  product.status().ThrowIfError();
-  std::printf("\nMatMul ran on %s; result stayed remote: %s\n", task1.c_str(),
-              (*product)[0].DebugString().c_str());
+  // Reading the value copies it to the central server.
+  std::printf("read on client: %s\n",
+              tfe::tensor_util::ToString(product, 4).c_str());
 
-  // Copy to the central server only when the value is needed.
-  Tensor fetched = cluster.Fetch((*product)[0]).ValueOrThrow();
-  std::printf("fetched to client: %s\n",
-              tfe::tensor_util::ToString(fetched, 4).c_str());
+  // Tensors never hop between workers implicitly; copy_to moves one.
+  Tensor moved = tfe::copy_to(product, task0);
+  Tensor doubled;
+  {
+    tfe::device scope(task0);
+    doubled = ops::add(moved, moved);
+  }
+  std::printf("copied to %s and doubled there: %s\n",
+              doubled.device()->name().c_str(),
+              tfe::tensor_util::ToString(doubled, 4).c_str());
 
-  // Ship a whole graph function to a worker (staging enables serializing
-  // the program, §4.3/§4.5).
+  // A staged function called under a remote scope ships its graph to the
+  // worker once and runs there as one op (§4.3/§4.5).
   tfe::Function loss_fn = tfe::function(
       [](const std::vector<Tensor>& args) -> std::vector<Tensor> {
         Tensor err = ops::sub(ops::matmul(args[0], args[1]), args[1]);
         return {ops::reduce_mean(ops::square(err))};
       },
       "remote_loss");
-  Tensor w_local = ops::random_normal({4, 4}, 0, 0.5, /*seed=*/5);
-  Tensor x_local = ops::random_normal({4, 4}, 0, 0.5, /*seed=*/6);
-  float local_value = loss_fn({w_local, x_local})[0].scalar<float>();
-
-  auto concrete = loss_fn.GetConcreteFunction({w_local, x_local});
-  concrete.status().ThrowIfError();
-  auto remote_w = cluster.Put(task1, w_local).ValueOrThrow();
-  auto remote_x = cluster.Put(task1, x_local).ValueOrThrow();
-  auto remote_loss =
-      cluster.RunFunction(task1, **concrete, {remote_w, remote_x});
-  remote_loss.status().ThrowIfError();
-  float remote_value =
-      cluster.Fetch((*remote_loss)[0]).ValueOrThrow().scalar<float>();
+  Tensor w = ops::random_normal({4, 4}, 0, 0.5, /*seed=*/5);
+  Tensor x = ops::random_normal({4, 4}, 0, 0.5, /*seed=*/6);
+  const float local_value = loss_fn({w, x})[0].scalar<float>();
+  Tensor remote_loss;
+  {
+    tfe::device scope(task1);
+    remote_loss = loss_fn({w, x})[0];
+  }
+  const float remote_value = remote_loss.scalar<float>();
+  const bool match = std::abs(local_value - remote_value) < 1e-6f;
   std::printf("\nloss computed locally: %.6f, on worker: %.6f (match: %s)\n",
-              local_value, remote_value,
-              std::abs(local_value - remote_value) < 1e-6 ? "yes" : "NO");
+              local_value, remote_value, match ? "yes" : "NO");
 
-  // Concurrent computations on different workers from host threads (§4.5).
+  // Concurrent computations on different workers from host threads (§4.5):
+  // each thread scopes its own worker.
   std::printf("\n== concurrent data-parallel shards ==\n");
   std::vector<float> shard_sums(2);
   std::vector<std::thread> threads;
   for (int task = 0; task < 2; ++task) {
-    threads.emplace_back([&cluster, &shard_sums, task] {
-      std::string device =
-          "/job:training/task:" + std::to_string(task) + "/device:CPU:0";
-      auto shard = cluster.Put(
-          device, ops::random_normal({64}, 1.0, 0.1, /*seed=*/10 + task));
-      auto squared = cluster.RunOp(device, "Mul", {*shard, *shard});
-      tfe::AttrMap attrs;  // reduce on the worker, fetch only the scalar
-      attrs["axis"] = tfe::AttrValue(std::vector<int64_t>{});
-      auto total = cluster.RunOp(device, "Sum", {(*squared)[0]}, attrs);
-      shard_sums[task] =
-          cluster.Fetch((*total)[0]).ValueOrThrow().scalar<float>();
+    threads.emplace_back([&shard_sums, task] {
+      Tensor shard = ops::random_normal({64}, 1.0, 0.1, /*seed=*/10 + task);
+      tfe::device scope("/job:training/task:" + std::to_string(task) +
+                        "/device:CPU:0");
+      // Square and reduce on the worker; only the scalar comes back.
+      Tensor total = ops::reduce_sum(ops::mul(shard, shard));
+      shard_sums[task] = total.scalar<float>();
     });
   }
   for (auto& thread : threads) thread.join();
   std::printf("shard 0 sum(x^2) = %.2f (on task 0)\n", shard_sums[0]);
   std::printf("shard 1 sum(x^2) = %.2f (on task 1)\n", shard_sums[1]);
   std::printf("combined on client = %.2f\n", shard_sums[0] + shard_sums[1]);
-  return 0;
+  return match ? 0 : 1;
 }

@@ -1,10 +1,7 @@
 #include "distrib/cluster.h"
 
-#include "graph/serialization.h"
-#include "profiler/profiler.h"
 #include "runtime/eager_context.h"
 #include "support/strings.h"
-#include "tensor/tensor_handle.h"
 
 namespace tfe {
 
@@ -26,7 +23,8 @@ Cluster::~Cluster() {
   // Sever every backend before any worker dies: RemoteDevices registered in
   // a still-living EagerContext keep the backends alive by shared_ptr, and a
   // disconnected backend answers Unavailable instead of touching a freed
-  // worker.
+  // worker. Disconnect also waits out the calls (a drain thread's Put, say)
+  // that reached a worker before it.
   for (auto& backend : backends_) backend->Disconnect();
 }
 
@@ -66,120 +64,6 @@ std::vector<std::string> Cluster::ListRemoteDevices() const {
     }
   }
   return names;
-}
-
-StatusOr<WorkerServer*> Cluster::ResolveWorker(
-    const std::string& device_name) const {
-  TFE_ASSIGN_OR_RETURN(DeviceNameParts parts, ParseDeviceName(device_name));
-  for (const auto& worker : workers_) {
-    if (worker->job() == parts.job && worker->task() == parts.task) {
-      return worker.get();
-    }
-  }
-  return NotFound("No worker serving " + device_name);
-}
-
-StatusOr<std::string> Cluster::LocalDevicePart(
-    const std::string& device_name) {
-  TFE_ASSIGN_OR_RETURN(DeviceNameParts parts, ParseDeviceName(device_name));
-  DeviceNameParts local = parts;
-  local.job = "localhost";
-  local.task = 0;
-  return local.ToString();
-}
-
-StatusOr<RemoteTensor> Cluster::Put(const std::string& device_name,
-                                    const Tensor& tensor) {
-  static profiler::Counter* puts =
-      profiler::Metrics().GetCounter("cluster.puts");
-  puts->Increment();
-  profiler::Scope rpc_span(profiler::EventKind::kRpcSend, "cluster.put");
-  TFE_ASSIGN_OR_RETURN(WorkerServer * worker, ResolveWorker(device_name));
-  return worker->Put(tensor);
-}
-
-StatusOr<std::vector<RemoteTensor>> Cluster::RunOp(
-    const std::string& device_name, const std::string& op_name,
-    const std::vector<RemoteTensor>& inputs, const AttrMap& attrs) {
-  static profiler::Counter* run_ops =
-      profiler::Metrics().GetCounter("cluster.run_ops");
-  run_ops->Increment();
-  profiler::Scope rpc_span(profiler::EventKind::kRpcSend, "cluster.run_op");
-  if (rpc_span.active()) rpc_span.set_detail(profiler::Intern(op_name));
-  TFE_ASSIGN_OR_RETURN(WorkerServer * worker, ResolveWorker(device_name));
-  TFE_ASSIGN_OR_RETURN(std::string local_device,
-                       LocalDevicePart(device_name));
-  std::vector<int64_t> handles;
-  handles.reserve(inputs.size());
-  for (const RemoteTensor& input : inputs) {
-    // Tensors do not implicitly hop between workers; the caller fetches and
-    // re-puts (matching the paper's explicit-copy model).
-    TFE_ASSIGN_OR_RETURN(WorkerServer * owner, ResolveWorker(input.device));
-    if (owner != worker) {
-      return InvalidArgument(strings::StrCat(
-          "Input tensor lives on ", input.device, ", not on ", device_name,
-          "; copy it explicitly via Fetch/Put"));
-    }
-    handles.push_back(input.handle_id);
-  }
-  return worker->RunOp(local_device, op_name, handles, attrs);
-}
-
-StatusOr<std::vector<RemoteTensor>> Cluster::RunFunction(
-    const std::string& device_name, const GraphFunction& function,
-    const std::vector<RemoteTensor>& inputs) {
-  static profiler::Counter* run_functions =
-      profiler::Metrics().GetCounter("cluster.run_functions");
-  run_functions->Increment();
-  profiler::Scope rpc_span(profiler::EventKind::kRpcSend,
-                           "cluster.run_function");
-  if (rpc_span.active()) rpc_span.set_detail(profiler::Intern(function.name()));
-  TFE_ASSIGN_OR_RETURN(WorkerServer * worker, ResolveWorker(device_name));
-  TFE_ASSIGN_OR_RETURN(std::string local_device,
-                       LocalDevicePart(device_name));
-  // Ship the transitive closure: nested Call/Cond/While callees included.
-  TFE_ASSIGN_OR_RETURN(
-      std::string serialized,
-      SerializeFunctionBundle(function,
-                              EagerContext::Global()->functions()));
-  std::vector<int64_t> handles;
-  handles.reserve(inputs.size());
-  for (const RemoteTensor& input : inputs) {
-    TFE_ASSIGN_OR_RETURN(WorkerServer * owner, ResolveWorker(input.device));
-    if (owner != worker) {
-      return InvalidArgument("Cross-worker inputs require explicit copies");
-    }
-    handles.push_back(input.handle_id);
-  }
-  return worker->RunFunction(local_device, serialized, handles);
-}
-
-StatusOr<Tensor> Cluster::Fetch(const RemoteTensor& tensor) {
-  static profiler::Counter* fetches =
-      profiler::Metrics().GetCounter("cluster.fetches");
-  fetches->Increment();
-  profiler::Scope rpc_span(profiler::EventKind::kRpcSend, "cluster.fetch");
-  TFE_ASSIGN_OR_RETURN(WorkerServer * worker, ResolveWorker(tensor.device));
-  return worker->Fetch(tensor.handle_id);
-}
-
-Tensor Cluster::FetchAsync(const RemoteTensor& tensor) {
-  auto worker = ResolveWorker(tensor.device);
-  if (!worker.ok()) {
-    // Same deferred-error protocol as a failed async op: the resolution
-    // failure rides in the handle and surfaces at the next sync point.
-    auto handle = TensorHandle::Pending(tensor.dtype, tensor.shape,
-                                        /*device=*/nullptr,
-                                        /*host_clock=*/nullptr);
-    handle->SetError(worker.status());
-    return Tensor::FromHandle(std::move(handle));
-  }
-  return (*worker)->FetchAsync(tensor);
-}
-
-Status Cluster::Delete(const RemoteTensor& tensor) {
-  TFE_ASSIGN_OR_RETURN(WorkerServer * worker, ResolveWorker(tensor.device));
-  return worker->Delete(tensor.handle_id);
 }
 
 }  // namespace tfe

@@ -6,7 +6,9 @@
 // pool of devices available to the main program." Remote devices are
 // addressed by application-level names ("/job:training/task:2/device:GPU:0");
 // the cluster maps them to worker instances — the analog of mapping names to
-// DNS addresses when a real server joins.
+// DNS addresses when a real server joins. Connect makes each worker device a
+// RemoteDevice of an EagerContext; all remote work then goes through
+// ordinary dispatch under a `tfe::device` scope.
 #ifndef TFE_DISTRIB_CLUSTER_H_
 #define TFE_DISTRIB_CLUSTER_H_
 
@@ -17,7 +19,6 @@
 
 #include "distrib/remote_backend.h"
 #include "distrib/worker.h"
-#include "graph/graph_function.h"
 
 namespace tfe {
 
@@ -55,40 +56,7 @@ class Cluster {
   // point — no crash, no hang.
   Status ShutdownWorker(const std::string& job, int task);
 
-  // Ships a client tensor to the worker owning `device_name`.
-  StatusOr<RemoteTensor> Put(const std::string& device_name,
-                             const Tensor& tensor);
-
-  // Runs one op on a remote device; the same syntax as local execution but
-  // with a remote name (paper §4.5). Outputs stay remote.
-  StatusOr<std::vector<RemoteTensor>> RunOp(
-      const std::string& device_name, const std::string& op_name,
-      const std::vector<RemoteTensor>& inputs, const AttrMap& attrs = {});
-
-  // Runs a whole graph function remotely; the function is serialized and
-  // shipped on first use.
-  StatusOr<std::vector<RemoteTensor>> RunFunction(
-      const std::string& device_name, const GraphFunction& function,
-      const std::vector<RemoteTensor>& inputs);
-
-  // Copies a remote tensor to the central server ("e.g. to use their value
-  // in an if statement").
-  StatusOr<Tensor> Fetch(const RemoteTensor& tensor);
-
-  // Non-blocking fetch: returns a tensor backed by a pending TensorHandle
-  // (dtype/shape from the RemoteTensor metadata) that the owning worker's
-  // service thread resolves. Errors — unknown worker, missing handle —
-  // arrive deferred through the handle and surface at the next sync point,
-  // unifying remote tensors with the local async-execution protocol.
-  Tensor FetchAsync(const RemoteTensor& tensor);
-
-  Status Delete(const RemoteTensor& tensor);
-
  private:
-  StatusOr<WorkerServer*> ResolveWorker(const std::string& device_name) const;
-  // The device part relative to the worker (kind:index).
-  static StatusOr<std::string> LocalDevicePart(const std::string& device_name);
-
   std::vector<std::unique_ptr<WorkerServer>> workers_;
   // One transport per worker, shared by that worker's RemoteDevices (created
   // on Connect). shared_ptr: registered devices may outlive the Cluster —

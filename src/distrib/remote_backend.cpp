@@ -6,11 +6,34 @@
 
 namespace tfe {
 
+class WorkerBackend::Pin {
+ public:
+  explicit Pin(WorkerBackend* backend) : backend_(backend) {
+    std::lock_guard<std::mutex> lock(backend_->mu_);
+    ++backend_->pins_;
+    worker_ = backend_->worker_;
+  }
+  ~Pin() {
+    std::lock_guard<std::mutex> lock(backend_->mu_);
+    if (--backend_->pins_ == 0) backend_->unpinned_cv_.notify_all();
+  }
+  Pin(const Pin&) = delete;
+  Pin& operator=(const Pin&) = delete;
+
+  WorkerServer* worker() const { return worker_; }
+
+ private:
+  WorkerBackend* const backend_;
+  WorkerServer* worker_ = nullptr;
+};
+
 WorkerBackend::WorkerBackend(std::string target, WorkerServer* worker)
     : target_(std::move(target)), worker_(worker) {}
 
 void WorkerBackend::Disconnect() {
-  worker_.store(nullptr, std::memory_order_release);
+  std::unique_lock<std::mutex> lock(mu_);
+  worker_ = nullptr;
+  unpinned_cv_.wait(lock, [this] { return pins_ == 0; });
 }
 
 Status WorkerBackend::Disconnected() const {
@@ -21,20 +44,14 @@ int64_t WorkerBackend::AllocateHandleId() {
   return next_id_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void WorkerBackend::PutAsync(Tensor value, int64_t dst_id) {
-  WorkerServer* worker = worker_.load(std::memory_order_acquire);
-  if (worker == nullptr) return;  // the consuming op fails Unavailable anyway
-  // Deep copy: the wire transfer that gRPC would perform.
-  worker->PutAsync(tensor_util::DeepCopy(value), dst_id);
-}
-
 Status WorkerBackend::Put(const Tensor& value, int64_t dst_id) {
   if (!value.defined() || value.is_symbolic() || value.is_resource()) {
     return InvalidArgument("Only concrete value tensors can be shipped");
   }
-  WorkerServer* worker = worker_.load(std::memory_order_acquire);
-  if (worker == nullptr) return Disconnected();
-  worker->PutAsync(tensor_util::DeepCopy(value), dst_id);
+  Pin pin(this);
+  if (pin.worker() == nullptr) return Disconnected();
+  // Deep copy: the wire transfer that gRPC would perform.
+  pin.worker()->PutAsync(tensor_util::DeepCopy(value), dst_id);
   return Status::OK();
 }
 
@@ -42,51 +59,13 @@ void WorkerBackend::RunOpAsync(const std::string& device,
                                const std::string& op,
                                std::vector<int64_t> input_ids, AttrMap attrs,
                                std::vector<int64_t> output_ids, DoneFn done) {
-  WorkerServer* worker = worker_.load(std::memory_order_acquire);
-  if (worker == nullptr) {
+  Pin pin(this);
+  if (pin.worker() == nullptr) {
     done(Disconnected());
     return;
   }
-  worker->RunOpAsync(device, op, std::move(input_ids), std::move(attrs),
-                     std::move(output_ids), std::move(done));
-}
-
-StatusOr<std::vector<RemoteOutputMeta>> WorkerBackend::RunOp(
-    const std::string& device, const std::string& op,
-    std::vector<int64_t> input_ids, AttrMap attrs,
-    std::vector<int64_t> output_ids) {
-  StatusOr<std::vector<RemoteOutputMeta>> result =
-      Internal("remote op did not complete");
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  bool done = false;
-  RunOpAsync(device, op, std::move(input_ids), std::move(attrs),
-             std::move(output_ids),
-             [&](StatusOr<std::vector<RemoteOutputMeta>> metas) {
-               std::lock_guard<std::mutex> lock(done_mu);
-               result = std::move(metas);
-               done = true;
-               done_cv.notify_one();
-             });
-  std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return done; });
-  return result;
-}
-
-void WorkerBackend::RunFunctionAsync(const std::string& device,
-                                     const std::string& name,
-                                     const std::string& serialized,
-                                     std::vector<int64_t> input_ids,
-                                     std::vector<int64_t> output_ids,
-                                     bool append_captures, DoneFn done) {
-  WorkerServer* worker = worker_.load(std::memory_order_acquire);
-  if (worker == nullptr) {
-    done(Disconnected());
-    return;
-  }
-  worker->RunFunctionAsync(device, name, serialized, std::move(input_ids),
-                           std::move(output_ids), append_captures,
-                           std::move(done));
+  pin.worker()->RunOpAsync(device, op, std::move(input_ids), std::move(attrs),
+                           std::move(output_ids), std::move(done));
 }
 
 bool WorkerBackend::FunctionShipped(const std::string& name) {
@@ -100,9 +79,9 @@ void WorkerBackend::MarkFunctionShipped(const std::string& name) {
 }
 
 StatusOr<Tensor> WorkerBackend::Fetch(int64_t handle_id) {
-  WorkerServer* worker = worker_.load(std::memory_order_acquire);
-  if (worker == nullptr) return Disconnected();
-  TFE_ASSIGN_OR_RETURN(Tensor fetched, worker->Fetch(handle_id));
+  Pin pin(this);
+  if (pin.worker() == nullptr) return Disconnected();
+  TFE_ASSIGN_OR_RETURN(Tensor fetched, pin.worker()->Fetch(handle_id));
   // The worker tagged the copy with its own context's device pointers; the
   // bytes are plain host memory on this side of the wire.
   if (fetched.device() != nullptr) {
@@ -113,9 +92,9 @@ StatusOr<Tensor> WorkerBackend::Fetch(int64_t handle_id) {
 }
 
 void WorkerBackend::DeleteAsync(int64_t handle_id) {
-  WorkerServer* worker = worker_.load(std::memory_order_acquire);
-  if (worker == nullptr) return;
-  worker->DeleteAsync(handle_id);
+  Pin pin(this);
+  if (pin.worker() == nullptr) return;
+  pin.worker()->DeleteAsync(handle_id);
 }
 
 }  // namespace tfe

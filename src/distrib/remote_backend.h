@@ -7,13 +7,17 @@
 // long-lived EagerContext hold it by shared_ptr while the Cluster that owns
 // the worker dies first). Disconnect() severs the link: from then on every
 // call completes inline with Unavailable — the same deferred poisoned-handle
-// path a mid-flight worker failure takes. The worker pointer is an atomic,
-// not a mutex, so severing never contends with handle releases running
-// inside worker completion callbacks.
+// path a mid-flight worker failure takes — and it returns only once every
+// call that reached the worker before it has returned, so the worker can be
+// destroyed right after. Each call pins the worker by raising a count for
+// its duration instead of holding a lock across it: calls nest (a
+// completion callback that runs inline on a shut-down worker drops temp ids
+// through this backend), and a waiting Disconnect must not stall them.
 #ifndef TFE_DISTRIB_REMOTE_BACKEND_H_
 #define TFE_DISTRIB_REMOTE_BACKEND_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -27,32 +31,21 @@ namespace tfe {
 
 class WorkerBackend : public RemoteBackend {
  public:
-  // `worker` must stay valid until Disconnect() is called.
+  // `worker` must stay valid until Disconnect() returns.
   WorkerBackend(std::string target, WorkerServer* worker);
 
-  // Severs the link to the worker; all later calls fail with Unavailable.
+  // Severs the link to the worker and waits out the calls still using it;
+  // all later calls fail with Unavailable. Must not be called from inside a
+  // backend call.
   void Disconnect();
-  bool connected() const {
-    return worker_.load(std::memory_order_acquire) != nullptr;
-  }
 
   // ---- RemoteBackend --------------------------------------------------------
   const std::string& target() const override { return target_; }
   int64_t AllocateHandleId() override;
-  void PutAsync(Tensor value, int64_t dst_id) override;
   Status Put(const Tensor& value, int64_t dst_id) override;
   void RunOpAsync(const std::string& device, const std::string& op,
                   std::vector<int64_t> input_ids, AttrMap attrs,
                   std::vector<int64_t> output_ids, DoneFn done) override;
-  StatusOr<std::vector<RemoteOutputMeta>> RunOp(
-      const std::string& device, const std::string& op,
-      std::vector<int64_t> input_ids, AttrMap attrs,
-      std::vector<int64_t> output_ids) override;
-  void RunFunctionAsync(const std::string& device, const std::string& name,
-                        const std::string& serialized,
-                        std::vector<int64_t> input_ids,
-                        std::vector<int64_t> output_ids, bool append_captures,
-                        DoneFn done) override;
   bool FunctionShipped(const std::string& name) override;
   void MarkFunctionShipped(const std::string& name) override;
   StatusOr<Tensor> Fetch(int64_t handle_id) override;
@@ -63,11 +56,19 @@ class WorkerBackend : public RemoteBackend {
   static constexpr int64_t kClientIdBase = int64_t{1} << 40;
 
  private:
+  // Pins the worker for the duration of one call; worker() is null once the
+  // backend is disconnected.
+  class Pin;
+
   Status Disconnected() const;
 
   const std::string target_;
-  std::atomic<WorkerServer*> worker_;
   std::atomic<int64_t> next_id_{kClientIdBase};
+
+  std::mutex mu_;
+  std::condition_variable unpinned_cv_;
+  WorkerServer* worker_;  // null once disconnected
+  int pins_ = 0;          // calls currently holding a Pin
 
   // Function names already registered on the worker (ship-once protocol).
   std::mutex shipped_mu_;

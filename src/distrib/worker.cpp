@@ -3,7 +3,6 @@
 #include "graph/serialization.h"
 #include "profiler/profiler.h"
 #include "support/strings.h"
-#include "tensor/tensor_handle.h"
 #include "tensor/tensor_util.h"
 
 namespace tfe {
@@ -45,9 +44,8 @@ void WorkerServer::Shutdown() {
   }
   wake_.notify_all();
   service_thread_.join();
-  // Fail everything that never reached the service thread. Callers see
-  // Unavailable through the usual channels: blocking RPCs return it,
-  // pending handles get poisoned with it.
+  // Fail everything that never reached the service thread: the callers'
+  // pending handles get poisoned with Unavailable.
   const Status status = ShutdownStatus();
   for (Request& request : abandoned) request(status);
 }
@@ -66,48 +64,6 @@ std::vector<std::string> WorkerServer::DeviceNames() const {
     names.push_back(parts.ToString());
   }
   return names;
-}
-
-void WorkerServer::Call(Request fn) {
-  static profiler::Counter* rpc_calls =
-      profiler::Metrics().GetCounter("rpc.calls");
-  rpc_calls->Increment();
-  // Client-side span: covers serialization-free enqueue plus the blocking
-  // wait for the service thread, i.e. the full RPC round trip.
-  profiler::Scope rpc_span(profiler::EventKind::kRpcSend, "worker_call");
-
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  bool done = false;
-  bool rejected = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) {
-      rejected = true;
-    } else {
-      queue_.push_back([&](const Status& status) {
-        fn(status);
-        // Notify under the lock: the waiter destroys done_cv (stack storage)
-        // as soon as it observes done, so an unlocked notify could touch a
-        // dead condition variable.
-        std::lock_guard<std::mutex> done_lock(done_mu);
-        done = true;
-        done_cv.notify_one();
-      });
-    }
-  }
-  if (rejected) {
-    fn(ShutdownStatus());
-    return;
-  }
-  wake_.notify_one();
-  std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return done; });
-  if (rpc_span.active()) {
-    static profiler::Histogram* roundtrip =
-        profiler::Metrics().GetHistogram("rpc.roundtrip_ns");
-    roundtrip->Record(profiler::NowNs() - rpc_span.start_ns());
-  }
 }
 
 void WorkerServer::CallAsync(Request fn) {
@@ -147,26 +103,6 @@ void WorkerServer::ServiceLoop() {
   }
 }
 
-RemoteTensor WorkerServer::Store(Tensor tensor,
-                                 const std::string& device_name) {
-  RemoteTensor remote;
-  remote.device = device_name;
-  remote.dtype = tensor.dtype();
-  remote.shape = tensor.shape();
-  std::lock_guard<std::mutex> lock(store_mu_);
-  remote.handle_id = next_handle_++;
-  store_.emplace(remote.handle_id, std::move(tensor));
-  return remote;
-}
-
-std::string WorkerServer::FullDeviceName(const std::string& device) const {
-  auto parts = ParseDeviceName(device);
-  DeviceNameParts full = parts.ok() ? *parts : DeviceNameParts{};
-  full.job = options_.job;
-  full.task = options_.task;
-  return full.ToString();
-}
-
 Status WorkerServer::LookUpInputs(const std::vector<int64_t>& input_ids,
                                   std::vector<Tensor>* inputs) {
   std::lock_guard<std::mutex> lock(store_mu_);
@@ -202,8 +138,24 @@ std::vector<RemoteOutputMeta> WorkerServer::StoreOutputs(
 
 StatusOr<std::vector<RemoteOutputMeta>> WorkerServer::ExecuteOp(
     const std::string& device, const std::string& op_name,
-    const std::vector<int64_t>& input_ids, const AttrMap& attrs,
+    const std::vector<int64_t>& input_ids, AttrMap attrs,
     const std::vector<int64_t>& output_ids) {
+  auto bundle = attrs.find("serialized_function");
+  if (bundle != attrs.end()) {
+    if (bundle->second.Is<std::string>()) {
+      // Bundles carry the whole transitive closure of graph functions
+      // (nested Call / Cond / While callees included).
+      TFE_ASSIGN_OR_RETURN(
+          auto functions,
+          DeserializeFunctionBundle(bundle->second.Get<std::string>()));
+      for (const auto& fn : functions) {
+        if (!ctx_->functions().Contains(fn->name())) {
+          TFE_RETURN_IF_ERROR(ctx_->functions().Register(fn));
+        }
+      }
+    }
+    attrs.erase(bundle);
+  }
   std::vector<Tensor> inputs;
   TFE_RETURN_IF_ERROR(LookUpInputs(input_ids, &inputs));
   TFE_ASSIGN_OR_RETURN(
@@ -218,120 +170,18 @@ StatusOr<std::vector<RemoteOutputMeta>> WorkerServer::ExecuteOp(
   return StoreOutputs(std::move(outputs), output_ids);
 }
 
-StatusOr<std::vector<RemoteOutputMeta>> WorkerServer::ExecuteFunction(
-    const std::string& device, const std::string& function_name,
-    const std::string& serialized, const std::vector<int64_t>& input_ids,
-    bool append_captures, const std::vector<int64_t>& output_ids) {
-  std::shared_ptr<GraphFunction> function;
-  if (!serialized.empty()) {
-    // Bundles carry the whole transitive closure of graph functions (nested
-    // Call / Cond / While callees included).
-    TFE_ASSIGN_OR_RETURN(auto bundle, DeserializeFunctionBundle(serialized));
-    function = bundle.front();
-    for (const auto& fn : bundle) {
-      if (!ctx_->functions().Contains(fn->name())) {
-        TFE_RETURN_IF_ERROR(ctx_->functions().Register(fn));
-      }
-    }
-  } else {
-    TFE_ASSIGN_OR_RETURN(function, ctx_->functions().Find(function_name));
-  }
-  std::vector<Tensor> inputs;
-  TFE_RETURN_IF_ERROR(LookUpInputs(input_ids, &inputs));
-  if (append_captures) {
-    // Blocking-API convention: captures ship inside the serialized function.
-    for (const Capture& capture : function->captures()) {
-      inputs.push_back(capture.tensor);
-    }
-  }
-  AttrMap attrs;
-  attrs["function"] = AttrValue(function->name());
-  TFE_ASSIGN_OR_RETURN(
-      std::vector<Tensor> outputs,
-      ctx_->RunPrimitive("Call", std::move(inputs), attrs, device));
-  if (!output_ids.empty() && output_ids.size() != outputs.size()) {
-    return Internal(strings::StrCat(
-        "Remote function ", function->name(), " produced ", outputs.size(),
-        " outputs but the client pre-assigned ", output_ids.size(),
-        " handle ids"));
-  }
-  return StoreOutputs(std::move(outputs), output_ids);
-}
-
-StatusOr<std::vector<RemoteTensor>> WorkerServer::RunOp(
-    const std::string& device, const std::string& op_name,
-    const std::vector<int64_t>& input_handles, const AttrMap& attrs) {
-  StatusOr<std::vector<RemoteOutputMeta>> result =
-      InvalidArgument("worker did not run");
-  Call([&](const Status& status) {
-    if (!status.ok()) {
-      result = status;
-      return;
-    }
-    result = ExecuteOp(device, op_name, input_handles, attrs, {});
-  });
-  if (!result.ok()) return result.status();
-  const std::string full_device = FullDeviceName(device);
-  std::vector<RemoteTensor> handles;
-  for (const RemoteOutputMeta& meta : *result) {
-    handles.push_back({full_device, meta.handle_id, meta.dtype, meta.shape});
-  }
-  return handles;
-}
-
-StatusOr<std::vector<RemoteTensor>> WorkerServer::RunFunction(
-    const std::string& device, const std::string& serialized_function,
-    const std::vector<int64_t>& input_handles) {
-  StatusOr<std::vector<RemoteOutputMeta>> result =
-      InvalidArgument("worker did not run");
-  Call([&](const Status& status) {
-    if (!status.ok()) {
-      result = status;
-      return;
-    }
-    result = ExecuteFunction(device, /*function_name=*/"", serialized_function,
-                             input_handles, /*append_captures=*/true, {});
-  });
-  if (!result.ok()) return result.status();
-  const std::string full_device = FullDeviceName(device);
-  std::vector<RemoteTensor> handles;
-  for (const RemoteOutputMeta& meta : *result) {
-    handles.push_back({full_device, meta.handle_id, meta.dtype, meta.shape});
-  }
-  return handles;
-}
-
 void WorkerServer::RunOpAsync(const std::string& device,
                               const std::string& op_name,
                               std::vector<int64_t> input_ids, AttrMap attrs,
                               std::vector<int64_t> output_ids, DoneFn done) {
   CallAsync([this, device, op_name, input_ids = std::move(input_ids),
              attrs = std::move(attrs), output_ids = std::move(output_ids),
-             done = std::move(done)](const Status& status) {
+             done = std::move(done)](const Status& status) mutable {
     if (!status.ok()) {
       done(status);
       return;
     }
-    done(ExecuteOp(device, op_name, input_ids, attrs, output_ids));
-  });
-}
-
-void WorkerServer::RunFunctionAsync(const std::string& device,
-                                    const std::string& function_name,
-                                    const std::string& serialized,
-                                    std::vector<int64_t> input_ids,
-                                    std::vector<int64_t> output_ids,
-                                    bool append_captures, DoneFn done) {
-  CallAsync([this, device, function_name, serialized,
-             input_ids = std::move(input_ids),
-             output_ids = std::move(output_ids), append_captures,
-             done = std::move(done)](const Status& status) {
-    if (!status.ok()) {
-      done(status);
-      return;
-    }
-    done(ExecuteFunction(device, function_name, serialized, input_ids,
-                         append_captures, output_ids));
+    done(ExecuteOp(device, op_name, input_ids, std::move(attrs), output_ids));
   });
 }
 
@@ -351,21 +201,6 @@ void WorkerServer::DeleteAsync(int64_t handle_id) {
   });
 }
 
-StatusOr<RemoteTensor> WorkerServer::Put(const Tensor& tensor) {
-  if (!tensor.defined() || tensor.is_symbolic() || tensor.is_resource()) {
-    return InvalidArgument("Only concrete value tensors can be shipped");
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) return ShutdownStatus();
-  }
-  DeviceNameParts parts;
-  parts.job = options_.job;
-  parts.task = options_.task;
-  // Deep copy: the wire transfer that gRPC would perform.
-  return Store(tensor_util::DeepCopy(tensor), parts.ToString());
-}
-
 StatusOr<Tensor> WorkerServer::Fetch(int64_t handle_id) {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -377,44 +212,6 @@ StatusOr<Tensor> WorkerServer::Fetch(int64_t handle_id) {
     return NotFound("No remote tensor with that handle");
   }
   return tensor_util::DeepCopy(it->second);
-}
-
-Tensor WorkerServer::FetchAsync(const RemoteTensor& remote) {
-  // Metadata travels with the RemoteTensor, so the client-side handle is
-  // fully typed before the worker has even seen the request — the remote
-  // analog of shape inference priming a local pending handle.
-  auto handle = TensorHandle::Pending(remote.dtype, remote.shape,
-                                      /*device=*/nullptr,
-                                      /*host_clock=*/nullptr);
-  CallAsync([this, handle, handle_id = remote.handle_id](
-                const Status& status) {
-    if (!status.ok()) {
-      handle->SetError(status);
-      return;
-    }
-    Tensor stored;
-    {
-      std::lock_guard<std::mutex> lock(store_mu_);
-      auto it = store_.find(handle_id);
-      if (it == store_.end()) {
-        handle->SetError(NotFound(strings::StrCat(
-            "No remote tensor #", handle_id, " on ", options_.job,
-            "/task:", options_.task)));
-        return;
-      }
-      stored = it->second;
-    }
-    handle->SetTensor(tensor_util::DeepCopy(stored), /*ready_ns=*/0);
-  });
-  return Tensor::FromHandle(std::move(handle));
-}
-
-Status WorkerServer::Delete(int64_t handle_id) {
-  std::lock_guard<std::mutex> lock(store_mu_);
-  if (store_.erase(handle_id) == 0) {
-    return NotFound("No remote tensor with that handle");
-  }
-  return Status::OK();
 }
 
 }  // namespace tfe

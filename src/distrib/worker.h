@@ -3,19 +3,16 @@
 // Each worker runs its own EagerContext (its own devices, function library
 // and RNG) on a dedicated service thread, and communicates with the main
 // program through a message queue — the in-process stand-in for the gRPC
-// transport (DESIGN.md §2 documents this substitution). The worker speaks
-// three requests: run an op (or a serialized graph function), move a tensor
-// in or out of its store, and drop a store entry.
-//
-// Two calling conventions share one execution path:
-//   * blocking RPCs (RunOp/RunFunction/Put/Fetch) — the original API,
-//     which parks the caller until the service thread answers, and
-//   * pending-handle RPCs (RunOpAsync/RunFunctionAsync/PutAsync/DeleteAsync)
-//     — the client pre-assigns store ids for the outputs and continues
-//     immediately; a completion callback delivers metadata (or the error)
-//     when the service thread retires the request. Because the service queue
-//     is processed in submission order, a consumer may reference a
-//     producer's pre-assigned ids before the producer has executed.
+// transport (DESIGN.md §2 documents this substitution). It serves the
+// pending-handle protocol behind RemoteDevice (through WorkerBackend): run
+// an op — a staged function is the `Call` op, whose bundle registers first —
+// move a tensor in or out of its store, and drop a store entry. Only Fetch
+// waits; every other request returns at once. The client pre-assigns store
+// ids for the outputs and continues immediately; a completion callback
+// delivers metadata (or the error) when the service thread retires the
+// request. Because the service queue is processed in submission order, a
+// consumer may reference a producer's pre-assigned ids before the producer
+// has executed.
 //
 // Shutdown() models worker failure: queued requests complete with
 // Unavailable, and later submissions fail the same way instead of crashing —
@@ -35,7 +32,6 @@
 #include <vector>
 
 #include "device/remote_device.h"
-#include "distrib/remote_tensor.h"
 #include "runtime/eager_context.h"
 #include "support/status.h"
 
@@ -69,56 +65,22 @@ class WorkerServer {
   // call more than once.
   void Shutdown();
 
-  // ---- synchronous RPCs (thread-safe; execute on the service thread) ------
-
-  // Executes one primitive op on `device` (a local device name relative to
-  // this worker, e.g. "CPU:0"). Inputs are handle ids in this worker's
-  // store; outputs are stored and returned as new handles.
-  StatusOr<std::vector<RemoteTensor>> RunOp(
-      const std::string& device, const std::string& op_name,
-      const std::vector<int64_t>& input_handles, const AttrMap& attrs);
-
-  // Registers a serialized graph function (idempotent per name) and calls
-  // it.
-  StatusOr<std::vector<RemoteTensor>> RunFunction(
-      const std::string& device, const std::string& serialized_function,
-      const std::vector<int64_t>& input_handles);
-
-  // Stores a tensor shipped from the client; returns its handle.
-  StatusOr<RemoteTensor> Put(const Tensor& tensor);
-  // Copies a stored tensor back to the client.
+  // Copies a stored tensor back to the client (blocking).
   StatusOr<Tensor> Fetch(int64_t handle_id);
-  // Non-blocking fetch: returns immediately with a tensor backed by a
-  // pending TensorHandle carrying the RemoteTensor's dtype/shape. The
-  // service thread resolves the handle (or poisons it with NotFound) when
-  // it processes the request — the same future protocol local async
-  // dispatch uses, so remote reads compose with local sync points.
-  Tensor FetchAsync(const RemoteTensor& remote);
-  // Drops a stored tensor.
-  Status Delete(int64_t handle_id);
 
   // ---- pending-handle RPCs (never block the caller) -----------------------
 
   // Runs one op, storing the outputs under the client-assigned `output_ids`
-  // (when empty, the worker allocates ids itself). `done` fires on the
-  // service thread with the output metadata, or with the op's error — or
-  // inline with Unavailable when the worker is already shut down.
+  // (when empty, the worker allocates ids itself). A `Call` carrying a
+  // `serialized_function` attr registers the bundle's functions first
+  // (idempotent; the client attaches the bundle to a function's first call
+  // only, and later calls resolve the name against this worker's library).
+  // `done` fires on the service thread with the output metadata, or with the
+  // op's error — or inline with Unavailable when the worker is already shut
+  // down.
   void RunOpAsync(const std::string& device, const std::string& op_name,
                   std::vector<int64_t> input_ids, AttrMap attrs,
                   std::vector<int64_t> output_ids, DoneFn done);
-
-  // Runs a whole graph function as one request. `serialized` registers the
-  // function bundle first (idempotent; empty once the client knows it
-  // shipped — `function_name` is then resolved against this worker's
-  // library). `append_captures` preserves the blocking API's convention of
-  // shipping captures inside the bundle; the dispatch path ships complete
-  // inputs and passes false.
-  void RunFunctionAsync(const std::string& device,
-                        const std::string& function_name,
-                        const std::string& serialized,
-                        std::vector<int64_t> input_ids,
-                        std::vector<int64_t> output_ids, bool append_captures,
-                        DoneFn done);
 
   // Stores a shipped tensor under the client-assigned id. Writes directly
   // (the client invokes it before the op that consumes the id, and the
@@ -137,31 +99,22 @@ class WorkerServer {
   // the reason — each request routes a non-OK status to its caller.
   using Request = std::function<void(const Status&)>;
 
-  // Enqueues `fn` and blocks until the service thread has run it. When shut
-  // down, runs `fn` inline with Unavailable instead.
-  void Call(Request fn);
   // Enqueues `fn` and returns immediately; the service thread runs it in
   // arrival order. When shut down, runs `fn` inline with Unavailable.
   void CallAsync(Request fn);
   void ServiceLoop();
   Status ShutdownStatus() const;
 
-  RemoteTensor Store(Tensor tensor, const std::string& device_name);
-  // The shared execution path behind RunOp/RunOpAsync and
-  // RunFunction/RunFunctionAsync; runs on the service thread.
+  // Runs on the service thread: registers a shipped function bundle, looks
+  // up the inputs, runs the op, and stores its outputs.
   StatusOr<std::vector<RemoteOutputMeta>> ExecuteOp(
       const std::string& device, const std::string& op_name,
-      const std::vector<int64_t>& input_ids, const AttrMap& attrs,
+      const std::vector<int64_t>& input_ids, AttrMap attrs,
       const std::vector<int64_t>& output_ids);
-  StatusOr<std::vector<RemoteOutputMeta>> ExecuteFunction(
-      const std::string& device, const std::string& function_name,
-      const std::string& serialized, const std::vector<int64_t>& input_ids,
-      bool append_captures, const std::vector<int64_t>& output_ids);
   Status LookUpInputs(const std::vector<int64_t>& input_ids,
                       std::vector<Tensor>* inputs);
   std::vector<RemoteOutputMeta> StoreOutputs(
       std::vector<Tensor> outputs, const std::vector<int64_t>& output_ids);
-  std::string FullDeviceName(const std::string& device) const;
 
   Options options_;
   std::unique_ptr<EagerContext> ctx_;

@@ -168,7 +168,6 @@ const char* EventKindName(EventKind kind) {
     case EventKind::kTraceCacheMiss: return "trace_cache_miss";
     case EventKind::kTraceStage: return "trace";
     case EventKind::kVariableOp: return "variable_op";
-    case EventKind::kRpcSend: return "rpc_send";
     case EventKind::kRpcRecv: return "rpc_recv";
     case EventKind::kExecutorRun: return "executor_run";
     case EventKind::kRemoteEnqueue: return "remote_enqueue";
@@ -186,7 +185,6 @@ bool EventKindIsSpan(EventKind kind) {
     case EventKind::kQueueDrain:
     case EventKind::kKernel:
     case EventKind::kTraceStage:
-    case EventKind::kRpcSend:
     case EventKind::kRpcRecv:
     case EventKind::kExecutorRun:
     case EventKind::kRemoteEnqueue:

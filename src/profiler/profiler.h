@@ -43,7 +43,6 @@ enum class EventKind : uint8_t {
   kTraceCacheMiss,  // signature missed; a trace follows
   kTraceStage,      // (span) tracing a function into a graph
   kVariableOp,      // variable read/assign dispatched
-  kRpcSend,         // (span) client side of a worker RPC (blocking wait)
   kRpcRecv,         // (span) service-thread execution of a worker request
   kExecutorRun,     // (span) one dataflow executor invocation (arg = nodes)
   kRemoteEnqueue,   // (span) client-side issue of a remote op over the

@@ -1,6 +1,8 @@
 #include "runtime/eager_context.h"
 
 #include <chrono>
+#include <future>
+#include <memory>
 #include <thread>
 
 #include "device/remote_device.h"
@@ -568,7 +570,7 @@ StatusOr<std::vector<Tensor>> EagerContext::RunRemote(
   StatusOr<std::vector<TypeAndShape>> output_types =
       InferOutputTypes(op, inputs, attrs);
   if (!output_types.ok() || !FullyDefined(*output_types)) {
-    return RunRemoteBlocking(op.name, std::move(inputs), attrs, device);
+    return RunRemoteBlocking(op, std::move(inputs), attrs, device);
   }
   return EnqueueRemote(op, std::move(inputs), attrs, device, *output_types);
 }
@@ -607,7 +609,7 @@ StatusOr<std::vector<Tensor>> EagerContext::RunRemoteCall(
     output_types.push_back(std::move(out));
   }
   if (!inferable) {
-    return RunRemoteBlocking("Call", std::move(inputs), call_attrs, device);
+    return RunRemoteBlocking(call, std::move(inputs), call_attrs, device);
   }
   return EnqueueRemote(call, std::move(inputs), std::move(call_attrs), device,
                        output_types);
@@ -639,10 +641,10 @@ StatusOr<std::vector<Tensor>> EagerContext::EnqueueRemote(
 }
 
 StatusOr<std::vector<Tensor>> EagerContext::RunRemoteBlocking(
-    const std::string& op_name, std::vector<Tensor> inputs,
-    const AttrMap& attrs, Device* device) {
+    const OpDef& op, std::vector<Tensor> inputs, const AttrMap& attrs,
+    Device* device) {
   auto* remote = static_cast<RemoteDevice*>(device);
-  const std::shared_ptr<RemoteBackend>& backend = remote->shared_backend();
+  RemoteBackend* backend = remote->backend();
   // Order behind everything in flight: inputs produced by queued remote ops
   // must exist in the worker store before this request arrives, and handles
   // on other queues must have resolved so their ids (or errors) are visible.
@@ -650,70 +652,17 @@ StatusOr<std::vector<Tensor>> EagerContext::RunRemoteBlocking(
 
   std::vector<int64_t> input_ids;
   std::vector<int64_t> temp_ids;
-  input_ids.reserve(inputs.size());
-  for (Tensor& input : inputs) {
-    const auto& handle = input.pending_handle();
-    const TensorHandle::RemoteInfo* rinfo =
-        handle != nullptr ? handle->remote_info() : nullptr;
-    if (rinfo != nullptr) {
-      TFE_RETURN_IF_ERROR(handle->status());
-      if (static_cast<RemoteDevice*>(rinfo->device)->shared_backend().get() !=
-          backend.get()) {
-        return InvalidArgument(strings::StrCat(
-            "Remote op ", op_name, " on ", device->name(),
-            " takes an input living on ", rinfo->device->name(),
-            ", a different worker; tensors do not implicitly hop between "
-            "workers — move it explicitly with tfe::copy_to"));
-      }
-      input_ids.push_back(rinfo->handle_id);
-      continue;
-    }
-    if (handle != nullptr) {
-      TFE_RETURN_IF_ERROR(handle->WaitReady());
-      input = handle->tensor();
-    }
-    if (!input.defined() || input.is_symbolic() || input.is_resource() ||
-        input.is_opaque()) {
-      return InvalidArgument(strings::StrCat(
-          "Remote op ", op_name,
-          " takes an input that is not a concrete value tensor"));
-    }
-    const int64_t temp_id = backend->AllocateHandleId();
-    TFE_RETURN_IF_ERROR(backend->Put(input, temp_id));
-    input_ids.push_back(temp_id);
-    temp_ids.push_back(temp_id);
-  }
-
+  TFE_RETURN_IF_ERROR(
+      remote->AssembleInputs(op.name, inputs, &input_ids, &temp_ids));
   // Worker-assigned output ids (empty output_ids): the reply carries them.
-  StatusOr<std::vector<RemoteOutputMeta>> metas =
-      Internal("remote call did not complete");
-  if (op_name == "Call") {
-    auto fn_attr = attrs.find("function");
-    TFE_CHECK(fn_attr != attrs.end());
-    std::string serialized;
-    auto ser_attr = attrs.find("serialized_function");
-    if (ser_attr != attrs.end()) {
-      serialized = ser_attr->second.Get<std::string>();
-    }
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    bool done = false;
-    backend->RunFunctionAsync(
-        remote->local_device_part(), fn_attr->second.Get<std::string>(),
-        serialized, std::move(input_ids), /*output_ids=*/{},
-        /*append_captures=*/false,
-        [&](StatusOr<std::vector<RemoteOutputMeta>> reply) {
-          std::lock_guard<std::mutex> lock(done_mu);
-          metas = std::move(reply);
-          done = true;
-          done_cv.notify_one();
-        });
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&] { return done; });
-  } else {
-    metas = backend->RunOp(remote->local_device_part(), op_name,
-                           std::move(input_ids), attrs, /*output_ids=*/{});
-  }
+  using Reply = StatusOr<std::vector<RemoteOutputMeta>>;
+  auto reply = std::make_shared<std::promise<Reply>>();
+  std::future<Reply> replied = reply->get_future();
+  backend->RunOpAsync(
+      remote->local_device_part(), op.name, std::move(input_ids), attrs,
+      /*output_ids=*/{},
+      [reply](Reply metas) { reply->set_value(std::move(metas)); });
+  Reply metas = replied.get();
   for (int64_t id : temp_ids) backend->DeleteAsync(id);
   if (!metas.ok()) return metas.status();
 

@@ -307,8 +307,9 @@ class EagerContext {
                                               Device* device);
   // Synchronous remote execution with worker-assigned output ids: the slow
   // path for ops shape inference cannot handle. Drains the queues first so
-  // the request observes every in-flight op's results.
-  StatusOr<std::vector<Tensor>> RunRemoteBlocking(const std::string& op_name,
+  // the request observes every in-flight op's results, then issues the same
+  // RPC the queue does and waits for its reply.
+  StatusOr<std::vector<Tensor>> RunRemoteBlocking(const OpDef& op,
                                                   std::vector<Tensor> inputs,
                                                   const AttrMap& attrs,
                                                   Device* device);

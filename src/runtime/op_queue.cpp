@@ -637,60 +637,14 @@ void OpQueue::ExecuteRemote(Node node) {
   auto* remote = static_cast<RemoteDevice*>(device_);
   std::shared_ptr<RemoteBackend> backend = remote->shared_backend();
 
-  auto poison = [&](const Status& status) {
-    for (const auto& out : node.outputs) out->SetError(status);
-    ctx_->NoteAsyncError(status);
-  };
-
-  // Assemble a worker-store id per input. Same-worker remote inputs pass by
-  // id (their producing request is already ahead of ours in the worker's
-  // in-order queue); local values ship to fresh temp ids first.
   std::vector<int64_t> input_ids;
   std::vector<int64_t> temp_ids;
-  input_ids.reserve(node.inputs.size());
-  for (const Tensor& input : node.inputs) {
-    const auto& handle = input.pending_handle();
-    const TensorHandle::RemoteInfo* rinfo =
-        handle != nullptr ? handle->remote_info() : nullptr;
-    if (rinfo != nullptr) {
-      // Deferred error propagation: a poisoned remote producer poisons this
-      // op's outputs with the *original* status, no RPC issued.
-      if (handle->resolved() && !handle->status().ok()) {
-        poison(handle->status());
-        return;
-      }
-      if (handle->device() != device_ &&
-          static_cast<RemoteDevice*>(rinfo->device)->shared_backend().get() !=
-              backend.get()) {
-        poison(InvalidArgument(strings::StrCat(
-            "Remote op ", node.op->name, " on ", device_->name(),
-            " takes an input living on ", rinfo->device->name(),
-            ", a different worker; tensors do not implicitly hop between "
-            "workers — move it explicitly with tfe::copy_to")));
-        return;
-      }
-      input_ids.push_back(rinfo->handle_id);
-      continue;
-    }
-    if (handle != nullptr) {
-      Status status = handle->status();
-      if (!status.ok()) {
-        poison(status);
-        return;
-      }
-    }
-    Tensor value = handle != nullptr ? handle->tensor() : input;
-    if (!value.defined() || value.is_symbolic() || value.is_resource() ||
-        value.is_opaque()) {
-      poison(InvalidArgument(strings::StrCat(
-          "Remote op ", node.op->name, " on ", device_->name(),
-          " takes an input that is not a concrete value tensor")));
-      return;
-    }
-    const int64_t temp_id = backend->AllocateHandleId();
-    backend->PutAsync(std::move(value), temp_id);
-    input_ids.push_back(temp_id);
-    temp_ids.push_back(temp_id);
+  Status assembled =
+      remote->AssembleInputs(node.op->name, node.inputs, &input_ids, &temp_ids);
+  if (!assembled.ok()) {
+    for (const auto& out : node.outputs) out->SetError(assembled);
+    ctx_->NoteAsyncError(assembled);
+    return;
   }
 
   // The pending-handle protocol: outputs execute under the client-assigned
@@ -708,7 +662,7 @@ void OpQueue::ExecuteRemote(Node node) {
   }
   auto done = [this, backend, outputs = node.outputs, temp_ids,
                op_name = node.op->name](
-                  StatusOr<std::vector<RemoteOutputMeta>> metas) {
+                  StatusOr<std::vector<RemoteOutputMeta>> metas) mutable {
     {
       profiler::Scope resolve_span(profiler::EventKind::kRemoteResolve,
                                    "remote_resolve");
@@ -736,6 +690,10 @@ void OpQueue::ExecuteRemote(Node node) {
       // The consuming request (if any) is already behind us in the worker
       // queue, so the temp inputs are safe to drop now.
       for (int64_t id : temp_ids) backend->DeleteAsync(id);
+      // Let go of the handles before the queue counts as drained: after a
+      // sync the client holds the only references, so dropping the last
+      // tensor releases its store entry from the dropping thread.
+      outputs.clear();
     }
     std::lock_guard<std::mutex> lock(mu_);
     --inflight_;
@@ -747,33 +705,9 @@ void OpQueue::ExecuteRemote(Node node) {
   if (enqueue_span.active()) {
     enqueue_span.set_detail(profiler::Intern(node.op->name));
   }
-  if (node.op->name == "Call") {
-    auto fn_attr = node.attrs.find("function");
-    if (fn_attr == node.attrs.end() || !fn_attr->second.Is<std::string>()) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        --inflight_;
-      }
-      poison(InvalidArgument("Remote Call without a string 'function' attr"));
-      return;
-    }
-    std::string serialized;
-    auto ser_attr = node.attrs.find("serialized_function");
-    if (ser_attr != node.attrs.end() && ser_attr->second.Is<std::string>()) {
-      serialized = ser_attr->second.Get<std::string>();
-    }
-    // The dispatch path ships complete inputs (args + captures) from the
-    // client's live values, so the worker must not append the serialized
-    // bundle's snapshot of the captures.
-    backend->RunFunctionAsync(remote->local_device_part(),
-                              fn_attr->second.Get<std::string>(), serialized,
-                              std::move(input_ids), std::move(output_ids),
-                              /*append_captures=*/false, std::move(done));
-  } else {
-    backend->RunOpAsync(remote->local_device_part(), node.op->name,
-                        std::move(input_ids), std::move(node.attrs),
-                        std::move(output_ids), std::move(done));
-  }
+  backend->RunOpAsync(remote->local_device_part(), node.op->name,
+                      std::move(input_ids), std::move(node.attrs),
+                      std::move(output_ids), std::move(done));
 }
 
 void OpQueue::WaitDrained() {

@@ -87,8 +87,8 @@ class OpQueue {
   // same use-count proof ExecuteFused applies to run operands) passes the
   // kernel a "donate" attr and writes its output in place.
   void Execute(Node node);
-  // Remote-device variant: ships local inputs to the worker store, passes
-  // same-worker inputs by store id, and issues the op over the backend's
+  // Remote-device variant: assembles the inputs into worker-store ids
+  // (RemoteDevice::AssembleInputs) and issues the op over the backend's
   // pending-handle protocol. The worker's completion callback resolves the
   // output handles (to opaque placeholders — values stay remote until read)
   // or poisons them; the RPC is in flight while the drain moves on, tracked

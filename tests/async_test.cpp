@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "api/tfe.h"
-#include "distrib/cluster.h"
 #include "tensor/tensor_handle.h"
 
 namespace tfe {
@@ -201,27 +200,6 @@ TEST_F(AsyncTest, StagedCallMaterializesPendingArguments) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(ToVector<float>(out[0]),
             (std::vector<float>{28, 40, 60, 88}));
-}
-
-TEST_F(AsyncTest, RemoteFetchAsyncResolvesThroughHandleProtocol) {
-  Cluster cluster(Cluster::Options{.jobs = {{"worker", 1}}});
-  Tensor value = ops::constant<float>({5, 6, 7}, {3});
-  auto remote = cluster.Put("/job:worker/task:0/device:CPU:0", value);
-  ASSERT_TRUE(remote.ok());
-  Tensor fetched = cluster.FetchAsync(*remote);
-  // Metadata travels with the RemoteTensor.
-  EXPECT_EQ(fetched.dtype(), DType::kFloat32);
-  EXPECT_EQ(fetched.shape(), Shape({3}));
-  ASSERT_TRUE(fetched.Materialize().ok());
-  EXPECT_EQ(ToVector<float>(fetched), (std::vector<float>{5, 6, 7}));
-
-  // A dangling handle id poisons the future instead of failing the call.
-  RemoteTensor missing = *remote;
-  missing.handle_id = 987654;
-  Tensor lost = cluster.FetchAsync(missing);
-  Status status = lost.Materialize();
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), ErrorCode::kNotFound);
 }
 
 TEST_F(AsyncTest, AsyncOverlapBeatsSynchronousVirtualTime) {

@@ -1,15 +1,23 @@
-// Distributed execution (paper §4.5): worker servers, remote device names,
-// remote tensors, remote graph-function execution.
+// Distributed execution (paper §4.5): worker servers add their devices to
+// the pool, and ops, staged functions and concurrent host threads reach them
+// by remote device name under `tfe::device` scopes.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "api/tfe.h"
+#include "device/remote_device.h"
 #include "distrib/cluster.h"
 #include "staging/control_flow.h"
+#include "tensor/tensor_handle.h"
 
 namespace tfe {
 namespace {
+
+using tensor_util::ToVector;
+
+constexpr char kTraining0[] = "/job:training/task:0/device:CPU:0";
 
 Cluster::Options TwoWorkerOptions() {
   Cluster::Options options;
@@ -17,7 +25,25 @@ Cluster::Options TwoWorkerOptions() {
   return options;
 }
 
-TEST(ClusterTest, WorkersAddDevicesToThePool) {
+// Tests that run ops connect their cluster into a fresh global context; the
+// teardown destroys the cluster before the context is reset.
+class ClusterTest : public ::testing::Test {
+ protected:
+  void SetUp() override { EagerContext::ResetGlobal(EagerContext::Options()); }
+  void TearDown() override {
+    cluster_.reset();
+    EagerContext::ResetGlobal(EagerContext::Options());
+  }
+
+  void Connect(const Cluster::Options& options) {
+    cluster_ = std::make_unique<Cluster>(options);
+    ASSERT_TRUE(cluster_->Connect(EagerContext::Global()).ok());
+  }
+
+  std::unique_ptr<Cluster> cluster_;
+};
+
+TEST_F(ClusterTest, WorkersAddDevicesToThePool) {
   Cluster cluster(TwoWorkerOptions());
   std::vector<std::string> devices = cluster.ListRemoteDevices();
   ASSERT_GE(devices.size(), 2u);
@@ -30,93 +56,9 @@ TEST(ClusterTest, WorkersAddDevicesToThePool) {
   EXPECT_TRUE(task1);
 }
 
-TEST(ClusterTest, RemoteOpWithRemoteName) {
-  // "To run an operation on a remote device, the user uses the same syntax
-  // as for local devices but a remote device name."
-  Cluster cluster(TwoWorkerOptions());
-  const std::string device = "/job:training/task:1/device:CPU:0";
-  auto a = cluster.Put(device, ops::constant<float>({1, 2}, {2}));
-  ASSERT_TRUE(a.ok());
-  auto b = cluster.Put(device, ops::constant<float>({10, 20}, {2}));
-  ASSERT_TRUE(b.ok());
-  auto sums = cluster.RunOp(device, "Add", {*a, *b});
-  ASSERT_TRUE(sums.ok());
-  ASSERT_EQ(sums->size(), 1u);
-  // Result stays on the remote device...
-  EXPECT_EQ((*sums)[0].device, device);
-  // ...until explicitly copied to the central server.
-  auto fetched = cluster.Fetch((*sums)[0]);
-  ASSERT_TRUE(fetched.ok());
-  EXPECT_EQ(tensor_util::ToVector<float>(*fetched),
-            (std::vector<float>{11, 22}));
-}
-
-TEST(ClusterTest, RemoteTensorsStayRemoteAcrossChains) {
-  Cluster cluster(TwoWorkerOptions());
-  const std::string device = "/job:training/task:0/device:CPU:0";
-  auto x = cluster.Put(device, ops::scalar<float>(2.0f));
-  ASSERT_TRUE(x.ok());
-  RemoteTensor current = *x;
-  for (int i = 0; i < 4; ++i) {
-    auto next = cluster.RunOp(device, "Mul", {current, current});
-    ASSERT_TRUE(next.ok());
-    current = (*next)[0];
-  }
-  auto value = cluster.Fetch(current);
-  ASSERT_TRUE(value.ok());
-  EXPECT_FLOAT_EQ(value->scalar<float>(), 65536.0f);  // 2^16
-}
-
-TEST(ClusterTest, CrossWorkerInputsNeedExplicitCopies) {
-  Cluster cluster(TwoWorkerOptions());
-  auto on_zero =
-      cluster.Put("/job:training/task:0/device:CPU:0", ops::scalar<float>(1));
-  auto on_one =
-      cluster.Put("/job:training/task:1/device:CPU:0", ops::scalar<float>(2));
-  ASSERT_TRUE(on_zero.ok());
-  ASSERT_TRUE(on_one.ok());
-  auto bad = cluster.RunOp("/job:training/task:0/device:CPU:0", "Add",
-                           {*on_zero, *on_one});
-  EXPECT_FALSE(bad.ok());
-
-  // Explicit Fetch + Put makes it work.
-  auto hauled = cluster.Put("/job:training/task:0/device:CPU:0",
-                            cluster.Fetch(*on_one).value());
-  ASSERT_TRUE(hauled.ok());
-  auto sum = cluster.RunOp("/job:training/task:0/device:CPU:0", "Add",
-                           {*on_zero, *hauled});
-  ASSERT_TRUE(sum.ok());
-  EXPECT_FLOAT_EQ(cluster.Fetch((*sum)[0])->scalar<float>(), 3.0f);
-}
-
-TEST(ClusterTest, RunWholeGraphFunctionRemotely) {
-  // "The main program can then execute operations or whole graph functions
-  // on remote devices through the worker servers."
-  Cluster cluster(TwoWorkerOptions());
-  Function f = function(
-      [](const std::vector<Tensor>& args) -> std::vector<Tensor> {
-        Tensor h = ops::tanh(args[0]);
-        return {ops::add(ops::mul(h, h), ops::fill(DType::kFloat32, {}, 1.0))};
-      },
-      "remote_fn");
-  Tensor x = ops::constant<float>({0.5f, -0.25f}, {2});
-  Tensor local_result = f({x})[0];
-
-  auto concrete = f.GetConcreteFunction({x});
-  ASSERT_TRUE(concrete.ok());
-  const std::string device = "/job:training/task:1/device:CPU:0";
-  auto remote_x = cluster.Put(device, x);
-  ASSERT_TRUE(remote_x.ok());
-  auto remote_result = cluster.RunFunction(device, **concrete, {*remote_x});
-  ASSERT_TRUE(remote_result.ok());
-  auto fetched = cluster.Fetch((*remote_result)[0]);
-  ASSERT_TRUE(fetched.ok());
-  EXPECT_TRUE(tensor_util::AllClose(local_result, *fetched));
-}
-
-TEST(ClusterTest, RemoteFunctionWithNestedCalleesAndCond) {
+TEST_F(ClusterTest, RemoteFunctionWithNestedCalleesAndCond) {
   // The shipped bundle must include nested Call and Cond callees.
-  Cluster cluster(TwoWorkerOptions());
+  Connect(TwoWorkerOptions());
   Function inner = function(
       [](const std::vector<Tensor>& args) -> std::vector<Tensor> {
         return {ops::square(args[0])};
@@ -144,65 +86,71 @@ TEST(ClusterTest, RemoteFunctionWithNestedCalleesAndCond) {
   float expected_small = outer({small})[0].scalar<float>();  // -(1)
   float expected_large = outer({large})[0].scalar<float>();  // 50
 
-  auto concrete = outer.GetConcreteFunction({small});
-  ASSERT_TRUE(concrete.ok());
-  const std::string device = "/job:training/task:0/device:CPU:0";
   for (auto [input, expected] :
        {std::make_pair(small, expected_small),
         std::make_pair(large, expected_large)}) {
-    auto remote_in = cluster.Put(device, input);
-    ASSERT_TRUE(remote_in.ok());
-    auto remote_out = cluster.RunFunction(device, **concrete, {*remote_in});
-    ASSERT_TRUE(remote_out.ok());
-    EXPECT_FLOAT_EQ(cluster.Fetch((*remote_out)[0])->scalar<float>(),
-                    expected);
+    Tensor remote_out;
+    {
+      tfe::device scope(kTraining0);
+      remote_out = outer({input})[0];
+    }
+    ASSERT_NE(remote_out.device(), nullptr);
+    EXPECT_EQ(remote_out.device()->name(), kTraining0);
+    EXPECT_FLOAT_EQ(ToVector<float>(remote_out)[0], expected);
   }
 }
 
-TEST(ClusterTest, MissingHandleAndUnknownDeviceFail) {
-  Cluster cluster(TwoWorkerOptions());
-  RemoteTensor bogus;
-  bogus.device = "/job:training/task:0/device:CPU:0";
-  bogus.handle_id = 123456;
-  EXPECT_FALSE(cluster.Fetch(bogus).ok());
-  EXPECT_FALSE(
-      cluster.Put("/job:nosuch/task:0/device:CPU:0", ops::scalar<float>(1))
-          .ok());
+TEST_F(ClusterTest, DeleteReleasesHandles) {
+  // Dropping the last tensor of a remote value deletes its worker-store
+  // entry. The delete rides the worker's in-order queue, so once a later op
+  // on the same worker has synced, the entry is gone.
+  Connect(TwoWorkerOptions());
+  auto* remote = static_cast<RemoteDevice*>(
+      EagerContext::Global()->devices().FindDevice(kTraining0).value());
+  int64_t id = -1;
+  {
+    Tensor value;
+    {
+      tfe::device scope(kTraining0);
+      value = ops::add(ops::scalar<float>(2), ops::scalar<float>(3));
+    }
+    ASSERT_TRUE(tfe::sync().ok());
+    ASSERT_NE(value.pending_handle(), nullptr);
+    ASSERT_NE(value.pending_handle()->remote_info(), nullptr);
+    id = value.pending_handle()->remote_info()->handle_id;
+    auto stored = remote->backend()->Fetch(id);
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+    EXPECT_FLOAT_EQ(stored->scalar<float>(), 5.0f);
+  }
+  Tensor later;
+  {
+    tfe::device scope(kTraining0);
+    later = ops::add(ops::scalar<float>(1), ops::scalar<float>(1));
+  }
+  ASSERT_TRUE(tfe::sync().ok());
+  auto gone = remote->backend()->Fetch(id);
+  EXPECT_EQ(gone.status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(ToVector<float>(later), (std::vector<float>{2}));
 }
 
-TEST(ClusterTest, DeleteReleasesHandles) {
-  Cluster cluster(TwoWorkerOptions());
-  const std::string device = "/job:training/task:0/device:CPU:0";
-  auto handle = cluster.Put(device, ops::scalar<float>(5));
-  ASSERT_TRUE(handle.ok());
-  ASSERT_TRUE(cluster.Delete(*handle).ok());
-  EXPECT_FALSE(cluster.Fetch(*handle).ok());
-  EXPECT_FALSE(cluster.Delete(*handle).ok());
-}
-
-TEST(ClusterTest, ConcurrentClientsFromThreads) {
+TEST_F(ClusterTest, ConcurrentClientsFromThreads) {
   // "developers need to start these computations concurrently, e.g. using
-  // [host] threads."
-  Cluster cluster(TwoWorkerOptions());
+  // [host] threads." Each thread scopes its own worker.
+  Connect(TwoWorkerOptions());
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 2; ++t) {
-    threads.emplace_back([&cluster, &failures, t] {
-      std::string device =
+    threads.emplace_back([&failures, t] {
+      const std::string device =
           "/job:training/task:" + std::to_string(t) + "/device:CPU:0";
+      tfe::device scope(device);
       for (int i = 1; i <= 25; ++i) {
-        auto x = cluster.Put(device, tensor_util::Scalar<float>(i));
-        if (!x.ok()) {
-          failures.fetch_add(1);
-          continue;
-        }
-        auto squared = cluster.RunOp(device, "Mul", {*x, *x});
-        if (!squared.ok()) {
-          failures.fetch_add(1);
-          continue;
-        }
-        auto value = cluster.Fetch((*squared)[0]);
-        if (!value.ok() || value->scalar<float>() != i * i) {
+        Tensor x = tensor_util::Scalar<float>(i);
+        Tensor squared = ops::mul(x, x);
+        if (squared.device() == nullptr ||
+            squared.device()->name() != device ||
+            !squared.Materialize().ok() ||
+            squared.scalar<float>() != i * i) {
           failures.fetch_add(1);
         }
       }
@@ -212,19 +160,33 @@ TEST(ClusterTest, ConcurrentClientsFromThreads) {
   EXPECT_EQ(failures.load(), 0);
 }
 
-TEST(ClusterTest, MultipleJobs) {
+TEST_F(ClusterTest, MultipleJobs) {
   Cluster::Options options;
   options.jobs = {{"ps", 1}, {"worker", 2}};
-  Cluster cluster(options);
-  EXPECT_TRUE(cluster.Put("/job:ps/task:0/device:CPU:0",
-                          ops::scalar<float>(1))
-                  .ok());
-  EXPECT_TRUE(cluster.Put("/job:worker/task:1/device:CPU:0",
-                          ops::scalar<float>(1))
-                  .ok());
-  EXPECT_FALSE(cluster.Put("/job:worker/task:2/device:CPU:0",
-                           ops::scalar<float>(1))
-                   .ok());
+  Connect(options);
+  Tensor one = ops::scalar<float>(1);
+  Tensor on_ps, on_worker, on_missing;
+  {
+    tfe::device scope("/job:ps/task:0/device:CPU:0");
+    on_ps = ops::add(one, one);
+  }
+  {
+    tfe::device scope("/job:worker/task:1/device:CPU:0");
+    on_worker = ops::add(one, one);
+  }
+  {
+    // No such task: a deferred error, not a throw.
+    tfe::device scope("/job:worker/task:2/device:CPU:0");
+    on_missing = ops::add(one, one);
+  }
+  Status status = EagerContext::Global()->Sync();
+  EXPECT_EQ(status.code(), ErrorCode::kNotFound) << status.ToString();
+  ASSERT_NE(on_missing.pending_handle(), nullptr);
+  EXPECT_FALSE(on_missing.pending_handle()->status().ok());
+  EXPECT_EQ(on_ps.device()->name(), "/job:ps/task:0/device:CPU:0");
+  EXPECT_EQ(on_worker.device()->name(), "/job:worker/task:1/device:CPU:0");
+  EXPECT_EQ(ToVector<float>(on_ps), (std::vector<float>{2}));
+  EXPECT_EQ(ToVector<float>(on_worker), (std::vector<float>{2}));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include "api/tfe.h"
 #include "distrib/cluster.h"
+#include "distrib/remote_backend.h"
 #include "tensor/tensor_handle.h"
 
 namespace tfe {
@@ -40,8 +41,7 @@ using RemoteFailureTest = RemoteExecutionTest;
 
 TEST_F(RemoteExecutionTest, DeviceScopeWithRemoteNameRunsOps) {
   // "The user uses the same syntax as for local devices but a remote device
-  // name" — and, unlike the blocking Cluster API, gets a pending handle back
-  // without waiting for the worker.
+  // name" — and gets a pending handle back without waiting for the worker.
   Tensor a = ops::constant<float>({1, 2}, {2});
   Tensor b = ops::constant<float>({10, 20}, {2});
   Tensor sum;
@@ -130,6 +130,46 @@ TEST_F(RemoteExecutionTest, StagedFunctionRunsAsOneRemoteOp) {
   (void)expected;
 }
 
+TEST_F(RemoteExecutionTest, ShapeUninferableCallWaitsForWorkerIds) {
+  // A function whose signature leaves the output shape unknown cannot get
+  // pending handles at dispatch: the call drains the queues, issues the same
+  // RPC with worker-assigned ids, and waits. Its results still chain into
+  // async remote ops, and a cross-worker input fails the same way.
+  Function f = function([](const std::vector<Tensor>& args) {
+    return std::vector<Tensor>{ops::add(ops::mul(args[0], args[0]), args[1])};
+  });
+  f.SetInputSignature({{DType::kFloat32, Shape({kUnknownDim, 3})},
+                       {DType::kFloat32, Shape({kUnknownDim, 3})}});
+  Tensor x = ops::constant<float>({1, 2, 3, 4, 5, 6}, {2, 3});
+  Tensor called, doubled;
+  {
+    tfe::device scope(kTask0);
+    Tensor pending = ops::add(x, x);
+    called = f({pending, x})[0];
+    doubled = ops::add(called, called);
+  }
+  ASSERT_NE(called.pending_handle(), nullptr);
+  EXPECT_TRUE(called.pending_handle()->resolved());
+  EXPECT_LT(called.pending_handle()->remote_info()->handle_id,
+            WorkerBackend::kClientIdBase);
+  EXPECT_EQ(called.shape(), Shape({2, 3}));
+  EXPECT_EQ(ToVector<float>(doubled),
+            (std::vector<float>{10, 36, 78, 136, 210, 300}));
+
+  Tensor on_task1;
+  {
+    tfe::device scope(kTask1);
+    on_task1 = ops::add(x, x);
+  }
+  tfe::device scope(kTask0);
+  try {
+    (void)f({on_task1, x});
+    ADD_FAILURE() << "cross-worker input accepted";
+  } catch (const RuntimeError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+  }
+}
+
 TEST_F(RemoteExecutionTest, SyncDrainsRemoteQueues) {
   Tensor x = ops::constant<float>({2.0f}, {1});
   Tensor y;
@@ -202,6 +242,32 @@ TEST_F(RemoteFailureTest, ShutdownWithOpsInFlightDoesNotHang) {
   SUCCEED();
 }
 
+TEST_F(RemoteFailureTest, TeardownWithTransfersInFlight) {
+  // Every op of the chain takes a fresh local input, so the drain ships a
+  // Put into the worker store per op. Destroying the cluster without a sync
+  // must wait out calls already inside a worker before it dies; ops issued
+  // later fail Unavailable and the sync still returns. The race needs a
+  // drain thread inside a Put while an idle worker dies, so each round
+  // tears down a fresh cluster after a chain of a different length.
+  for (int round = 0; round < 16; ++round) {
+    Tensor h = ops::constant<float>({1.0f, 2.0f}, {2});
+    {
+      tfe::device scope(kTask0);
+      for (int i = 0; i <= 4 * round; ++i) {
+        h = ops::add(h, ops::constant<float>({1.0f, 1.0f}, {2}));
+      }
+    }
+    cluster_.reset();
+    (void)EagerContext::Global()->Sync();  // status depends on the cut point
+    ASSERT_NE(h.pending_handle(), nullptr);
+    EXPECT_TRUE(h.pending_handle()->resolved());
+    h = Tensor();  // handles must not outlive their context
+    EagerContext::ResetGlobal(EagerContext::Options());
+    cluster_ = std::make_unique<Cluster>(Cluster::Options{});
+    ASSERT_TRUE(cluster_->Connect(EagerContext::Global()).ok());
+  }
+}
+
 TEST_F(RemoteFailureTest, CrossWorkerInputPoisonsWithInvalidArgument) {
   // Tensors do not implicitly hop between workers (the paper's explicit-copy
   // model); the violation is a deferred InvalidArgument, not a crash.
@@ -240,26 +306,6 @@ TEST_F(RemoteFailureTest, PoisonPropagatesThroughDependentRemoteOps) {
   EXPECT_EQ(status.code(), ErrorCode::kNotFound) << status.ToString();
   ASSERT_NE(downstream.pending_handle(), nullptr);
   EXPECT_FALSE(downstream.pending_handle()->status().ok());
-}
-
-TEST_F(RemoteExecutionTest, BlockingClusterApiStillWorksAlongside) {
-  // The pre-existing blocking RPC API and the dispatch path share worker
-  // stores without interfering.
-  auto put = cluster_->Put(kTask1, ops::constant<float>({7, 8}, {2}));
-  ASSERT_TRUE(put.ok());
-  auto sums = cluster_->RunOp(kTask1, "Add", {*put, *put});
-  ASSERT_TRUE(sums.ok());
-  auto fetched = cluster_->Fetch((*sums)[0]);
-  ASSERT_TRUE(fetched.ok());
-  EXPECT_EQ(ToVector<float>(*fetched), (std::vector<float>{14, 16}));
-
-  Tensor dispatched;
-  {
-    tfe::device scope(kTask1);
-    dispatched = ops::add(ops::constant<float>({1, 1}, {2}),
-                          ops::constant<float>({2, 2}, {2}));
-  }
-  EXPECT_EQ(ToVector<float>(dispatched), (std::vector<float>{3, 3}));
 }
 
 TEST_F(RemoteExecutionTest, CopyToShipsLocalTensorToWorker) {
