@@ -152,10 +152,11 @@ ASAN_OPTIONS="detect_leaks=1" \
 
 if [[ "$MODE" == "--tier2" ]]; then
   # Staged control flow: While iterations drive the executor pool through a
-  # cached body variant, the While gradient replays staged backwards off
-  # per-iteration snapshot stacks, and recursion nests depth-capped Calls —
-  # all lifetime-sensitive paths worth a dedicated sweep.
-  CF_FILTER='CondTest*:WhileTest*:WhileGradTest*:RecursionTest*'
+  # cached body variant, the While gradient reads each loop's forward stack
+  # (a resource handle that outlives the While through the L2HMC step and
+  # through a serialized round trip), and recursion nests depth-capped
+  # Calls — all lifetime-sensitive paths worth a dedicated sweep.
+  CF_FILTER='CondTest*:WhileTest*:WhileGradTest*:RecursionTest*:L2hmcTest.StagedLoop*:SerializationTest.While*'
   echo "==== tsan: control-flow subset ===="
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/tfe_tests --gtest_filter="$CF_FILTER"

@@ -36,12 +36,15 @@ std::vector<Endpoint> IntermediateEndpoints(const GraphFunction& function) {
 // When `seed_accumulators` is non-null, the backward gets one extra trailing
 // parameter per (arg index, type) entry, pre-seeded into the sweep's gradient
 // map at that arg's endpoint — the loop-body accumulator threading described
-// in function_grad.h.
+// in function_grad.h. When `read_intermediates` is non-null, the backward
+// keeps only the intermediate parameters it reads and lists their positions
+// in IntermediateEndpoints order there.
 StatusOr<BackwardFunction> BuildBackward(
     EagerContext* ctx, const std::shared_ptr<GraphFunction>& forward,
     int num_original_outputs,
     const std::vector<std::pair<int, TypeAndShape>>* seed_accumulators =
-        nullptr) {
+        nullptr,
+    std::vector<int>* read_intermediates = nullptr) {
   const Graph& graph = forward->graph();
   auto backward_fn = std::make_shared<GraphFunction>(ctx->functions().UniqueName(
       forward->name() +
@@ -188,6 +191,13 @@ StatusOr<BackwardFunction> BuildBackward(
   }
 
   TFE_RETURN_IF_ERROR(passes::Optimize(*backward_fn));
+  if (read_intermediates != nullptr) {
+    const int first = forward->num_args();
+    TFE_ASSIGN_OR_RETURN(
+        *read_intermediates,
+        passes::DropUnreadParameters(
+            *backward_fn, first, first + static_cast<int>(intermediates.size())));
+  }
   TFE_RETURN_IF_ERROR(ctx->functions().Register(backward_fn));
   entry.function = backward_fn;
   return entry;
@@ -212,8 +222,16 @@ StatusOr<std::shared_ptr<GraphFunction>> BuildForwardFunction(
                                  : *function;
   auto forward = std::make_shared<GraphFunction>(name);
   TFE_RETURN_IF_ERROR(CloneGraphFunctionInto(src, *forward));
-  forward->outputs() = src.outputs();
-  for (const Endpoint& e : IntermediateEndpoints(src)) {
+  // Nodes whose gradient reads more than their inputs and outputs (a
+  // While's forward stack) output it here, as one more intermediate.
+  Graph& graph = forward->graph();
+  for (int id = 0; id < graph.num_nodes(); ++id) {
+    Node& node = graph.node(id);
+    if (node.def->forward_rewrite) {
+      TFE_RETURN_IF_ERROR(node.def->forward_rewrite(ctx, node));
+    }
+  }
+  for (const Endpoint& e : IntermediateEndpoints(*forward)) {
     forward->outputs().push_back(e);
   }
   TFE_RETURN_IF_ERROR(ctx->functions().Register(forward));
@@ -254,9 +272,11 @@ StatusOr<BackwardFunction> GetOrBuildLoopBackwardFunction(
                          probe.function->graph().endpoint_type(out));
     }
 
-    // Pass 2: rebuild with those accumulators threaded through the sweep.
+    // Pass 2: rebuild with those accumulators threaded through the sweep,
+    // taking only the intermediates the sweep reads.
+    std::vector<int> read;
     TFE_ASSIGN_OR_RETURN(BackwardFunction entry,
-                         BuildBackward(ctx, forward, num_vars, &seeds));
+                         BuildBackward(ctx, forward, num_vars, &seeds, &read));
     for (const auto& [arg_index, type] : seeds) {
       bool present = false;
       for (int i : entry.grad_arg_indices) present |= (i == arg_index);
@@ -266,6 +286,20 @@ StatusOr<BackwardFunction> GetOrBuildLoopBackwardFunction(
       entry.accumulated_arg_indices.push_back(arg_index);
       entry.accumulator_types.push_back(type);
     }
+
+    // The forward the loop runs returns the loop variables and just those
+    // intermediates, so each iteration keeps no more than the backward
+    // reads. It is optimized like any traced graph: its values match the
+    // body's, and the backward above was built from `forward` as written.
+    const std::vector<Endpoint> intermediates = IntermediateEndpoints(*forward);
+    auto loop_forward = std::make_shared<GraphFunction>(
+        ctx->functions().UniqueName(forward->name() + "__loop"));
+    TFE_RETURN_IF_ERROR(CloneGraphFunctionInto(*forward, *loop_forward));
+    loop_forward->outputs().resize(num_vars);
+    for (int k : read) loop_forward->outputs().push_back(intermediates[k]);
+    TFE_RETURN_IF_ERROR(passes::Optimize(*loop_forward));
+    TFE_RETURN_IF_ERROR(ctx->functions().Register(loop_forward));
+    entry.loop_forward = std::move(loop_forward);
     return std::make_shared<const BackwardFunction>(std::move(entry));
   };
   TFE_ASSIGN_OR_RETURN(

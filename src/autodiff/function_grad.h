@@ -25,15 +25,18 @@ class EagerContext;
 
 // Returns (building and registering on first use) the forward variant of
 // `function`: same graph, outputs extended with all intermediate node
-// outputs, named "<name>__fwd".
+// outputs, named "<name>__fwd". Nodes whose op has an
+// OpDef::forward_rewrite are rewritten first, so each While in the variant
+// outputs its forward stack as one more intermediate.
 StatusOr<std::shared_ptr<GraphFunction>> BuildForwardFunction(
     EagerContext* ctx, const std::shared_ptr<GraphFunction>& function);
 
 // A backward function and its parameter layout,
 //   [forward args..., intermediates..., grads for grad_output_indices...,
 //    one accumulator per accumulated_arg_indices entry].
-// Cached on the forward function it was derived from (see
-// GraphFunction::GetOrBuildBackward).
+// A loop-body backward takes only the intermediates it reads: those
+// loop_forward returns. Cached on the forward function it was derived from
+// (see GraphFunction::GetOrBuildBackward).
 struct BackwardFunction {
   std::shared_ptr<GraphFunction> function;
   // function's outputs correspond to gradients for these forward-arg
@@ -46,6 +49,10 @@ struct BackwardFunction {
   // in parameter order, with the dtype/shape of each accumulator.
   std::vector<int> accumulated_arg_indices;
   std::vector<TypeAndShape> accumulator_types;
+  // Loop-body backwards only: the forward a While with a stack runs each
+  // iteration. It returns the loop variables, then the intermediates
+  // `function` reads, in the order `function` takes them.
+  std::shared_ptr<GraphFunction> loop_forward;
 };
 
 // Returns (building on first use) the backward function for a forward
@@ -54,16 +61,16 @@ StatusOr<BackwardFunction> GetOrBuildBackwardFunction(
     EagerContext* ctx, const std::shared_ptr<GraphFunction>& forward,
     int num_original_outputs);
 
-// Returns (building on first use) the backward of a While-loop body: a
-// forward variant whose first `num_vars` args/outputs are the loop
-// variables. Gradients for the body's *captures* (args at index >=
-// num_vars) are threaded through explicit accumulator parameters instead of
-// being emitted fresh each call: the output for an accumulated arg is
-// `accumulator + (this iteration's contributions, folded in reverse-sweep
-// order)`. Seeding the sweep with the accumulator makes the whole reverse
-// loop a single flat left-fold — the exact association the eager tape
-// produces for an unrolled loop — so While gradients stay bitwise-equal to
-// unrolled-loop tape gradients.
+// Returns (building on first use) the backward of a While-loop body, and
+// its loop_forward: `forward` is the body's forward variant, whose first
+// `num_vars` args/outputs are the loop variables. Gradients for the body's
+// *captures* (args at index >= num_vars) are threaded through explicit
+// accumulator parameters instead of being emitted fresh each call: the
+// output for an accumulated arg is `accumulator + (this iteration's
+// contributions, folded in reverse-sweep order)`. Seeding the sweep with
+// the accumulator makes the whole reverse loop a single flat left-fold —
+// the exact association the eager tape produces for an unrolled loop — so
+// While gradients stay bitwise-equal to unrolled-loop tape gradients.
 StatusOr<BackwardFunction> GetOrBuildLoopBackwardFunction(
     EagerContext* ctx, const std::shared_ptr<GraphFunction>& forward,
     int num_vars);

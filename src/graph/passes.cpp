@@ -195,6 +195,41 @@ Status Optimize(GraphFunction& function, PassStats* stats) {
   return Status::OK();
 }
 
+StatusOr<std::vector<int>> DropUnreadParameters(GraphFunction& function,
+                                                int begin, int end) {
+  if (begin < 0 || begin > end || end > function.num_explicit_args()) {
+    return InvalidArgument("DropUnreadParameters: bad parameter range");
+  }
+  Graph& graph = function.graph();
+  const int n = graph.num_nodes();
+  std::vector<bool> read(n, false);
+  for (int id = 0; id < n; ++id) {
+    for (const Endpoint& e : graph.node(id).inputs) read[e.node_id] = true;
+    for (int dep : graph.node(id).control_inputs) read[dep] = true;
+  }
+  for (const Endpoint& out : function.outputs()) read[out.node_id] = true;
+
+  std::vector<bool> keep(n, true);
+  std::vector<int> kept;
+  std::vector<int> arg_nodes;
+  for (int i = 0; i < function.num_args(); ++i) {
+    const int node = function.arg_nodes()[i];
+    const bool in_range = i >= begin && i < end;
+    if (in_range && !read[node]) {
+      keep[node] = false;
+      continue;
+    }
+    if (in_range) kept.push_back(i - begin);
+    graph.node(node).attrs["index"] =
+        AttrValue(static_cast<int64_t>(arg_nodes.size()));
+    arg_nodes.push_back(node);
+  }
+  if (static_cast<int>(arg_nodes.size()) == function.num_args()) return kept;
+  function.arg_nodes() = std::move(arg_nodes);
+  TFE_RETURN_IF_ERROR(RebuildKeeping(function, keep, IdentityMap(n)));
+  return kept;
+}
+
 Status FuseElementwise(GraphFunction& function, PassStats* stats) {
   Graph& graph = function.graph();
   const int n = graph.num_nodes();

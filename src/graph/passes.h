@@ -48,6 +48,13 @@ Status FoldConstants(GraphFunction& function, PassStats* stats = nullptr);
 // fold -> CSE -> prune.
 Status Optimize(GraphFunction& function, PassStats* stats = nullptr);
 
+// Removes the explicit parameters at positions [begin, end) that no node
+// reads and no output returns, renumbering the rest, and returns the kept
+// positions relative to `begin`. This changes the call signature, so it
+// runs only on a function nothing has called yet.
+StatusOr<std::vector<int>> DropUnreadParameters(GraphFunction& function,
+                                                int begin, int end);
+
 // Collapses single-device DAG segments of elementwise, layout (Transpose/
 // Reshape/ExpandDims/Squeeze), and trailing-reduction (Sum/Mean/Max/Min)
 // nodes into single FusedElementwise nodes interpreting a micro-op

@@ -150,7 +150,7 @@ L2hmcDynamics::Proposal L2hmcDynamics::Transition(const Tensor& x0) const {
     // One While node over {step, x, v, log_jacobian}; the body is the same
     // LeapfrogStep the unrolled path runs, traced once. The +1 on
     // maximum_iterations pays for the final (false) cond evaluation; it is
-    // also the bound on the While gradient's snapshot stack.
+    // also the bound on the While's forward stack.
     if (leapfrog_body_ == nullptr) {
       leapfrog_cond_ = std::make_unique<Function>(
           [steps = config_.leapfrog_steps](

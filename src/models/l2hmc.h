@@ -55,7 +55,8 @@ class L2hmcDynamics : public Checkpointable {
     // Stage the leapfrog integrator as one While node instead of unrolling
     // the host loop into the trace. The loop body is traced once and its
     // execution variant is reused across iterations; differentiating
-    // through it uses the While gradient (per-iteration backward replay).
+    // through it uses the While gradient (the per-iteration backward over
+    // the forward loop's stack).
     bool staged_loop = false;
     // When nonzero, the momentum and Metropolis draws use the deterministic
     // Philox streams (sample_seed, sample_seed + 1) instead of the

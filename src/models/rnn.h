@@ -8,8 +8,8 @@
 //  * DynamicRnn — a staged while_loop whose iteration count is a *runtime*
 //    tensor (the sequence length): one trace serves any length, the
 //    tf.while story of §4.1. Differentiable like the unrolled form — the
-//    While gradient replays the staged step function per time step in
-//    reverse.
+//    While gradient runs the staged step function's backward per time step
+//    in reverse, over the values the forward loop stacked.
 #ifndef TFE_MODELS_RNN_H_
 #define TFE_MODELS_RNN_H_
 
@@ -55,9 +55,10 @@ Tensor UnrolledRnn(const LSTMCell& cell, const Tensor& sequence);
 // Runs the cell for `length` (scalar int32 tensor, <= time) steps using a
 // staged while_loop: the iteration count is decided by the *value* of
 // `length` at execution time, so one trace handles every length.
-// Differentiable: the While gradient replays the step function's staged
-// backward once per executed time step in reverse, so d(output)/d(cell
-// variables) matches the unrolled loop's tape gradient.
+// Differentiable: the While gradient runs the step function's staged
+// backward once per executed time step in reverse, reading the forward
+// loop's stack, so d(output)/d(cell variables) matches the unrolled loop's
+// tape gradient.
 Tensor DynamicRnn(const LSTMCell& cell, const Tensor& sequence,
                   const Tensor& length);
 

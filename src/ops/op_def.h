@@ -20,8 +20,10 @@
 
 namespace tfe {
 
+class EagerContext;
 class KernelContext;
 class PreparedKernel;
+struct Node;
 struct TapeEntry;
 
 // A kernel: the op's implementation (paper §4 terminology). All kernels in
@@ -73,6 +75,12 @@ struct OpDef {
   bool variable_op = false;
 
   ShapeInferenceFn shape_fn;
+
+  // How a forward variant (autodiff/function_grad.h) rewrites a node of
+  // this op so the node also outputs what its gradient reads. Empty for ops
+  // whose gradient needs only the node's inputs and outputs; While sets it
+  // to record its forward stack.
+  std::function<Status(EagerContext* ctx, Node& node)> forward_rewrite;
 
   // Attached after the definition by OpRegistry::RegisterKernel and
   // RegisterGradient; empty when the op has none.

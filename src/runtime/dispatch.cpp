@@ -70,7 +70,8 @@ StatusOr<std::vector<Tensor>> Dispatch(OpCall call) {
       // Branch output signatures agree (validated at construction).
       TFE_RETURN_IF_ERROR(function_outputs("then_function"));
     } else if (call.op_name == "While") {
-      // Loop-invariant: outputs have the loop variables' types.
+      // Loop-invariant: outputs have the loop variables' types, then a
+      // stacked While's forward stack.
       auto vars_it = call.attrs.find("num_vars");
       if (vars_it == call.attrs.end() || !vars_it->second.Is<int64_t>()) {
         return InvalidArgument("While op requires a 'num_vars' attr");
@@ -78,6 +79,9 @@ StatusOr<std::vector<Tensor>> Dispatch(OpCall call) {
       for (int64_t i = 0; i < vars_it->second.Get<int64_t>(); ++i) {
         pre_inferred.push_back(
             {call.inputs.at(i).dtype(), call.inputs.at(i).shape()});
+      }
+      if (call.attrs.count("body_forward") > 0) {
+        pre_inferred.push_back({DType::kResource, Shape()});
       }
     }
     // Tracing executes the host-language function: recording an op costs a

@@ -1,6 +1,7 @@
 #include "staging/control_flow.h"
 
-#include <functional>
+#include <algorithm>
+#include <iterator>
 
 #include "api/ops_api.h"
 #include "autodiff/function_grad.h"
@@ -114,23 +115,34 @@ Status CondKernel(KernelContext* ctx) {
   return Status::OK();
 }
 
+// A While's forward stack: for each iteration, the loop variables that
+// entered the body, then the intermediates the loop backward reads. The
+// While kernel fills it; WhileGrad only reads it, so one stack serves every
+// gradient a persistent tape takes. Its size is bounded by
+// maximum_iterations.
+class LoopStack : public ResourceBase {
+ public:
+  std::string TypeName() const override { return "LoopStack"; }
+
+  std::vector<std::vector<Tensor>> frames;
+};
+
 // Drives one While loop over resolved (fused) cond and body functions: runs
-// cond, then body, until cond yields false. The While kernel and WhileGrad's
-// forward replay both loop here, so they share the iteration cap, the arity
-// checks and the stream spread: iteration k runs cond on 2k+1 and body on
-// 2k+2 in the space spread from this node's stream, so random ops draw fresh
-// values each iteration, deterministically. `before_body`, when set, sees
-// each iteration's loop variables before the body consumes them. On success
-// `vars` holds the final loop variables, `now_ns` the loop's finish time, and
-// the result is the number of completed iterations.
+// cond, then body, until cond yields false. Iteration k runs cond on 2k+1
+// and body on 2k+2 in the space spread from this node's stream, so random
+// ops draw fresh values each iteration, deterministically. With a `stack`,
+// the body is the loop forward (function_grad.h): it returns the loop
+// variables, then the intermediates the loop backward reads, and each
+// iteration pushes one frame. On success `vars` holds the final loop
+// variables, `now_ns` the loop's finish time, and the result is the number
+// of completed iterations.
 StatusOr<int64_t> RunWhileLoop(
     KernelContext* ctx, const GraphFunction& cond_run,
     const GraphFunction& body_run, const std::vector<Tensor>& cond_captures,
     const std::vector<Tensor>& body_captures, int64_t max_iterations,
-    std::vector<Tensor>* vars, uint64_t* now_ns,
-    const std::function<void(const std::vector<Tensor>&)>& before_body =
-        nullptr) {
+    std::vector<Tensor>* vars, uint64_t* now_ns, LoopStack* stack) {
   EagerContext* ectx = ctx->eager_context();
+  const size_t num_vars = vars->size();
   const uint64_t rng_root = random::SplitMix64(ctx->rng_stream());
   for (int64_t iteration = 0;; ++iteration) {
     if (iteration >= max_iterations) {
@@ -151,7 +163,6 @@ StatusOr<int64_t> RunWhileLoop(
     TFE_ASSIGN_OR_RETURN(bool keep_going, ScalarPred(cond_result.outputs[0]));
     if (!keep_going) return iteration;
 
-    if (before_body) before_body(*vars);
     std::vector<Tensor> body_inputs = *vars;
     body_inputs.insert(body_inputs.end(), body_captures.begin(),
                        body_captures.end());
@@ -160,13 +171,26 @@ StatusOr<int64_t> RunWhileLoop(
         Executor(ectx).Run(body_run, body_inputs, ctx->device(), *now_ns,
                            ctx->compiled(), iter_base + 2));
     *now_ns = body_result.finish_ns;
-    if (body_result.outputs.size() != vars->size()) {
+    std::vector<Tensor>& outputs = body_result.outputs;
+    if (stack == nullptr ? outputs.size() != num_vars
+                         : outputs.size() < num_vars) {
       return InvalidArgument("While body must return the loop variables");
     }
-    *vars = std::move(body_result.outputs);
+    if (stack != nullptr) {
+      std::vector<Tensor> frame = std::move(*vars);
+      frame.insert(frame.end(),
+                   std::make_move_iterator(outputs.begin() + num_vars),
+                   std::make_move_iterator(outputs.end()));
+      stack->frames.push_back(std::move(frame));
+      outputs.resize(num_vars);
+    }
+    *vars = std::move(outputs);
   }
 }
 
+// Input layout: [vars..., cond_captures..., body_captures...]. Outputs: the
+// final loop variables, then, when the While has a `body_forward` (the
+// stacked form WhileGrad differentiates), its LoopStack.
 Status WhileKernel(KernelContext* ctx) {
   TFE_ASSIGN_OR_RETURN(auto cond_name, ctx->GetAttr<std::string>("cond_function"));
   TFE_ASSIGN_OR_RETURN(auto body_name, ctx->GetAttr<std::string>("body_function"));
@@ -174,8 +198,9 @@ Status WhileKernel(KernelContext* ctx) {
   int64_t cond_caps = ctx->GetAttrOr<int64_t>("cond_captures", 0);
   int64_t max_iterations =
       ctx->GetAttrOr<int64_t>("maximum_iterations", 1'000'000);
+  const std::string forward_name =
+      ctx->GetAttrOr<std::string>("body_forward", "");
 
-  // Input layout: [vars..., cond_captures..., body_captures...].
   std::vector<Tensor> vars(ctx->inputs().begin(),
                            ctx->inputs().begin() + num_vars);
   std::vector<Tensor> cond_captures(
@@ -200,18 +225,21 @@ Status WhileKernel(KernelContext* ctx) {
   // iteration's identically-shaped state reuses the same blocks.
   TFE_ASSIGN_OR_RETURN(std::shared_ptr<GraphFunction> cond_fn,
                        ectx->functions().Find(cond_name));
-  TFE_ASSIGN_OR_RETURN(std::shared_ptr<GraphFunction> body_fn,
-                       ectx->functions().Find(body_name));
+  TFE_ASSIGN_OR_RETURN(
+      std::shared_ptr<GraphFunction> body_fn,
+      ectx->functions().Find(forward_name.empty() ? body_name : forward_name));
   bool body_built_now = false;
   std::shared_ptr<GraphFunction> cond_run =
       passes::FusedExecutionVariant(ectx, ctx->device(), cond_fn);
   std::shared_ptr<GraphFunction> body_run = passes::FusedExecutionVariant(
       ectx, ctx->device(), body_fn, &body_built_now);
 
+  std::shared_ptr<LoopStack> stack =
+      forward_name.empty() ? nullptr : std::make_shared<LoopStack>();
   TFE_ASSIGN_OR_RETURN(
       int64_t completed,
       RunWhileLoop(ctx, *cond_run, *body_run, cond_captures, body_captures,
-                   max_iterations, &vars, &now_ns));
+                   max_iterations, &vars, &now_ns, stack.get()));
   iterations_counter->Increment(static_cast<uint64_t>(completed));
   // Every iteration after the loop's one-time variant resolution is a
   // body-cache hit; only the very first iteration of the execution that
@@ -222,6 +250,10 @@ Status WhileKernel(KernelContext* ctx) {
                           completed);
   for (int64_t i = 0; i < num_vars; ++i) {
     ctx->SetOutput(static_cast<int>(i), vars[i]);
+  }
+  if (stack != nullptr) {
+    ctx->SetOutput(static_cast<int>(num_vars),
+                   Tensor::MakeResource(std::move(stack), ctx->device()));
   }
   ctx->set_completion_ns(now_ns);
   return Status::OK();
@@ -390,31 +422,32 @@ StatusOr<std::vector<Tensor>> CondGradImpl(const TapeEntry& e,
 }
 
 // ---------------------------------------------------------------------------
-// While gradient.
+// While gradient: a forward stack read in reverse (DESIGN §16).
 //
-// Cond's gradient pattern (rematerialize intermediates via the forward
-// variant, run the staged backward) is the per-iteration template; the loop
-// structure around it is:
-//   forward replay:  re-run cond/body, pushing each iteration's loop
-//                    variables onto a host-side tensor stack (memory bound:
-//                    iterations × loop-state size, <= maximum_iterations —
-//                    captures are not snapshotted);
-//   backward sweep:  for i = N-1..0, run body__fwd on snapshot i to
-//                    rematerialize intermediates, then the loop backward
-//                    (function_grad.h: capture gradients threaded through
-//                    zero-seeded accumulators) to chain the var gradients
-//                    and fold this iteration's capture contributions.
+// Paper §4.2 differentiates a staged function through a forward variant
+// that returns its intermediates and a staged backward that reads them; a
+// While applies that per iteration:
+//   forward:   a While with a `body_forward` attr runs the body's loop
+//              forward (function_grad.h) instead of the body. Each
+//              iteration pushes the loop variables that entered the body
+//              and the intermediates the loop backward reads onto a
+//              LoopStack, which the While outputs after the loop variables.
+//              Memory bound: iterations × that frame, <= maximum_iterations;
+//              captures are not stacked.
+//   backward:  WhileGrad runs the loop backward for i = N-1..0 on frame i,
+//              chaining the var gradients and threading capture gradients
+//              through zero-seeded accumulators. It runs no forward work
+//              and leaves the stack as it found it.
 // The accumulator threading keeps the whole sweep a single flat left-fold in
 // reverse execution order — the same association the eager tape produces for
 // an unrolled loop — which is what makes While gradients bitwise-equal to
-// unrolled-loop tape gradients for deterministic bodies.
+// unrolled-loop tape gradients. The backward reads the forward's own values,
+// random draws included.
 
+// Input layout: [vars..., cond_captures..., body_captures..., stack,
+// output grads...]. Outputs: var gradients, then one accumulated gradient
+// per capture the loop backward threads.
 Status WhileGradKernel(KernelContext* ctx) {
-  TFE_ASSIGN_OR_RETURN(auto cond_name,
-                       ctx->GetAttr<std::string>("cond_function"));
-  TFE_ASSIGN_OR_RETURN(auto body_name,
-                       ctx->GetAttr<std::string>("body_function"));
-  TFE_ASSIGN_OR_RETURN(auto fwd_name, ctx->GetAttr<std::string>("body_forward"));
   TFE_ASSIGN_OR_RETURN(auto bwd_name,
                        ctx->GetAttr<std::string>("body_backward"));
   TFE_ASSIGN_OR_RETURN(int64_t num_vars, ctx->GetAttr<int64_t>("num_vars"));
@@ -429,74 +462,75 @@ Status WhileGradKernel(KernelContext* ctx) {
       ctx->GetAttr<std::vector<int64_t>>("grad_output_indices"));
 
   const int64_t num_grad_in = static_cast<int64_t>(grad_output_indices.size());
-  const int64_t num_body_caps =
-      ctx->num_inputs() - num_vars - cond_caps - num_grad_in;
+  const int64_t stack_input = ctx->num_inputs() - num_grad_in - 1;
+  const int64_t num_body_caps = stack_input - num_vars - cond_caps;
   if (num_body_caps < 0) {
     return InvalidArgument("WhileGrad input count mismatch");
   }
-  // Input layout: [vars..., cond_captures..., body_captures..., out grads].
-  std::vector<Tensor> vars(ctx->inputs().begin(),
-                           ctx->inputs().begin() + num_vars);
-  std::vector<Tensor> cond_captures(
-      ctx->inputs().begin() + num_vars,
-      ctx->inputs().begin() + num_vars + cond_caps);
+  const Tensor& handle = ctx->input(static_cast<int>(stack_input));
+  const auto* stack =
+      handle.is_resource()
+          ? dynamic_cast<const LoopStack*>(handle.resource().get())
+          : nullptr;
+  if (stack == nullptr) {
+    return InvalidArgument(strings::StrCat(
+        "WhileGrad input ", stack_input, " is not a While forward stack"));
+  }
   std::vector<Tensor> body_captures(
       ctx->inputs().begin() + num_vars + cond_caps,
-      ctx->inputs().begin() + num_vars + cond_caps + num_body_caps);
+      ctx->inputs().begin() + stack_input);
+  int64_t num_accs = 0;
+  for (int64_t arg : grad_arg_indices) num_accs += (arg >= num_vars) ? 1 : 0;
+
+  EagerContext* ectx = ctx->eager_context();
+  Device* device = ctx->device();
+  TFE_ASSIGN_OR_RETURN(std::shared_ptr<GraphFunction> bwd_fn,
+                       ectx->functions().Find(bwd_name));
+  std::shared_ptr<GraphFunction> bwd_run =
+      passes::FusedExecutionVariant(ectx, device, bwd_fn);
+
+  // The loop backward takes [vars..., body captures..., intermediates...,
+  // var grads..., accumulators...]; a frame supplies the vars and the
+  // intermediates.
+  const int64_t frame_size =
+      bwd_fn->num_args() - num_body_caps - num_grad_in - num_accs;
+  if (frame_size < num_vars) {
+    return InvalidArgument(strings::StrCat(
+        "WhileGrad's loop backward ", bwd_name, " does not match its inputs"));
+  }
+  const int64_t n_iters = static_cast<int64_t>(stack->frames.size());
+  if (n_iters > max_iterations) {
+    return InvalidArgument(strings::StrCat(
+        "While forward stack holds ", n_iters,
+        " iterations, more than maximum_iterations (", max_iterations, ")"));
+  }
+  for (const std::vector<Tensor>& frame : stack->frames) {
+    if (static_cast<int64_t>(frame.size()) != frame_size) {
+      return InvalidArgument(strings::StrCat(
+          "While forward stack frames hold ", frame.size(),
+          " tensors; the loop backward ", bwd_name, " reads ", frame_size));
+    }
+  }
 
   static profiler::Counter* grad_iterations_counter =
       profiler::Metrics().GetCounter("loop.grad_iterations");
   static const uint32_t grad_name_id = profiler::Intern("staged_loop_grad");
 
-  EagerContext* ectx = ctx->eager_context();
-  Device* device = ctx->device();
-  TFE_ASSIGN_OR_RETURN(std::shared_ptr<GraphFunction> cond_fn,
-                       ectx->functions().Find(cond_name));
-  TFE_ASSIGN_OR_RETURN(std::shared_ptr<GraphFunction> body_fn,
-                       ectx->functions().Find(body_name));
-  TFE_ASSIGN_OR_RETURN(std::shared_ptr<GraphFunction> fwd_fn,
-                       ectx->functions().Find(fwd_name));
-  TFE_ASSIGN_OR_RETURN(std::shared_ptr<GraphFunction> bwd_fn,
-                       ectx->functions().Find(bwd_name));
-  std::shared_ptr<GraphFunction> cond_run =
-      passes::FusedExecutionVariant(ectx, device, cond_fn);
-  std::shared_ptr<GraphFunction> body_run =
-      passes::FusedExecutionVariant(ectx, device, body_fn);
-  std::shared_ptr<GraphFunction> fwd_run =
-      passes::FusedExecutionVariant(ectx, device, fwd_fn);
-  std::shared_ptr<GraphFunction> bwd_run =
-      passes::FusedExecutionVariant(ectx, device, bwd_fn);
-
-  // Forward replay, snapshotting the loop variables per iteration. The
-  // shared driver gives it WhileKernel's stream spread, so seeded randomness
-  // inside the body draws iteration-stable values; seed-0 stream randomness
-  // replays from THIS node's stream, not the forward While's — the same
-  // rematerialization caveat Cond's gradient has.
-  uint64_t now_ns = ctx->start_ns();
-  std::vector<std::vector<Tensor>> stack;
-  TFE_ASSIGN_OR_RETURN(
-      const int64_t n_iters,
-      RunWhileLoop(ctx, *cond_run, *body_run, cond_captures, body_captures,
-                   max_iterations, &vars, &now_ns,
-                   [&](const std::vector<Tensor>& v) { stack.push_back(v); }));
-
   // Incoming gradients for the loop outputs (zeros where the tape had none).
   std::vector<Tensor> grad_vars(num_vars);
-  for (size_t k = 0; k < grad_output_indices.size(); ++k) {
+  for (int64_t k = 0; k < num_grad_in; ++k) {
     grad_vars[grad_output_indices[k]] =
-        ctx->input(static_cast<int>(num_vars + cond_caps + num_body_caps +
-                                    static_cast<int64_t>(k)));
+        ctx->input(static_cast<int>(stack_input + 1 + k));
   }
   for (int64_t v = 0; v < num_vars; ++v) {
     if (!grad_vars[v].defined()) {
-      grad_vars[v] = tensor_util::Zeros(vars[v].dtype(), vars[v].shape());
+      const Tensor& var = ctx->input(static_cast<int>(v));
+      grad_vars[v] = tensor_util::Zeros(var.dtype(), var.shape());
     }
   }
 
   // Zero-initialized capture accumulators, typed by the declared outputs.
   std::vector<Tensor> accs;
-  int64_t num_accs = 0;
-  for (int64_t arg : grad_arg_indices) num_accs += (arg >= num_vars) ? 1 : 0;
   for (int64_t k = 0; k < num_accs; ++k) {
     const int64_t slot = num_vars + k;
     TFE_ASSIGN_OR_RETURN(
@@ -512,33 +546,27 @@ Status WhileGradKernel(KernelContext* ctx) {
     accs.push_back(tensor_util::Zeros(dt, sh));
   }
 
-  // Reverse sweep: rematerialize iteration i's intermediates, run the loop
-  // backward, chain var gradients, thread capture accumulators.
+  // Reverse sweep: run the loop backward on each frame, chain var
+  // gradients, thread capture accumulators.
+  uint64_t now_ns = ctx->start_ns();
   const uint64_t rng_root = random::SplitMix64(ctx->rng_stream());
   for (int64_t i = n_iters - 1; i >= 0; --i) {
-    const uint64_t iter_base = rng_root + 2 * static_cast<uint64_t>(i);
-    std::vector<Tensor> fwd_inputs = stack[i];
-    fwd_inputs.insert(fwd_inputs.end(), body_captures.begin(),
-                      body_captures.end());
-    TFE_ASSIGN_OR_RETURN(
-        Executor::Result fwd_result,
-        Executor(ectx).Run(*fwd_run, fwd_inputs, device, now_ns,
-                           ctx->compiled(), iter_base + 2));
-    now_ns = fwd_result.finish_ns;
-
-    std::vector<Tensor> bwd_inputs = stack[i];
+    const std::vector<Tensor>& frame = stack->frames[i];
+    std::vector<Tensor> bwd_inputs(frame.begin(), frame.begin() + num_vars);
+    bwd_inputs.reserve(bwd_fn->num_args());
     bwd_inputs.insert(bwd_inputs.end(), body_captures.begin(),
                       body_captures.end());
-    for (size_t j = static_cast<size_t>(num_vars);
-         j < fwd_result.outputs.size(); ++j) {
-      bwd_inputs.push_back(fwd_result.outputs[j]);
+    bwd_inputs.insert(bwd_inputs.end(), frame.begin() + num_vars, frame.end());
+    for (int64_t idx : grad_output_indices) {
+      bwd_inputs.push_back(std::move(grad_vars[idx]));
     }
-    for (int64_t idx : grad_output_indices) bwd_inputs.push_back(grad_vars[idx]);
-    bwd_inputs.insert(bwd_inputs.end(), accs.begin(), accs.end());
+    bwd_inputs.insert(bwd_inputs.end(), std::make_move_iterator(accs.begin()),
+                      std::make_move_iterator(accs.end()));
     TFE_ASSIGN_OR_RETURN(
         Executor::Result bwd_result,
         Executor(ectx).Run(*bwd_run, bwd_inputs, device, now_ns,
-                           ctx->compiled(), iter_base + 3));
+                           ctx->compiled(),
+                           rng_root + 2 * static_cast<uint64_t>(i) + 3));
     now_ns = bwd_result.finish_ns;
     if (bwd_result.outputs.size() != grad_arg_indices.size()) {
       return Internal("While loop-backward output arity mismatch");
@@ -556,7 +584,7 @@ Status WhileGradKernel(KernelContext* ctx) {
     for (int64_t v = 0; v < num_vars; ++v) {
       if (!next_grad_vars[v].defined()) {
         next_grad_vars[v] =
-            tensor_util::Zeros(stack[i][v].dtype(), stack[i][v].shape());
+            tensor_util::Zeros(frame[v].dtype(), frame[v].shape());
       }
     }
     grad_vars = std::move(next_grad_vars);
@@ -575,6 +603,44 @@ Status WhileGradKernel(KernelContext* ctx) {
   return Status::OK();
 }
 
+// The loop backward of a While over `body_name`, with its loop forward.
+StatusOr<BackwardFunction> LoopBackward(EagerContext* ctx,
+                                        const std::string& body_name,
+                                        int64_t num_vars) {
+  TFE_ASSIGN_OR_RETURN(std::shared_ptr<GraphFunction> body,
+                       ctx->functions().Find(body_name));
+  TFE_ASSIGN_OR_RETURN(std::shared_ptr<GraphFunction> body_fwd,
+                       BuildForwardFunction(ctx, body));
+  return GetOrBuildLoopBackwardFunction(ctx, body_fwd,
+                                        static_cast<int>(num_vars));
+}
+
+// Puts a While's attrs into the stacked form: a `body_forward` naming the
+// body's loop forward, so the While also outputs a LoopStack.
+Status AddForwardStack(EagerContext* ctx, AttrMap& attrs) {
+  TFE_ASSIGN_OR_RETURN(auto body_name,
+                       GetAttr<std::string>(attrs, "body_function"));
+  TFE_ASSIGN_OR_RETURN(int64_t num_vars, GetAttr<int64_t>(attrs, "num_vars"));
+  TFE_ASSIGN_OR_RETURN(BackwardFunction loop,
+                       LoopBackward(ctx, body_name, num_vars));
+  attrs["body_forward"] = AttrValue(loop.loop_forward->name());
+  return Status::OK();
+}
+
+// While's OpDef::forward_rewrite: a forward variant keeps each loop's stack.
+// Loops over resource variables have no gradient and stay as they are.
+Status StackWhileNode(EagerContext* ctx, Node& node) {
+  if (node.attrs.count("body_forward") > 0) return Status::OK();
+  TFE_ASSIGN_OR_RETURN(int64_t num_vars,
+                       GetAttr<int64_t>(node.attrs, "num_vars"));
+  for (int64_t i = 0; i < num_vars && i < node.num_outputs(); ++i) {
+    if (node.outputs[i].dtype == DType::kResource) return Status::OK();
+  }
+  TFE_RETURN_IF_ERROR(AddForwardStack(ctx, node.attrs));
+  node.outputs.push_back({DType::kResource, Shape()});
+  return Status::OK();
+}
+
 StatusOr<std::vector<Tensor>> WhileGradImpl(const TapeEntry& e,
                                             const std::vector<Tensor>& g) {
   EagerContext* ctx = EagerContext::Global();
@@ -586,7 +652,6 @@ StatusOr<std::vector<Tensor>> WhileGradImpl(const TapeEntry& e,
       e.attrs.count("maximum_iterations")
           ? e.attrs.at("maximum_iterations").Get<int64_t>()
           : 1'000'000;
-  std::string cond_name = e.attrs.at("cond_function").Get<std::string>();
   std::string body_name = e.attrs.at("body_function").Get<std::string>();
 
   for (int64_t i = 0; i < num_vars; ++i) {
@@ -596,19 +661,28 @@ StatusOr<std::vector<Tensor>> WhileGradImpl(const TapeEntry& e,
           "supported (captured variables are fine)");
     }
   }
+  auto forward_it = e.attrs.find("body_forward");
+  if (forward_it == e.attrs.end() ||
+      static_cast<int64_t>(e.outputs.size()) != num_vars + 1) {
+    return FailedPrecondition(
+        "This While ran without a forward stack, so it has no gradient: "
+        "ops::while_loop records one when a tape watches the loop's "
+        "inputs, and so does a staged function called under a tape");
+  }
+  TFE_ASSIGN_OR_RETURN(BackwardFunction loop_backward,
+                       LoopBackward(ctx, body_name, num_vars));
+  const std::string& stacked_by = forward_it->second.Get<std::string>();
+  if (loop_backward.loop_forward->name() != stacked_by) {
+    return FailedPrecondition(strings::StrCat(
+        "While's forward stack was recorded by ", stacked_by,
+        ", but the gradient of its body reads frames of ",
+        loop_backward.loop_forward->name()));
+  }
 
-  TFE_ASSIGN_OR_RETURN(std::shared_ptr<GraphFunction> body,
-                       ctx->functions().Find(body_name));
-  TFE_ASSIGN_OR_RETURN(std::shared_ptr<GraphFunction> body_fwd,
-                       BuildForwardFunction(ctx, body));
-  TFE_ASSIGN_OR_RETURN(
-      BackwardFunction loop_backward,
-      GetOrBuildLoopBackwardFunction(ctx, body_fwd,
-                                     static_cast<int>(num_vars)));
-
-  // WhileGrad inputs: every While input, then the incoming output gradients
-  // for the loop vars the backward consumes.
+  // WhileGrad inputs: every While input, the stack, then the incoming
+  // output gradients for the loop vars the backward consumes.
   std::vector<Tensor> inputs = e.inputs;
+  inputs.push_back(e.outputs[num_vars]);
   for (int idx : loop_backward.grad_output_indices) {
     Tensor grad = (idx < static_cast<int>(g.size()) && g[idx].defined())
                       ? g[idx]
@@ -617,9 +691,6 @@ StatusOr<std::vector<Tensor>> WhileGradImpl(const TapeEntry& e,
   }
 
   AttrMap attrs;
-  attrs["cond_function"] = AttrValue(cond_name);
-  attrs["body_function"] = AttrValue(body_name);
-  attrs["body_forward"] = AttrValue(body_fwd->name());
   attrs["body_backward"] = AttrValue(loop_backward.function->name());
   attrs["num_vars"] = AttrValue(num_vars);
   attrs["cond_captures"] = AttrValue(cond_caps);
@@ -746,11 +817,20 @@ std::vector<Tensor> while_loop(Function& cond_fn, Function& body_fn,
   attrs["cond_captures"] =
       AttrValue(static_cast<int64_t>((*cond_concrete)->captures().size()));
   attrs["maximum_iterations"] = AttrValue(maximum_iterations);
-  (void)ctx;
+  // As Function::Invoke calls a function's forward variant: a loop the
+  // tape will differentiate keeps its forward stack (loops over resource
+  // variables have no gradient).
+  if (GradientTape::WouldRecord(inputs) &&
+      std::none_of(init_vars.begin(), init_vars.end(),
+                   [](const Tensor& var) { return var.is_resource(); })) {
+    AddForwardStack(ctx, attrs).ThrowIfError();
+  }
   auto result = Dispatch({.op_name = "While", .inputs = std::move(inputs),
                           .attrs = std::move(attrs)});
   result.status().ThrowIfError();
-  return std::move(result).value();
+  std::vector<Tensor> outputs = std::move(result).value();
+  outputs.resize(init_vars.size());  // the tape keeps the stack
+  return outputs;
 }
 
 std::vector<Tensor> call(const std::string& function_name,
@@ -865,6 +945,7 @@ void RegisterControlFlowOps() {
     def.differentiable = true;
     def.always_executes = true;
     def.shape_fn = [](InferenceContext*) { return Status::OK(); };
+    def.forward_rewrite = StackWhileNode;
     TFE_CHECK(OpRegistry::Global()->Register(std::move(def)).ok());
   }
   {

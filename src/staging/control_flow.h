@@ -11,14 +11,16 @@
 // Eagerly they reduce to ordinary host control flow over function calls
 // (which is why eager code rarely needs them — the paper's point). Inside a
 // trace they record Cond / While nodes. Both are differentiable: cond()'s
-// gradient is a Cond over the branches' staged backward functions, and
-// while_loop()'s gradient replays the staged body-backward function once per
-// iteration in reverse, reading per-iteration loop-variable snapshots off a
-// tensor stack recorded on the forward pass. That stack is the gradient's
-// memory bound: iterations × loop-state size, capped by
-// `maximum_iterations` — captures are NOT snapshotted (their gradients are
-// threaded through accumulators), so only the loop variables pay per-
-// iteration storage.
+// gradient is a Cond over the branches' staged backward functions. A While
+// that a tape will differentiate keeps a forward stack (paper §4.2's
+// forward variant, per iteration): each iteration runs the body's loop
+// forward, which also returns the intermediates the body's staged backward
+// reads, and pushes them with the loop variables that entered the body.
+// while_loop()'s gradient runs that backward once per iteration in
+// reverse, reading the stack; the forward loop is never replayed. The stack
+// is the gradient's memory bound: iterations × (loop variables + read
+// intermediates), capped by `maximum_iterations` — captures are not stacked
+// (their gradients are threaded through accumulators).
 #ifndef TFE_STAGING_CONTROL_FLOW_H_
 #define TFE_STAGING_CONTROL_FLOW_H_
 

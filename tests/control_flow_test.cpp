@@ -2,10 +2,12 @@
 // mutable hash table (§4.3).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 
 #include "api/tfe.h"
 #include "profiler/metrics.h"
+#include "runtime/dispatch.h"
 #include "staging/control_flow.h"
 #include "state/hash_table.h"
 #include "models/optimizers.h"
@@ -185,7 +187,7 @@ TEST(WhileTest, MaximumIterationsGuards) {
 }
 
 TEST(WhileGradTest, BitwiseMatchesUnrolledTapeGradient) {
-  // The acceptance bar for the While gradient: replaying the staged body
+  // The acceptance bar for the While gradient: running the staged body
   // backward per iteration (with capture grads threaded through zero-seeded
   // accumulators) must reproduce the eager tape's gradient BITWISE, because
   // both reduce to the same flat left-fold of per-op contributions in the
@@ -250,7 +252,7 @@ TEST(WhileGradTest, BitwiseMatchesUnrolledTapeGradient) {
 }
 
 TEST(WhileGradTest, DataDependentIterationCount) {
-  // One staged trace; the gradient replays however many iterations the
+  // One staged trace; the gradient sweeps however many iterations the
   // forward pass actually ran — 2^N with N decided at execution time.
   Function below = function(
       [](const std::vector<Tensor>& vars) -> std::vector<Tensor> {
@@ -336,52 +338,57 @@ TEST(WhileGradTest, GradientsSurviveContextReset) {
   }
 }
 
-TEST(WhileGradTest, OneGraphTrainingStep) {
-  // Forward while_loop AND its gradient staged into a single graph
-  // function: the tape lives inside the trace, so tape.gradient records a
-  // WhileGrad node instead of running one. `w` is threaded as a loop
-  // variable (passes through each iteration unchanged), exercising
-  // loop-variable gradient accumulation across iterations.
-  const int kIters = 4;
-  auto step = [](const Tensor& x, const Tensor& w) {
+// A training step staged as one graph: a while_loop over {i, x, w} that
+// applies Step kIters times, and its gradient. `train` takes {x0, w} and
+// returns {y, dy/dx0, dy/dw}. The functions live as long as the struct.
+struct OneGraphStep {
+  static constexpr int kIters = 4;
+  static Tensor Step(const Tensor& x, const Tensor& w) {
     return ops::add(ops::mul(x, w), ops::mul(ops::square(x), w));
-  };
+  }
   Function below = function(
       [](const std::vector<Tensor>& vars) -> std::vector<Tensor> {
-        return {ops::less(vars[0], ops::fill(DType::kFloat32, {}, 4.0))};
+        return {ops::less(vars[0], ops::fill(DType::kFloat32, {}, kIters))};
       },
       "wgt_below");
   Function body = function(
-      [&](const std::vector<Tensor>& vars) -> std::vector<Tensor> {
+      [](const std::vector<Tensor>& vars) -> std::vector<Tensor> {
         return {ops::add(vars[0], ops::fill(DType::kFloat32, {}, 1.0)),
-                step(vars[1], vars[2]), vars[2]};
+                Step(vars[1], vars[2]), vars[2]};
       },
       "wgt_body");
   Function train = function(
-      [&](const std::vector<Tensor>& args) -> std::vector<Tensor> {
-        // args = {x0, w}
+      [this](const std::vector<Tensor>& args) -> std::vector<Tensor> {
         GradientTape tape;
         tape.watch(args[0]);
         tape.watch(args[1]);
         Tensor zero = ops::fill(DType::kFloat32, {}, 0.0);
-        std::vector<Tensor> out =
-            ops::while_loop(below, body, {zero, args[0], args[1]});
-        Tensor y = out[1];
+        Tensor y = ops::while_loop(below, body, {zero, args[0], args[1]})[1];
         tape.StopRecording();
         std::vector<Tensor> grads =
             std::move(tape.gradient(y, {args[0], args[1]})).value();
         return {y, grads[0], grads[1]};
       },
       "wgt_train");
+};
 
-  auto eager_reference = [&](float x0v, float wv) {
+TEST(WhileGradTest, OneGraphTrainingStep) {
+  // Forward while_loop AND its gradient staged into a single graph
+  // function: the tape lives inside the trace, so tape.gradient records a
+  // WhileGrad node instead of running one. `w` is threaded as a loop
+  // variable (passes through each iteration unchanged), exercising
+  // loop-variable gradient accumulation across iterations.
+  OneGraphStep staged;
+  auto eager_reference = [](float x0v, float wv) {
     Tensor x0 = ops::scalar<float>(x0v);
     Tensor w = ops::scalar<float>(wv);
     GradientTape tape;
     tape.watch(x0);
     tape.watch(w);
     Tensor x = x0;
-    for (int i = 0; i < kIters; ++i) x = step(x, w);
+    for (int i = 0; i < OneGraphStep::kIters; ++i) {
+      x = OneGraphStep::Step(x, w);
+    }
     tape.StopRecording();
     std::vector<Tensor> grads =
         std::move(tape.gradient(x, {x0, w})).value();
@@ -392,7 +399,7 @@ TEST(WhileGradTest, OneGraphTrainingStep) {
   struct Case { float x0, w; };
   for (const Case& c : {Case{0.5f, 1.1f}, Case{0.25f, 0.9f}}) {
     std::vector<Tensor> got =
-        train({ops::scalar<float>(c.x0), ops::scalar<float>(c.w)});
+        staged.train({ops::scalar<float>(c.x0), ops::scalar<float>(c.w)});
     std::vector<float> want = eager_reference(c.x0, c.w);
     ASSERT_EQ(got.size(), want.size());
     for (size_t i = 0; i < want.size(); ++i) {
@@ -400,7 +407,268 @@ TEST(WhileGradTest, OneGraphTrainingStep) {
           << "output " << i << " at x0=" << c.x0;
     }
   }
-  EXPECT_EQ(train.num_traces(), 1);  // forward + backward in ONE graph
+  EXPECT_EQ(staged.train.num_traces(), 1);  // forward + backward in ONE graph
+}
+
+TEST(WhileGradTest, BodyForwardRunsOncePerIteration) {
+  // A counter gate, not a timer: one call runs the outer graph once, cond
+  // N + 1 times, the loop forward N times and the loop backward N times.
+  // WhileGrad reads the forward stack; it neither replays the loop nor
+  // re-runs the body's forward per iteration.
+  OneGraphStep step;
+  const std::vector<Tensor> args = {ops::scalar<float>(0.5f),
+                                    ops::scalar<float>(1.1f)};
+  step.train(args);  // traces and builds every plan
+  profiler::Counter* runs = profiler::Metrics().GetCounter("executor.runs");
+  for (int call = 0; call < 2; ++call) {
+    const uint64_t before = runs->value();
+    step.train(args);
+    EXPECT_EQ(runs->value() - before, 3u * OneGraphStep::kIters + 2)
+        << "call " << call;
+  }
+}
+
+TEST(WhileGradTest, GradientUsesTheForwardDraws) {
+  // y = x0 * r_1 * ... * r_N with each r_i a seed-0 draw, so dy/dx0 = y/x0
+  // holds only if the backward multiplies by the draws the forward made.
+  Function below = function(
+      [](const std::vector<Tensor>& vars) -> std::vector<Tensor> {
+        return {ops::less(vars[0], ops::fill(DType::kFloat32, {}, 3.0))};
+      },
+      "wgr_draw_below");
+  Function body = function(
+      [](const std::vector<Tensor>& vars) -> std::vector<Tensor> {
+        return {ops::add(vars[0], ops::fill(DType::kFloat32, {}, 1.0)),
+                ops::mul(vars[1], ops::random_uniform({}))};
+      },
+      "wgr_draw_body");
+  Function staged = function(
+      [&](const std::vector<Tensor>& args) -> std::vector<Tensor> {
+        return {ops::while_loop(below, body, {args[0], args[1]})[1]};
+      },
+      "wgr_draw_staged");
+  for (float x0_value : {0.75f, 2.0f}) {
+    Tensor x0 = ops::scalar<float>(x0_value);
+    GradientTape tape;
+    tape.watch(x0);
+    Tensor y = staged({ops::scalar<float>(0.0f), x0})[0];
+    tape.StopRecording();
+    Tensor grad = std::move(tape.gradient(y, {x0})).value()[0];
+    const double want = y.scalar<float>() / x0_value;
+    EXPECT_NEAR(grad.scalar<float>(), want, 1e-6 * std::abs(want))
+        << "at x0=" << x0_value;
+  }
+}
+
+TEST(WhileGradTest, PersistentTapeReadsTheStackTwice) {
+  // WhileGrad leaves the forward stack as it found it, so a second
+  // gradient from the same tape sees the same frames.
+  Tensor w = ops::scalar<float>(1.1f);
+  Function below = function(
+      [](const std::vector<Tensor>& vars) -> std::vector<Tensor> {
+        return {ops::less(vars[0], ops::fill(DType::kFloat32, {}, 5.0))};
+      },
+      "wgp_below");
+  Function body = function(
+      [&](const std::vector<Tensor>& vars) -> std::vector<Tensor> {
+        return {ops::add(vars[0], ops::fill(DType::kFloat32, {}, 1.0)),
+                ops::add(ops::mul(vars[1], w),
+                         ops::mul(ops::square(vars[1]), w))};
+      },
+      "wgp_body");
+  Function staged = function(
+      [&](const std::vector<Tensor>& args) -> std::vector<Tensor> {
+        return {ops::while_loop(below, body, {args[0], args[1]})[1]};
+      },
+      "wgp_staged");
+  Tensor x0 = ops::scalar<float>(0.5f);
+  GradientTape tape(/*persistent=*/true);
+  tape.watch(x0);
+  tape.watch(w);
+  Tensor y = staged({ops::scalar<float>(0.0f), x0})[0];
+  tape.StopRecording();
+  std::vector<Tensor> first = std::move(tape.gradient(y, {x0, w})).value();
+  std::vector<Tensor> second = std::move(tape.gradient(y, {x0, w})).value();
+  ASSERT_EQ(first.size(), 2u);
+  ASSERT_EQ(second.size(), 2u);
+  for (size_t i = 0; i < first.size(); ++i) {
+    ASSERT_TRUE(first[i].defined() && second[i].defined()) << "source " << i;
+    EXPECT_EQ(first[i].scalar<float>(), second[i].scalar<float>())
+        << "source " << i;
+  }
+}
+
+TEST(WhileGradTest, NestedWhileBitwiseMatchesUnrolledTapeGradient) {
+  // An outer loop of 2 iterations whose body runs an inner loop of 3. The
+  // outer forward variant stacks the outer loop, the outer loop forward
+  // stacks the inner one, and the outer loop backward reads the inner
+  // stacks. w rides along as a loop variable of both loops, so its
+  // gradient chains through the loops like x's does.
+  auto step = [](const Tensor& x, const Tensor& w) {
+    return ops::add(ops::mul(x, w), ops::mul(ops::square(x), w));
+  };
+  auto below = [](const char* name, double limit) {
+    return function(
+        [limit](const std::vector<Tensor>& vars) -> std::vector<Tensor> {
+          return {ops::less(vars[0], ops::fill(DType::kFloat32, {}, limit))};
+        },
+        name);
+  };
+  Function inner_below = below("wgn_inner_below", 3.0);
+  Function outer_below = below("wgn_outer_below", 2.0);
+  Function inner_body = function(
+      [&](const std::vector<Tensor>& vars) -> std::vector<Tensor> {
+        return {ops::add(vars[0], ops::fill(DType::kFloat32, {}, 1.0)),
+                step(vars[1], vars[2]), vars[2]};
+      },
+      "wgn_inner_body");
+  Function outer_body = function(
+      [&](const std::vector<Tensor>& vars) -> std::vector<Tensor> {
+        Tensor zero = ops::fill(DType::kFloat32, {}, 0.0);
+        std::vector<Tensor> inner =
+            ops::while_loop(inner_below, inner_body, {zero, vars[1], vars[2]});
+        return {ops::add(vars[0], ops::fill(DType::kFloat32, {}, 1.0)),
+                ops::tanh(inner[1]), inner[2]};
+      },
+      "wgn_outer_body");
+  Function staged = function(
+      [&](const std::vector<Tensor>& args) -> std::vector<Tensor> {
+        Tensor zero = ops::fill(DType::kFloat32, {}, 0.0);
+        return {ops::while_loop(outer_below, outer_body,
+                                {zero, args[0], args[1]})[1]};
+      },
+      "wgn_staged");
+
+  Tensor x0 = ops::scalar<float>(0.5f);
+  Tensor w = ops::scalar<float>(0.9f);
+  GradientTape unrolled;
+  unrolled.watch(x0);
+  unrolled.watch(w);
+  Tensor x = x0;
+  for (int i = 0; i < 2; ++i) {
+    for (int j = 0; j < 3; ++j) x = step(x, w);
+    x = ops::tanh(x);
+  }
+  unrolled.StopRecording();
+  std::vector<Tensor> want =
+      std::move(unrolled.gradient(x, {x0, w})).value();
+
+  GradientTape tape;
+  tape.watch(x0);
+  tape.watch(w);
+  Tensor y = staged({x0, w})[0];
+  tape.StopRecording();
+  std::vector<Tensor> got = std::move(tape.gradient(y, {x0, w})).value();
+
+  EXPECT_EQ(y.scalar<float>(), x.scalar<float>());
+  ASSERT_EQ(got.size(), want.size());
+  const char* names[] = {"dx0", "dw"};
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].scalar<float>(), want[i].scalar<float>()) << names[i];
+  }
+}
+
+// The While and WhileGrad nodes of `graph`, in node order.
+std::pair<const Node*, const Node*> LoopNodes(const GraphFunction& graph) {
+  const Node* loop = nullptr;
+  const Node* grad = nullptr;
+  for (int id = 0; id < graph.graph().num_nodes(); ++id) {
+    const Node& node = graph.graph().node(id);
+    if (node.op == "While") loop = &node;
+    if (node.op == "WhileGrad") grad = &node;
+  }
+  return {loop, grad};
+}
+
+TEST(WhileGradTest, MalformedStackIsInvalidArgument) {
+  // Runs the one-graph step's While and WhileGrad nodes by hand, feeding
+  // WhileGrad stacks it must refuse.
+  OneGraphStep step;
+  Tensor x0 = ops::scalar<float>(0.5f);
+  Tensor w = ops::scalar<float>(1.1f);
+  auto concrete = step.train.GetConcreteFunction({x0, w});
+  ASSERT_TRUE(concrete.ok()) << concrete.status().ToString();
+  auto [loop, grad] = LoopNodes(**concrete);
+  ASSERT_NE(loop, nullptr);
+  ASSERT_NE(grad, nullptr);
+  ASSERT_EQ(loop->attrs.count("body_forward"), 1u);
+
+  auto forward = Dispatch({.op_name = "While",
+                           .inputs = {ops::scalar<float>(0.0f), x0, w},
+                           .attrs = loop->attrs});
+  ASSERT_TRUE(forward.ok()) << forward.status().ToString();
+  ASSERT_EQ(forward->size(), 4u);  // {i, x, w}, then the stack
+  const Tensor stack = (*forward)[3];
+  ASSERT_TRUE(stack.is_resource());
+
+  auto run_grad = [&](const Tensor& stack_input, AttrMap attrs) {
+    std::vector<Tensor> inputs = {ops::scalar<float>(0.0f), x0, w,
+                                  stack_input};
+    for (size_t i = 0;
+         i < attrs.at("grad_output_indices").Get<std::vector<int64_t>>().size();
+         ++i) {
+      inputs.push_back(ops::scalar<float>(1.0f));
+    }
+    return Dispatch({.op_name = "WhileGrad",
+                     .inputs = std::move(inputs),
+                     .attrs = std::move(attrs)});
+  };
+  auto ok = run_grad(stack, grad->attrs);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+
+  Variable variable(ops::scalar<float>(1.0f));
+  for (const Tensor& wrong : {ops::scalar<float>(1.0f), variable.handle()}) {
+    auto refused = run_grad(wrong, grad->attrs);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), ErrorCode::kInvalidArgument)
+        << refused.status().ToString();
+  }
+
+  // The stack holds 4 iterations; a loop capped at 2 cannot have made it.
+  AttrMap capped = grad->attrs;
+  capped["maximum_iterations"] = AttrValue(static_cast<int64_t>(2));
+  auto too_long = run_grad(stack, capped);
+  ASSERT_FALSE(too_long.ok());
+  EXPECT_EQ(too_long.status().code(), ErrorCode::kInvalidArgument)
+      << too_long.status().ToString();
+}
+
+TEST(WhileGradTest, WhileWithoutStackHasNoGradient) {
+  // A While dispatched without a body_forward keeps no forward stack; its
+  // gradient is a loud FailedPrecondition, never a replay.
+  Function below = function(
+      [](const std::vector<Tensor>& vars) -> std::vector<Tensor> {
+        return {ops::less(vars[0], ops::fill(DType::kFloat32, {}, 10.0))};
+      },
+      "wgs_below");
+  Function body = function(
+      [](const std::vector<Tensor>& vars) -> std::vector<Tensor> {
+        return {ops::mul(vars[0], ops::fill(DType::kFloat32, {}, 2.0))};
+      },
+      "wgs_body");
+  Function staged = function(
+      [&](const std::vector<Tensor>& args) -> std::vector<Tensor> {
+        return ops::while_loop(below, body, {args[0]});
+      },
+      "wgs_staged");
+  Tensor x = ops::scalar<float>(1.0f);
+  auto concrete = staged.GetConcreteFunction({x});
+  ASSERT_TRUE(concrete.ok());
+  const Node* loop = LoopNodes(**concrete).first;
+  ASSERT_NE(loop, nullptr);
+  ASSERT_EQ(loop->attrs.count("body_forward"), 0u);
+
+  GradientTape tape;
+  tape.watch(x);
+  auto out = Dispatch(
+      {.op_name = "While", .inputs = {x}, .attrs = loop->attrs});
+  tape.StopRecording();
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_FLOAT_EQ((*out)[0].scalar<float>(), 16.0f);
+  auto grad = tape.gradient((*out)[0], {x});
+  ASSERT_FALSE(grad.ok());
+  EXPECT_EQ(grad.status().code(), ErrorCode::kFailedPrecondition)
+      << grad.status().ToString();
 }
 
 TEST(WhileTest, LoopMetricsAndBodyCacheHits) {

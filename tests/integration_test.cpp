@@ -214,7 +214,7 @@ TEST(IntegrationTest, GradientOfWhileMatchesClosedForm) {
   tape.StopRecording();
   EXPECT_FLOAT_EQ(y.scalar<float>(), 8.0f);
   // y = x * 2^3 (three doublings run before x < 8 fails), so dy/dx = 8:
-  // the While gradient replays the body backward once per iteration.
+  // the While gradient runs the body backward once per iteration.
   auto grads = tape.gradient(y, {x});
   ASSERT_TRUE(grads.ok()) << grads.status().message();
   EXPECT_FLOAT_EQ((*grads)[0].scalar<float>(), 8.0f);

@@ -238,9 +238,9 @@ TEST(L2hmcTest, StagedLoopTransitionBitwiseMatchesUnrolled) {
 
 TEST(L2hmcTest, StagedLoopTrainStepOneGraphMatchesUnrolled) {
   // With staged_loop the whole training step — forward While, the While
-  // gradient's per-iteration backward replay, and the SGD updates — stages
-  // into ONE graph function, and both the loss and the updated weights
-  // must match the unrolled eager step bitwise.
+  // gradient's per-iteration backward over its forward stack, and the SGD
+  // updates — stages into ONE graph function, and both the loss and the
+  // updated weights must match the unrolled eager step bitwise.
   models::L2hmcDynamics::Config config;
   config.leapfrog_steps = 3;
   config.step_size = 0.01;

@@ -80,7 +80,7 @@ TEST(RnnTest, DynamicRnnInsideOneStagedTrace) {
 }
 
 TEST(RnnTest, DynamicRnnGradientMatchesUnrolled) {
-  // DynamicRnn is differentiable now: the While gradient replays the step
+  // DynamicRnn is differentiable now: the While gradient runs the step
   // function's backward per executed time step, threading the cell-variable
   // and sequence-capture gradients through accumulators. At full length the
   // gradients must match the unrolled host loop's tape gradients.

@@ -308,6 +308,80 @@ TEST(SerializationTest, WhileBundleRoundTrips) {
   EXPECT_FLOAT_EQ(run(1.0f, 100.0f), 128.0f);  // more iterations than traced
 }
 
+TEST(SerializationTest, WhileTrainingStepRoundTrips) {
+  // A training step staged as one graph: the forward While, its WhileGrad,
+  // the resource-typed forward-stack edge between them, and the loop
+  // forward and loop backward they name. In a fresh context the bundle
+  // must reproduce the live loss and gradients bitwise.
+  Function below = function(
+      [](const std::vector<Tensor>& vars) -> std::vector<Tensor> {
+        return {ops::less(vars[0], ops::fill(DType::kFloat32, {}, 4.0))};
+      },
+      "ser_train_cond");
+  Function body = function(
+      [](const std::vector<Tensor>& vars) -> std::vector<Tensor> {
+        Tensor x = vars[1];
+        Tensor w = vars[2];
+        return {ops::add(vars[0], ops::fill(DType::kFloat32, {}, 1.0)),
+                ops::add(ops::mul(x, w), ops::mul(ops::square(x), w)), w};
+      },
+      "ser_train_body");
+  Function train = function(
+      [&](const std::vector<Tensor>& args) -> std::vector<Tensor> {
+        GradientTape tape;
+        tape.watch(args[0]);
+        tape.watch(args[1]);
+        Tensor zero = ops::fill(DType::kFloat32, {}, 0.0);
+        Tensor y = ops::while_loop(below, body, {zero, args[0], args[1]})[1];
+        Tensor loss = ops::square(y);
+        tape.StopRecording();
+        std::vector<Tensor> grads =
+            std::move(tape.gradient(loss, {args[0], args[1]})).value();
+        return {loss, grads[0], grads[1]};
+      },
+      "ser_train_step");
+  Tensor x0 = ops::scalar<float>(0.5f);
+  Tensor w = ops::scalar<float>(1.1f);
+  std::vector<Tensor> live = train({x0, w});
+
+  auto concrete = train.GetConcreteFunction({x0, w});
+  ASSERT_TRUE(concrete.ok());
+  bool has_stack_edge = false;
+  for (int id = 0; id < (*concrete)->graph().num_nodes(); ++id) {
+    const Node& node = (*concrete)->graph().node(id);
+    if (node.attrs.count("body_forward") == 0) continue;
+    has_stack_edge = node.outputs.back().dtype == DType::kResource;
+  }
+  ASSERT_TRUE(has_stack_edge);
+  auto serialized = SerializeFunctionBundle(
+      **concrete, EagerContext::Global()->functions());
+  ASSERT_TRUE(serialized.ok()) << serialized.status().ToString();
+  auto bundle = DeserializeFunctionBundle(*serialized);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+
+  EagerContext::Options options;
+  options.register_sim_gpu = false;
+  options.register_sim_tpu = false;
+  EagerContext production(options);
+  for (const auto& fn : *bundle) {
+    ASSERT_TRUE(production.functions().Register(fn).ok());
+  }
+  std::vector<Tensor> inputs = {x0, w};
+  for (const Capture& capture : bundle->front()->captures()) {
+    inputs.push_back(capture.tensor);
+  }
+  AttrMap attrs;
+  attrs["function"] = AttrValue(bundle->front()->name());
+  auto restored = production.RunPrimitive("Call", inputs, attrs, "");
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_EQ(restored->size(), live.size());
+  const char* names[] = {"loss", "dx0", "dw"};
+  for (size_t i = 0; i < live.size(); ++i) {
+    EXPECT_EQ((*restored)[i].scalar<float>(), live[i].scalar<float>())
+        << names[i];
+  }
+}
+
 TEST(SerializationTest, RecursiveCallBundleRoundTrips) {
   // A recursive function's graph Calls itself by name: the bundle's
   // transitive-closure walk must terminate on the cycle and the restored
