@@ -25,7 +25,7 @@ std::vector<Endpoint> IntermediateEndpoints(const GraphFunction& function) {
   const Graph& graph = function.graph();
   for (int id = 0; id < graph.num_nodes(); ++id) {
     const Node& node = graph.node(id);
-    if (node.op == "Arg" || node.op == "Const") continue;
+    if (node.is_bound()) continue;
     for (int j = 0; j < node.num_outputs(); ++j) {
       endpoints.push_back({id, j});
     }
@@ -33,18 +33,17 @@ std::vector<Endpoint> IntermediateEndpoints(const GraphFunction& function) {
   return endpoints;
 }
 
-// When `seed_accumulators` is non-null, the backward gets one extra trailing
-// parameter per (arg index, type) entry, pre-seeded into the sweep's gradient
-// map at that arg's endpoint — the loop-body accumulator threading described
-// in function_grad.h. When `read_intermediates` is non-null, the backward
-// keeps only the intermediate parameters it reads and lists their positions
-// in IntermediateEndpoints order there.
+// Sweeps the backward of `forward` into a new, unoptimized and unregistered
+// graph function (see FinishBackward). When `seed_accumulators` is
+// non-null, the backward gets one extra trailing parameter per (arg index,
+// type) entry, pre-seeded into the sweep's gradient map at that arg's
+// endpoint — the loop-body accumulator threading described in
+// function_grad.h.
 StatusOr<BackwardFunction> BuildBackward(
     EagerContext* ctx, const std::shared_ptr<GraphFunction>& forward,
     int num_original_outputs,
     const std::vector<std::pair<int, TypeAndShape>>* seed_accumulators =
-        nullptr,
-    std::vector<int>* read_intermediates = nullptr) {
+        nullptr) {
   const Graph& graph = forward->graph();
   auto backward_fn = std::make_shared<GraphFunction>(ctx->functions().UniqueName(
       forward->name() +
@@ -100,7 +99,7 @@ StatusOr<BackwardFunction> BuildBackward(
   // Constants materialize directly in the backward graph.
   for (int id = 0; id < graph.num_nodes(); ++id) {
     const Node& node = graph.node(id);
-    if (node.op == "Const") {
+    if (node.def->binding == OpDef::Binding::kConst) {
       TFE_ASSIGN_OR_RETURN(value_of[id][0],
                            trace.AddConstant(node.constant_value));
     }
@@ -132,7 +131,7 @@ StatusOr<BackwardFunction> BuildBackward(
 
   for (int id = graph.num_nodes() - 1; id >= 0; --id) {
     const Node& node = graph.node(id);
-    if (node.op == "Arg" || node.op == "Const") continue;
+    if (node.is_bound()) continue;
 
     std::vector<Tensor> grad_outputs(node.num_outputs());
     bool any_grad = false;
@@ -189,18 +188,25 @@ StatusOr<BackwardFunction> BuildBackward(
     backward_fn->outputs().push_back({grad.node_id(), grad.output_index()});
     entry.grad_arg_indices.push_back(i);
   }
-
-  TFE_RETURN_IF_ERROR(passes::Optimize(*backward_fn));
-  if (read_intermediates != nullptr) {
-    const int first = forward->num_args();
-    TFE_ASSIGN_OR_RETURN(
-        *read_intermediates,
-        passes::DropUnreadParameters(
-            *backward_fn, first, first + static_cast<int>(intermediates.size())));
-  }
-  TFE_RETURN_IF_ERROR(ctx->functions().Register(backward_fn));
   entry.function = backward_fn;
   return entry;
+}
+
+// Optimizes and registers a swept backward. When `read_intermediates` is
+// non-null, the backward keeps only the intermediate parameters it reads and
+// lists their positions in IntermediateEndpoints order there.
+Status FinishBackward(EagerContext* ctx, const GraphFunction& forward,
+                      const BackwardFunction& entry,
+                      std::vector<int>* read_intermediates = nullptr) {
+  TFE_RETURN_IF_ERROR(passes::Optimize(*entry.function));
+  if (read_intermediates != nullptr) {
+    const int first = forward.num_args();
+    const int count = static_cast<int>(IntermediateEndpoints(forward).size());
+    TFE_ASSIGN_OR_RETURN(*read_intermediates,
+                         passes::DropUnreadParameters(*entry.function, first,
+                                                      first + count));
+  }
+  return ctx->functions().Register(entry.function);
 }
 
 }  // namespace
@@ -249,6 +255,7 @@ StatusOr<BackwardFunction> GetOrBuildBackwardFunction(
             TFE_ASSIGN_OR_RETURN(
                 BackwardFunction built,
                 BuildBackward(ctx, forward, num_original_outputs));
+            TFE_RETURN_IF_ERROR(FinishBackward(ctx, *forward, built));
             return std::make_shared<const BackwardFunction>(std::move(built));
           }));
   return *backward;
@@ -260,7 +267,8 @@ StatusOr<BackwardFunction> GetOrBuildLoopBackwardFunction(
   auto build = [&]() -> StatusOr<std::shared_ptr<const BackwardFunction>> {
     // Pass 1: the standard backward reveals which captures receive
     // gradients at all, and with what dtype/shape — that set defines the
-    // accumulators.
+    // accumulators. Only its output types are read, so it is neither
+    // optimized nor registered.
     TFE_ASSIGN_OR_RETURN(BackwardFunction probe,
                          BuildBackward(ctx, forward, num_vars));
     std::vector<std::pair<int, TypeAndShape>> seeds;
@@ -276,7 +284,8 @@ StatusOr<BackwardFunction> GetOrBuildLoopBackwardFunction(
     // taking only the intermediates the sweep reads.
     std::vector<int> read;
     TFE_ASSIGN_OR_RETURN(BackwardFunction entry,
-                         BuildBackward(ctx, forward, num_vars, &seeds, &read));
+                         BuildBackward(ctx, forward, num_vars, &seeds));
+    TFE_RETURN_IF_ERROR(FinishBackward(ctx, *forward, entry, &read));
     for (const auto& [arg_index, type] : seeds) {
       bool present = false;
       for (int i : entry.grad_arg_indices) present |= (i == arg_index);

@@ -57,13 +57,12 @@ bool GradientTape::TracksAny(const std::vector<Tensor>& tensors) const {
   return false;
 }
 
-void GradientTape::RecordOperation(const std::string& op_name,
-                                   const AttrMap& attrs,
+void GradientTape::RecordOperation(const OpDef& op, const AttrMap& attrs,
                                    const std::vector<Tensor>& inputs,
                                    const std::vector<Tensor>& outputs,
                                    const std::string& device) {
   // Variable access auto-watch (paper §4.3, Listing 2) — any depth.
-  if (op_name == "ReadVariableOp" && !inputs.empty()) {
+  if (op.variable_op && op.read_only && !inputs.empty()) {
     WatchResourceOnAllTapes(inputs[0]);
   }
   if (g_tape_stack.empty()) return;
@@ -73,7 +72,7 @@ void GradientTape::RecordOperation(const std::string& op_name,
       continue;
     }
     if (!tape->TracksAny(inputs)) continue;
-    tape->entries_.push_back({op_name, attrs, inputs, outputs, device});
+    tape->entries_.push_back({op.name, attrs, inputs, outputs, device});
     for (const Tensor& output : outputs) {
       if (output.defined()) tape->tracked_.insert(output.id());
     }

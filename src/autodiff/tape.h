@@ -27,6 +27,8 @@
 
 namespace tfe {
 
+struct OpDef;
+
 // One recorded operation. Holding the input/output tensors keeps their
 // buffers alive for the backward pass, exactly like eager-mode TF.
 struct TapeEntry {
@@ -70,7 +72,7 @@ class GradientTape {
 
   // Offers an executed/recorded op to every active tape at the current trace
   // depth. Called by Dispatch() for both stages.
-  static void RecordOperation(const std::string& op_name, const AttrMap& attrs,
+  static void RecordOperation(const OpDef& op, const AttrMap& attrs,
                               const std::vector<Tensor>& inputs,
                               const std::vector<Tensor>& outputs,
                               const std::string& device);

@@ -11,7 +11,6 @@
 #define TFE_DEVICE_COST_MODEL_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "tensor/shape.h"
@@ -44,10 +43,23 @@ struct DeviceCostParams {
   uint64_t compiled_call_overhead_ns = 0;
 };
 
-// Estimates FLOPs/bytes for one op execution from its name and shapes.
-// Unknown ops fall back to elementwise cost (flops = output elements,
-// bytes = inputs + outputs).
-OpCost EstimateOpCost(const std::string& op_name,
+// The formula that prices an op (OpDef::cost, set where the op is
+// registered). Every class counts bytes as inputs + outputs.
+enum class OpCostClass {
+  kElementwise,     // one FLOP per output element; also data movement
+  kTranscendental,  // exp/log/trig/pow/random: 8 FLOPs per element
+  kMatMul,          // 2*m*n*k
+  kConv2D,          // 2 * |output| * kh*kw*cin
+  kConv2DBackpropInput,   // the same MAC count, read off filter and dy
+  kConv2DBackpropFilter,  // the same MAC count, read off dfilter and dy
+  kBatchNorm,       // 4 FLOPs per input and output element
+  kSoftmax,         // exp + reductions: 6 FLOPs per input element
+  kPool,            // 2 FLOPs per input element
+};
+
+// Estimates FLOPs/bytes for one execution of an op of `cost_class` from its
+// shapes.
+OpCost EstimateOpCost(OpCostClass cost_class,
                       const std::vector<Shape>& input_shapes,
                       const std::vector<Shape>& output_shapes,
                       size_t dtype_size);

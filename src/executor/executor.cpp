@@ -82,10 +82,6 @@ struct ScopedExecutorDepth {
   ~ScopedExecutorDepth() { --g_executor_depth; }
 };
 
-bool IsBound(const Node& node) {
-  return node.op == "Arg" || node.op == "Const";
-}
-
 std::shared_ptr<const ExecPlan> BuildPlan(const GraphFunction& function) {
   const Graph& graph = function.graph();
   const int n = graph.num_nodes();
@@ -126,9 +122,9 @@ std::shared_ptr<const ExecPlan> BuildPlan(const GraphFunction& function) {
     for (const Endpoint& e : node.inputs) add_dep(e.node_id);
     for (int dep : node.control_inputs) add_dep(dep);
 
-    if (IsBound(node)) {
+    if (node.is_bound()) {
       int arg_index = -1;
-      if (node.op == "Arg") {
+      if (node.def->binding == OpDef::Binding::kArg) {
         arg_index = arg_of_node[id];
         TFE_CHECK_GE(arg_index, 0);
       }

@@ -57,6 +57,8 @@ struct Node {
 
   int num_outputs() const { return static_cast<int>(outputs.size()); }
   bool is_stateful() const { return def->is_stateful; }
+  // An Arg or Const: bound to a value, not computed by a kernel.
+  bool is_bound() const { return def->binding != OpDef::Binding::kNone; }
 };
 
 class Graph {

@@ -6,13 +6,20 @@
 
 namespace tfe {
 
-bool GraphFunction::IsStateful() const {
+std::vector<std::string> GraphFunction::ReferencedFunctions() const {
+  static constexpr const char* kFunctionAttrs[] = {
+      "function",      "then_function", "else_function", "cond_function",
+      "body_function", "body_forward",  "body_backward"};
+  std::vector<std::string> names;
   for (int i = 0; i < graph_.num_nodes(); ++i) {
-    if (graph_.node(i).is_stateful() && graph_.node(i).op != "Arg") {
-      return true;
+    for (const char* attr : kFunctionAttrs) {
+      auto it = graph_.node(i).attrs.find(attr);
+      if (it != graph_.node(i).attrs.end() && it->second.Is<std::string>()) {
+        names.push_back(it->second.Get<std::string>());
+      }
     }
   }
-  return false;
+  return names;
 }
 
 bool GraphFunction::IsSerializable() const {

@@ -58,13 +58,11 @@ class GraphFunction {
   TypeAndShape output_type(int i) const {
     return graph_.endpoint_type(outputs_.at(i));
   }
-  TypeAndShape arg_type(int i) const {
-    return graph_.node(arg_nodes_.at(i)).outputs.at(0);
-  }
 
-  // True if any node in the body is stateful; stateful calls are never
-  // pruned or folded.
-  bool IsStateful() const;
+  // Names of the graph functions the body's nodes reference through
+  // function-valued attrs (a Call's callee, Cond branches, While bodies and
+  // their gradients' forward/backward), in node order.
+  std::vector<std::string> ReferencedFunctions() const;
 
   // True if the function can be serialized (no HostFunc attrs — paper §4.7:
   // "graphs with py_funcs are not in general serializable").

@@ -92,7 +92,7 @@ Status Prune(GraphFunction& function, PassStats* stats) {
   for (const Endpoint& out : function.outputs()) mark(out.node_id);
   for (int id = 0; id < n; ++id) {
     const Node& node = graph.node(id);
-    if (node.op == "Arg" || (node.is_stateful() && node.op != "Arg")) {
+    if (node.is_stateful() || node.def->binding == OpDef::Binding::kArg) {
       mark(id);
     }
   }
@@ -123,9 +123,7 @@ Status EliminateCommonSubexpressions(GraphFunction& function,
 
   for (int id = 0; id < n; ++id) {
     const Node& node = graph.node(id);
-    if (node.is_stateful() || node.op == "Arg" || node.op == "Const") {
-      continue;
-    }
+    if (node.is_stateful() || node.is_bound()) continue;
     std::string key = node.op + "|" + node.requested_device + "|" +
                       AttrMapToString(node.attrs) + "|";
     for (const Endpoint& e : node.inputs) {
@@ -155,15 +153,14 @@ Status FoldConstants(GraphFunction& function, PassStats* stats) {
 
   for (int id = 0; id < n; ++id) {
     Node& node = graph.node(id);
-    if (node.is_stateful() || node.op == "Arg" || node.op == "Const" ||
-        node.num_outputs() != 1) {
+    if (node.is_stateful() || node.is_bound() || node.num_outputs() != 1) {
       continue;
     }
     bool all_const = !node.inputs.empty();
     std::vector<Tensor> inputs;
     for (const Endpoint& e : node.inputs) {
       const Node& src = graph.node(e.node_id);
-      if (src.op != "Const") {
+      if (src.def->binding != OpDef::Binding::kConst) {
         all_const = false;
         break;
       }
@@ -240,10 +237,7 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
   // the traced body) no longer splits a run. The drain never had this
   // problem: resolved constants are operands there, not queue entries.
   {
-    auto leading = [&](int id) {
-      const Node& node = graph.node(id);
-      return node.op == "Const" || node.op == "Arg";
-    };
+    auto leading = [&](int id) { return graph.node(id).is_bound(); };
     std::vector<int> order;
     order.reserve(n);
     for (int id = 0; id < n; ++id) {
@@ -275,14 +269,17 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
     }
   }
 
-  // The run-membership rules shared with the op-queue drain; only
-  // single-output nodes without control dependencies are candidates.
-  auto member_class = [&](const Node& node, kernels::FusedMemberClass* cls) {
-    return node.control_inputs.empty() && node.num_outputs() == 1 &&
-           kernels::ClassifyFusedMember(node.op, node.attrs,
-                                        node.inputs.size(),
-                                        node.outputs[0].dtype,
-                                        node.outputs[0].shape, cls);
+  // A node's fused-run class under the run-membership rules shared with the
+  // op-queue drain; only single-output nodes without control dependencies
+  // are candidates. nullptr when the node cannot join a run.
+  auto member_class =
+      [&](const Node& node) -> const kernels::FusedMemberClass* {
+    const bool member =
+        node.control_inputs.empty() && node.num_outputs() == 1 &&
+        kernels::ClassifyFusedMember(*node.def, node.attrs, node.inputs.size(),
+                                     node.outputs[0].dtype,
+                                     node.outputs[0].shape);
+    return member ? &node.def->fused : nullptr;
   };
 
   // Describes member `id` of a run (the ascending member-id list) to the run
@@ -292,7 +289,7 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
       -> kernels::FusedRunOp {
     const Node& node = graph.node(id);
     kernels::FusedRunOp op = kernels::MakeFusedRunOp(
-        node.op, node.attrs, node.outputs[0].dtype, node.outputs[0].shape);
+        *node.def, node.attrs, node.outputs[0].dtype, node.outputs[0].shape);
     for (const Endpoint& e : node.inputs) {
       // An input produced by an earlier member references its position in
       // the member list (ids ascend, so any member input is earlier).
@@ -358,9 +355,10 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
   std::vector<int> run_of(n, -1);
   int start = 0;
   while (start < n) {
-    kernels::FusedMemberClass start_cls;
-    if (run_of[start] >= 0 || !member_class(graph.node(start), &start_cls) ||
-        start_cls.kind == kernels::FusedMemberKind::kReduce) {
+    const kernels::FusedMemberClass* start_cls =
+        run_of[start] >= 0 ? nullptr : member_class(graph.node(start));
+    if (start_cls == nullptr ||
+        start_cls->kind == kernels::FusedMemberKind::kReduce) {
       ++start;
       continue;
     }
@@ -394,7 +392,7 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
     // The anchor's own operands are validated here (the member scan starts
     // past it); without this, a hopeless anchor would churn through the
     // shrink loop's trial compiles before being discarded.
-    if (!inputs_ok(graph.node(start), start_cls)) {
+    if (!inputs_ok(graph.node(start), *start_cls)) {
       ++start;
       continue;
     }
@@ -406,13 +404,13 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
          ++j) {
       if (run_of[j] >= 0) continue;  // claimed by an earlier run
       const Node& node = graph.node(j);
-      kernels::FusedMemberClass cls;
-      if (!member_class(node, &cls) || node.outputs[0].dtype != dtype) {
+      const kernels::FusedMemberClass* cls = member_class(node);
+      if (cls == nullptr || node.outputs[0].dtype != dtype) {
         continue;  // a hole: step over it
       }
       const int64_t count = node.outputs[0].shape.num_elements();
       bool ok;
-      if (cls.kind == kernels::FusedMemberKind::kReduce) {
+      if (cls->kind == kernels::FusedMemberKind::kReduce) {
         // Joins only as the terminating epilogue of an in-run value; a
         // reduction of an in-run value of the full count ends the scan
         // whether or not it fits.
@@ -424,11 +422,11 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
              kernels::FusedReduceFits(node.attrs, producer_shape, run_count);
       } else {
         ok = kernels::FusedCountFits(count, run_count) &&
-             inputs_ok(node, cls);
+             inputs_ok(node, *cls);
       }
       if (!ok) continue;  // a hole: step over it
       members.push_back(j);
-      if (cls.kind != kernels::FusedMemberKind::kReduce) {
+      if (cls->kind != kernels::FusedMemberKind::kReduce) {
         run_count = std::max(run_count, count);
       }
     }
@@ -592,12 +590,6 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
 
 namespace {
 
-// Attrs whose string value names a subfunction whose body deserves the same
-// fusion treatment as the graph referencing it.
-constexpr const char* kSubfunctionAttrs[] = {
-    "function",      "then_function", "else_function", "cond_function",
-    "body_function", "body_forward",  "body_backward"};
-
 // Guards FusedExecutionVariant against recursive graph functions: the
 // variant mutex is held while the build callback runs, so re-entering
 // GetOrBuildExecutionVariant on a function already being built on this
@@ -627,17 +619,9 @@ std::shared_ptr<GraphFunction> FusedExecutionVariant(
         // Pre-build variants for every referenced subfunction so Cond
         // branches and While bodies fuse even when the *outer* graph has
         // nothing worth fusing itself.
-        const Graph& graph = function->graph();
-        for (int id = 0; id < graph.num_nodes(); ++id) {
-          for (const char* attr : kSubfunctionAttrs) {
-            auto it = graph.node(id).attrs.find(attr);
-            if (it == graph.node(id).attrs.end() ||
-                !it->second.Is<std::string>()) {
-              continue;
-            }
-            auto callee = ctx->functions().Find(it->second.Get<std::string>());
-            if (callee.ok()) FusedExecutionVariant(ctx, device, *callee);
-          }
+        for (const std::string& name : function->ReferencedFunctions()) {
+          auto callee = ctx->functions().Find(name);
+          if (callee.ok()) FusedExecutionVariant(ctx, device, *callee);
         }
         auto variant = std::make_shared<GraphFunction>(function->name() +
                                                        "__fused_ew");

@@ -337,31 +337,6 @@ StatusOr<std::shared_ptr<GraphFunction>> DeserializeFunction(
   return function;
 }
 
-
-namespace {
-
-// Attr names whose string value names another graph function.
-constexpr const char* kFunctionAttrs[] = {
-    "function",      "then_function", "else_function", "cond_function",
-    "body_function", "body_forward",  "body_backward"};
-
-// Names of graph functions referenced by `function`'s nodes.
-std::vector<std::string> ReferencedFunctions(const GraphFunction& function) {
-  std::vector<std::string> names;
-  const Graph& graph = function.graph();
-  for (int i = 0; i < graph.num_nodes(); ++i) {
-    for (const char* attr : kFunctionAttrs) {
-      auto it = graph.node(i).attrs.find(attr);
-      if (it != graph.node(i).attrs.end() && it->second.Is<std::string>()) {
-        names.push_back(it->second.Get<std::string>());
-      }
-    }
-  }
-  return names;
-}
-
-}  // namespace
-
 StatusOr<std::string> SerializeFunctionBundle(const GraphFunction& function,
                                               const FunctionLibrary& library) {
   // Transitive closure, main function first, depth-first discovery order.
@@ -370,7 +345,7 @@ StatusOr<std::string> SerializeFunctionBundle(const GraphFunction& function,
   std::set<std::string> seen = {function.name()};
   ordered.push_back(&function);
   for (size_t i = 0; i < ordered.size(); ++i) {
-    for (const std::string& name : ReferencedFunctions(*ordered[i])) {
+    for (const std::string& name : ordered[i]->ReferencedFunctions()) {
       if (!seen.insert(name).second) continue;
       TFE_ASSIGN_OR_RETURN(std::shared_ptr<GraphFunction> dep,
                            library.Find(name));

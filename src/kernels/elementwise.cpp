@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "kernels/elementwise_functors.h"
+#include "kernels/fused_elementwise.h"
 #include "kernels/kernel_util.h"
 #include "ops/op_registry.h"
 #include "support/logging.h"
@@ -135,27 +136,6 @@ Status BinaryKernel(KernelContext* ctx) {
   return Status::OK();
 }
 
-// Float-only binary (Pow).
-template <typename F>
-Status BinaryFloatKernel(KernelContext* ctx) {
-  const Tensor& a = ctx->input(0);
-  const Tensor& b = ctx->input(1);
-  if (a.dtype() != b.dtype()) {
-    return InvalidArgument("Binary op dtype mismatch");
-  }
-  TFE_ASSIGN_OR_RETURN(Shape out_shape, BroadcastShapes(a.shape(), b.shape()));
-  Tensor out = BinaryOutput(ctx, a, b, a.dtype(), out_shape);
-  auto a_strides = BroadcastStrides(a.shape(), out_shape);
-  auto b_strides = BroadcastStrides(b.shape(), out_shape);
-  TFE_SWITCH_FLOAT(a.dtype(), T, {
-    BroadcastBinaryLoop<T, T>(ctx->eager_context(), a.data<T>(), a_strides,
-                              b.data<T>(), b_strides, out.mutable_data<T>(),
-                              out_shape,
-                              [](T x, T y) { return F::template Apply<T>(x, y); });
-  });
-  return Status::OK();
-}
-
 template <typename F>
 Status CompareKernel(KernelContext* ctx) {
   const Tensor& a = ctx->input(0);
@@ -208,21 +188,13 @@ Status UnaryKernel(KernelContext* ctx) {
   return Status::OK();
 }
 
-template <typename F>
-Status UnaryFloatKernel(KernelContext* ctx) {
-  const Tensor& x = ctx->input(0);
-  Tensor out = UnaryOutput(ctx, x);
-  TFE_SWITCH_FLOAT(x.dtype(), T, {
-    const T* in = x.data<T>();
-    T* result = out.mutable_data<T>();
-    ParallelFor(ctx->eager_context(), x.num_elements(), kElementwiseGrain,
-                [&](int64_t begin, int64_t end) {
-                  for (int64_t i = begin; i < end; ++i) {
-                    result[i] = F::template Apply<T>(in[i]);
-                  }
-                });
-  });
-  return Status::OK();
+// Kernel K behind the float-only guard: integer inputs are rejected.
+template <Status (*K)(KernelContext*)>
+Status FloatOnlyKernel(KernelContext* ctx) {
+  if (!IsFloating(ctx->input(0).dtype())) {
+    return InvalidArgument("Kernel requires a floating-point dtype");
+  }
+  return K(ctx);
 }
 
 // The scalar functors live in kernels/elementwise_functors.h, shared with the
@@ -299,18 +271,30 @@ Status OnesLikeKernel(KernelContext* ctx) {
   return Status::OK();
 }
 
+// Registers kernel K for a micro-op elementwise op. It is float-only when
+// the op's micro-op is (MicroOpFloatOnly), so op-at-a-time and fused
+// execution accept the same dtypes.
+template <Status (*K)(KernelContext*)>
+void RegisterElementwise(const char* op_name) {
+  StatusOr<const OpDef*> op = OpRegistry::Global()->LookUp(op_name);
+  TFE_CHECK(op.ok() && (*op)->fused.kind == FusedMemberKind::kCompute)
+      << op_name << " is not a registered micro-op";
+  RegisterKernel(op_name,
+                 MicroOpFloatOnly((*op)->fused.code) ? FloatOnlyKernel<K> : K);
+}
+
 }  // namespace
 
 void RegisterElementwiseKernels() {
   using namespace functors;  // NOLINT(build/namespaces)
-  RegisterKernel("Add", BinaryKernel<AddF>);
-  RegisterKernel("Sub", BinaryKernel<SubF>);
-  RegisterKernel("Mul", BinaryKernel<MulF>);
-  RegisterKernel("Div", BinaryKernel<DivF>);
-  RegisterKernel("Maximum", BinaryKernel<MaximumF>);
-  RegisterKernel("Minimum", BinaryKernel<MinimumF>);
-  RegisterKernel("SquaredDifference", BinaryKernel<SquaredDifferenceF>);
-  RegisterKernel("Pow", BinaryFloatKernel<PowF>);
+  RegisterElementwise<BinaryKernel<AddF>>("Add");
+  RegisterElementwise<BinaryKernel<SubF>>("Sub");
+  RegisterElementwise<BinaryKernel<MulF>>("Mul");
+  RegisterElementwise<BinaryKernel<DivF>>("Div");
+  RegisterElementwise<BinaryKernel<MaximumF>>("Maximum");
+  RegisterElementwise<BinaryKernel<MinimumF>>("Minimum");
+  RegisterElementwise<BinaryKernel<SquaredDifferenceF>>("SquaredDifference");
+  RegisterElementwise<BinaryKernel<PowF>>("Pow");
 
   RegisterKernel("Equal", CompareKernel<EqualF>);
   RegisterKernel("NotEqual", CompareKernel<NotEqualF>);
@@ -319,21 +303,21 @@ void RegisterElementwiseKernels() {
   RegisterKernel("Greater", CompareKernel<GreaterF>);
   RegisterKernel("GreaterEqual", CompareKernel<GreaterEqualF>);
 
-  RegisterKernel("Neg", UnaryKernel<NegF>);
-  RegisterKernel("Abs", UnaryKernel<AbsF>);
-  RegisterKernel("Square", UnaryKernel<SquareF>);
-  RegisterKernel("Sign", UnaryKernel<SignF>);
-  RegisterKernel("Relu", UnaryKernel<ReluF>);
-  RegisterKernel("Exp", UnaryFloatKernel<ExpF>);
-  RegisterKernel("Log", UnaryFloatKernel<LogF>);
-  RegisterKernel("Sqrt", UnaryFloatKernel<SqrtF>);
-  RegisterKernel("Rsqrt", UnaryFloatKernel<RsqrtF>);
-  RegisterKernel("Tanh", UnaryFloatKernel<TanhF>);
-  RegisterKernel("Sigmoid", UnaryFloatKernel<SigmoidF>);
-  RegisterKernel("Sin", UnaryFloatKernel<SinF>);
-  RegisterKernel("Cos", UnaryFloatKernel<CosF>);
-  RegisterKernel("Reciprocal", UnaryFloatKernel<ReciprocalF>);
-  RegisterKernel("Floor", UnaryFloatKernel<FloorF>);
+  RegisterElementwise<UnaryKernel<NegF>>("Neg");
+  RegisterElementwise<UnaryKernel<AbsF>>("Abs");
+  RegisterElementwise<UnaryKernel<SquareF>>("Square");
+  RegisterElementwise<UnaryKernel<SignF>>("Sign");
+  RegisterElementwise<UnaryKernel<ReluF>>("Relu");
+  RegisterElementwise<UnaryKernel<ExpF>>("Exp");
+  RegisterElementwise<UnaryKernel<LogF>>("Log");
+  RegisterElementwise<UnaryKernel<SqrtF>>("Sqrt");
+  RegisterElementwise<UnaryKernel<RsqrtF>>("Rsqrt");
+  RegisterElementwise<UnaryKernel<TanhF>>("Tanh");
+  RegisterElementwise<UnaryKernel<SigmoidF>>("Sigmoid");
+  RegisterElementwise<UnaryKernel<SinF>>("Sin");
+  RegisterElementwise<UnaryKernel<CosF>>("Cos");
+  RegisterElementwise<UnaryKernel<ReciprocalF>>("Reciprocal");
+  RegisterElementwise<UnaryKernel<FloorF>>("Floor");
 
   RegisterKernel("Select", SelectKernel);
   RegisterKernel("Cast", CastKernel);

@@ -4,13 +4,13 @@
 #include <array>
 #include <map>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "kernels/elementwise_functors.h"
 #include "kernels/kernel_util.h"
 #include "kernels/reduce_util.h"
+#include "ops/op_def.h"
 #include "profiler/metrics.h"
 #include "profiler/profiler.h"
 #include "runtime/eager_context.h"
@@ -300,53 +300,11 @@ StatusOr<MicroProgram> MicroProgram::Decode(
   return program;
 }
 
-bool MicroOpCodeFor(const std::string& op_name, MicroOpCode* code) {
-  static const std::unordered_map<std::string, MicroOpCode>* kMap =
-      new std::unordered_map<std::string, MicroOpCode>{
-          {"Add", MicroOpCode::kAdd},
-          {"Sub", MicroOpCode::kSub},
-          {"Mul", MicroOpCode::kMul},
-          {"Div", MicroOpCode::kDiv},
-          {"Maximum", MicroOpCode::kMaximum},
-          {"Minimum", MicroOpCode::kMinimum},
-          {"SquaredDifference", MicroOpCode::kSquaredDifference},
-          {"Pow", MicroOpCode::kPow},
-          {"Neg", MicroOpCode::kNeg},
-          {"Abs", MicroOpCode::kAbs},
-          {"Square", MicroOpCode::kSquare},
-          {"Sign", MicroOpCode::kSign},
-          {"Relu", MicroOpCode::kRelu},
-          {"Exp", MicroOpCode::kExp},
-          {"Log", MicroOpCode::kLog},
-          {"Sqrt", MicroOpCode::kSqrt},
-          {"Rsqrt", MicroOpCode::kRsqrt},
-          {"Tanh", MicroOpCode::kTanh},
-          {"Sigmoid", MicroOpCode::kSigmoid},
-          {"Sin", MicroOpCode::kSin},
-          {"Cos", MicroOpCode::kCos},
-          {"Reciprocal", MicroOpCode::kReciprocal},
-          {"Floor", MicroOpCode::kFloor},
-          {"Cast", MicroOpCode::kCast},
-      };
-  auto it = kMap->find(op_name);
-  if (it == kMap->end()) return false;
-  *code = it->second;
-  return true;
-}
-
 int MicroOpArity(MicroOpCode code) {
   return code <= MicroOpCode::kPow ? 2 : 1;
 }
 
-namespace {
-
-// Transcendental opcodes require floating dtypes; arithmetic ones accept any
-// numeric dtype.
-bool MicroOpSupports(MicroOpCode code, DType dtype) {
-  const bool numeric = dtype == DType::kFloat32 || dtype == DType::kFloat64 ||
-                       dtype == DType::kInt32 || dtype == DType::kInt64;
-  if (!numeric) return false;
-  const bool is_float = dtype == DType::kFloat32 || dtype == DType::kFloat64;
+bool MicroOpFloatOnly(MicroOpCode code) {
   switch (code) {
     case MicroOpCode::kPow:
     case MicroOpCode::kExp:
@@ -359,47 +317,32 @@ bool MicroOpSupports(MicroOpCode code, DType dtype) {
     case MicroOpCode::kCos:
     case MicroOpCode::kReciprocal:
     case MicroOpCode::kFloor:
-      return is_float;
-    default:
       return true;
+    default:
+      return false;
   }
+}
+
+namespace {
+
+// Float-only opcodes require floating dtypes; the others accept any numeric
+// dtype.
+bool MicroOpSupports(MicroOpCode code, DType dtype) {
+  const bool is_float = dtype == DType::kFloat32 || dtype == DType::kFloat64;
+  const bool numeric =
+      is_float || dtype == DType::kInt32 || dtype == DType::kInt64;
+  return numeric && (is_float || !MicroOpFloatOnly(code));
 }
 
 }  // namespace
-
-bool MicroReduceKindFor(const std::string& op_name, MicroReduceKind* kind) {
-  if (op_name == "Sum") {
-    *kind = MicroReduceKind::kSum;
-  } else if (op_name == "Mean") {
-    *kind = MicroReduceKind::kMean;
-  } else if (op_name == "Max") {
-    *kind = MicroReduceKind::kMax;
-  } else if (op_name == "Min") {
-    *kind = MicroReduceKind::kMin;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 // ---- Run membership ---------------------------------------------------------
 
 namespace {
 
-// The member kind an op name maps to; false when no member kind applies.
-bool MemberKindFor(const std::string& op, FusedMemberClass* cls) {
-  MicroReduceKind reduce_kind;
-  if (MicroOpCodeFor(op, &cls->code)) {
-    cls->kind = FusedMemberKind::kCompute;
-  } else if (op == "Transpose" || op == "Reshape" || op == "ExpandDims" ||
-             op == "Squeeze") {
-    cls->kind = FusedMemberKind::kLayout;
-  } else if (MicroReduceKindFor(op, &reduce_kind)) {
-    cls->kind = FusedMemberKind::kReduce;
-  } else {
-    return false;
-  }
-  return true;
+bool IsTranspose(const FusedMemberClass& cls) {
+  return cls.kind == FusedMemberKind::kLayout &&
+         cls.layout == FusedLayout::kTranspose;
 }
 
 // A reduction member's "axis" attr; empty means every axis.
@@ -423,36 +366,43 @@ bool BroadcastsTo(const Shape& shape, const Shape& out) {
 
 }  // namespace
 
-bool ClassifyFusedMember(const std::string& op, const AttrMap& attrs,
-                         size_t num_inputs, DType dtype, const Shape& shape,
-                         FusedMemberClass* cls) {
-  if (!MemberKindFor(op, cls) || !shape.IsFullyDefined()) return false;
+bool ClassifyFusedMember(const OpDef& op, const AttrMap& attrs,
+                         size_t num_inputs, DType dtype, const Shape& shape) {
+  const FusedMemberClass& cls = op.fused;
+  if (!shape.IsFullyDefined()) return false;
   auto only_attr = [&](const char* name) {
     return attrs.size() == 1 && attrs.count(name) != 0;
   };
-  switch (cls->kind) {
+  switch (cls.kind) {
+    case FusedMemberKind::kNone:
+      return false;
     case FusedMemberKind::kCompute:
-      if (num_inputs != static_cast<size_t>(MicroOpArity(cls->code))) {
+      if (num_inputs != static_cast<size_t>(MicroOpArity(cls.code))) {
         return false;
       }
-      if (cls->code == MicroOpCode::kCast ? !only_attr("dst")
-                                          : !attrs.empty()) {
+      if (cls.code == MicroOpCode::kCast ? !only_attr("dst")
+                                         : !attrs.empty()) {
         return false;
       }
-      return MicroOpSupports(cls->code, dtype);
+      return MicroOpSupports(cls.code, dtype);
     case FusedMemberKind::kLayout:
       if (num_inputs != 1) return false;
-      if (op == "Transpose") {
-        if (!only_attr("perm") ||
-            !attrs.begin()->second.Is<std::vector<int64_t>>()) {
-          return false;
-        }
-      } else if (op == "Reshape") {
-        if (!only_attr("shape")) return false;
-      } else if (op == "ExpandDims") {
-        if (!only_attr("axis")) return false;
-      } else if (!attrs.empty() && !only_attr("axis")) {
-        return false;  // Squeeze: "axis" is optional
+      switch (cls.layout) {
+        case FusedLayout::kTranspose:
+          if (!only_attr("perm") ||
+              !attrs.begin()->second.Is<std::vector<int64_t>>()) {
+            return false;
+          }
+          break;
+        case FusedLayout::kReshape:
+          if (!only_attr("shape")) return false;
+          break;
+        case FusedLayout::kExpandDims:
+          if (!only_attr("axis")) return false;
+          break;
+        case FusedLayout::kSqueeze:  // "axis" is optional
+          if (!attrs.empty() && !only_attr("axis")) return false;
+          break;
       }
       break;
     case FusedMemberKind::kReduce: {
@@ -487,6 +437,7 @@ bool FusedOperandOk(const FusedMemberClass& cls, DType member_dtype,
     case FusedMemberKind::kLayout:
       return dtype == member_dtype &&
              shape.num_elements() == member_shape.num_elements();
+    case FusedMemberKind::kNone:
     case FusedMemberKind::kReduce:
       break;
   }
@@ -519,19 +470,18 @@ bool FusedReduceFits(const AttrMap& attrs, const Shape& input,
          TrailingReduceCount(input, ReduceAxes(attrs)) > 0;
 }
 
-FusedRunOp MakeFusedRunOp(const std::string& op, const AttrMap& attrs,
+FusedRunOp MakeFusedRunOp(const OpDef& op, const AttrMap& attrs,
                           DType dtype, const Shape& shape) {
   FusedRunOp member;
-  member.op = op;
+  member.op = &op;
   member.dtype = dtype;
   member.shape = shape;
-  MicroReduceKind reduce_kind;
-  if (op == "Transpose") {
+  if (IsTranspose(op.fused)) {
     auto it = attrs.find("perm");
     if (it != attrs.end() && it->second.Is<std::vector<int64_t>>()) {
       member.perm = it->second.Get<std::vector<int64_t>>();
     }
-  } else if (MicroReduceKindFor(op, &reduce_kind)) {
+  } else if (op.fused.kind == FusedMemberKind::kReduce) {
     member.axes = ReduceAxes(attrs);
   }
   return member;
@@ -755,8 +705,12 @@ StatusOr<CompiledRun> CompileFusedRun(
 
   std::vector<FusedMemberClass> cls(n);
   for (int i = 0; i < n; ++i) {
-    if (!MemberKindFor(ops[i].op, &cls[i])) {
-      return InvalidArgument("op is not fusable: " + ops[i].op);
+    if (ops[i].op == nullptr) {
+      return InvalidArgument("fused run member has no op");
+    }
+    cls[i] = ops[i].op->fused;
+    if (cls[i].kind == FusedMemberKind::kNone) {
+      return InvalidArgument("op is not fusable: " + ops[i].op->name);
     }
     if (cls[i].kind == FusedMemberKind::kReduce && i != n - 1) {
       return InvalidArgument("reduction must terminate the fused run");
@@ -787,7 +741,7 @@ StatusOr<CompiledRun> CompileFusedRun(
   int64_t reduce_count = 1;
   MicroReduceKind reduce_kind = MicroReduceKind::kNone;
   if (has_reduce) {
-    MicroReduceKindFor(ops[n - 1].op, &reduce_kind);
+    reduce_kind = cls[n - 1].reduce;
     const FusedRunArg& arg = ops[n - 1].args[0];
     if (arg.producer < 0) {
       return InvalidArgument("fused reduction input must be in-run");
@@ -875,7 +829,7 @@ StatusOr<CompiledRun> CompileFusedRun(
     const FusedRunArg& a = ops[i].args[0];
     if (a.producer < 0 || scalar[a.producer]) continue;
     const int p = a.producer;
-    if (ops[i].op == "Transpose") {
+    if (IsTranspose(cls[i])) {
       const std::vector<int64_t>& perm = ops[i].perm;
       const int rank = ops[i].shape.rank();
       if (!IsPermutation(perm, rank) || ops[p].shape.rank() != rank) {
@@ -965,7 +919,7 @@ StatusOr<CompiledRun> CompileFusedRun(
     const IndexMap& m = psi[member];
     MicroAccess access;
     access.kind = MicroAccessKind::kStrided;
-    if (ops[member].op == "Transpose") {
+    if (IsTranspose(cls[member])) {
       const std::vector<int64_t>& perm = ops[member].perm;
       const int rank = ops[member].shape.rank();
       if (!IsPermutation(perm, rank) || od.shape.rank() != rank) {

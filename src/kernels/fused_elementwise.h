@@ -43,7 +43,6 @@
 #define TFE_KERNELS_FUSED_ELEMENTWISE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "ops/attr_value.h"
@@ -52,6 +51,9 @@
 #include "tensor/shape.h"
 
 namespace tfe {
+
+struct OpDef;
+
 namespace kernels {
 
 // Opcodes mirror the scalar functors in elementwise_functors.h one-for-one;
@@ -169,14 +171,13 @@ struct MicroProgram {
   static StatusOr<MicroProgram> Decode(const std::vector<int64_t>& encoded);
 };
 
-// Maps a primitive op name to its opcode; false when the op is not fusable.
-bool MicroOpCodeFor(const std::string& op_name, MicroOpCode* code);
-
-// 1 or 2. Only meaningful for codes produced by MicroOpCodeFor.
+// 1 or 2.
 int MicroOpArity(MicroOpCode code);
 
-// Reductions the run compiler accepts as epilogues; maps Sum/Mean/Max/Min.
-bool MicroReduceKindFor(const std::string& op_name, MicroReduceKind* kind);
+// Whether `code` computes on floating dtypes only (Pow and the unary
+// transcendentals, Reciprocal, Floor). The standalone kernel of the op
+// carrying the code rejects integer inputs by the same rule.
+bool MicroOpFloatOnly(MicroOpCode code);
 
 // ---- Run membership ---------------------------------------------------------
 //
@@ -190,24 +191,30 @@ bool MicroReduceKindFor(const std::string& op_name, MicroReduceKind* kind);
 // The role an op plays inside a run: a compute member contributes a micro-op
 // instruction, a layout member (Transpose/Reshape/ExpandDims/Squeeze) folds
 // into operand access descriptors, and a reduce member (Sum/Mean/Max/Min)
-// terminates the run as its epilogue.
-enum class FusedMemberKind { kCompute, kLayout, kReduce };
+// terminates the run as its epilogue. kNone ops never join a run.
+enum class FusedMemberKind { kNone, kCompute, kLayout, kReduce };
 
+// The layout op a kLayout member is; each folds its own attr.
+enum class FusedLayout { kTranspose, kReshape, kExpandDims, kSqueeze };
+
+// An op's fused-run role: OpDef::fused, set where the op is registered.
 struct FusedMemberClass {
-  FusedMemberKind kind = FusedMemberKind::kCompute;
-  MicroOpCode code = MicroOpCode::kAdd;  // kCompute only
+  FusedMemberKind kind = FusedMemberKind::kNone;
+  MicroOpCode code = MicroOpCode::kAdd;             // kCompute only
+  FusedLayout layout = FusedLayout::kTranspose;     // kLayout only
+  MicroReduceKind reduce = MicroReduceKind::kNone;  // kReduce only
 };
 
-// Whether a single-output op producing `dtype`/`shape` from `num_inputs`
-// inputs can be a run member: an elementwise micro-op, layout op, or
-// reduction; its kind's input arity; exactly the attrs the compiler folds
-// (Cast's "dst" — the target is the run dtype, carried on the fused node —
-// Transpose's "perm", Reshape's "shape", ExpandDims's "axis", Squeeze's
-// optional "axis", a reduction's "axis"/"keep_dims"); a fully-defined shape;
-// and a dtype the interpreter holds (transcendental opcodes: floating only).
-bool ClassifyFusedMember(const std::string& op, const AttrMap& attrs,
-                         size_t num_inputs, DType dtype, const Shape& shape,
-                         FusedMemberClass* cls);
+// Whether a single-output node of `op` producing `dtype`/`shape` from
+// `num_inputs` inputs can be a run member (its class is op.fused): an
+// elementwise micro-op, layout op, or reduction; its kind's input arity;
+// exactly the attrs the compiler folds (Cast's "dst" — the target is the
+// run dtype, carried on the fused node — Transpose's "perm", Reshape's
+// "shape", ExpandDims's "axis", Squeeze's optional "axis", a reduction's
+// "axis"/"keep_dims"); a fully-defined shape; and a dtype the interpreter
+// holds (float-only opcodes: floating only).
+bool ClassifyFusedMember(const OpDef& op, const AttrMap& attrs,
+                         size_t num_inputs, DType dtype, const Shape& shape);
 
 // Whether an external (not produced in-run) input of `dtype`/`shape` may
 // feed a non-reduce member producing `member_dtype`/`member_shape`. A compute
@@ -258,7 +265,7 @@ struct FusedRunArg {
 };
 
 struct FusedRunOp {
-  std::string op;
+  const OpDef* op = nullptr;
   DType dtype = DType::kFloat32;  // the member's output dtype
   Shape shape;                    // the member's output shape
   std::vector<FusedRunArg> args;
@@ -270,7 +277,7 @@ struct FusedRunOp {
 // Describes a member ClassifyFusedMember accepted, extracting the attrs the
 // compiler folds (Transpose's perm, a reduction's axes). The caller fills in
 // `args` and `materialize`.
-FusedRunOp MakeFusedRunOp(const std::string& op, const AttrMap& attrs,
+FusedRunOp MakeFusedRunOp(const OpDef& op, const AttrMap& attrs,
                           DType dtype, const Shape& shape);
 
 struct FusedRunOperand {

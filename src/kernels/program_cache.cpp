@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "ops/op_def.h"
 #include "profiler/metrics.h"
 #include "profiler/profiler.h"
 #include "staging/signature.h"
@@ -22,7 +23,7 @@ std::string FusedProgramCache::Key(const std::vector<FusedRunOp>& ops,
                                    DType run_dtype) {
   std::string key = strings::StrCat("rt:", DTypeName(run_dtype), "|");
   for (const FusedRunOp& op : ops) {
-    key += strings::StrCat(op.op, ":", TypeShapeKey(op.dtype, op.shape));
+    key += strings::StrCat(op.op->name, ":", TypeShapeKey(op.dtype, op.shape));
     for (const FusedRunArg& arg : op.args) {
       key += arg.producer >= 0 ? strings::StrCat(",p", arg.producer)
                                : strings::StrCat(",o", arg.operand);
@@ -91,16 +92,6 @@ void FusedProgramCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();
   index_.clear();
-}
-
-void FusedProgramCache::set_capacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = capacity;
-  while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().key);
-    lru_.pop_back();
-    ++evictions_;
-  }
 }
 
 size_t FusedProgramCache::size() const {

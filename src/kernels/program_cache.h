@@ -55,7 +55,6 @@ class FusedProgramCache {
                                      DType run_dtype);
 
   void Clear();
-  void set_capacity(size_t capacity);
   size_t size() const;
 
   // Per-instance totals (the profiler counters aggregate the global

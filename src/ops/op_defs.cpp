@@ -8,6 +8,7 @@
 
 #include "kernels/fused_elementwise.h"
 #include "ops/op_registry.h"
+#include "runtime/dispatch.h"
 #include "support/strings.h"
 
 namespace tfe {
@@ -434,17 +435,54 @@ Status NoOutputs(InferenceContext* ctx) { return Status::OK(); }
 
 // ---- registration ----------------------------------------------------------
 
+// Fused-run classes (kernels/fused_elementwise.h).
+kernels::FusedMemberClass Compute(kernels::MicroOpCode code) {
+  return {.kind = kernels::FusedMemberKind::kCompute, .code = code};
+}
+kernels::FusedMemberClass Layout(kernels::FusedLayout layout) {
+  return {.kind = kernels::FusedMemberKind::kLayout, .layout = layout};
+}
+
 struct Registrar {
   Registrar() {
-    auto elementwise_binary = [](const char* name) {
-      RegisterOrDie({.name = name,
-                     .num_inputs = 2,
-                     .shape_fn = shape_fn::BroadcastBinary});
+    using C = OpCostClass;
+    using L = kernels::FusedLayout;
+    using M = kernels::MicroOpCode;
+    using R = kernels::MicroReduceKind;
+
+    // Elementwise ops with the micro-op each contributes to a fused run (its
+    // float-only rule also picks the op's kernel) and their cost class.
+    struct Elementwise {
+      const char* name;
+      int num_inputs;
+      M code;
+      C cost = C::kElementwise;
     };
-    for (const char* name :
-         {"Add", "Sub", "Mul", "Div", "Pow", "Maximum", "Minimum",
-          "SquaredDifference"}) {
-      elementwise_binary(name);
+    for (const Elementwise& op : std::initializer_list<Elementwise>{
+             {"Add", 2, M::kAdd}, {"Sub", 2, M::kSub}, {"Mul", 2, M::kMul},
+             {"Div", 2, M::kDiv}, {"Maximum", 2, M::kMaximum},
+             {"Minimum", 2, M::kMinimum},
+             {"SquaredDifference", 2, M::kSquaredDifference},
+             {"Neg", 1, M::kNeg}, {"Abs", 1, M::kAbs},
+             {"Square", 1, M::kSquare}, {"Relu", 1, M::kRelu},
+             {"Reciprocal", 1, M::kReciprocal},
+             {"Sign", 1, M::kSign}, {"Floor", 1, M::kFloor},  // zero grads
+             {"Pow", 2, M::kPow, C::kTranscendental},
+             {"Exp", 1, M::kExp, C::kTranscendental},
+             {"Log", 1, M::kLog, C::kTranscendental},
+             {"Sqrt", 1, M::kSqrt, C::kTranscendental},
+             {"Rsqrt", 1, M::kRsqrt, C::kTranscendental},
+             {"Tanh", 1, M::kTanh, C::kTranscendental},
+             {"Sigmoid", 1, M::kSigmoid, C::kTranscendental},
+             {"Sin", 1, M::kSin, C::kTranscendental},
+             {"Cos", 1, M::kCos, C::kTranscendental}}) {
+      RegisterOrDie({.name = op.name,
+                     .num_inputs = op.num_inputs,
+                     .fused = Compute(op.code),
+                     .cost = op.cost,
+                     .shape_fn = op.num_inputs == 2
+                                     ? shape_fn::BroadcastBinary
+                                     : shape_fn::UnchangedShape});
     }
 
     auto compare = [](const char* name) {
@@ -462,72 +500,74 @@ struct Registrar {
       compare(name);
     }
 
-    auto elementwise_unary = [](const char* name, bool differentiable = true) {
+    auto elementwise_unary = [](const char* name, C cost = C::kElementwise) {
       RegisterOrDie({.name = name,
                      .num_inputs = 1,
-                     .differentiable = differentiable,
+                     .cost = cost,
                      .shape_fn = shape_fn::UnchangedShape});
     };
-    for (const char* name :
-         {"Neg", "Abs", "Exp", "Log", "Sqrt", "Rsqrt", "Square", "Tanh",
-          "Sigmoid", "Relu", "Sin", "Cos", "Reciprocal"}) {
-      elementwise_unary(name);
-    }
-    elementwise_unary("Sign", /*differentiable=*/true);  // grad is zero
-    elementwise_unary("Floor", /*differentiable=*/true); // grad is zero
     elementwise_unary("ZerosLike");
     elementwise_unary("OnesLike");
     elementwise_unary("Identity");
     elementwise_unary("StopGradient");
-    elementwise_unary("Softmax");
-    elementwise_unary("LogSoftmax");
+    elementwise_unary("Softmax", C::kSoftmax);
+    elementwise_unary("LogSoftmax", C::kSoftmax);
 
     RegisterOrDie({.name = "Select", .num_inputs = 3, .shape_fn = SelectShape});
-    RegisterOrDie({.name = "Cast", .num_inputs = 1, .shape_fn = CastShape});
+    RegisterOrDie({.name = "Cast", .num_inputs = 1, .fused = Compute(M::kCast),
+                   .shape_fn = CastShape});
 
-    RegisterOrDie(
-        {.name = "MatMul", .num_inputs = 2, .shape_fn = MatMulShape});
-    RegisterOrDie(
-        {.name = "Conv2D", .num_inputs = 2, .shape_fn = Conv2DShape});
+    RegisterOrDie({.name = "MatMul", .num_inputs = 2, .cost = C::kMatMul,
+                   .shape_fn = MatMulShape});
+    RegisterOrDie({.name = "Conv2D", .num_inputs = 2, .cost = C::kConv2D,
+                   .shape_fn = Conv2DShape});
     RegisterOrDie({.name = "Conv2DBackpropInput",
                    .num_inputs = 2,  // filter, dy (input shape from attr)
+                   .cost = C::kConv2DBackpropInput,
                    .shape_fn =
                        [](InferenceContext* ctx) {
                          return ShapeFromAttrShape(ctx, "input_shape");
                        }});
     RegisterOrDie({.name = "Conv2DBackpropFilter",
                    .num_inputs = 2,  // x, dy (filter shape from attr)
+                   .cost = C::kConv2DBackpropFilter,
                    .shape_fn =
                        [](InferenceContext* ctx) {
                          return ShapeFromAttrShape(ctx, "filter_shape");
                        }});
 
     for (const char* name : {"MaxPool", "AvgPool"}) {
-      RegisterOrDie({.name = name, .num_inputs = 1, .shape_fn = PoolShape});
+      RegisterOrDie({.name = name, .num_inputs = 1, .cost = C::kPool,
+                     .shape_fn = PoolShape});
     }
     RegisterOrDie({.name = "MaxPoolGrad",
                    .num_inputs = 3,  // x, y, dy
+                   .cost = C::kPool,
                    .shape_fn = shape_fn::UnchangedShape});
     RegisterOrDie({.name = "AvgPoolGrad",
                    .num_inputs = 1,  // dy (input shape from attr)
+                   .cost = C::kPool,
                    .shape_fn =
                        [](InferenceContext* ctx) {
                          return ShapeFromAttrShape(ctx, "input_shape");
                        }});
 
-    RegisterOrDie({.name = "FusedBatchNorm",
-                   .num_inputs = 5,
-                   .shape_fn = FusedBatchNormShape});
-    RegisterOrDie({.name = "FusedBatchNormGrad",
-                   .num_inputs = 5,
-                   .shape_fn = FusedBatchNormGradShape});
+    RegisterOrDie({.name = "FusedBatchNorm", .num_inputs = 5,
+                   .cost = C::kBatchNorm, .shape_fn = FusedBatchNormShape});
+    RegisterOrDie({.name = "FusedBatchNormGrad", .num_inputs = 5,
+                   .cost = C::kBatchNorm, .shape_fn = FusedBatchNormGradShape});
 
-    for (const char* name : {"Sum", "Mean", "Max", "Min"}) {
-      RegisterOrDie({.name = name,
-                     .num_inputs = 1,
-                     .shape_fn = [](InferenceContext* ctx) {
-                       return ReductionShape(ctx, ctx->input_dtype(0));
-                     }});
+    for (const auto& [name, reduce] :
+         {std::pair{"Sum", R::kSum}, std::pair{"Mean", R::kMean},
+          std::pair{"Max", R::kMax}, std::pair{"Min", R::kMin}}) {
+      RegisterOrDie(
+          {.name = name,
+           .num_inputs = 1,
+           .fused = {.kind = kernels::FusedMemberKind::kReduce,
+                     .reduce = reduce},
+           .shape_fn = [](InferenceContext* ctx) {
+             return ReductionShape(ctx, ctx->input_dtype(0));
+           }});
     }
     RegisterOrDie({.name = "ArgMax",
                    .num_inputs = 1,
@@ -535,21 +575,24 @@ struct Registrar {
                    .shape_fn = ArgMaxShape});
     RegisterOrDie({.name = "SparseSoftmaxCrossEntropyWithLogits",
                    .num_inputs = 2,
+                   .cost = C::kSoftmax,
                    .shape_fn = SparseXentShape});
 
-    RegisterOrDie({.name = "Reshape", .num_inputs = 1, .shape_fn = ReshapeShape});
-    RegisterOrDie(
-        {.name = "Transpose", .num_inputs = 1, .shape_fn = TransposeShape});
+    RegisterOrDie({.name = "Reshape", .num_inputs = 1,
+                   .fused = Layout(L::kReshape), .shape_fn = ReshapeShape});
+    RegisterOrDie({.name = "Transpose", .num_inputs = 1,
+                   .fused = Layout(L::kTranspose), .shape_fn = TransposeShape});
     RegisterOrDie({.name = "Concat",
                    .num_inputs = OpDef::kVariadic,
                    .shape_fn = ConcatShape});
     RegisterOrDie({.name = "Slice", .num_inputs = 1, .shape_fn = SliceShape});
     RegisterOrDie({.name = "Pad", .num_inputs = 1, .shape_fn = PadShape});
     RegisterOrDie({.name = "Tile", .num_inputs = 1, .shape_fn = TileShape});
-    RegisterOrDie(
-        {.name = "ExpandDims", .num_inputs = 1, .shape_fn = ExpandDimsShape});
-    RegisterOrDie(
-        {.name = "Squeeze", .num_inputs = 1, .shape_fn = SqueezeShape});
+    RegisterOrDie({.name = "ExpandDims", .num_inputs = 1,
+                   .fused = Layout(L::kExpandDims),
+                   .shape_fn = ExpandDimsShape});
+    RegisterOrDie({.name = "Squeeze", .num_inputs = 1,
+                   .fused = Layout(L::kSqueeze), .shape_fn = SqueezeShape});
     RegisterOrDie({.name = "Gather", .num_inputs = 2, .shape_fn = GatherShape});
     RegisterOrDie({.name = "UnsortedSegmentSum",
                    .num_inputs = 2,  // data, segment_ids
@@ -579,6 +622,8 @@ struct Registrar {
                      .num_inputs = 0,
                      .is_stateful = true,
                      .differentiable = false,
+                     .pure_when_seeded = true,
+                     .cost = C::kTranscendental,
                      .shape_fn = [](InferenceContext* ctx) {
                        return ShapeFromAttrShape(ctx, "shape");
                      }});
@@ -612,12 +657,14 @@ struct Registrar {
     RegisterOrDie({.name = "Arg",
                    .num_inputs = 0,
                    .differentiable = false,
+                   .binding = OpDef::Binding::kArg,
                    .shape_fn = [](InferenceContext* ctx) {
                      return ShapeFromAttrShape(ctx, "shape");
                    }});
     RegisterOrDie({.name = "Const",
                    .num_inputs = 0,
                    .differentiable = false,
+                   .binding = OpDef::Binding::kConst,
                    // Shape comes from the node's constant payload; the
                    // tracer fills outputs directly, so this is unused.
                    .shape_fn = NoOutputs});
@@ -628,6 +675,7 @@ struct Registrar {
                    .is_stateful = true,
                    .always_executes = true,
                    .variable_op = true,
+                   .read_only = true,
                    .shape_fn = ReadVariableShape});
     for (const char* name :
          {"AssignVariableOp", "AssignAddVariableOp", "AssignSubVariableOp"}) {
@@ -664,12 +712,19 @@ struct Registrar {
     // Graph-function invocation (paper §4.1: "graph functions are themselves
     // executed by an operation that takes tensors as inputs and a function
     // name as an attribute"). Output dtypes/shapes are resolved against the
-    // function library at dispatch time, so the shape_fn is a stub here.
+    // function library at trace time, so the shape_fn is a stub here.
     RegisterOrDie({.name = "Call",
                    .num_inputs = OpDef::kVariadic,
                    .is_stateful = true,
                    .always_executes = true,
-                   .shape_fn = NoOutputs});
+                   .function_call = true,
+                   .shape_fn = NoOutputs,
+                   .trace_outputs = [](EagerContext* ctx,
+                                       const std::vector<Tensor>&,
+                                       const AttrMap& attrs) {
+                     return FunctionOpOutputTypes(ctx, "Call", attrs,
+                                                  "function");
+                   }});
 
     // Imperative escape hatch (paper §4.7). Output signature is carried in
     // attrs (num_outputs + out_dtype_<i>/out_shape_<i>) since the callback
@@ -678,6 +733,7 @@ struct Registrar {
                    .num_inputs = OpDef::kVariadic,
                    .is_stateful = true,
                    .always_executes = true,
+                   .host_callback = true,
                    .shape_fn = [](InferenceContext* ctx) {
                      int64_t count = ctx->GetAttrOr<int64_t>("num_outputs", 0);
                      for (int64_t i = 0; i < count; ++i) {
@@ -699,6 +755,7 @@ struct Registrar {
                    .is_stateful = true,
                    .differentiable = false,
                    .always_executes = true,
+                   .read_only = true,
                    .shape_fn = NoOutputs});
 
     // A fused run of elementwise/layout/reduction ops interpreting a

@@ -57,10 +57,6 @@ class InferenceContext {
     return it->second.Get<T>();
   }
 
-  bool HasAttr(const std::string& name) const {
-    return attrs_->find(name) != attrs_->end();
-  }
-
   void AddOutput(DType dtype, Shape shape) {
     outputs_.push_back({dtype, std::move(shape)});
   }

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "ops/attr_value.h"
+#include "ops/shape_inference.h"
 #include "support/status.h"
 #include "tensor/tensor.h"
 
@@ -36,6 +37,16 @@ StatusOr<std::vector<Tensor>> Dispatch(OpCall call);
 
 // Convenience for single-output ops; fails if the op has != 1 output.
 StatusOr<Tensor> DispatchSingle(OpCall call);
+
+// The traced output types of a function-valued `op_name` node (its
+// OpDef::trace_outputs): those it declares through "num_declared_outputs"
+// and "out_dtype_<i>"/"out_shape_<i>" attrs — how a recursive body records
+// a Call to itself before the callee registers, and how WhileGrad types its
+// gradients — else the outputs of the function its string attr
+// `function_attr` names. A null `function_attr` requires declared types.
+StatusOr<std::vector<TypeAndShape>> FunctionOpOutputTypes(
+    EagerContext* ctx, const std::string& op_name, const AttrMap& attrs,
+    const char* function_attr);
 
 }  // namespace tfe
 

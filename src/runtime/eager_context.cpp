@@ -150,7 +150,8 @@ StatusOr<Device*> EagerContext::ResolveDevice(
   if (request.empty()) request = DeviceScope::Current();
   if (!request.empty()) {
     TFE_ASSIGN_OR_RETURN(Device * device, devices_.FindDevice(request));
-    if (!op.always_executes && op.name != "Const" && !op.kernel) {
+    if (!op.always_executes && op.binding != OpDef::Binding::kConst &&
+        !op.kernel) {
       return InvalidArgument(strings::StrCat(
           "Op ", op.name, " was explicitly placed on ", device->name(),
           " but has no kernel for that device"));
@@ -339,7 +340,7 @@ StatusOr<EagerContext::KernelRun> EagerContext::ExecuteKernel(
           output_shapes.push_back(output.shape());
         }
       }
-      OpCost cost = EstimateOpCost(op.name, accelerator_input_shapes,
+      OpCost cost = EstimateOpCost(op.cost, accelerator_input_shapes,
                                    output_shapes, accelerator_dtype_size);
       run.device_ns = KernelTimeNs(cost, device->cost_params(), compiled);
     } else {
@@ -363,7 +364,7 @@ StatusOr<EagerContext::KernelRun> EagerContext::ExecuteKernel(
     output_shapes.push_back(out.shape);
   }
   OpCost cost =
-      EstimateOpCost(op.name, input_shapes(), output_shapes,
+      EstimateOpCost(op.cost, input_shapes(), output_shapes,
                      DTypeSize(inputs.empty() || inputs[0].is_resource()
                                    ? DType::kFloat32
                                    : inputs[0].dtype()));
@@ -374,31 +375,37 @@ StatusOr<EagerContext::KernelRun> EagerContext::ExecuteKernel(
 StatusOr<std::vector<Tensor>> EagerContext::RunPrimitive(
     const std::string& op_name, std::vector<Tensor> inputs,
     const AttrMap& attrs, const std::string& requested_device) {
-  stats_.eager_ops.fetch_add(1, std::memory_order_relaxed);
   TFE_ASSIGN_OR_RETURN(const OpDef* op, OpRegistry::Global()->LookUp(op_name));
-  if (op->variable_op) {
+  return RunPrimitive(*op, std::move(inputs), attrs, requested_device);
+}
+
+StatusOr<std::vector<Tensor>> EagerContext::RunPrimitive(
+    const OpDef& op, std::vector<Tensor> inputs, const AttrMap& attrs,
+    const std::string& requested_device) {
+  stats_.eager_ops.fetch_add(1, std::memory_order_relaxed);
+  if (op.variable_op) {
     static profiler::Counter* variable_ops =
         profiler::Metrics().GetCounter("dispatch.variable_ops");
     variable_ops->Increment();
     if (profiler::enabled()) {
       profiler::RecordInstant(profiler::EventKind::kVariableOp,
-                              profiler::Intern(op_name));
+                              profiler::Intern(op.name));
     }
   }
   // Host-language dispatch cost (DESIGN.md §2: calibrated interpreter
   // model; zero under HostProfile::Native).
-  AdvanceHostNs(op_name == "Call" ? host_profile_.function_call_ns
-                                  : host_profile_.per_op_dispatch_ns);
+  AdvanceHostNs(op.function_call ? host_profile_.function_call_ns
+                                 : host_profile_.per_op_dispatch_ns);
 
   for (const Tensor& input : inputs) {
     if (input.defined() && input.is_symbolic()) {
       return InvalidArgument(strings::StrCat(
-          "Symbolic tensor passed to eager execution of ", op_name,
+          "Symbolic tensor passed to eager execution of ", op.name,
           "; symbolic tensors are only usable inside their trace"));
     }
   }
 
-  StatusOr<Device*> device_or = ResolveDevice(*op, inputs, requested_device);
+  StatusOr<Device*> device_or = ResolveDevice(op, inputs, requested_device);
   if (!device_or.ok()) {
     // An unknown *remote* device name is a deferred failure, not an eager
     // throw: outputs come back poisoned and the error surfaces at the next
@@ -409,7 +416,7 @@ StatusOr<std::vector<Tensor>> EagerContext::RunPrimitive(
     StatusOr<DeviceNameParts> parts = ParseDeviceName(request);
     if (parts.ok() && parts->job != "localhost") {
       std::vector<Tensor> poisoned;
-      if (DeferRemoteError(*op, inputs, attrs, device_or.status(),
+      if (DeferRemoteError(op, inputs, attrs, device_or.status(),
                            &poisoned)) {
         return poisoned;
       }
@@ -422,7 +429,7 @@ StatusOr<std::vector<Tensor>> EagerContext::RunPrimitive(
   // returning immediately is the whole point of forwarding ops instead of
   // round-tripping per call.
   if (device->IsRemote()) {
-    return RunRemote(*op, std::move(inputs), attrs, device);
+    return RunRemote(op, std::move(inputs), attrs, device);
   }
 
   // Async fast path (paper §5): enqueue and return pending handles. Variable
@@ -432,9 +439,9 @@ StatusOr<std::vector<Tensor>> EagerContext::RunPrimitive(
   // composite and stateful ops (always_executes) re-enter the runtime or
   // touch shared state, so they stay on the synchronous path.
   if (async()) {
-    if (!op->always_executes || op->variable_op) {
+    if (!op.always_executes || op.variable_op) {
       std::vector<Tensor> pending;
-      if (EnqueueAsync(*op, inputs, attrs, device, &pending)) {
+      if (EnqueueAsync(op, inputs, attrs, device, &pending)) {
         return pending;
       }
     }
@@ -443,7 +450,7 @@ StatusOr<std::vector<Tensor>> EagerContext::RunPrimitive(
     // queues are still updating: order them behind every queued op. Executor
     // threads skip the wait — their enclosing Call already drained, and
     // blocking a pool thread here could starve the drains it waits on.
-    if (op->always_executes && !Executor::InExecutor()) {
+    if (op.always_executes && !Executor::InExecutor()) {
       WaitQueuesDrained();
     }
   }
@@ -472,8 +479,8 @@ StatusOr<std::vector<Tensor>> EagerContext::RunPrimitive(
 
   // Simulated-TPU eager mode: each new op signature pays a compile cost
   // before it can run (paper §4.4); the per-device cache makes it one-time.
-  if (device->cost_params().per_op_compile_ns > 0 && op_name != "Call") {
-    std::string signature = op_name;
+  if (device->cost_params().per_op_compile_ns > 0 && !op.function_call) {
+    std::string signature = op.name;
     for (const Tensor& input : inputs) {
       if (input.defined() && !input.is_resource()) {
         signature += ";" + input.shape().ToString();
@@ -483,7 +490,7 @@ StatusOr<std::vector<Tensor>> EagerContext::RunPrimitive(
   }
 
   TFE_ASSIGN_OR_RETURN(KernelRun run,
-                       ExecuteKernel(*op, std::move(inputs), attrs, device,
+                       ExecuteKernel(op, std::move(inputs), attrs, device,
                                      /*compiled=*/false, host_now_ns(),
                                      NextRngStream()));
 
@@ -549,7 +556,7 @@ StatusOr<std::vector<Tensor>> EagerContext::RunRemote(
   static profiler::Counter* remote_ops =
       profiler::Metrics().GetCounter("dispatch.remote_ops");
   remote_ops->Increment();
-  if (op.name == "Call") {
+  if (op.function_call) {
     return RunRemoteCall(op, std::move(inputs), attrs, device);
   }
   if (op.always_executes) {

@@ -154,7 +154,10 @@ class EagerContext {
   // Runs one primitive operation imperatively: charges host dispatch cost,
   // resolves placement, copies mismatched inputs, executes (or simulates)
   // the kernel, and advances virtual time. Gradient-tape recording is the
-  // dispatcher's job, not ours.
+  // dispatcher's job, not ours. The name form looks the op up first.
+  StatusOr<std::vector<Tensor>> RunPrimitive(
+      const OpDef& op, std::vector<Tensor> inputs, const AttrMap& attrs,
+      const std::string& requested_device);
   StatusOr<std::vector<Tensor>> RunPrimitive(
       const std::string& op_name, std::vector<Tensor> inputs,
       const AttrMap& attrs, const std::string& requested_device);

@@ -45,19 +45,19 @@ std::shared_ptr<TensorHandle> FirstUnresolvedInput(const OpQueue::Node& node,
 // middle-erase cost) when the queue is deep.
 constexpr size_t kMaxPeekSkip = 128;
 
-// Classifies a queued node with the run-membership rules shared with the
-// static graph pass.
-bool ClassifyNode(const OpQueue::Node& node, kernels::FusedMemberClass* cls) {
-  return node.outputs.size() == 1 &&
-         kernels::ClassifyFusedMember(node.op->name, node.attrs,
-                                      node.inputs.size(),
-                                      node.outputs[0]->dtype(),
-                                      node.outputs[0]->shape(), cls);
+// A queued node's fused-run class under the run-membership rules shared
+// with the static graph pass; nullptr when the node cannot join a run.
+const kernels::FusedMemberClass* ClassifyNode(const OpQueue::Node& node) {
+  const bool member =
+      node.outputs.size() == 1 &&
+      kernels::ClassifyFusedMember(*node.op, node.attrs, node.inputs.size(),
+                                   node.outputs[0]->dtype(),
+                                   node.outputs[0]->shape());
+  return member ? &node.op->fused : nullptr;
 }
 
 bool IsReduction(const OpQueue::Node& node) {
-  kernels::MicroReduceKind kind;
-  return kernels::MicroReduceKindFor(node.op->name, &kind);
+  return node.op->fused.kind == kernels::FusedMemberKind::kReduce;
 }
 
 // Resolves an external (not produced in-run) input to its concrete value.
@@ -268,14 +268,13 @@ bool OpQueue::NodeStartsRun(const Node& node) const {
   // Fuse only where the kernel actually computes: simulated accelerators are
   // virtual-time devices and fusing would perturb their cost model.
   if (device_->is_accelerator() || !device_->executes_kernels()) return false;
-  kernels::FusedMemberClass cls;
   // A reduction only terminates a run — alone it IS the standalone kernel.
-  if (!ClassifyNode(node, &cls) ||
-      cls.kind == kernels::FusedMemberKind::kReduce) {
+  const kernels::FusedMemberClass* cls = ClassifyNode(node);
+  if (cls == nullptr || cls->kind == kernels::FusedMemberKind::kReduce) {
     return false;
   }
   for (const Tensor& input : node.inputs) {
-    if (!ExternalOperandOk(input, cls, *node.outputs[0], device_)) {
+    if (!ExternalOperandOk(input, *cls, *node.outputs[0], device_)) {
       return false;
     }
   }
@@ -286,8 +285,8 @@ bool OpQueue::NodeJoinsRun(const Node& node,
                            const std::vector<Node>& run) const {
   // A reduction closes the run; nothing fuses behind its epilogue.
   if (IsReduction(run.back())) return false;
-  kernels::FusedMemberClass cls;
-  if (!ClassifyNode(node, &cls)) return false;
+  const kernels::FusedMemberClass* cls = ClassifyNode(node);
+  if (cls == nullptr) return false;
   const TensorHandle& out = *node.outputs[0];
   if (out.dtype() != run.front().outputs[0]->dtype()) return false;
 
@@ -308,7 +307,7 @@ bool OpQueue::NodeJoinsRun(const Node& node,
     return nullptr;
   };
 
-  if (cls.kind == kernels::FusedMemberKind::kReduce) {
+  if (cls->kind == kernels::FusedMemberKind::kReduce) {
     // A reduction that cannot be the epilogue stays standalone rather than
     // dragging the whole run into the op-at-a-time fallback.
     const Node* producer = producer_of(node.inputs[0]);
@@ -321,7 +320,7 @@ bool OpQueue::NodeJoinsRun(const Node& node,
   }
   for (const Tensor& input : node.inputs) {
     if (producer_of(input) == nullptr &&
-        !ExternalOperandOk(input, cls, out, device_)) {
+        !ExternalOperandOk(input, *cls, out, device_)) {
       return false;
     }
   }
@@ -354,7 +353,7 @@ void OpQueue::ExecuteFused(std::vector<Node> run) {
     const Node& node = run[n];
     start_ns = std::max(start_ns, node.enqueue_host_ns);
     kernels::FusedRunOp& op = ops.emplace_back(kernels::MakeFusedRunOp(
-        node.op->name, node.attrs, node.outputs[0]->dtype(),
+        *node.op, node.attrs, node.outputs[0]->dtype(),
         node.outputs[0]->shape()));
     for (const Tensor& input : node.inputs) {
       const auto& handle = input.pending_handle();
@@ -582,10 +581,10 @@ void OpQueue::Execute(Node node) {
       device_->executes_kernels() && node.attrs.empty() &&
       node.inputs.size() == inputs.size() &&
       (inputs.size() == 1 || inputs.size() == 2) && node.outputs.size() == 1) {
-    kernels::MicroOpCode code;
-    if (kernels::MicroOpCodeFor(node.op->name, &code) &&
-        kernels::MicroOpArity(code) == static_cast<int>(inputs.size()) &&
-        code != kernels::MicroOpCode::kCast) {
+    const kernels::FusedMemberClass& cls = node.op->fused;
+    if (cls.kind == kernels::FusedMemberKind::kCompute &&
+        kernels::MicroOpArity(cls.code) == static_cast<int>(inputs.size()) &&
+        cls.code != kernels::MicroOpCode::kCast) {
       for (size_t i = 0; i < inputs.size(); ++i) {
         const auto& handle = node.inputs[i].pending_handle();
         const Tensor& value = inputs[i];
@@ -715,11 +714,6 @@ void OpQueue::WaitDrained() {
   drained_cv_.wait(lock, [this] {
     return queue_.empty() && !draining_ && inflight_ == 0;
   });
-}
-
-size_t OpQueue::pending_ops() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
 }
 
 }  // namespace tfe

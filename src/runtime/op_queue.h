@@ -63,8 +63,6 @@ class OpQueue {
   // Blocks the calling (user) thread until every enqueued op has retired.
   void WaitDrained();
 
-  size_t pending_ops() const;
-
  private:
   // Schedules a drain on the pool if one is not already running and work
   // exists. Caller must hold mu_.

@@ -47,15 +47,6 @@ void DynamicBatcher::Shutdown() {
   if (worker_.joinable()) worker_.join();
 }
 
-int64_t DynamicBatcher::num_pending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t n = static_cast<int64_t>(immediate_.size());
-  for (const auto& [key, group] : groups_) {
-    n += static_cast<int64_t>(group.calls.size());
-  }
-  return n;
-}
-
 bool DynamicBatcher::TakeReadyBatch(std::vector<PendingCall>* batch,
                                     bool force) {
   // Unbatchable calls first: they owe no window and should not queue behind

@@ -93,9 +93,6 @@ class DynamicBatcher {
   // windows flush immediately), and joins the worker. Idempotent.
   void Shutdown();
 
-  // Calls currently waiting (not yet handed to the runner).
-  int64_t num_pending() const;
-
   const Options& options() const { return options_; }
 
  private:

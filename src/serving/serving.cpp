@@ -225,9 +225,8 @@ bool Serving::GraphBatchSafe(const GraphFunction& fn, int depth) {
   const Graph& graph = fn.graph();
   for (int i = 0; i < graph.num_nodes() && safe; ++i) {
     const Node& node = graph.node(i);
-    if (!node.is_stateful()) continue;
-    if (node.op == "ReadVariableOp" || node.op == "NoOp") continue;
-    if (node.op == "RandomNormal" || node.op == "RandomUniform") {
+    if (!node.is_stateful() || node.def->read_only) continue;
+    if (node.def->pure_when_seeded) {
       // Explicitly seeded randomness is a pure function of (seed, seed2);
       // seed-0 draws from the session's stream, which a shared batched
       // execution could not honor per-tenant.
@@ -243,7 +242,7 @@ bool Serving::GraphBatchSafe(const GraphFunction& fn, int depth) {
       safe = seed != 0 || seed2 != 0;
       continue;
     }
-    if (node.op == "Call") {
+    if (node.def->function_call) {
       auto it = node.attrs.find("function");
       std::string callee_name =
           it != node.attrs.end() && it->second.Is<std::string>()

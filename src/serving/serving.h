@@ -109,7 +109,6 @@ class Serving {
   void Shutdown();
 
   int64_t num_sessions() const;
-  int64_t num_pending_calls() const { return batcher_->num_pending(); }
   int max_batch_size() const { return batcher_->options().max_batch_size; }
   int max_queue_delay_us() const {
     return batcher_->options().max_queue_delay_us;

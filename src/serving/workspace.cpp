@@ -58,41 +58,6 @@ Status Workspace::AddVariable(const std::string& name, Variable variable) {
   return Status::OK();
 }
 
-StatusOr<Variable> Workspace::GetOrCreateVariable(
-    const std::string& name, const std::function<Tensor()>& init) {
-  if (auto existing = FindVariable(name); existing.has_value()) {
-    return *existing;
-  }
-  Tensor value = init();
-  if (!value.defined()) {
-    return InvalidArgument("Initializer for workspace variable '" + name +
-                           "' returned an undefined tensor");
-  }
-  // Construct *outside* any workspace scope so the Variable constructor's
-  // Workspace::Current() hook does not recurse back into this workspace.
-  WorkspaceScope no_scope(nullptr);
-  Variable variable(value, name);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = variables_.emplace(name, variable);
-    // A racing creator won: return the registered one so both callers share.
-    return it->second;
-  }
-}
-
-std::vector<std::string> Workspace::LocalVariableNames() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(variables_.size());
-  for (const auto& [name, variable] : variables_) names.push_back(name);
-  return names;
-}
-
-int64_t Workspace::num_local_variables() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(variables_.size());
-}
-
 void Workspace::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   variables_.clear();

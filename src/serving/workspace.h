@@ -54,16 +54,6 @@ class Workspace {
   // AlreadyExists if the name is taken locally.
   Status AddVariable(const std::string& name, Variable variable);
 
-  // Resolve-or-create: a hit (local or parent) of matching dtype/shape binds
-  // to the existing storage without touching its value; a mismatched hit is
-  // an InvalidArgument; a miss runs `init` and registers the result locally.
-  StatusOr<Variable> GetOrCreateVariable(
-      const std::string& name, const std::function<Tensor()>& init);
-
-  // Names registered locally (sorted; parents excluded).
-  std::vector<std::string> LocalVariableNames() const;
-  int64_t num_local_variables() const;
-
   // Drops every local variable (parents untouched). Storage is freed once
   // outstanding Variable handles die.
   void Clear();

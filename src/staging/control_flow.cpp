@@ -935,6 +935,11 @@ void RegisterControlFlowOps() {
     def.differentiable = true;
     def.always_executes = true;
     def.shape_fn = [](InferenceContext*) { return Status::OK(); };
+    // Branch output signatures agree (validated at construction).
+    def.trace_outputs = [](EagerContext* ctx, const std::vector<Tensor>&,
+                           const AttrMap& attrs) {
+      return FunctionOpOutputTypes(ctx, "Cond", attrs, "then_function");
+    };
     TFE_CHECK(OpRegistry::Global()->Register(std::move(def)).ok());
   }
   {
@@ -945,6 +950,24 @@ void RegisterControlFlowOps() {
     def.differentiable = true;
     def.always_executes = true;
     def.shape_fn = [](InferenceContext*) { return Status::OK(); };
+    // Loop-invariant: outputs have the loop variables' types, then a
+    // stacked While's forward stack.
+    def.trace_outputs =
+        [](EagerContext*, const std::vector<Tensor>& inputs,
+           const AttrMap& attrs) -> StatusOr<std::vector<TypeAndShape>> {
+      auto vars_it = attrs.find("num_vars");
+      if (vars_it == attrs.end() || !vars_it->second.Is<int64_t>()) {
+        return InvalidArgument("While op requires a 'num_vars' attr");
+      }
+      std::vector<TypeAndShape> types;
+      for (int64_t i = 0; i < vars_it->second.Get<int64_t>(); ++i) {
+        types.push_back({inputs.at(i).dtype(), inputs.at(i).shape()});
+      }
+      if (attrs.count("body_forward") > 0) {
+        types.push_back({DType::kResource, Shape()});
+      }
+      return types;
+    };
     def.forward_rewrite = StackWhileNode;
     TFE_CHECK(OpRegistry::Global()->Register(std::move(def)).ok());
   }
@@ -955,6 +978,10 @@ void RegisterControlFlowOps() {
     def.is_stateful = true;
     def.differentiable = true;
     def.shape_fn = [](InferenceContext*) { return Status::OK(); };
+    def.trace_outputs = [](EagerContext* ctx, const std::vector<Tensor>&,
+                           const AttrMap& attrs) {
+      return FunctionOpOutputTypes(ctx, "WhileGrad", attrs, nullptr);
+    };
     TFE_CHECK(OpRegistry::Global()->Register(std::move(def)).ok());
   }
   kernels::RegisterKernel("Cond", CondKernel);

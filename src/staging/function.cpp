@@ -227,13 +227,6 @@ std::vector<Tensor> Function::operator()(const std::vector<Tensor>& args,
   return std::move(result).value();
 }
 
-Tensor Function::Call1(const std::vector<Tensor>& args,
-                       const AttrMap& non_tensor_args) {
-  std::vector<Tensor> outputs = (*this)(args, non_tensor_args);
-  TFE_CHECK_EQ(outputs.size(), 1u);
-  return outputs[0];
-}
-
 Function function(Function::TensorCallable fn, std::string name) {
   return Function(std::move(fn), std::move(name));
 }

@@ -51,9 +51,6 @@ class Function {
   // tfe::RuntimeError on failure.
   std::vector<Tensor> operator()(const std::vector<Tensor>& args,
                                  const AttrMap& non_tensor_args = {});
-  // Single-output convenience.
-  Tensor Call1(const std::vector<Tensor>& args,
-               const AttrMap& non_tensor_args = {});
 
   // Traces (if needed) and returns the concrete graph function for these
   // arguments without executing it.

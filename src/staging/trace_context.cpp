@@ -130,6 +130,5 @@ StatusOr<std::vector<Tensor>> TraceContext::RecordOp(
 
 InitScope::InitScope() { ++g_init_scope_depth; }
 InitScope::~InitScope() { --g_init_scope_depth; }
-bool InitScope::Active() { return g_init_scope_depth > 0; }
 
 }  // namespace tfe

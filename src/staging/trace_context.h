@@ -38,9 +38,6 @@ class TraceContext {
   static int Depth();
 
   GraphFunction& function() { return *function_; }
-  const std::shared_ptr<GraphFunction>& function_ptr() const {
-    return function_;
-  }
   EagerContext* eager_context() { return ctx_; }
 
   // Adds an explicit function parameter and returns its symbolic tensor.
@@ -89,8 +86,6 @@ class InitScope {
 
   InitScope(const InitScope&) = delete;
   InitScope& operator=(const InitScope&) = delete;
-
-  static bool Active();
 };
 
 }  // namespace tfe

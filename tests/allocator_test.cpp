@@ -15,6 +15,7 @@
 
 #include "api/tfe.h"
 #include "kernels/fused_elementwise.h"
+#include "ops/op_registry.h"
 #include "profiler/profiler.h"
 #include "runtime/eager_context.h"
 #include "support/logging.h"
@@ -26,6 +27,10 @@ namespace tfe {
 namespace {
 
 using tensor_util::ToVector;
+
+const OpDef* Op(const char* name) {
+  return *OpRegistry::Global()->LookUp(name);
+}
 
 bool AllZero(const void* data, size_t bytes) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
@@ -343,8 +348,10 @@ TEST_F(DonationTest, CompilerAssignsDonationOnlyWhenProvablySafe) {
 
   // Unary chain over one donatable operand: the output may reuse it.
   std::vector<FusedRunOp> chain(2);
-  chain[0] = {"Abs", DType::kFloat32, Shape({64}), {{-1, 0}}, {}, {}, false};
-  chain[1] = {"Neg", DType::kFloat32, Shape({64}), {{0, -1}}, {}, {}, true};
+  chain[0] = {Op("Abs"), DType::kFloat32, Shape({64}), {{-1, 0}}, {}, {},
+              false};
+  chain[1] = {Op("Neg"), DType::kFloat32, Shape({64}), {{0, -1}}, {}, {},
+              true};
   std::vector<FusedRunOperand> donatable = {
       {DType::kFloat32, Shape({64}), /*may_donate=*/true}};
   auto compiled = CompileFusedRun(chain, donatable, DType::kFloat32);
@@ -362,9 +369,9 @@ TEST_F(DonationTest, CompilerAssignsDonationOnlyWhenProvablySafe) {
   // A transposed (strided) read of the operand crosses block boundaries:
   // overwriting it in place would clobber rows a later block still reads.
   std::vector<FusedRunOp> transposed(2);
-  transposed[0] = {"Transpose", DType::kFloat32, Shape({8, 8}),
+  transposed[0] = {Op("Transpose"), DType::kFloat32, Shape({8, 8}),
                    {{-1, 0}}, {1, 0}, {}, false};
-  transposed[1] = {"Abs", DType::kFloat32, Shape({8, 8}),
+  transposed[1] = {Op("Abs"), DType::kFloat32, Shape({8, 8}),
                    {{0, -1}}, {}, {}, true};
   std::vector<FusedRunOperand> matrix = {
       {DType::kFloat32, Shape({8, 8}), /*may_donate=*/true}};
@@ -376,9 +383,10 @@ TEST_F(DonationTest, CompilerAssignsDonationOnlyWhenProvablySafe) {
   // as an output store, which reads the buffer *after* in-block stores; the
   // operand must not be donated to the other output.
   std::vector<FusedRunOp> viewed(2);
-  viewed[0] = {"Reshape", DType::kFloat32, Shape({64}),
+  viewed[0] = {Op("Reshape"), DType::kFloat32, Shape({64}),
                {{-1, 0}}, {}, {}, true};
-  viewed[1] = {"Abs", DType::kFloat32, Shape({64}), {{-1, 0}}, {}, {}, true};
+  viewed[1] = {Op("Abs"), DType::kFloat32, Shape({64}), {{-1, 0}}, {}, {},
+               true};
   compiled = CompileFusedRun(viewed, donatable, DType::kFloat32);
   ASSERT_TRUE(compiled.ok());
   for (int donor : compiled->donations) EXPECT_EQ(donor, -1);
@@ -392,8 +400,10 @@ TEST_F(DonationTest, DonatedKernelOutputIsInPlaceAndBitwiseIdentical) {
   Device* cpu = ctx->HostCpu();
 
   std::vector<FusedRunOp> run(2);
-  run[0] = {"Abs", DType::kFloat32, Shape({256}), {{-1, 0}}, {}, {}, false};
-  run[1] = {"Neg", DType::kFloat32, Shape({256}), {{0, -1}}, {}, {}, true};
+  run[0] = {Op("Abs"), DType::kFloat32, Shape({256}), {{-1, 0}}, {}, {},
+            false};
+  run[1] = {Op("Neg"), DType::kFloat32, Shape({256}), {{0, -1}}, {}, {},
+            true};
   std::vector<FusedRunOperand> operands = {
       {DType::kFloat32, Shape({256}), /*may_donate=*/true}};
   auto compiled = CompileFusedRun(run, operands, DType::kFloat32);
@@ -441,9 +451,10 @@ TEST_F(DonationTest, KernelRejectsUnsafeDonationAttr) {
   // Transposed read: the compiler refuses to donate, and a forged "donate"
   // attr naming the operand anyway must be rejected, not honored.
   std::vector<FusedRunOp> run(2);
-  run[0] = {"Transpose", DType::kFloat32, Shape({16, 16}),
+  run[0] = {Op("Transpose"), DType::kFloat32, Shape({16, 16}),
             {{-1, 0}}, {1, 0}, {}, false};
-  run[1] = {"Abs", DType::kFloat32, Shape({16, 16}), {{0, -1}}, {}, {}, true};
+  run[1] = {Op("Abs"), DType::kFloat32, Shape({16, 16}), {{0, -1}}, {}, {},
+            true};
   std::vector<FusedRunOperand> operands = {
       {DType::kFloat32, Shape({16, 16}), /*may_donate=*/true}};
   auto compiled = CompileFusedRun(run, operands, DType::kFloat32);

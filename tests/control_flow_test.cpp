@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <set>
 
 #include "api/tfe.h"
 #include "profiler/metrics.h"
@@ -426,6 +427,30 @@ TEST(WhileGradTest, BodyForwardRunsOncePerIteration) {
     EXPECT_EQ(runs->value() - before, 3u * OneGraphStep::kIters + 2)
         << "call " << call;
   }
+}
+
+TEST(WhileGradTest, LoopBackwardLeavesNoUnreferencedGradient) {
+  // Building a loop backward sweeps the body forward twice; the first sweep
+  // only reveals which captures get gradients. Every backward left in the
+  // library must be one a graph node calls.
+  EagerContext::ResetGlobal(EagerContext::Options{});
+  OneGraphStep step;
+  step.train({ops::scalar<float>(0.5f), ops::scalar<float>(1.1f)});
+  FunctionLibrary& library = EagerContext::Global()->functions();
+  std::set<std::string> referenced;
+  for (const std::string& name : library.ListFunctions()) {
+    for (const std::string& callee :
+         (*library.Find(name))->ReferencedFunctions()) {
+      referenced.insert(callee);
+    }
+  }
+  int backwards = 0;
+  for (const std::string& name : library.ListFunctions()) {
+    if (name.find("_grad_") == std::string::npos) continue;
+    ++backwards;
+    EXPECT_EQ(referenced.count(name), 1u) << name << " is never called";
+  }
+  EXPECT_GT(backwards, 0);
 }
 
 TEST(WhileGradTest, GradientUsesTheForwardDraws) {

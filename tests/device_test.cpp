@@ -4,9 +4,14 @@
 #include "device/cost_model.h"
 #include "device/device.h"
 #include "device/device_manager.h"
+#include "ops/op_registry.h"
 
 namespace tfe {
 namespace {
+
+OpCostClass CostClassOf(const char* op) {
+  return (*OpRegistry::Global()->LookUp(op))->cost;
+}
 
 TEST(DeviceNameTest, FullNameRoundTrip) {
   auto parts = ParseDeviceName("/job:training/task:2/device:GPU:1");
@@ -58,7 +63,7 @@ TEST(DeviceManagerTest, RejectsDuplicates) {
 
 TEST(CostModelTest, MatMulFlops) {
   // [8,16] x [16,32] -> [8,32]: 2*8*32*16 = 8192 FLOPs.
-  OpCost cost = EstimateOpCost("MatMul", {Shape({8, 16}), Shape({16, 32})},
+  OpCost cost = EstimateOpCost(CostClassOf("MatMul"), {Shape({8, 16}), Shape({16, 32})},
                                {Shape({8, 32})}, 4);
   EXPECT_DOUBLE_EQ(cost.flops, 8192.0);
   EXPECT_GT(cost.bytes, 0.0);
@@ -67,13 +72,13 @@ TEST(CostModelTest, MatMulFlops) {
 TEST(CostModelTest, Conv2DFlops) {
   // out 1x8x8x4, window 3*3*2 -> 2*256*18 FLOPs.
   OpCost cost = EstimateOpCost(
-      "Conv2D", {Shape({1, 8, 8, 2}), Shape({3, 3, 2, 4})},
+      CostClassOf("Conv2D"), {Shape({1, 8, 8, 2}), Shape({3, 3, 2, 4})},
       {Shape({1, 8, 8, 4})}, 4);
   EXPECT_DOUBLE_EQ(cost.flops, 2.0 * (1 * 8 * 8 * 4) * (3 * 3 * 2));
 }
 
 TEST(CostModelTest, ElementwiseDefault) {
-  OpCost cost = EstimateOpCost("Add", {Shape({10}), Shape({10})},
+  OpCost cost = EstimateOpCost(CostClassOf("Add"), {Shape({10}), Shape({10})},
                                {Shape({10})}, 4);
   EXPECT_DOUBLE_EQ(cost.flops, 10.0);
   EXPECT_DOUBLE_EQ(cost.bytes, 30.0 * 4);

@@ -22,6 +22,10 @@ namespace {
 
 using tensor_util::ToVector;
 
+const OpDef* Op(const char* name) {
+  return *OpRegistry::Global()->LookUp(name);
+}
+
 // Bitwise comparison: NaN payloads and signed zeros must match too.
 ::testing::AssertionResult BitwiseEqual(const std::vector<float>& a,
                                         const std::vector<float>& b) {
@@ -871,7 +875,7 @@ TEST(MicroProgramTest, V3RejectsRowMisuse) {
 kernels::FusedRunOp ComputeMember(const char* op,
                                   std::vector<kernels::FusedRunArg> args) {
   kernels::FusedRunOp member;
-  member.op = op;
+  member.op = Op(op);
   member.shape = Shape({8});
   member.args = std::move(args);
   return member;
@@ -980,13 +984,13 @@ TEST(FusionMembershipTest, ClassifierAcceptsAndRejectsByRule) {
       {"not a member op", "MatMul", &none, 2, f32, m, false, {}},
   };
   for (const Row& row : rows) {
-    kernels::FusedMemberClass cls;
-    EXPECT_EQ(kernels::ClassifyFusedMember(row.op, *row.attrs, row.num_inputs,
-                                           row.dtype, row.shape, &cls),
+    const OpDef& op = *Op(row.op);
+    EXPECT_EQ(kernels::ClassifyFusedMember(op, *row.attrs, row.num_inputs,
+                                           row.dtype, row.shape),
               row.accept)
         << row.what;
     if (row.accept) {
-      EXPECT_EQ(cls.kind, row.kind) << row.what;
+      EXPECT_EQ(op.fused.kind, row.kind) << row.what;
     }
   }
 }
@@ -1041,13 +1045,13 @@ TEST(FusionMembershipTest, OperandCountAndReductionRules) {
 
 TEST(FusionMembershipTest, MemberDescriptionExtractsFoldedAttrs) {
   const kernels::FusedRunOp transpose = kernels::MakeFusedRunOp(
-      "Transpose", {{"perm", AttrValue(std::vector<int64_t>{1, 0})}},
+      *Op("Transpose"), {{"perm", AttrValue(std::vector<int64_t>{1, 0})}},
       DType::kFloat32, Shape({4, 3}));
   EXPECT_EQ(transpose.perm, (std::vector<int64_t>{1, 0}));
   EXPECT_TRUE(transpose.axes.empty());
   EXPECT_EQ(transpose.shape, Shape({4, 3}));
   const kernels::FusedRunOp mean = kernels::MakeFusedRunOp(
-      "Mean",
+      *Op("Mean"),
       {{"axis", AttrValue(std::vector<int64_t>{-1})},
        {"keep_dims", AttrValue(true)}},
       DType::kFloat64, Shape({4, 1}));
@@ -1064,11 +1068,11 @@ TEST(FusionMembershipTest, MemberDescriptionExtractsFoldedAttrs) {
 void MakeCacheRun(int64_t n, std::vector<kernels::FusedRunOp>* ops,
                   std::vector<kernels::FusedRunOperand>* operands) {
   kernels::FusedRunOp add;
-  add.op = "Add";
+  add.op = Op("Add");
   add.shape = Shape({n});
   add.args = {{-1, 0}, {-1, 1}};
   kernels::FusedRunOp relu;
-  relu.op = "Relu";
+  relu.op = Op("Relu");
   relu.shape = Shape({n});
   relu.args = {{0, -1}};
   relu.materialize = true;
@@ -1154,7 +1158,7 @@ TEST(ProgramCacheTest, FailedCompilesAreCached) {
   std::vector<kernels::FusedRunOp> ops;
   std::vector<kernels::FusedRunOperand> operands;
   MakeCacheRun(16, &ops, &operands);
-  ops[1].op = "MatMul";  // not a micro-op: compilation fails
+  ops[1].op = Op("MatMul");  // not a micro-op: compilation fails
   EXPECT_FALSE(cache.GetOrCompile(ops, operands, DType::kFloat32).ok());
   EXPECT_FALSE(cache.GetOrCompile(ops, operands, DType::kFloat32).ok());
   EXPECT_EQ(cache.misses(), 1u);

@@ -5,6 +5,7 @@
 // paths reject bad programs at trace time.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 
 #include "api/tfe.h"
@@ -84,6 +85,81 @@ TEST(OpRegistryTest, TraitsMatchTheirOps) {
       "Cond",         "While",           "NoOp"};
   always_expected.insert(variable_expected.begin(), variable_expected.end());
   EXPECT_EQ(always_executes, always_expected);
+}
+
+// Each identity trait is set on exactly these ops.
+TEST(OpRegistryTest, IdentityTraitsMatchTheirOps) {
+  EnsureOpsRegistered();
+  auto ops_where = [](const std::function<bool(const OpDef&)>& trait) {
+    std::set<std::string> names;
+    for (const std::string& op : OpRegistry::Global()->ListOps()) {
+      if (trait(**OpRegistry::Global()->LookUp(op))) names.insert(op);
+    }
+    return names;
+  };
+  using kernels::FusedMemberKind;
+  const auto fused_kind = [&](FusedMemberKind kind) {
+    return ops_where([kind](const OpDef& d) { return d.fused.kind == kind; });
+  };
+  EXPECT_EQ(fused_kind(FusedMemberKind::kCompute),
+            (std::set<std::string>{
+                "Abs", "Add", "Cast", "Cos", "Div", "Exp", "Floor", "Log",
+                "Maximum", "Minimum", "Mul", "Neg", "Pow", "Reciprocal",
+                "Relu", "Rsqrt", "Sigmoid", "Sign", "Sin", "Sqrt", "Square",
+                "SquaredDifference", "Sub", "Tanh"}));
+  EXPECT_EQ(fused_kind(FusedMemberKind::kLayout),
+            (std::set<std::string>{"ExpandDims", "Reshape", "Squeeze",
+                                   "Transpose"}));
+  EXPECT_EQ(fused_kind(FusedMemberKind::kReduce),
+            (std::set<std::string>{"Max", "Mean", "Min", "Sum"}));
+  EXPECT_EQ(ops_where([](const OpDef& d) {
+              return d.fused.kind == FusedMemberKind::kCompute &&
+                     kernels::MicroOpFloatOnly(d.fused.code);
+            }),
+            (std::set<std::string>{"Cos", "Exp", "Floor", "Log", "Pow",
+                                   "Reciprocal", "Rsqrt", "Sigmoid", "Sin",
+                                   "Sqrt", "Tanh"}));
+  const auto cost = [&](OpCostClass c) {
+    return ops_where([c](const OpDef& d) { return d.cost == c; });
+  };
+  EXPECT_EQ(cost(OpCostClass::kTranscendental),
+            (std::set<std::string>{"Cos", "Exp", "Log", "Pow", "RandomNormal",
+                                   "RandomUniform", "Rsqrt", "Sigmoid", "Sin",
+                                   "Sqrt", "Tanh"}));
+  EXPECT_EQ(cost(OpCostClass::kMatMul), std::set<std::string>{"MatMul"});
+  EXPECT_EQ(cost(OpCostClass::kConv2D), std::set<std::string>{"Conv2D"});
+  EXPECT_EQ(cost(OpCostClass::kConv2DBackpropInput),
+            std::set<std::string>{"Conv2DBackpropInput"});
+  EXPECT_EQ(cost(OpCostClass::kConv2DBackpropFilter),
+            std::set<std::string>{"Conv2DBackpropFilter"});
+  EXPECT_EQ(cost(OpCostClass::kBatchNorm),
+            (std::set<std::string>{"FusedBatchNorm", "FusedBatchNormGrad"}));
+  EXPECT_EQ(cost(OpCostClass::kSoftmax),
+            (std::set<std::string>{"LogSoftmax", "Softmax",
+                                   "SparseSoftmaxCrossEntropyWithLogits"}));
+  EXPECT_EQ(cost(OpCostClass::kPool),
+            (std::set<std::string>{"AvgPool", "AvgPoolGrad", "MaxPool",
+                                   "MaxPoolGrad"}));
+  EXPECT_EQ(ops_where([](const OpDef& d) {
+              return d.binding == OpDef::Binding::kArg;
+            }),
+            std::set<std::string>{"Arg"});
+  EXPECT_EQ(ops_where([](const OpDef& d) {
+              return d.binding == OpDef::Binding::kConst;
+            }),
+            std::set<std::string>{"Const"});
+  EXPECT_EQ(ops_where([](const OpDef& d) { return d.function_call; }),
+            std::set<std::string>{"Call"});
+  EXPECT_EQ(ops_where([](const OpDef& d) { return d.host_callback; }),
+            std::set<std::string>{"HostFunc"});
+  EXPECT_EQ(ops_where([](const OpDef& d) { return d.read_only; }),
+            (std::set<std::string>{"NoOp", "ReadVariableOp"}));
+  EXPECT_EQ(ops_where([](const OpDef& d) { return d.pure_when_seeded; }),
+            (std::set<std::string>{"RandomNormal", "RandomUniform"}));
+  EXPECT_EQ(ops_where([](const OpDef& d) {
+              return static_cast<bool>(d.trace_outputs);
+            }),
+            (std::set<std::string>{"Call", "Cond", "While", "WhileGrad"}));
 }
 
 // A kernel or gradient attaches only to a registered op, and only once.
