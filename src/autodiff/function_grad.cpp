@@ -146,7 +146,7 @@ StatusOr<BackwardFunction> BuildBackward(
 
     if (!node.def->gradient) {
       if (!node.def->differentiable) continue;
-      return Unimplemented("No gradient for op " + node.op +
+      return Unimplemented("No gradient for op " + node.def->name +
                            " inside staged function " + forward->name());
     }
     for (int j = 0; j < node.num_outputs(); ++j) {
@@ -156,7 +156,7 @@ StatusOr<BackwardFunction> BuildBackward(
       }
     }
     TapeEntry synthetic;
-    synthetic.op_name = node.op;
+    synthetic.op = node.def;
     synthetic.attrs = node.attrs;
     synthetic.device = node.requested_device;
     for (const Endpoint& e : node.inputs) {
@@ -168,7 +168,7 @@ StatusOr<BackwardFunction> BuildBackward(
     TFE_ASSIGN_OR_RETURN(std::vector<Tensor> grad_inputs,
                          node.def->gradient(synthetic, grad_outputs));
     if (grad_inputs.size() != node.inputs.size()) {
-      return Internal("Gradient arity mismatch for " + node.op);
+      return Internal("Gradient arity mismatch for " + node.def->name);
     }
     for (size_t j = 0; j < grad_inputs.size(); ++j) {
       if (!grad_inputs[j].defined()) continue;

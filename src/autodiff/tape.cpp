@@ -1,6 +1,6 @@
 #include "autodiff/tape.h"
 
-#include "ops/op_registry.h"
+#include "ops/op_def.h"
 #include "runtime/dispatch.h"
 #include "staging/trace_context.h"
 #include "support/strings.h"
@@ -72,7 +72,7 @@ void GradientTape::RecordOperation(const OpDef& op, const AttrMap& attrs,
       continue;
     }
     if (!tape->TracksAny(inputs)) continue;
-    tape->entries_.push_back({op.name, attrs, inputs, outputs, device});
+    tape->entries_.push_back({&op, attrs, inputs, outputs, device});
     for (const Tensor& output : outputs) {
       if (output.defined()) tape->tracked_.insert(output.id());
     }
@@ -173,12 +173,12 @@ StatusOr<std::vector<Tensor>> GradientTape::gradient(
     }
     if (!any_grad) continue;
 
-    StatusOr<const OpDef*> op = OpRegistry::Global()->LookUp(entry.op_name);
-    if (!op.ok() || !(*op)->gradient) {
-      if (op.ok() && !(*op)->differentiable) continue;  // gradient is zero
-      return Unimplemented(strings::StrCat(
-          "No gradient registered for op ", entry.op_name,
-          " (op is marked differentiable)"));
+    const OpDef& op = *entry.op;
+    if (!op.gradient) {
+      if (!op.differentiable) continue;  // gradient is zero
+      return Unimplemented(strings::StrCat("No gradient registered for op ",
+                                           op.name,
+                                           " (op is marked differentiable)"));
     }
 
     // Aggregate-with-zeros: gradient functions may rely on every output
@@ -191,9 +191,9 @@ StatusOr<std::vector<Tensor>> GradientTape::gradient(
     }
 
     TFE_ASSIGN_OR_RETURN(std::vector<Tensor> grad_inputs,
-                         (*op)->gradient(entry, grad_outputs));
+                         op.gradient(entry, grad_outputs));
     if (grad_inputs.size() != entry.inputs.size()) {
-      return Internal(strings::StrCat("Gradient for ", entry.op_name,
+      return Internal(strings::StrCat("Gradient for ", op.name,
                                       " returned ", grad_inputs.size(),
                                       " gradients for ", entry.inputs.size(),
                                       " inputs"));

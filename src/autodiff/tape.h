@@ -32,7 +32,7 @@ struct OpDef;
 // One recorded operation. Holding the input/output tensors keeps their
 // buffers alive for the backward pass, exactly like eager-mode TF.
 struct TapeEntry {
-  std::string op_name;
+  const OpDef* op = nullptr;  // the registry entry the dispatcher resolved
   AttrMap attrs;
   std::vector<Tensor> inputs;
   std::vector<Tensor> outputs;

@@ -1,5 +1,8 @@
 #include "device/device.h"
 
+#include "ops/op_def.h"
+#include "tensor/tensor.h"
+
 namespace tfe {
 
 Device::Device(DeviceNameParts name, DeviceCostParams cost_params,
@@ -20,6 +23,18 @@ uint64_t Device::CompileCostNs(const std::string& signature) {
     return cost_params_.per_op_compile_ns;
   }
   return 0;
+}
+
+uint64_t Device::OpCompileCostNs(const OpDef& op,
+                                 const std::vector<Tensor>& inputs) {
+  if (cost_params_.per_op_compile_ns == 0 || op.function_call) return 0;
+  std::string signature = op.name;
+  for (const Tensor& input : inputs) {
+    if (input.defined() && !input.is_resource()) {
+      signature += ";" + input.shape().ToString();
+    }
+  }
+  return CompileCostNs(signature);
 }
 
 void Device::ResetSimulation() { timeline_.Reset(); }

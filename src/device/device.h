@@ -19,6 +19,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "device/cost_model.h"
 #include "device/device_name.h"
@@ -26,6 +27,9 @@
 #include "tensor/allocator.h"
 
 namespace tfe {
+
+struct OpDef;
+class Tensor;
 
 class Device {
  public:
@@ -75,6 +79,10 @@ class Device {
   // (simulated TPU eager mode). First call per signature pays
   // per_op_compile_ns; later calls hit the compile cache and pay nothing.
   uint64_t CompileCostNs(const std::string& signature);
+  // CompileCostNs for running `op` on `inputs`, whose signature is the op
+  // name plus each data input's shape. Function calls pay here nothing:
+  // the Call kernel charges its function's compile itself.
+  uint64_t OpCompileCostNs(const OpDef& op, const std::vector<Tensor>& inputs);
 
   // Resets the timeline for a fresh measurement window. Compile caches are
   // deliberately preserved: the paper excludes one-time build/optimization

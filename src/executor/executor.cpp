@@ -151,8 +151,7 @@ std::shared_ptr<const ExecPlan> BuildPlan(const GraphFunction& function) {
     plan->deps.insert(plan->deps.end(), node_deps.begin(), node_deps.end());
     step.deps_end = static_cast<int>(plan->deps.size());
     step.pending = static_cast<int>(node_deps.size());
-    TFE_CHECK(node.def != nullptr) << "node " << id << " (" << node.op
-                                   << ") has no registry entry";
+    TFE_CHECK(node.def != nullptr) << "node " << id << " has no registry entry";
     step.op = node.def;
     step.prepared = EagerContext::Prepare(*node.def, node.attrs);
     step_of[id] = static_cast<int>(plan->steps.size());
@@ -363,7 +362,7 @@ StatusOr<Executor::Result> Executor::Run(const GraphFunction& function,
     const int produced = static_cast<int>(run.outputs.size());
     if (produced < step.required_outputs) {
       return Internal(strings::StrCat(
-          "Node ", step.node, " (", node.op, ") of function ",
+          "Node ", step.node, " (", node.def->name, ") of function ",
           function.name(), " produced ", produced, " outputs, but output ",
           step.required_outputs - 1, " is read"));
     }

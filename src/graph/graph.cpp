@@ -28,7 +28,6 @@ StatusOr<Node*> Graph::AddNode(const std::string& op,
 
   Node node;
   node.id = num_nodes();
-  node.op = op;
   node.def = def;
   node.attrs = std::move(attrs);
   node.inputs = std::move(inputs);
@@ -88,7 +87,7 @@ Tensor Graph::MakeSymbolic(const Endpoint& e) {
 std::string Graph::DebugString() const {
   std::ostringstream out;
   for (const Node& node : nodes_) {
-    out << "%" << node.id << " = " << node.op << "(";
+    out << "%" << node.id << " = " << node.def->name << "(";
     for (size_t i = 0; i < node.inputs.size(); ++i) {
       if (i > 0) out << ", ";
       out << "%" << node.inputs[i].node_id << ":" << node.inputs[i].index;

@@ -33,7 +33,6 @@ struct Endpoint {
 
 struct Node {
   int id = -1;
-  std::string op;
   // The op's registry entry, resolved once when the node is created.
   const OpDef* def = nullptr;
   AttrMap attrs;

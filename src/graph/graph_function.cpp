@@ -86,7 +86,7 @@ Status CloneGraphFunctionInto(const GraphFunction& source,
     const Node& node = graph.node(id);
     TFE_ASSIGN_OR_RETURN(
         Node * cloned,
-        out.AddNode(node.op, node.inputs, node.attrs, node.outputs,
+        out.AddNode(node.def->name, node.inputs, node.attrs, node.outputs,
                     node.requested_device));
     cloned->constant_value = node.constant_value;
     cloned->control_inputs = node.control_inputs;

@@ -10,6 +10,7 @@
 #include "device/device.h"
 #include "kernels/fused_elementwise.h"
 #include "kernels/program_cache.h"
+#include "kernels/run_selector.h"
 #include "ops/op_registry.h"
 #include "runtime/eager_context.h"
 #include "support/strings.h"
@@ -74,6 +75,79 @@ std::vector<int> IdentityMap(int n) {
   return map;
 }
 
+// A graph's not-yet-fused nodes from an anchor on, as the fused-run
+// selector's candidate stream: position p is the p-th node at or after the
+// anchor that no earlier run claimed. The fused node replaces a run at its
+// anchor, so an input produced before the anchor, or by a node an earlier
+// run claimed (that run's fused node sits at an earlier anchor), is an
+// external operand the run may always read without forming a cycle.
+class GraphRunSource final : public kernels::FusedRunSource {
+ public:
+  GraphRunSource(const Graph& graph,
+                 const std::vector<const kernels::FusedMemberClass*>& cls,
+                 const std::vector<int>& run_of, const std::vector<int>& reads,
+                 int anchor)
+      : graph_(graph), cls_(cls), run_of_(run_of), reads_(reads),
+        anchor_(anchor) {}
+
+  int node_at(int pos) const { return ids_[pos]; }
+
+  bool Candidate(int pos, kernels::FusedRunCandidate* out) override {
+    TFE_CHECK_EQ(pos, static_cast<int>(ids_.size()));
+    int id = ids_.empty() ? anchor_ : ids_.back() + 1;
+    while (id < graph_.num_nodes() && run_of_[id] >= 0) ++id;
+    if (id >= graph_.num_nodes()) return false;
+    ids_.push_back(id);
+    const Node& node = graph_.node(id);
+    out->id = id;
+    out->op = node.def;
+    out->attrs = &node.attrs;
+    out->cls = cls_[id];
+    out->num_inputs = static_cast<int>(node.inputs.size());
+    if (node.num_outputs() == 1) {
+      out->dtype = node.outputs[0].dtype;
+      out->shape = &node.outputs[0].shape;
+    }
+    return true;
+  }
+
+  kernels::FusedRunInput Input(int pos, int i) override {
+    const Endpoint& e = graph_.node(ids_[pos]).inputs[i];
+    kernels::FusedRunInput in;
+    if (e.node_id >= anchor_ && run_of_[e.node_id] < 0) {
+      in.producer = e.node_id;
+      return in;
+    }
+    const TypeAndShape& type = graph_.endpoint_type(e);
+    in.key = (static_cast<int64_t>(e.node_id) << 32) | e.index;
+    in.dtype = type.dtype;
+    in.shape = &type.shape;
+    in.usable = true;
+    return in;
+  }
+
+  // Read outside the run: by a node that is not a later member, or by the
+  // function's return list.
+  bool ReadOutside(const std::vector<int>& members, size_t k) override {
+    const int id = ids_[members[k]];
+    int in_run = 0;
+    for (size_t m = k + 1; m < members.size(); ++m) {
+      for (const Endpoint& e : graph_.node(ids_[members[m]]).inputs) {
+        if (e.node_id == id) ++in_run;
+      }
+    }
+    return reads_[id] > in_run;
+  }
+
+ private:
+  const Graph& graph_;
+  const std::vector<const kernels::FusedMemberClass*>& cls_;
+  const std::vector<int>& run_of_;
+  const std::vector<int>& reads_;
+  const int anchor_;
+  std::vector<int> ids_;  // node id per scan position, ascending
+};
+
 }  // namespace
 
 Status Prune(GraphFunction& function, PassStats* stats) {
@@ -124,7 +198,7 @@ Status EliminateCommonSubexpressions(GraphFunction& function,
   for (int id = 0; id < n; ++id) {
     const Node& node = graph.node(id);
     if (node.is_stateful() || node.is_bound()) continue;
-    std::string key = node.op + "|" + node.requested_device + "|" +
+    std::string key = node.def->name + "|" + node.requested_device + "|" +
                       AttrMapToString(node.attrs) + "|";
     for (const Endpoint& e : node.inputs) {
       int src = e.node_id;
@@ -173,7 +247,6 @@ Status FoldConstants(GraphFunction& function, PassStats* stats) {
                                   /*start_ns=*/0);
     if (!run.ok() || run->outputs.size() != 1) continue;  // fold is best-effort
     // Rewrite in place as a Const node.
-    node.op = "Const";
     node.def = const_def;
     node.attrs.clear();
     node.inputs.clear();
@@ -269,248 +342,56 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
     }
   }
 
-  // A node's fused-run class under the run-membership rules shared with the
-  // op-queue drain; only single-output nodes without control dependencies
-  // are candidates. nullptr when the node cannot join a run.
-  auto member_class =
-      [&](const Node& node) -> const kernels::FusedMemberClass* {
-    const bool member =
-        node.control_inputs.empty() && node.num_outputs() == 1 &&
+  // Each node's run-member class (only single-output nodes without control
+  // dependencies qualify), and how many input slots and function outputs
+  // read it.
+  std::vector<const kernels::FusedMemberClass*> member_class(n, nullptr);
+  std::vector<int> reads(n, 0);
+  for (int id = 0; id < n; ++id) {
+    const Node& node = graph.node(id);
+    if (node.control_inputs.empty() && node.num_outputs() == 1 &&
         kernels::ClassifyFusedMember(*node.def, node.attrs, node.inputs.size(),
                                      node.outputs[0].dtype,
-                                     node.outputs[0].shape);
-    return member ? &node.def->fused : nullptr;
-  };
-
-  // Describes member `id` of a run (the ascending member-id list) to the run
-  // compiler; external operands collect (deduplicated) into `operands`.
-  auto member_desc = [&](int id, const std::vector<int>& members,
-                         std::vector<Endpoint>& operands)
-      -> kernels::FusedRunOp {
-    const Node& node = graph.node(id);
-    kernels::FusedRunOp op = kernels::MakeFusedRunOp(
-        *node.def, node.attrs, node.outputs[0].dtype, node.outputs[0].shape);
-    for (const Endpoint& e : node.inputs) {
-      // An input produced by an earlier member references its position in
-      // the member list (ids ascend, so any member input is earlier).
-      int producer = -1;
-      for (size_t k = 0; k < members.size() && members[k] < id; ++k) {
-        if (members[k] == e.node_id) {
-          producer = static_cast<int>(k);
-          break;
-        }
-      }
-      if (producer >= 0) {
-        op.args.push_back({producer, /*operand=*/-1});
-        continue;
-      }
-      int idx = -1;
-      for (size_t k = 0; k < operands.size(); ++k) {
-        if (operands[k] == e) {
-          idx = static_cast<int>(k);
-          break;
-        }
-      }
-      if (idx < 0) {
-        idx = static_cast<int>(operands.size());
-        operands.push_back(e);
-      }
-      op.args.push_back({/*producer=*/-1, /*operand=*/idx});
+                                     node.outputs[0].shape)) {
+      member_class[id] = &node.def->fused;
     }
-    return op;
-  };
+    for (const Endpoint& e : node.inputs) ++reads[e.node_id];
+  }
+  for (const Endpoint& out : function.outputs()) ++reads[out.node_id];
 
-  auto build_descs = [&](const std::vector<int>& members,
-                         std::vector<Endpoint>* operands,
-                         std::vector<kernels::FusedRunOperand>* operand_descs)
-      -> std::vector<kernels::FusedRunOp> {
-    std::vector<kernels::FusedRunOp> ops;
-    for (int id : members) {
-      ops.push_back(member_desc(id, members, *operands));
-    }
-    for (const Endpoint& e : *operands) {
-      const TypeAndShape& t = graph.endpoint_type(e);
-      operand_descs->push_back({t.dtype, t.shape});
-    }
-    return ops;
-  };
-
-  // How far past a run's anchor the DAG capture scan looks for members
-  // (mirrors the drain's bounded peek-plus-skip window).
-  constexpr int kMaxScanWindow = 192;
-
-  // Greedy maximal DAG segments: each run is an ascending member-id list,
-  // not necessarily contiguous — the scan steps over non-joining nodes
-  // (holes), so a non-fusable op interleaved in a diamond no longer cuts the
-  // run. The fused node replaces the run at its *anchor* (first member)
-  // position, so cycle freedom needs every external operand to precede the
-  // anchor: a node whose input comes from a skipped node (id >= anchor, not
-  // a member) does not join. Each candidate is trial-compiled and shrunk
-  // from the tail until it compiles — the compiler is the single authority
-  // on layout compatibility.
+  // Runs, anchored in id order: each anchor offers the nodes no earlier run
+  // claimed to the selector shared with the op-queue drain.
   struct Run {
     std::vector<int> members;  // ascending node ids; front() is the anchor
+    std::vector<Endpoint> operands;
+    kernels::CompiledRun compiled;
   };
   std::vector<Run> runs;
   std::vector<int> run_of(n, -1);
-  int start = 0;
-  while (start < n) {
-    const kernels::FusedMemberClass* start_cls =
-        run_of[start] >= 0 ? nullptr : member_class(graph.node(start));
-    if (start_cls == nullptr ||
-        start_cls->kind == kernels::FusedMemberKind::kReduce) {
-      ++start;
-      continue;
+  for (int anchor = 0; anchor < n; ++anchor) {
+    if (run_of[anchor] >= 0 || member_class[anchor] == nullptr) continue;
+    GraphRunSource source(graph, member_class, run_of, reads, anchor);
+    kernels::FusedRunSelection selection = kernels::SelectFusedRun(
+        source, kernels::FusedProgramCache::Global());
+    if (selection.members.empty()) continue;
+    Run& run = runs.emplace_back();
+    for (int pos : selection.members) {
+      run.members.push_back(source.node_at(pos));
+      run_of[run.members.back()] = static_cast<int>(runs.size()) - 1;
     }
-    const DType dtype = graph.node(start).outputs[0].dtype;
-    std::vector<int> members{start};
-    auto member_pos = [&](int id) -> int {
-      for (size_t k = 0; k < members.size(); ++k) {
-        if (members[k] == id) return static_cast<int>(k);
-      }
-      return -1;
-    };
-    // Every input is an in-run value or an external operand passing the
-    // shared operand rule that precedes the anchor (see above).
-    auto inputs_ok = [&](const Node& node,
-                         const kernels::FusedMemberClass& cls) {
-      for (const Endpoint& e : node.inputs) {
-        if (member_pos(e.node_id) >= 0) {
-          if (e.index != 0) return false;
-          continue;
-        }
-        if (e.node_id >= start) return false;  // skipped node: would cycle
-        const TypeAndShape& t = graph.endpoint_type(e);
-        if (!kernels::FusedOperandOk(cls, node.outputs[0].dtype,
-                                     node.outputs[0].shape, t.dtype,
-                                     t.shape)) {
-          return false;
-        }
-      }
-      return true;
-    };
-    // The anchor's own operands are validated here (the member scan starts
-    // past it); without this, a hopeless anchor would churn through the
-    // shrink loop's trial compiles before being discarded.
-    if (!inputs_ok(graph.node(start), *start_cls)) {
-      ++start;
-      continue;
+    for (const kernels::FusedRunSlot& slot : selection.operands) {
+      run.operands.push_back(
+          graph.node(run.members[slot.member]).inputs[slot.input]);
     }
-    int64_t run_count = graph.node(start).outputs[0].shape.num_elements();
-    bool saw_reduce = false;
-    for (int j = start + 1;
-         j < n && j < start + kMaxScanWindow && !saw_reduce &&
-         members.size() < kernels::kMaxFusedRunMembers;
-         ++j) {
-      if (run_of[j] >= 0) continue;  // claimed by an earlier run
-      const Node& node = graph.node(j);
-      const kernels::FusedMemberClass* cls = member_class(node);
-      if (cls == nullptr || node.outputs[0].dtype != dtype) {
-        continue;  // a hole: step over it
-      }
-      const int64_t count = node.outputs[0].shape.num_elements();
-      bool ok;
-      if (cls->kind == kernels::FusedMemberKind::kReduce) {
-        // Joins only as the terminating epilogue of an in-run value; a
-        // reduction of an in-run value of the full count ends the scan
-        // whether or not it fits.
-        const Endpoint& e = node.inputs[0];
-        const Shape& producer_shape = graph.node(e.node_id).outputs[0].shape;
-        saw_reduce = member_pos(e.node_id) >= 0 && e.index == 0 &&
-                     producer_shape.num_elements() == run_count;
-        ok = saw_reduce &&
-             kernels::FusedReduceFits(node.attrs, producer_shape, run_count);
-      } else {
-        ok = kernels::FusedCountFits(count, run_count) &&
-             inputs_ok(node, *cls);
-      }
-      if (!ok) continue;  // a hole: step over it
-      members.push_back(j);
-      if (cls->kind != kernels::FusedMemberKind::kReduce) {
-        run_count = std::max(run_count, count);
-      }
-    }
-    // Shrink from the tail until the segment compiles (trial
-    // materialization: only the last member publishes — output emission
-    // itself cannot fail, so a compiling trial compiles with any
-    // materialize set).
-    while (members.size() >= 2) {
-      std::vector<Endpoint> operands;
-      std::vector<kernels::FusedRunOperand> operand_descs;
-      std::vector<kernels::FusedRunOp> ops =
-          build_descs(members, &operands, &operand_descs);
-      ops.back().materialize = true;
-      if (kernels::CompileFusedRun(ops, operand_descs, dtype).ok()) break;
-      members.pop_back();
-    }
-    if (members.size() >= 2) {
-      for (int id : members) run_of[id] = static_cast<int>(runs.size());
-      runs.push_back({std::move(members)});
-    }
-    ++start;
+    run.compiled = std::move(selection.compiled);
   }
   if (runs.empty()) return Status::OK();
-
-  // A run member's value must materialize as a fused output when anything
-  // outside its run — another node or the function's return list — reads it.
-  std::vector<bool> used_outside(n, false);
-  for (int id = 0; id < n; ++id) {
-    for (const Endpoint& e : graph.node(id).inputs) {
-      if (run_of[e.node_id] >= 0 && run_of[e.node_id] != run_of[id]) {
-        used_outside[e.node_id] = true;
-      }
-    }
-  }
-  for (const Endpoint& out : function.outputs()) {
-    if (run_of[out.node_id] >= 0) used_outside[out.node_id] = true;
-  }
-  // A fully-internal run (possible in principle, not after Prune) still
-  // publishes its final value.
-  for (const Run& run : runs) {
-    bool any = false;
-    for (int i : run.members) any = any || used_outside[i];
-    if (!any) used_outside[run.members.back()] = true;
-  }
-
-  // Compile every run before any node moves out of the graph: build_descs
-  // reads graph.endpoint_type() for external operands, which must happen
-  // while their producer nodes are still intact.
-  struct RunCompiled {
-    std::vector<Endpoint> operands;
-    kernels::CompiledRun compiled;
-    std::vector<TypeAndShape> outputs;  // one per compiled.output_members
-    DType dtype = DType::kFloat32;
-  };
-  std::vector<RunCompiled> run_compiled;
-  run_compiled.reserve(runs.size());
-  for (const Run& run : runs) {
-    RunCompiled rc;
-    rc.dtype = graph.node(run.members.front()).outputs[0].dtype;
-    std::vector<kernels::FusedRunOperand> operand_descs;
-    std::vector<kernels::FusedRunOp> ops =
-        build_descs(run.members, &rc.operands, &operand_descs);
-    for (size_t k = 0; k < run.members.size(); ++k) {
-      ops[k].materialize = used_outside[run.members[k]];
-    }
-    auto compiled_or = kernels::FusedProgramCache::Global().GetOrCompile(
-        ops, operand_descs, rc.dtype);
-    if (!compiled_or.ok()) {
-      // The trial compile accepted this segment and materialization cannot
-      // introduce new failures, so this is a pass invariant violation.
-      return Internal("FuseElementwise segment stopped compiling: " +
-                      compiled_or.status().message());
-    }
-    rc.compiled = std::move(*compiled_or);
-    for (int member_off : rc.compiled.output_members) {
-      rc.outputs.push_back(graph.node(run.members[member_off]).outputs[0]);
-    }
-    run_compiled.push_back(std::move(rc));
-  }
 
   // Rebuild the node list: non-run nodes move over; each run collapses to a
   // FusedElementwise node at its anchor position. Nodes sitting in a run's
   // holes keep their relative order, which stays topological because every
-  // external operand of the run precedes the anchor.
+  // external operand of the run is produced before the anchor (by a node
+  // there, or by an earlier run's fused node).
   TFE_ASSIGN_OR_RETURN(const OpDef* fused_def,
                        OpRegistry::Global()->LookUp("FusedElementwise"));
   std::deque<Node> nodes;
@@ -528,32 +409,31 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
       nodes.push_back(std::move(node));
       continue;
     }
-    const Run& run = runs[r];
-    RunCompiled& rc = run_compiled[r];
+    Run& run = runs[r];
     Node fused;
-    fused.op = "FusedElementwise";
     fused.def = fused_def;
-    for (size_t k = 0; k < rc.compiled.output_members.size(); ++k) {
-      const int member = run.members[rc.compiled.output_members[k]];
+    for (size_t k = 0; k < run.compiled.output_members.size(); ++k) {
+      const int member = run.members[run.compiled.output_members[k]];
       fused_out_index[member] = static_cast<int>(k);
+      fused.outputs.push_back(graph.node(member).outputs[0]);
     }
-    fused.outputs = std::move(rc.outputs);
-    fused.attrs.emplace("program", AttrValue(rc.compiled.program.Encode()));
+    fused.attrs.emplace("program", AttrValue(run.compiled.program.Encode()));
     // Extended programs may read operands under layout maps or foreign
     // dtypes, so the run dtype is always explicit.
-    fused.attrs.emplace("dtype", AttrValue(rc.dtype));
-    fused.inputs = std::move(rc.operands);
+    fused.attrs.emplace(
+        "dtype", AttrValue(graph.node(run.members.front()).outputs[0].dtype));
+    fused.inputs = std::move(run.operands);
     const int fused_id = static_cast<int>(nodes.size());
     for (int i : run.members) new_node_id[i] = fused_id;
     nodes.push_back(std::move(fused));
     if (stats != nullptr) {
       stats->fused_runs += 1;
       stats->fused_nodes += static_cast<int>(run.members.size());
-      if (rc.compiled.has_reduce) stats->fused_reduce_runs += 1;
+      if (run.compiled.has_reduce) stats->fused_reduce_runs += 1;
       const bool contiguous =
           run.members.back() - run.members.front() + 1 ==
           static_cast<int>(run.members.size());
-      if (!contiguous || rc.compiled.output_members.size() > 1) {
+      if (!contiguous || run.compiled.output_members.size() > 1) {
         stats->fused_dag_runs += 1;
       }
     }

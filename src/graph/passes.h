@@ -59,10 +59,10 @@ StatusOr<std::vector<int>> DropUnreadParameters(GraphFunction& function,
 // Reshape/ExpandDims/Squeeze), and trailing-reduction (Sum/Mean/Max/Min)
 // nodes into single FusedElementwise nodes interpreting a micro-op
 // map-reduce program (the static counterpart of the op-queue drain fusion;
-// both describe runs to the fused-program cache, which compiles via
-// kernels::CompileFusedRun on a miss). Segments need not be contiguous in
+// both pick runs with kernels::SelectFusedRun, so the same op sequence forms
+// the same runs on either stage). Segments need not be contiguous in
 // node-id order: the scan steps over non-fusable nodes, and cycle freedom
-// is kept by requiring every external operand to precede the segment's
+// is kept because every external operand is produced before the segment's
 // anchor. Intermediates consumed only inside a run disappear from the
 // graph; intermediates used elsewhere (or returned) become extra fused
 // outputs — multi-consumer intermediates and diamond joins fuse as one

@@ -224,7 +224,7 @@ StatusOr<std::string> SerializeFunction(const GraphFunction& function) {
   out << graph.num_nodes() << " ";
   for (int id = 0; id < graph.num_nodes(); ++id) {
     const Node& node = graph.node(id);
-    WriteString(out, node.op);
+    WriteString(out, node.def->name);
     out << node.inputs.size() << " ";
     for (const Endpoint& e : node.inputs) {
       out << e.node_id << " " << e.index << " ";

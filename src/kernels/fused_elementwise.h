@@ -4,10 +4,10 @@
 //
 // Both fusion frontends — the op-queue drain (dynamic, paper §5) and the
 // graph pass in graph/passes.cpp (static, the §4.6 staged-optimization
-// opportunity) — decide run membership with the rules below, describe a
-// recognized run to CompileFusedRun(), and lower it to the same program
-// encoding and the same interpreter, so fused execution is bitwise identical
-// in either stage.
+// opportunity) — select runs with one selector (kernels/run_selector.h)
+// applying the membership rules below, describe each run to
+// CompileFusedRun(), and lower it to the same program encoding and the same
+// interpreter, so fused execution is bitwise identical in either stage.
 //
 // The "program" attr (a vector<int64_t>) has one encoding:
 //
@@ -181,12 +181,8 @@ bool MicroOpFloatOnly(MicroOpCode code);
 
 // ---- Run membership ---------------------------------------------------------
 //
-// The one rule set both fusion frontends apply while growing a run. What
-// stays per frontend is how an input resolves (the drain: a resolved handle
-// on this device and the donation use-count proof; the pass: a graph
-// endpoint that precedes the run's anchor), the scan window, and the tail
-// policy (the drain hands scalar tails back to the queue; the pass shrinks
-// the run until it trial-compiles).
+// The one rule set the fused-run selector (kernels/run_selector.h) applies
+// while growing a run for either frontend.
 
 // The role an op plays inside a run: a compute member contributes a micro-op
 // instruction, a layout member (Transpose/Reshape/ExpandDims/Squeeze) folds
@@ -226,7 +222,7 @@ bool FusedOperandOk(const FusedMemberClass& cls, DType member_dtype,
                     const Shape& member_shape, DType dtype,
                     const Shape& shape);
 
-// Most members one run absorbs. Bounds each frontend's scan and the size of
+// Most members one run absorbs. Bounds the selector's scan and the size of
 // the interpreted program.
 constexpr size_t kMaxFusedRunMembers = 64;
 
@@ -251,13 +247,12 @@ bool FusedReduceFits(const AttrMap& attrs, const Shape& input,
 
 // ---- Run compiler ----------------------------------------------------------
 //
-// Both fusion frontends describe a candidate run as a vector of FusedRunOp
-// (one per member, in queue/topological order) plus the deduplicated
-// external operands, and get back a program. Any unsupported pattern —
-// layout under an incompatible index map, a non-trailing reduction,
-// conflicting index maps for a multiply-consumed producer — returns an
-// error, and the caller falls back to op-at-a-time execution (the drain) or
-// leaves the span unfused (the graph pass).
+// The selector describes a candidate run as a vector of FusedRunOp (one per
+// member, in queue/topological order) plus the deduplicated external
+// operands, and gets back a program. Any unsupported pattern — layout under
+// an incompatible index map, a non-trailing reduction, conflicting index
+// maps for a multiply-consumed producer — returns an error, and the
+// selector shrinks the run from its tail.
 
 struct FusedRunArg {
   int producer = -1;  // in-run member index, or -1

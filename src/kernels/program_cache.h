@@ -2,17 +2,18 @@
 // "compiler cache keyed on trace hash", arXiv 2102.13267, applied to our
 // MicroProgram compiler).
 //
-// Both fusion frontends recognize the same DAG segment on every training
-// step; only its shapes and dtypes matter to CompileFusedRun, so the cache
-// key is the segment's shape/dtype signature — built from the same
-// TypeShapeKey atom the trace cache uses (staging/signature.h) plus the
-// run's wiring (op names, producer/operand argument references, layout
-// perms, reduction axes, materialization and donation bits). Steady-state
-// steps fetch the compiled artifact instead of re-running trial compilation.
+// The fused-run selector recognizes the same DAG segment on every training
+// step, for either frontend; only its shapes and dtypes matter to
+// CompileFusedRun, so the cache key is the segment's shape/dtype signature
+// — built from the same TypeShapeKey atom the trace cache uses
+// (staging/signature.h) plus the run's wiring (op names, producer/operand
+// argument references, layout perms, reduction axes, materialization and
+// donation bits). Steady-state steps fetch the compiled artifact instead of
+// recompiling.
 //
 // Failed compilations are cached too: a segment the compiler rejects is
-// rejected identically every step, and the drain must learn that without
-// paying the compile walk each time.
+// rejected identically every step, and the selector's shrink-and-retry must
+// learn that without paying the compile walk each time.
 //
 // Eviction is LRU with a fixed entry cap. Counters
 // fusion.program_cache.{hit,miss,evict} and a program_cache_hit trace

@@ -479,15 +479,7 @@ StatusOr<std::vector<Tensor>> EagerContext::RunPrimitive(
 
   // Simulated-TPU eager mode: each new op signature pays a compile cost
   // before it can run (paper §4.4); the per-device cache makes it one-time.
-  if (device->cost_params().per_op_compile_ns > 0 && !op.function_call) {
-    std::string signature = op.name;
-    for (const Tensor& input : inputs) {
-      if (input.defined() && !input.is_resource()) {
-        signature += ";" + input.shape().ToString();
-      }
-    }
-    AdvanceHostNs(device->CompileCostNs(signature));
-  }
+  AdvanceHostNs(device->OpCompileCostNs(op, inputs));
 
   TFE_ASSIGN_OR_RETURN(KernelRun run,
                        ExecuteKernel(op, std::move(inputs), attrs, device,

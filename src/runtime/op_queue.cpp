@@ -1,7 +1,6 @@
 #include "runtime/op_queue.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 
 #include "device/device.h"
@@ -40,85 +39,145 @@ std::shared_ptr<TensorHandle> FirstUnresolvedInput(const OpQueue::Node& node,
   return nullptr;
 }
 
-// How many non-joining queued nodes the DAG capture scan will step over
-// while looking for more members. Bounds the per-drain scan (and the deque
-// middle-erase cost) when the queue is deep.
-constexpr size_t kMaxPeekSkip = 128;
-
-// A queued node's fused-run class under the run-membership rules shared
-// with the static graph pass; nullptr when the node cannot join a run.
-const kernels::FusedMemberClass* ClassifyNode(const OpQueue::Node& node) {
-  const bool member =
-      node.outputs.size() == 1 &&
-      kernels::ClassifyFusedMember(*node.op, node.attrs, node.inputs.size(),
-                                   node.outputs[0]->dtype(),
-                                   node.outputs[0]->shape());
-  return member ? &node.op->fused : nullptr;
-}
-
-bool IsReduction(const OpQueue::Node& node) {
-  return node.op->fused.kind == kernels::FusedMemberKind::kReduce;
-}
-
 // Resolves an external (not produced in-run) input to its concrete value.
-// False when the input is unresolved, poisoned, or not plain data.
-bool ResolvedOperand(const Tensor& input, Tensor* value) {
+// Null when the input is unresolved, poisoned, or not plain data.
+const Tensor* ResolvedOperand(const Tensor& input) {
   const auto& handle = input.pending_handle();
   // Remote values are copy-on-read: "resolved" only means the worker posted
   // completion, and touching the placeholder would trigger (or race) the
   // fetch. Never fuse through them.
-  if (handle != nullptr && handle->remote_info() != nullptr) return false;
-  if (handle == nullptr) {
-    *value = input;
-  } else {
-    if (!handle->resolved() || !handle->status().ok()) return false;
-    *value = handle->tensor();
+  if (handle != nullptr && handle->remote_info() != nullptr) return nullptr;
+  if (handle != nullptr && (!handle->resolved() || !handle->status().ok())) {
+    return nullptr;
   }
-  return value->defined() && !value->is_symbolic() && !value->is_resource() &&
-         !value->is_opaque();
+  const Tensor* value = handle == nullptr ? &input : &handle->tensor();
+  const bool plain = value->defined() && !value->is_symbolic() &&
+                     !value->is_resource() && !value->is_opaque();
+  return plain ? value : nullptr;
 }
 
-// Whether external input `input` can feed run member `member` without a
-// transparent copy: it resolves to plain data already resident on `device`
-// (nullptr means host data, which the host CPU reads in place) and passes
-// the shared operand rule.
-bool ExternalOperandOk(const Tensor& input,
-                       const kernels::FusedMemberClass& cls,
-                       const TensorHandle& member, const Device* device) {
-  Tensor value;
-  return ResolvedOperand(input, &value) &&
-         (value.device() == nullptr || value.device() == device) &&
-         kernels::FusedOperandOk(cls, member.dtype(), member.shape(),
-                                 value.dtype(), value.shape());
-}
+// The queue as the fused-run selector's candidate stream: position p is
+// queue[p], the front is the anchor. The facts that are the drain's own live
+// here: which queued node produces a pending input, when an external operand
+// is usable, the donation proof, and observability.
+//
+// The source reads queued nodes through element pointers it takes under the
+// queue lock, a chunk at a time as the scan reaches them: Enqueue only
+// appends, which leaves existing elements in place, and only the drain
+// removes any, so the scan itself runs without the lock.
+class QueueRunSource final : public kernels::FusedRunSource {
+ public:
+  QueueRunSource(std::mutex& mu, const std::deque<OpQueue::Node>& queue,
+                 const OpQueue::Node* front, const Device* device,
+                 bool donation)
+      : mu_(mu), deque_(queue), nodes_{front}, device_(device),
+        donation_(donation) {}
 
-// Whether run node `n`'s output can be observed outside the run. False only
-// when provably every reference to the handle — and to the tensor state
-// wrapping it — is an input slot of a later node in the run, i.e. the caller
-// dropped its tensor and only the fuser holds the value. Use counts are racy
-// the same way shared_ptr::use_count is, but stale counts only err high, so
-// races resolve toward materializing (the safe direction).
-bool Observable(size_t n, const std::vector<OpQueue::Node>& run) {
-  const auto& handle = run[n].outputs[0];
-  const long handle_refs = handle.use_count();
-  if (handle_refs <= 1) return false;  // only run[n].outputs itself
-  if (handle_refs > 2) return true;    // several tensor states hold it
-  // Exactly one tensor state holds the handle. Locate it among the later
-  // in-run input slots; if found, it is unobservable iff those slots account
-  // for every tensor sharing the state.
-  const Tensor* holder = nullptr;
-  long in_run_state_refs = 0;
-  for (size_t m = n + 1; m < run.size(); ++m) {
-    for (const Tensor& input : run[m].inputs) {
-      if (input.pending_handle().get() == handle.get()) {
-        holder = &input;
-        ++in_run_state_refs;
+  bool Candidate(int pos, kernels::FusedRunCandidate* out) override {
+    if (static_cast<size_t>(pos) >= nodes_.size()) {
+      constexpr size_t kChunk = 32;
+      std::lock_guard<std::mutex> lock(mu_);
+      const size_t end = std::min(deque_.size(), nodes_.size() + kChunk);
+      for (size_t p = nodes_.size(); p < end; ++p) {
+        nodes_.push_back(&deque_[p]);
+      }
+      if (static_cast<size_t>(pos) >= nodes_.size()) return false;
+    }
+    const OpQueue::Node& node = *nodes_[pos];
+    out->op = node.op;
+    out->attrs = &node.attrs;
+    out->num_inputs = static_cast<int>(node.inputs.size());
+    if (node.outputs.size() == 1) {
+      out->id = Id(node.outputs[0]);
+      const TensorHandle& result = *node.outputs[0];
+      out->dtype = result.dtype();
+      out->shape = &result.shape();
+      if (kernels::ClassifyFusedMember(*node.op, node.attrs,
+                                       node.inputs.size(), result.dtype(),
+                                       result.shape())) {
+        out->cls = &node.op->fused;
       }
     }
+    return true;
   }
-  if (holder == nullptr) return true;  // held outside the run
-  return holder->state_use_count() != in_run_state_refs;
-}
+
+  kernels::FusedRunInput Input(int pos, int i) override {
+    kernels::FusedRunInput in;
+    const Tensor& input = nodes_[pos]->inputs[i];
+    const auto& handle = input.pending_handle();
+    if (handle != nullptr && !handle->resolved()) {
+      // Pending: produced by a node queued ahead of this one, or elsewhere
+      // (another queue), which makes it unusable.
+      in.producer = Id(handle);
+      return in;
+    }
+    // Usable without a transparent copy: plain data already resident on this
+    // device (no device means host data, which the host CPU reads in place).
+    const Tensor* value = ResolvedOperand(input);
+    if (value == nullptr ||
+        (value->device() != nullptr && value->device() != device_)) {
+      return in;
+    }
+    in.key = value->id();
+    in.dtype = value->dtype();
+    in.shape = &value->shape();
+    in.usable = true;
+    // Donation: offer this operand's buffer as an in-place output when it is
+    // provably exclusive — `input` (this slot, alive until the kernel
+    // returns) is the only tensor state wrapping the producing handle, and
+    // nothing else holds the handle, its resolved value, or its buffer. A
+    // tape-watched or user-aliased value fails these counts (TapeEntry and
+    // aliases hold whole Tensors). Counts are racy the same way
+    // ReadOutside's are, but external references can only be created from
+    // existing external references, so a stale count only errs high and
+    // races resolve toward copying (the safe direction).
+    in.may_donate = donation_ && handle != nullptr &&
+                    handle.use_count() == 1 && input.state_use_count() == 1 &&
+                    value->state_use_count() == 1 &&  // the handle's own
+                    value->buffer().use_count() == 1;
+    return in;
+  }
+
+  // Observability: false only when provably every reference to the member's
+  // handle — and to the tensor state wrapping it — is an input slot of a
+  // later member, i.e. the caller dropped its tensor and only the fuser holds
+  // the value. Use counts are racy the same way shared_ptr::use_count is, but
+  // stale counts only err high, so races resolve toward materializing (the
+  // safe direction).
+  bool ReadOutside(const std::vector<int>& members, size_t k) override {
+    const auto& handle = nodes_[members[k]]->outputs[0];
+    const long handle_refs = handle.use_count();
+    if (handle_refs <= 1) return false;  // only the node's outputs
+    if (handle_refs > 2) return true;    // several tensor states hold it
+    // Exactly one tensor state holds the handle. Locate it among the later
+    // in-run input slots; if found, it is unobservable iff those slots
+    // account for every tensor sharing the state.
+    const Tensor* holder = nullptr;
+    long in_run_state_refs = 0;
+    for (size_t m = k + 1; m < members.size(); ++m) {
+      for (const Tensor& input : nodes_[members[m]]->inputs) {
+        if (input.pending_handle().get() == handle.get()) {
+          holder = &input;
+          ++in_run_state_refs;
+        }
+      }
+    }
+    if (holder == nullptr) return true;  // held outside the run
+    return holder->state_use_count() != in_run_state_refs;
+  }
+
+ private:
+  // A pending value's identity: its handle.
+  static int64_t Id(const std::shared_ptr<TensorHandle>& handle) {
+    return static_cast<int64_t>(reinterpret_cast<uintptr_t>(handle.get()));
+  }
+
+  std::mutex& mu_;
+  const std::deque<OpQueue::Node>& deque_;
+  std::vector<const OpQueue::Node*> nodes_;  // the positions reached so far
+  const Device* const device_;
+  const bool donation_;
+};
 
 }  // namespace
 
@@ -133,8 +192,7 @@ OpQueue::OpQueue(EagerContext* ctx, Device* device)
           profiler::Metrics().GetHistogram("fusion.run_length")),
       dispatch_latency_hist_(profiler::Metrics().GetHistogram(
           "queue.dispatch_to_execute_ns")),
-      drain_name_id_(profiler::Intern("drain " + device->name())),
-      fusion_name_id_(profiler::Intern("fused_run")) {}
+      drain_name_id_(profiler::Intern("drain " + device->name())) {}
 
 void OpQueue::Enqueue(Node node) {
   enqueued_counter_->Increment();
@@ -196,54 +254,36 @@ void OpQueue::Drain() {
       });
       return;
     }
+    // Take the largest fusable map-reduce DAG segment anchored at the front,
+    // as the shared selector picks it, so the segment executes as one
+    // kernel. Fuse only where the kernel actually computes: simulated
+    // accelerators are virtual-time devices and fusing would perturb their
+    // cost model. Popping members ahead of the holes the scan stepped over
+    // is safe: a member's inputs are all resolved or produced in-run (a
+    // consumer of a hole's output cannot join), ops with effects (variable
+    // writes) are never fusable, RNG streams are pinned at dispatch, and
+    // holes that consume a member's output see its handle resolve when the
+    // fused kernel completes. Members the selector drops while shrinking the
+    // run never leave the queue, so they keep their places.
+    kernels::FusedRunSelection selection;
+    if (ctx_->fuse_elementwise() && !device_->is_accelerator() &&
+        device_->executes_kernels()) {
+      QueueRunSource source(mu_, queue_, front, device_,
+                            ctx_->buffer_donation());
+      selection = kernels::SelectFusedRun(
+          source, kernels::FusedProgramCache::Global());
+    }
     std::vector<Node> run;
     size_t depth;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      run.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-      // Peek ahead: absorb the largest fusable map-reduce DAG segment behind
-      // the front. Members are popped together so the segment executes as
-      // one kernel; the scan steps over ("skips") queued nodes that do not
-      // join, so a non-fusable op interleaved in a diamond no longer cuts
-      // the run. Reordering members ahead of skipped nodes is safe: a
-      // member's inputs are all resolved or produced in-run (a consumer of a
-      // skipped node's output fails ResolvedOperand and cannot join), ops
-      // with effects (variable writes) are never fusable, RNG streams are
-      // pinned at dispatch, and skipped nodes that consume a member's output
-      // see its handle resolve when the fused kernel completes.
-      if (NodeStartsRun(run.front())) {
-        size_t scan = 0;
-        while (run.size() < kernels::kMaxFusedRunMembers &&
-               scan < queue_.size() &&
-               scan < kMaxPeekSkip) {
-          if (NodeJoinsRun(queue_[scan], run)) {
-            run.push_back(std::move(queue_[scan]));
-            queue_.erase(queue_.begin() +
-                         static_cast<std::ptrdiff_t>(scan));
-            // A reduce epilogue closes the run; stop scanning.
-            if (IsReduction(run.back())) break;
-          } else {
-            ++scan;
-          }
-        }
-        // The evaluation space is the last member's shape, so a scalar tail
-        // in a non-scalar run would shrink it to one element and fail to
-        // compile. Hand such tails back; the next iteration runs them alone.
-        // (A scalar *reduction* tail is exempt: its epilogue evaluates over
-        // the producer's shape.)
-        while (run.size() > 1 &&
-               run.back().outputs[0]->shape().num_elements() == 1 &&
-               !IsReduction(run.back())) {
-          int64_t prefix_count = 1;
-          for (size_t i = 0; i + 1 < run.size(); ++i) {
-            prefix_count = std::max(
-                prefix_count, run[i].outputs[0]->shape().num_elements());
-          }
-          if (prefix_count == 1) break;  // all-scalar run: fine as is
-          queue_.push_front(std::move(run.back()));
-          run.pop_back();
-        }
+      if (selection.members.empty()) selection.members.push_back(0);
+      for (int pos : selection.members) {
+        run.push_back(std::move(queue_[pos]));
+      }
+      for (auto it = selection.members.rbegin();
+           it != selection.members.rend(); ++it) {
+        queue_.erase(queue_.begin() + *it);
       }
       depth = queue_.size();
     }
@@ -251,188 +291,47 @@ void OpQueue::Drain() {
     run_length_hist_->Record(run.size());
     ops_drained += static_cast<int64_t>(run.size());
     drain_span.set_arg(ops_drained);
-    if (run.size() > 1) {
-      profiler::RecordInstant(profiler::EventKind::kFusionRun, fusion_name_id_,
-                              static_cast<int64_t>(run.size()));
-    }
     if (run.size() == 1) {
       Execute(std::move(run.front()));
     } else {
-      ExecuteFused(std::move(run));
+      ExecuteFused(std::move(run), selection.operands, selection.compiled);
     }
   }
 }
 
-bool OpQueue::NodeStartsRun(const Node& node) const {
-  if (!ctx_->fuse_elementwise()) return false;
-  // Fuse only where the kernel actually computes: simulated accelerators are
-  // virtual-time devices and fusing would perturb their cost model.
-  if (device_->is_accelerator() || !device_->executes_kernels()) return false;
-  // A reduction only terminates a run — alone it IS the standalone kernel.
-  const kernels::FusedMemberClass* cls = ClassifyNode(node);
-  if (cls == nullptr || cls->kind == kernels::FusedMemberKind::kReduce) {
-    return false;
-  }
-  for (const Tensor& input : node.inputs) {
-    if (!ExternalOperandOk(input, *cls, *node.outputs[0], device_)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool OpQueue::NodeJoinsRun(const Node& node,
-                           const std::vector<Node>& run) const {
-  // A reduction closes the run; nothing fuses behind its epilogue.
-  if (IsReduction(run.back())) return false;
-  const kernels::FusedMemberClass* cls = ClassifyNode(node);
-  if (cls == nullptr) return false;
-  const TensorHandle& out = *node.outputs[0];
-  if (out.dtype() != run.front().outputs[0]->dtype()) return false;
-
-  // The run's evaluation count so far. Members are scalar or share one
-  // count, so the maximum is that count.
-  int64_t run_count = 1;
-  for (const Node& prev : run) {
-    run_count =
-        std::max(run_count, prev.outputs[0]->shape().num_elements());
-  }
-
-  auto producer_of = [&](const Tensor& input) -> const Node* {
-    const auto& handle = input.pending_handle();
-    if (handle == nullptr) return nullptr;
-    for (const Node& prev : run) {
-      if (prev.outputs[0] == handle) return &prev;
-    }
-    return nullptr;
-  };
-
-  if (cls->kind == kernels::FusedMemberKind::kReduce) {
-    // A reduction that cannot be the epilogue stays standalone rather than
-    // dragging the whole run into the op-at-a-time fallback.
-    const Node* producer = producer_of(node.inputs[0]);
-    return producer != nullptr &&
-           kernels::FusedReduceFits(node.attrs, producer->outputs[0]->shape(),
-                                    run_count);
-  }
-  if (!kernels::FusedCountFits(out.shape().num_elements(), run_count)) {
-    return false;
-  }
-  for (const Tensor& input : node.inputs) {
-    if (producer_of(input) == nullptr &&
-        !ExternalOperandOk(input, *cls, out, device_)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void OpQueue::ExecuteFused(std::vector<Node> run) {
-  if (profiler::enabled()) {
-    const uint64_t now_ns = profiler::NowNs();
-    for (const Node& node : run) {
-      if (node.enqueue_wall_ns != 0 && node.enqueue_wall_ns <= now_ns) {
-        dispatch_latency_hist_->Record(now_ns - node.enqueue_wall_ns);
-      }
-    }
-  }
-  const DType dtype = run.front().outputs[0]->dtype();
-
-  // Describe the run to the compiler shared with the static graph pass.
-  // Pass 1 resolves each member's args: external operands deduplicate into
-  // `operands`; in-run values reference their producing member.
-  std::vector<kernels::FusedRunOp> ops;
-  ops.reserve(run.size());
-  std::vector<Tensor> operands;
-  std::vector<kernels::FusedRunOperand> operand_descs;
-  std::unordered_map<const TensorHandle*, int> produced;
+void OpQueue::ExecuteFused(std::vector<Node> run,
+                           const std::vector<kernels::FusedRunSlot>& slots,
+                           const kernels::CompiledRun& compiled) {
+  // The run starts once every member was dispatched and every external
+  // operand is ready (in-run handles are still pending here).
+  const uint64_t now_ns = profiler::enabled() ? profiler::NowNs() : 0;
   uint64_t start_ns = 0;
-  bool ok = true;
-  const bool donation_enabled = ctx_->buffer_donation();
-  for (size_t n = 0; ok && n < run.size(); ++n) {
-    const Node& node = run[n];
+  for (const Node& node : run) {
+    if (node.enqueue_wall_ns != 0 && node.enqueue_wall_ns <= now_ns) {
+      dispatch_latency_hist_->Record(now_ns - node.enqueue_wall_ns);
+    }
     start_ns = std::max(start_ns, node.enqueue_host_ns);
-    kernels::FusedRunOp& op = ops.emplace_back(kernels::MakeFusedRunOp(
-        *node.op, node.attrs, node.outputs[0]->dtype(),
-        node.outputs[0]->shape()));
     for (const Tensor& input : node.inputs) {
       const auto& handle = input.pending_handle();
-      if (handle != nullptr) {
-        auto it = produced.find(handle.get());
-        if (it != produced.end()) {
-          op.args.push_back({/*producer=*/it->second, /*operand=*/-1});
-          continue;
-        }
+      if (handle != nullptr && handle->resolved()) {
+        start_ns = std::max(start_ns, handle->ready_ns());
       }
-      Tensor value;
-      if (!ResolvedOperand(input, &value)) {
-        ok = false;  // raced from eligible to surprising: fall back
-        break;
-      }
-      if (handle != nullptr) start_ns = std::max(start_ns, handle->ready_ns());
-      int index = -1;
-      for (size_t i = 0; i < operands.size(); ++i) {
-        if (operands[i] == value) {
-          index = static_cast<int>(i);
-          break;
-        }
-      }
-      if (index < 0) {
-        // Donation: offer this operand's buffer as an in-place output when
-        // it is provably exclusive — `input` (this run slot, alive until the
-        // kernel returns) is the only tensor state wrapping the producing
-        // handle, nothing else holds the handle, its resolved value, or its
-        // buffer. A tape-watched or user-aliased value fails these counts
-        // (TapeEntry and aliases hold whole Tensors). Counts are racy the
-        // same way Observable's are, but external references can only be
-        // created from existing external references, so a stale count only
-        // errs high and races resolve toward copying (the safe direction).
-        bool may_donate = false;
-        if (donation_enabled && handle != nullptr && value.dtype() == dtype &&
-            (value.device() == nullptr || value.device() == device_)) {
-          may_donate = handle.use_count() == 1 &&
-                       input.state_use_count() == 1 &&
-                       value.state_use_count() == 2 &&  // handle's + `value`
-                       value.buffer().use_count() == 1;
-        }
-        index = static_cast<int>(operands.size());
-        operand_descs.push_back({value.dtype(), value.shape(), may_donate});
-        operands.push_back(std::move(value));
-      }
-      op.args.push_back({/*producer=*/-1, /*operand=*/index});
-    }
-    produced[node.outputs[0].get()] = static_cast<int>(n);
-  }
-
-  // Materialize exactly the outputs something outside the run can still
-  // observe (the last node's always is — it is the run's result), then
-  // compile. Compilation rejects layout conflicts and other patterns the
-  // join rules cannot see; those runs execute op-at-a-time.
-  kernels::CompiledRun compiled;
-  if (ok) {
-    for (size_t n = 0; n < run.size(); ++n) {
-      ops[n].materialize = n + 1 == run.size() || Observable(n, run);
-    }
-    // Steady-state steps recognize the same DAG segment every iteration;
-    // the program cache keys on the segment's shape/dtype signature and
-    // returns the compiled artifact (or the cached rejection) without
-    // re-running trial compilation.
-    auto compiled_or = kernels::FusedProgramCache::Global().GetOrCompile(
-        ops, operand_descs, dtype);
-    if (compiled_or.ok()) {
-      compiled = std::move(*compiled_or);
-    } else {
-      ok = false;
     }
   }
-
-  if (!ok) {
-    // Surprise during program construction — execute the run op-at-a-time,
-    // which preserves exact per-node error semantics.
-    for (Node& node : run) Execute(std::move(node));
-    return;
+  std::vector<Tensor> operands;
+  operands.reserve(slots.size());
+  for (const kernels::FusedRunSlot& slot : slots) {
+    const Tensor* value = ResolvedOperand(run[slot.member].inputs[slot.input]);
+    if (value == nullptr) {
+      // Raced from usable to surprising: execute the run op-at-a-time,
+      // which preserves exact per-node error semantics.
+      for (Node& node : run) Execute(std::move(node));
+      return;
+    }
+    operands.push_back(*value);
   }
 
+  const DType dtype = run.front().outputs[0]->dtype();
   auto poison = [&](const Status& status) {
     for (const Node& node : run) {
       for (const auto& out : node.outputs) out->SetError(status);
@@ -474,8 +373,10 @@ void OpQueue::ExecuteFused(std::vector<Node> run) {
     run[compiled.output_members[k]].outputs[0]->SetTensor(
         std::move(result->outputs[k]), done_ns);
   }
+  std::vector<bool> published(run.size(), false);
+  for (int member : compiled.output_members) published[member] = true;
   for (size_t n = 0; n < run.size(); ++n) {
-    if (ops[n].materialize) continue;
+    if (published[n]) continue;
     const auto& out = run[n].outputs[0];
     out->SetTensor(Tensor::Opaque(out->dtype(), out->shape(), device_),
                    done_ns);
@@ -556,15 +457,7 @@ void OpQueue::Execute(Node node) {
 
   // Per-op-signature compile cost (simulated TPU eager mode) also rides on
   // the device occupancy in async mode.
-  if (device_->cost_params().per_op_compile_ns > 0) {
-    std::string signature = node.op->name;
-    for (const Tensor& input : inputs) {
-      if (input.defined() && !input.is_resource()) {
-        signature += ";" + input.shape().ToString();
-      }
-    }
-    extra_ns += device_->CompileCostNs(signature);
-  }
+  extra_ns += device_->OpCompileCostNs(*node.op, inputs);
 
   // Op-at-a-time buffer donation: the fused-run use-count proof applied to a
   // single elementwise op. When an input is provably the last reference to

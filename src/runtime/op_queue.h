@@ -8,6 +8,14 @@
 // (TensorHandle::AndThen) and re-arms when it resolves — so any number of
 // queues share a small pool without deadlock.
 //
+// Drain fusion: each drain iteration offers the queue, front first, to the
+// fused-run selector it shares with the static graph pass
+// (kernels/run_selector.h), and executes the run it picks as one
+// FusedElementwise kernel. Only what the drain alone knows stays here: the
+// device gate, which queued node produces a pending input, when a resolved
+// operand is usable in place, the donation proof, and whether a member's
+// value is observable outside the run.
+//
 // Virtual-time accounting rides on the queue: an op occupies its device's
 // timeline starting no earlier than (a) the host clock at enqueue and (b)
 // its inputs' ready times, which models the host racing ahead of device
@@ -23,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "kernels/run_selector.h"
 #include "ops/attr_value.h"
 #include "profiler/profiler.h"
 #include "tensor/tensor.h"
@@ -68,16 +77,10 @@ class OpQueue {
   // exists. Caller must hold mu_.
   void PumpLocked();
   // Pops and executes ready ops in order; parks on the first unresolved
-  // input handle. Runs on a pool thread; never blocks. When the front is a
-  // fusable elementwise op, scans ahead over a bounded window and pops the
-  // whole DAG segment (see NodeStartsRun/NodeJoinsRun): non-joining nodes
-  // are *stepped over* rather than cutting the run, so a stray op
-  // interleaved in a diamond no longer ends it. Skipped nodes keep their
-  // queue position and cannot feed run members (their handles are
-  // unresolved, so the member would fail the join check), while skipped
-  // nodes *consuming* member outputs see them resolve when the fused kernel
-  // completes — the reordering is observationally equivalent to in-order
-  // execution.
+  // input handle. Runs on a pool thread; never blocks. Each iteration asks
+  // the fused-run selector (kernels/run_selector.h) for the run anchored at
+  // the front, with this queue as the candidate stream, and pops the whole
+  // DAG segment it picks; otherwise it pops the front alone.
   void Drain();
   // Runs one op: propagates poisoned inputs, materializes the rest, executes
   // the kernel, accounts device time, and fulfills the output handles. A
@@ -93,29 +96,15 @@ class OpQueue {
   // by inflight_ so WaitDrained covers it.
   void ExecuteRemote(Node node);
 
-  // Whether `node` can open a fused run: fusion enabled, this is a real
-  // (non-accelerator) compute device, the op is an elementwise micro-op or a
-  // layout op (Transpose/Reshape/ExpandDims/Squeeze — reductions only
-  // *terminate* runs), and every input is an already-resolved, copy-free
-  // operand that broadcasts to the node's shape.
-  bool NodeStartsRun(const Node& node) const;
-  // Whether `node` extends `run`: same dtype as the run and a compatible
-  // element count (the run's count, a broadcast scalar, or growing a
-  // so-far-scalar run), and each input is either produced by a node already
-  // in the run or an external operand passing the NodeStartsRun input
-  // checks. A trailing-axes Sum/Mean/Max/Min over an in-run value joins as
-  // the run's reduction epilogue and closes it. An unresolved or poisoned
-  // external input cuts the run (the node stays queued and the next drain
-  // iteration parks or poisons as usual).
-  bool NodeJoinsRun(const Node& node, const std::vector<Node>& run) const;
-  // Executes a run of >= 2 fused nodes as one FusedElementwise invocation:
-  // describes the run to the fused-program cache (which compiles via
-  // kernels::CompileFusedRun on a signature miss, deduplicating operands),
-  // elides intermediates nobody outside the run can observe, schedules one
-  // span of device time, and fulfills every run handle at the same
-  // completion time. Falls back to per-node Execute() on any surprise,
-  // including patterns the compiler rejects (conflicting layouts).
-  void ExecuteFused(std::vector<Node> run);
+  // Executes a run of >= 2 fused nodes as one FusedElementwise invocation of
+  // the program the selector compiled, reading the external operand at each
+  // of `slots`: elides intermediates nobody outside the run can observe,
+  // schedules one span of device time, and fulfills every run handle at the
+  // same completion time. Falls back to per-node Execute() when an operand
+  // raced from usable to unusable.
+  void ExecuteFused(std::vector<Node> run,
+                    const std::vector<kernels::FusedRunSlot>& slots,
+                    const kernels::CompiledRun& compiled);
 
   EagerContext* const ctx_;
   Device* const device_;
@@ -129,7 +118,6 @@ class OpQueue {
   profiler::Histogram* const run_length_hist_;
   profiler::Histogram* const dispatch_latency_hist_;
   const uint32_t drain_name_id_;
-  const uint32_t fusion_name_id_;
 
   mutable std::mutex mu_;
   std::condition_variable drained_cv_;

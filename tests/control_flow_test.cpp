@@ -599,8 +599,8 @@ std::pair<const Node*, const Node*> LoopNodes(const GraphFunction& graph) {
   const Node* grad = nullptr;
   for (int id = 0; id < graph.graph().num_nodes(); ++id) {
     const Node& node = graph.graph().node(id);
-    if (node.op == "While") loop = &node;
-    if (node.op == "WhileGrad") grad = &node;
+    if (node.def->name == "While") loop = &node;
+    if (node.def->name == "WhileGrad") grad = &node;
   }
   return {loop, grad};
 }

@@ -59,7 +59,7 @@ TEST(IntegrationTest, ExplicitPlacementInsideFunctionOverridesCallDevice) {
   bool found_pinned = false;
   for (int i = 0; i < (*concrete)->graph().num_nodes(); ++i) {
     const Node& node = (*concrete)->graph().node(i);
-    if (node.op == "Add" && !node.requested_device.empty()) {
+    if (node.def->name == "Add" && !node.requested_device.empty()) {
       found_pinned = true;
       auto parts = ParseDeviceName(node.requested_device);
       ASSERT_TRUE(parts.ok());

@@ -13,7 +13,7 @@ namespace {
 int CountOps(const GraphFunction& fn, const std::string& op) {
   int count = 0;
   for (int i = 0; i < fn.graph().num_nodes(); ++i) {
-    if (fn.graph().node(i).op == op) ++count;
+    if (fn.graph().node(i).def->name == op) ++count;
   }
   return count;
 }
@@ -125,7 +125,7 @@ TEST(PassesTest, ConstantFolding) {
   bool found = false;
   for (int i = 0; i < fn->graph().num_nodes(); ++i) {
     const Node& node = fn->graph().node(i);
-    if (node.op == "Const" && node.constant_value.defined() &&
+    if (node.def->name == "Const" && node.constant_value.defined() &&
         node.constant_value.num_elements() == 1 &&
         node.constant_value.dtype() == DType::kFloat32 &&
         node.constant_value.scalar<float>() == 5.0f) {
@@ -167,7 +167,7 @@ TEST(PassesTest, FuseElementwiseAbsorbsCast) {
   EXPECT_EQ(CountOps(*fn, "FusedElementwise"), 1);
   for (int i = 0; i < fn->graph().num_nodes(); ++i) {
     const Node& node = fn->graph().node(i);
-    if (node.op != "FusedElementwise") continue;
+    if (node.def->name != "FusedElementwise") continue;
     EXPECT_EQ(node.attrs.count("dtype"), 1u)
         << "cast-bearing program must pin the run dtype";
   }
@@ -293,7 +293,7 @@ TEST(PassesTest, FuseElementwiseEmitsMultiOutputDiamonds) {
   EXPECT_EQ(CountOps(*fn, "FusedElementwise"), 1);
   for (int i = 0; i < fn->graph().num_nodes(); ++i) {
     const Node& node = fn->graph().node(i);
-    if (node.op != "FusedElementwise") continue;
+    if (node.def->name != "FusedElementwise") continue;
     EXPECT_EQ(node.outputs.size(), 2u);
   }
 }

@@ -154,7 +154,7 @@ TEST(RnnTest, StagedUnrolledGraphContainsTimeSteps) {
   ASSERT_TRUE(concrete.ok());
   int matmuls = 0;
   for (int i = 0; i < (*concrete)->graph().num_nodes(); ++i) {
-    if ((*concrete)->graph().node(i).op == "MatMul") ++matmuls;
+    if ((*concrete)->graph().node(i).def->name == "MatMul") ++matmuls;
   }
   EXPECT_EQ(matmuls, 4);  // one per unrolled step (paper §4.1)
   EXPECT_TRUE(tensor_util::AllClose(models::UnrolledRnn(cell, sequence),

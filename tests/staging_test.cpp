@@ -160,7 +160,7 @@ TEST(FunctionTest, Listing8Composition) {
   bool has_call = false;
   const Graph& graph = (*concrete)->graph();
   for (int i = 0; i < graph.num_nodes(); ++i) {
-    if (graph.node(i).op == "Call") has_call = true;
+    if (graph.node(i).def->name == "Call") has_call = true;
   }
   EXPECT_TRUE(has_call);
 }
@@ -300,7 +300,7 @@ TEST(FunctionTest, HostLoopsUnrollIntoTheGraph) {
   ASSERT_TRUE(concrete.ok());
   int add_nodes = 0;
   for (int i = 0; i < (*concrete)->graph().num_nodes(); ++i) {
-    if ((*concrete)->graph().node(i).op == "Add") ++add_nodes;
+    if ((*concrete)->graph().node(i).def->name == "Add") ++add_nodes;
   }
   EXPECT_EQ(add_nodes, 5);
   EXPECT_FLOAT_EQ(f({ops::scalar<float>(2.0f)})[0].scalar<float>(), 12.0f);
