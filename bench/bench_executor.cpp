@@ -53,13 +53,19 @@ std::shared_ptr<tfe::GraphFunction> DeepGraph(int depth) {
 void RunGraph(benchmark::State& state,
               const std::shared_ptr<tfe::GraphFunction>& fn, bool parallel) {
   Tensor x = ops::random_normal({64, 64}, 0, 0.05, /*seed=*/3);
-  tfe::Executor executor(tfe::EagerContext::Global());
+  tfe::EagerContext* ctx = tfe::EagerContext::Global();
+  // Run the graph as built: fused, the wide graph's elementwise tail would
+  // collapse into one step.
+  const bool fuse = ctx->fuse_elementwise();
+  ctx->set_fuse_elementwise(false);
+  tfe::Executor executor(ctx);
   for (auto _ : state) {
     auto result = executor.Run(*fn, {x}, nullptr, 0, false,
                                /*rng_stream_base=*/0, parallel);
     if (!result.ok()) state.SkipWithError("executor failed");
     benchmark::DoNotOptimize(result->outputs[0]);
   }
+  ctx->set_fuse_elementwise(fuse);
   state.counters["nodes"] = fn->graph().num_nodes();
 }
 

@@ -53,15 +53,25 @@ void BM_OptimizePass(benchmark::State& state) {
 }
 BENCHMARK(BM_OptimizePass)->Arg(8)->Arg(64);
 
-void BM_ExecuteUnoptimized(benchmark::State& state) {
-  auto fn = TraceRedundant(static_cast<int>(state.range(0)));
+// Runs `fn` as built on every benchmark iteration: with fusion on, the
+// executor would run a fused clone instead, hiding what the passes removed.
+void Execute(benchmark::State& state, const tfe::GraphFunction& fn) {
   Tensor x = ops::random_normal({16}, 0, 1, /*seed=*/5);
-  tfe::Executor executor(tfe::EagerContext::Global());
+  tfe::EagerContext* ctx = tfe::EagerContext::Global();
+  const bool fuse = ctx->fuse_elementwise();
+  ctx->set_fuse_elementwise(false);
+  tfe::Executor executor(ctx);
   for (auto _ : state) {
-    auto result = executor.Run(*fn, {x}, nullptr, 0, false);
+    auto result = executor.Run(fn, {x}, nullptr, 0, false);
     benchmark::DoNotOptimize(result->outputs[0]);
   }
-  state.counters["nodes"] = fn->graph().num_nodes();
+  ctx->set_fuse_elementwise(fuse);
+  state.counters["nodes"] = fn.graph().num_nodes();
+}
+
+void BM_ExecuteUnoptimized(benchmark::State& state) {
+  auto fn = TraceRedundant(static_cast<int>(state.range(0)));
+  Execute(state, *fn);
 }
 BENCHMARK(BM_ExecuteUnoptimized)->Arg(8)->Arg(64);
 
@@ -72,13 +82,7 @@ void BM_ExecuteOptimized(benchmark::State& state) {
     state.SkipWithError("optimize failed");
     return;
   }
-  Tensor x = ops::random_normal({16}, 0, 1, /*seed=*/5);
-  tfe::Executor executor(tfe::EagerContext::Global());
-  for (auto _ : state) {
-    auto result = executor.Run(*fn, {x}, nullptr, 0, false);
-    benchmark::DoNotOptimize(result->outputs[0]);
-  }
-  state.counters["nodes"] = fn->graph().num_nodes();
+  Execute(state, *fn);
   state.counters["pruned"] = stats.pruned_nodes;
   state.counters["cse"] = stats.cse_merged;
   state.counters["folded"] = stats.folded_constants;

@@ -17,8 +17,8 @@
 //                         the graph, one trace per length.
 //
 // BENCH_rnn.json gates: the staged while loop must beat per-call
-// re-tracing by >= 3x at the longest sequence, and the loop-body
-// execution-variant cache must hit on >= 90% of iterations.
+// re-tracing by >= 3x at the longest sequence, and the loop body's
+// cached execution plan must hit on >= 90% of iterations.
 //
 //   build/bench/bench_rnn
 #include "bench/bench_util.h"
@@ -159,7 +159,7 @@ int main() {
                              retrace_series.examples_per_second[last];
   std::printf("\nstaged while vs per-call re-tracing at T=%lld: %.1fx\n",
               static_cast<long long>(lengths[last]), staged_vs_retrace);
-  std::printf("loop body execution-variant hit rate: %.1f%% "
+  std::printf("loop body plan-cache hit rate: %.1f%% "
               "(%llu of %llu iterations)\n",
               100.0 * hit_rate, static_cast<unsigned long long>(loop_hits),
               static_cast<unsigned long long>(loop_iters));

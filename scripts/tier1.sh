@@ -120,12 +120,13 @@ if [[ "$MODE" == "--tier2" ]]; then
 else
   # Concurrency tests only: the async queues, the drain fuser, the
   # threadpool-parallel kernels, the remote dispatch path, the allocator +
-  # donation machinery, the profiler's lock-free record/flush, and the
-  # staged control-flow paths (While iteration reuses cached execution
-  # variants across the executor pool; recursion runs depth-capped nested
-  # calls), and the op registry (drain, executor and host threads read its
-  # entries through cached pointers).
-  FILTER='Async*:*Async*:Fusion*:ParallelKernels*:MicroProgram*:Profiler*:Remote*:Cluster*:Allocator*:Donation*:ProgramCache*:Serving*:While*:WhileGrad*:Recursion*:OpRegistry*:KernelRegistry*'
+  # donation machinery, the profiler's lock-free record/flush, the
+  # executor (serving threads and the executor pool build and read one
+  # function's cached plans), the staged control-flow paths (While
+  # iterations reuse the body's cached plan across the executor pool;
+  # recursion runs depth-capped nested calls), and the op registry (drain,
+  # executor and host threads read its entries through cached pointers).
+  FILTER='Async*:*Async*:Fusion*:ParallelKernels*:MicroProgram*:Profiler*:Remote*:Cluster*:Allocator*:Donation*:ProgramCache*:Serving*:Executor*:While*:WhileGrad*:Recursion*:OpRegistry*:KernelRegistry*'
 fi
 
 echo "==== tsan: filter=$FILTER ===="
@@ -151,8 +152,8 @@ ASAN_OPTIONS="detect_leaks=1" \
   ./build-asan/tests/tfe_tests --gtest_filter="$FILTER"
 
 if [[ "$MODE" == "--tier2" ]]; then
-  # Staged control flow: While iterations drive the executor pool through a
-  # cached body variant, the While gradient reads each loop's forward stack
+  # Staged control flow: While iterations drive the executor pool through
+  # the body's cached plan, the While gradient reads each loop's forward stack
   # (a resource handle that outlives the While through the L2HMC step and
   # through a serialized round trip), and recursion nests depth-capped
   # Calls — all lifetime-sensitive paths worth a dedicated sweep.

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 
+#include "graph/passes.h"
 #include "profiler/profiler.h"
 #include "runtime/eager_context.h"
 #include "support/strings.h"
@@ -14,9 +15,10 @@
 namespace tfe {
 
 // Everything Executor::Run derives from a function's graph alone, built on
-// the function's first run and cached on it (GraphFunction::GetOrBuildPlan).
-// A run allocates one flat value array with a slot per node output, writes
-// the Arg and Const values into it, and walks the kernel steps.
+// the function's first run in a mode and cached on it
+// (GraphFunction::GetOrBuildPlan). A run allocates one flat value array with
+// a slot per node output, writes the Arg and Const values into it, and walks
+// the kernel steps.
 struct ExecPlan {
   // `uses` value of a slot that is never released (a function output).
   static constexpr int kKeep = -1;
@@ -41,7 +43,11 @@ struct ExecPlan {
     PreparedCall prepared;
   };
 
-  int num_nodes = 0;
+  // A fused plan's elementwise-fused clone of the function; null when the
+  // plan indexes the function's own graph.
+  std::shared_ptr<const GraphFunction> fused;
+  int source_nodes = 0;  // node count of the function the plan was built for
+  int num_nodes = 0;  // of the graph the plan indexes
   int num_slots = 0;
   std::vector<int> slot_base;  // per node: slot of its output 0
   std::vector<Binding> bindings;
@@ -82,10 +88,27 @@ struct ScopedExecutorDepth {
   ~ScopedExecutorDepth() { --g_executor_depth; }
 };
 
-std::shared_ptr<const ExecPlan> BuildPlan(const GraphFunction& function) {
+// Builds the plan for a run of `source`. A fused plan indexes a clone of
+// `source` rewritten by passes::FuseElementwise, and is null when the pass
+// fuses nothing.
+std::shared_ptr<const ExecPlan> BuildPlan(const GraphFunction& source,
+                                          bool fused) {
+  std::shared_ptr<GraphFunction> clone;
+  if (fused) {
+    clone = std::make_shared<GraphFunction>(source.name());
+    passes::PassStats stats;
+    if (!CloneGraphFunctionInto(source, *clone).ok() ||
+        !passes::FuseElementwise(*clone, &stats).ok() ||
+        stats.fused_runs == 0) {
+      return nullptr;
+    }
+  }
+  const GraphFunction& function = fused ? *clone : source;
   const Graph& graph = function.graph();
   const int n = graph.num_nodes();
   auto plan = std::make_shared<ExecPlan>();
+  plan->fused = std::move(clone);
+  plan->source_nodes = source.graph().num_nodes();
   plan->num_nodes = n;
   plan->slot_base.resize(n + 1, 0);
   for (int id = 0; id < n; ++id) {
@@ -213,14 +236,23 @@ std::shared_ptr<const ExecPlan> BuildPlan(const GraphFunction& function) {
 
 bool Executor::InExecutor() { return g_executor_depth > 0; }
 
+bool Executor::Fuses(Device* default_device) const {
+  if (default_device == nullptr) default_device = ctx_->HostCpu();
+  return ctx_->fuse_elementwise() && default_device->executes_kernels() &&
+         !default_device->is_accelerator();
+}
+
+bool Executor::HasPlan(const GraphFunction& function,
+                       Device* default_device) const {
+  return function.HasPlan(Fuses(default_device));
+}
+
 StatusOr<Executor::Result> Executor::Run(const GraphFunction& function,
                                          const std::vector<Tensor>& args,
                                          Device* default_device,
                                          uint64_t start_ns, bool compiled,
                                          uint64_t rng_stream_base,
                                          bool parallel) {
-  const Graph& graph = function.graph();
-  const int n = graph.num_nodes();
   if (static_cast<int>(args.size()) != function.num_args()) {
     return InvalidArgument(strings::StrCat(
         "Function ", function.name(), " expects ", function.num_args(),
@@ -234,7 +266,6 @@ StatusOr<Executor::Result> Executor::Run(const GraphFunction& function,
       profiler::Metrics().GetCounter("executor.plans_built");
   executor_runs->Increment();
   profiler::Scope run_span(profiler::EventKind::kExecutorRun, function.name());
-  run_span.set_arg(n);
 
   // Staged execution is a sync point for async eager dispatch (paper §5):
   // pending arguments materialize before the dataflow run so graph kernels
@@ -244,17 +275,22 @@ StatusOr<Executor::Result> Executor::Run(const GraphFunction& function,
     TFE_RETURN_IF_ERROR(arg.Materialize());
   }
 
-  const std::shared_ptr<const ExecPlan> plan_ptr =
-      function.GetOrBuildPlan([&function] {
-        plans_built->Increment();
-        return BuildPlan(function);
+  const std::shared_ptr<const ExecPlan> plan_ptr = function.GetOrBuildPlan(
+      Fuses(default_device), [&function](bool fused) {
+        std::shared_ptr<const ExecPlan> built = BuildPlan(function, fused);
+        if (built != nullptr) plans_built->Increment();
+        return built;
       });
   const ExecPlan& plan = *plan_ptr;
-  if (plan.num_nodes != n) {
+  if (plan.source_nodes != function.graph().num_nodes()) {
     return Internal(strings::StrCat(
         "Function ", function.name(), " changed after its first run: its plan ",
-        "has ", plan.num_nodes, " nodes, its graph ", n));
+        "was built for ", plan.source_nodes, " nodes, its graph has ",
+        function.graph().num_nodes()));
   }
+  const Graph& graph = plan.fused ? plan.fused->graph() : function.graph();
+  const int n = plan.num_nodes;
+  run_span.set_arg(n);
 
   // Each node gets a deterministic Philox stream derived from this run's
   // base and its (topological-order) id, fixed before any node executes —

@@ -42,17 +42,31 @@ class Executor {
   // engine; false forces inline sequential execution (the reference engine).
   // A nested run (InExecutor) always runs inline, so pool threads never
   // block on the pool.
+  //
+  // This is the one entry for running a graph function. When the context
+  // fuses elementwise ops and `default_device` executes kernels and is not
+  // a simulated accelerator, the run executes an elementwise-fused clone of
+  // the function (passes::FuseElementwise); otherwise the graph as built.
+  // Each mode's plan is built on the first run in that mode and cached on
+  // the function (GraphFunction::GetOrBuildPlan).
   StatusOr<Result> Run(const GraphFunction& function,
                        const std::vector<Tensor>& args,
                        Device* default_device, uint64_t start_ns,
                        bool compiled, uint64_t rng_stream_base = 0,
                        bool parallel = true);
 
+  // True if a run of `function` on `default_device` would find its plan
+  // cached (builds none).
+  bool HasPlan(const GraphFunction& function, Device* default_device) const;
+
   // True while the calling thread is executing a graph node; Run then
   // executes inline.
   static bool InExecutor();
 
  private:
+  // The mode Run picks on `default_device` (null: the host CPU).
+  bool Fuses(Device* default_device) const;
+
   EagerContext* ctx_;
 };
 

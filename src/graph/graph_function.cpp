@@ -46,21 +46,23 @@ std::string GraphFunction::DebugString() const {
   return out.str();
 }
 
-std::shared_ptr<GraphFunction> GraphFunction::GetOrBuildExecutionVariant(
-    const std::function<std::shared_ptr<GraphFunction>()>& build) {
-  std::lock_guard<std::mutex> lock(variant_mu_);
-  if (!variant_ready_) {
-    execution_variant_ = build();
-    variant_ready_ = true;
+std::shared_ptr<const ExecPlan> GraphFunction::GetOrBuildPlan(
+    bool fused,
+    const std::function<std::shared_ptr<const ExecPlan>(bool fused)>& build)
+    const {
+  std::lock_guard<std::mutex> lock(plan_mu_);
+  std::shared_ptr<const ExecPlan>& plan = plans_[fused];
+  if (plan == nullptr && fused) plan = build(true);
+  if (plan == nullptr) {
+    if (plans_[false] == nullptr) plans_[false] = build(false);
+    plan = plans_[false];
   }
-  return execution_variant_;
+  return plan;
 }
 
-std::shared_ptr<const ExecPlan> GraphFunction::GetOrBuildPlan(
-    const std::function<std::shared_ptr<const ExecPlan>()>& build) const {
+bool GraphFunction::HasPlan(bool fused) const {
   std::lock_guard<std::mutex> lock(plan_mu_);
-  if (plan_ == nullptr) plan_ = build();
-  return plan_;
+  return plans_[fused] != nullptr;
 }
 
 StatusOr<std::shared_ptr<const BackwardFunction>>

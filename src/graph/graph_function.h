@@ -70,20 +70,22 @@ class GraphFunction {
 
   std::string DebugString() const;
 
-  // Returns the cached execution-only rewrite of this function, building it
-  // with `build` on first call; a null result ("no rewrite applies") is
-  // cached too. Execution variants (e.g. the elementwise-fused clone made by
-  // the Call kernel) are run directly by the caller and stay invisible to
-  // autodiff, serialization, and the function library, which all see the
-  // original graph.
-  std::shared_ptr<GraphFunction> GetOrBuildExecutionVariant(
-      const std::function<std::shared_ptr<GraphFunction>()>& build);
-
-  // Returns this function's cached execution plan, building it with `build`
-  // on first call (the executor does this on its first run). The plan
-  // indexes the graph as it is then: the graph must not change afterwards.
+  // Returns this function's cached execution plan for one mode, building it
+  // with `build(fused)` on first call. The executor picks the mode on each
+  // run: `fused` plans run an elementwise-fused clone of the graph, which
+  // the plan owns, so autodiff, serialization and the function library
+  // keep seeing this graph. A fused build returns null when fusing changes
+  // nothing; the fused mode then shares the unfused plan. A plan indexes
+  // the graph as it is when built: the graph must not change afterwards.
+  // `build` runs under the lock; it runs no kernels and calls no functions,
+  // so it never re-enters this function's plan cache.
   std::shared_ptr<const ExecPlan> GetOrBuildPlan(
-      const std::function<std::shared_ptr<const ExecPlan>()>& build) const;
+      bool fused,
+      const std::function<std::shared_ptr<const ExecPlan>(bool fused)>& build)
+      const;
+
+  // True once the plan for `fused` mode is cached.
+  bool HasPlan(bool fused) const;
 
   // Pristine pre-optimization snapshot of the trace, attached by the tracer
   // before graph passes run. Autodiff builds forward/backward variants from
@@ -118,13 +120,10 @@ class GraphFunction {
   std::vector<Endpoint> outputs_;
   std::vector<Capture> captures_;
 
-  std::mutex variant_mu_;
-  bool variant_ready_ = false;
-  std::shared_ptr<GraphFunction> execution_variant_;
   std::shared_ptr<const GraphFunction> autodiff_source_;
 
   mutable std::mutex plan_mu_;
-  mutable std::shared_ptr<const ExecPlan> plan_;
+  mutable std::shared_ptr<const ExecPlan> plans_[2];  // indexed by `fused`
 
   std::mutex backward_mu_;
   std::map<std::string, std::shared_ptr<const BackwardFunction>> backwards_;
@@ -132,7 +131,7 @@ class GraphFunction {
 
 // Structural copy of `source` — nodes (ids preserved), arg nodes, captures,
 // and outputs — into `target`, which must be freshly constructed. Shared by
-// the forward-variant builder in autodiff and the execution-variant rewrites.
+// the forward-variant builder in autodiff and the executor's fused plans.
 Status CloneGraphFunctionInto(const GraphFunction& source,
                               GraphFunction& target);
 

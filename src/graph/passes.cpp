@@ -4,10 +4,8 @@
 #include <array>
 #include <deque>
 #include <map>
-#include <set>
 #include <vector>
 
-#include "device/device.h"
 #include "kernels/fused_elementwise.h"
 #include "kernels/program_cache.h"
 #include "kernels/run_selector.h"
@@ -466,54 +464,6 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
   for (Endpoint& out : function.outputs()) remap(out);
   graph.ResetNodes(std::move(nodes));
   return Status::OK();
-}
-
-namespace {
-
-// Guards FusedExecutionVariant against recursive graph functions: the
-// variant mutex is held while the build callback runs, so re-entering
-// GetOrBuildExecutionVariant on a function already being built on this
-// thread would self-deadlock.
-std::set<const GraphFunction*>& VariantsInProgress() {
-  thread_local std::set<const GraphFunction*> in_progress;
-  return in_progress;
-}
-
-}  // namespace
-
-std::shared_ptr<GraphFunction> FusedExecutionVariant(
-    EagerContext* ctx, Device* device,
-    const std::shared_ptr<GraphFunction>& function, bool* built_now) {
-  if (built_now != nullptr) *built_now = false;
-  if (ctx == nullptr || !ctx->fuse_elementwise() || device == nullptr ||
-      device->is_accelerator() || !device->executes_kernels()) {
-    return function;
-  }
-  auto& in_progress = VariantsInProgress();
-  if (!in_progress.insert(function.get()).second) return function;
-
-  bool ran_build = false;
-  auto fused = function->GetOrBuildExecutionVariant(
-      [&]() -> std::shared_ptr<GraphFunction> {
-        ran_build = true;
-        // Pre-build variants for every referenced subfunction so Cond
-        // branches and While bodies fuse even when the *outer* graph has
-        // nothing worth fusing itself.
-        for (const std::string& name : function->ReferencedFunctions()) {
-          auto callee = ctx->functions().Find(name);
-          if (callee.ok()) FusedExecutionVariant(ctx, device, *callee);
-        }
-        auto variant = std::make_shared<GraphFunction>(function->name() +
-                                                       "__fused_ew");
-        if (!CloneGraphFunctionInto(*function, *variant).ok()) return nullptr;
-        PassStats pstats;
-        if (!FuseElementwise(*variant, &pstats).ok()) return nullptr;
-        if (pstats.fused_runs == 0) return nullptr;  // nothing to gain
-        return variant;
-      });
-  in_progress.erase(function.get());
-  if (built_now != nullptr) *built_now = ran_build;
-  return fused != nullptr ? fused : function;
 }
 
 }  // namespace passes

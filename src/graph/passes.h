@@ -11,10 +11,6 @@
 #include "support/status.h"
 
 namespace tfe {
-
-class Device;
-class EagerContext;
-
 namespace passes {
 
 struct PassStats {
@@ -69,25 +65,10 @@ StatusOr<std::vector<int>> DropUnreadParameters(GraphFunction& function,
 // multi-output program.
 //
 // Deliberately NOT part of Optimize(): FusedElementwise has no gradient, so
-// this pass must only run on execution-only clones (see
-// GraphFunction::GetOrBuildExecutionVariant), never on the graphs autodiff
-// or serialization see.
+// this pass runs only on the executor's execution-only clones (a fused
+// plan; see Executor::Run), never on the graphs autodiff or serialization
+// see.
 Status FuseElementwise(GraphFunction& function, PassStats* stats = nullptr);
-
-// Returns the fused execution-only variant of `function`, building and
-// caching it behind GetOrBuildExecutionVariant on first use, or `function`
-// itself when the device doesn't execute kernels / is a simulated
-// accelerator / fusion is off / the pass finds nothing to fuse. Recurses
-// into referenced subfunctions (Call callees, Cond branches, While cond and
-// body, WhileGrad's forward/backward) so loop and branch bodies get the same
-// DAG fusion + program-cache treatment as top-level graphs. Re-entrancy on
-// recursive functions is cut by a per-thread in-progress set (a
-// self-referencing Call would otherwise deadlock on the variant mutex). If
-// `built_now` is non-null it is set to whether this call built the variant
-// (vs. finding it cached).
-std::shared_ptr<GraphFunction> FusedExecutionVariant(
-    EagerContext* ctx, Device* device,
-    const std::shared_ptr<GraphFunction>& function, bool* built_now = nullptr);
 
 }  // namespace passes
 }  // namespace tfe

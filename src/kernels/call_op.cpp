@@ -2,7 +2,6 @@
 // §4.1), which is what makes staged functions compose, run on devices, and
 // appear on gradient tapes like any primitive.
 #include "executor/executor.h"
-#include "graph/passes.h"
 #include "kernels/kernel_util.h"
 #include "runtime/eager_context.h"
 
@@ -50,17 +49,9 @@ Status CallKernel(KernelContext* ctx) {
     start_ns += device->cost_params().compiled_call_overhead_ns;
   }
 
-  // On real compute devices, run the lazily-built execution variant with
-  // elementwise runs fused (the helper also pre-builds variants for any
-  // Cond/While subfunctions this graph references). The original function is
-  // what autodiff and serialization see; simulated accelerators keep the
-  // unfused graph so their per-node cost model is undisturbed.
-  std::shared_ptr<GraphFunction> to_run =
-      passes::FusedExecutionVariant(ectx, device, function);
-
   TFE_ASSIGN_OR_RETURN(
       Executor::Result result,
-      Executor(ectx).Run(*to_run, ctx->inputs(), device, start_ns, compiled,
+      Executor(ectx).Run(*function, ctx->inputs(), device, start_ns, compiled,
                          ctx->rng_stream()));
   for (size_t i = 0; i < result.outputs.size(); ++i) {
     ctx->SetOutput(static_cast<int>(i), result.outputs[i]);

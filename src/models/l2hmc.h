@@ -54,7 +54,7 @@ class L2hmcDynamics : public Checkpointable {
     int64_t seed = 17;
     // Stage the leapfrog integrator as one While node instead of unrolling
     // the host loop into the trace. The loop body is traced once and its
-    // execution variant is reused across iterations; differentiating
+    // execution plan is reused across iterations; differentiating
     // through it uses the While gradient (the per-iteration backward over
     // the forward loop's stack).
     bool staged_loop = false;

@@ -94,7 +94,7 @@ class EagerContext {
 
   // Execution-mechanism switches. Each is on by default, flips per context
   // at any time, and leaves values bitwise identical:
-  //  * fuse_elementwise — the op-queue drain and the Call kernel collapse
+  //  * fuse_elementwise — the op-queue drain and the graph executor collapse
   //    runs of shape-compatible elementwise ops into one FusedElementwise
   //    kernel (single traversal).
   //  * intra_op_parallelism — large CPU kernels shard across the intra-op

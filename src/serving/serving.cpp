@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "executor/executor.h"
-#include "graph/passes.h"
 #include "profiler/profiler.h"
 #include "runtime/eager_context.h"
 #include "staging/function.h"
@@ -63,9 +62,10 @@ Status Concretize(Tensor& tensor) {
 }
 
 // Executes a concrete graph function directly through the dataflow executor
-// — the serving-side twin of the Call kernel (kernels/call_op.cpp): same
-// fused execution variant, same inline-when-nested rule, but entered from a
-// batcher or submit thread rather than an op queue.
+// on the host CPU — the serving-side twin of the Call kernel
+// (kernels/call_op.cpp): the executor picks the same plan and the same
+// inline-when-nested rule, but the run is entered from a batcher or submit
+// thread rather than an op queue.
 StatusOr<std::vector<Tensor>> RunConcrete(
     EagerContext* ctx, const std::shared_ptr<GraphFunction>& concrete,
     const std::vector<Tensor>& explicit_args, uint64_t rng_stream) {
@@ -83,12 +83,9 @@ StatusOr<std::vector<Tensor>> RunConcrete(
 
   ctx->stats().function_calls.fetch_add(1, std::memory_order_relaxed);
   Device* device = ctx->HostCpu();
-  std::shared_ptr<GraphFunction> to_run =
-      passes::FusedExecutionVariant(ctx, device, concrete);
-
   TFE_ASSIGN_OR_RETURN(
       Executor::Result result,
-      Executor(ctx).Run(*to_run, call_inputs, device, ctx->host_now_ns(),
+      Executor(ctx).Run(*concrete, call_inputs, device, ctx->host_now_ns(),
                         /*compiled=*/false, rng_stream));
   ctx->RaiseHostNs(result.finish_ns);
   return std::move(result.outputs);

@@ -7,7 +7,6 @@
 #include "autodiff/function_grad.h"
 #include "autodiff/tape.h"
 #include "executor/executor.h"
-#include "graph/passes.h"
 #include "kernels/kernel_util.h"
 #include "ops/op_registry.h"
 #include "profiler/profiler.h"
@@ -68,8 +67,8 @@ StatusOr<bool> ScalarPred(const Tensor& pred) {
   return pred.data<bool>()[0];
 }
 
-// Resolves `name` (and its fused execution variant, when the device executes
-// kernels) and runs it on `inputs` (explicit + that function's captures).
+// Resolves `name` and runs it on `inputs` (explicit + that function's
+// captures).
 StatusOr<Executor::Result> RunBranch(EagerContext* ctx,
                                      const std::string& name,
                                      std::vector<Tensor> inputs,
@@ -77,9 +76,7 @@ StatusOr<Executor::Result> RunBranch(EagerContext* ctx,
                                      bool compiled, uint64_t rng_stream_base) {
   TFE_ASSIGN_OR_RETURN(std::shared_ptr<GraphFunction> fn,
                        ctx->functions().Find(name));
-  std::shared_ptr<GraphFunction> to_run =
-      passes::FusedExecutionVariant(ctx, device, fn);
-  return Executor(ctx).Run(*to_run, inputs, device, start_ns, compiled,
+  return Executor(ctx).Run(*fn, inputs, device, start_ns, compiled,
                            rng_stream_base);
 }
 
@@ -127,7 +124,7 @@ class LoopStack : public ResourceBase {
   std::vector<std::vector<Tensor>> frames;
 };
 
-// Drives one While loop over resolved (fused) cond and body functions: runs
+// Drives one While loop over resolved cond and body functions: runs
 // cond, then body, until cond yields false. Iteration k runs cond on 2k+1
 // and body on 2k+2 in the space spread from this node's stream, so random
 // ops draw fresh values each iteration, deterministically. With a `stack`,
@@ -217,35 +214,30 @@ Status WhileKernel(KernelContext* ctx) {
 
   uint64_t now_ns = ctx->start_ns();
   EagerContext* ectx = ctx->eager_context();
-  // Iteration fast path: resolve both functions AND their fused execution
-  // variants once, outside the loop — each iteration is then a single
-  // executor run over a pre-compiled graph (one GetOrBuildExecutionVariant +
-  // FusedProgramCache lookup per loop, not per iteration). Freed loop-state
-  // buffers return to the device arena's size-class freelists, so the next
+  // Iteration fast path: resolve both functions once, outside the loop —
+  // each iteration is then a single executor run over the function's cached
+  // plan, built on the loop's first iteration. Freed loop-state buffers
+  // return to the device arena's size-class freelists, so the next
   // iteration's identically-shaped state reuses the same blocks.
   TFE_ASSIGN_OR_RETURN(std::shared_ptr<GraphFunction> cond_fn,
                        ectx->functions().Find(cond_name));
   TFE_ASSIGN_OR_RETURN(
       std::shared_ptr<GraphFunction> body_fn,
       ectx->functions().Find(forward_name.empty() ? body_name : forward_name));
-  bool body_built_now = false;
-  std::shared_ptr<GraphFunction> cond_run =
-      passes::FusedExecutionVariant(ectx, ctx->device(), cond_fn);
-  std::shared_ptr<GraphFunction> body_run = passes::FusedExecutionVariant(
-      ectx, ctx->device(), body_fn, &body_built_now);
+  const bool body_plan_cached =
+      Executor(ectx).HasPlan(*body_fn, ctx->device());
 
   std::shared_ptr<LoopStack> stack =
       forward_name.empty() ? nullptr : std::make_shared<LoopStack>();
   TFE_ASSIGN_OR_RETURN(
       int64_t completed,
-      RunWhileLoop(ctx, *cond_run, *body_run, cond_captures, body_captures,
+      RunWhileLoop(ctx, *cond_fn, *body_fn, cond_captures, body_captures,
                    max_iterations, &vars, &now_ns, stack.get()));
   iterations_counter->Increment(static_cast<uint64_t>(completed));
-  // Every iteration after the loop's one-time variant resolution is a
-  // body-cache hit; only the very first iteration of the execution that
-  // actually built the variant pays the miss.
+  // Every iteration is a body-cache hit except the first iteration of the
+  // loop run that built the body's plan.
   body_hit_counter->Increment(
-      static_cast<uint64_t>(completed - (body_built_now && completed > 0)));
+      static_cast<uint64_t>(completed - (!body_plan_cached && completed > 0)));
   profiler::RecordInstant(profiler::EventKind::kLoop, loop_name_id,
                           completed);
   for (int64_t i = 0; i < num_vars; ++i) {
@@ -486,8 +478,6 @@ Status WhileGradKernel(KernelContext* ctx) {
   Device* device = ctx->device();
   TFE_ASSIGN_OR_RETURN(std::shared_ptr<GraphFunction> bwd_fn,
                        ectx->functions().Find(bwd_name));
-  std::shared_ptr<GraphFunction> bwd_run =
-      passes::FusedExecutionVariant(ectx, device, bwd_fn);
 
   // The loop backward takes [vars..., body captures..., intermediates...,
   // var grads..., accumulators...]; a frame supplies the vars and the
@@ -564,7 +554,7 @@ Status WhileGradKernel(KernelContext* ctx) {
                       std::make_move_iterator(accs.end()));
     TFE_ASSIGN_OR_RETURN(
         Executor::Result bwd_result,
-        Executor(ectx).Run(*bwd_run, bwd_inputs, device, now_ns,
+        Executor(ectx).Run(*bwd_fn, bwd_inputs, device, now_ns,
                            ctx->compiled(),
                            rng_root + 2 * static_cast<uint64_t>(i) + 3));
     now_ns = bwd_result.finish_ns;
@@ -915,14 +905,7 @@ StatusOr<std::shared_ptr<GraphFunction>> DefineRecursiveFunction(
         "Recursive function '" + name +
         "' captures tensors; pass them as explicit arguments");
   }
-  // As in Function::Trace: snapshot the as-written graph before the passes
-  // run so autodiff differentiates the program as written (bitwise tape
-  // parity; see GraphFunction::set_autodiff_source).
-  auto pristine = std::make_shared<GraphFunction>(name + "__as_written");
-  TFE_RETURN_IF_ERROR(CloneGraphFunctionInto(*fn, *pristine));
-  TFE_RETURN_IF_ERROR(passes::Optimize(*fn));
-  fn->set_autodiff_source(std::move(pristine));
-  TFE_RETURN_IF_ERROR(ctx->functions().Register(fn));
+  TFE_RETURN_IF_ERROR(FinishTrace(ctx, fn));
   return fn;
 }
 

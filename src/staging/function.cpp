@@ -152,15 +152,7 @@ StatusOr<std::shared_ptr<GraphFunction>> Function::Trace(
     return Trace(args, non_tensor_args, /*allow_variable_creation=*/false);
   }
 
-  // Snapshot the trace before optimization: autodiff differentiates the
-  // program as written so gradient accumulation matches the eager tape
-  // bitwise (see GraphFunction::set_autodiff_source).
-  auto pristine =
-      std::make_shared<GraphFunction>(graph_fn->name() + "__as_written");
-  TFE_RETURN_IF_ERROR(CloneGraphFunctionInto(*graph_fn, *pristine));
-  TFE_RETURN_IF_ERROR(passes::Optimize(*graph_fn));
-  graph_fn->set_autodiff_source(std::move(pristine));
-  TFE_RETURN_IF_ERROR(ctx->functions().Register(graph_fn));
+  TFE_RETURN_IF_ERROR(FinishTrace(ctx, graph_fn));
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++trace_count_;
@@ -225,6 +217,15 @@ std::vector<Tensor> Function::operator()(const std::vector<Tensor>& args,
   auto result = Invoke(args, non_tensor_args);
   result.status().ThrowIfError();
   return std::move(result).value();
+}
+
+Status FinishTrace(EagerContext* ctx,
+                   const std::shared_ptr<GraphFunction>& fn) {
+  auto pristine = std::make_shared<GraphFunction>(fn->name() + "__as_written");
+  TFE_RETURN_IF_ERROR(CloneGraphFunctionInto(*fn, *pristine));
+  TFE_RETURN_IF_ERROR(passes::Optimize(*fn));
+  fn->set_autodiff_source(std::move(pristine));
+  return ctx->functions().Register(fn);
 }
 
 Function function(Function::TensorCallable fn, std::string name) {

@@ -82,6 +82,13 @@ class Function {
   bool variables_created_once_ = false;
 };
 
+// The last steps of every trace: snapshots the graph as written, runs
+// passes::Optimize on `fn`, and registers `fn` in `ctx`'s function library.
+// Autodiff differentiates the snapshot, never the optimized graph, so staged
+// gradients accumulate in the program's written order and stay bitwise
+// equal to the eager tape (see GraphFunction::set_autodiff_source).
+Status FinishTrace(EagerContext* ctx, const std::shared_ptr<GraphFunction>& fn);
+
 // Factory mirroring the paper's decorator spelling:
 //   auto f = tfe::function([](...) { ... });
 Function function(Function::TensorCallable fn, std::string name = "fn");

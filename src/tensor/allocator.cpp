@@ -13,9 +13,6 @@ namespace {
 // Process-wide aggregate metrics across every allocator instance. Cached
 // pointers; counters/gauges are cheap enough to update unconditionally.
 struct GlobalAllocatorMetrics {
-  profiler::Counter* allocations;
-  // Alias of `allocations` under the name perfbench reads for
-  // tensor.alloc_calls_per_step.
   profiler::Counter* alloc_calls;
   profiler::Counter* deallocations;
   profiler::Counter* bytes_requested;
@@ -27,7 +24,6 @@ struct GlobalAllocatorMetrics {
 
   GlobalAllocatorMetrics() {
     auto& m = profiler::Metrics();
-    allocations = m.GetCounter("allocator.allocations");
     alloc_calls = m.GetCounter("allocator.alloc_calls");
     deallocations = m.GetCounter("allocator.deallocations");
     bytes_requested = m.GetCounter("allocator.bytes_requested");
@@ -78,7 +74,6 @@ void Allocator::NoteAlloc(size_t requested, size_t footprint, bool reused) {
   }
 
   auto& global = GlobalMetrics();
-  global.allocations->Increment();
   global.alloc_calls->Increment();
   global.bytes_requested->Increment(requested);
   if (reused) {

@@ -63,8 +63,15 @@ TEST(AllocatorTest, ArenaReusesFreedBlocksAndRezeroes) {
 
 TEST(AllocatorTest, ArenaStatsTrackInUseAndHighWater) {
   ArenaAllocator arena("stats");
+  profiler::Counter* alloc_calls =
+      profiler::Metrics().GetCounter("allocator.alloc_calls");
+  const uint64_t calls_before = alloc_calls->value();
+  const uint64_t allocations_before = arena.stats().allocations.load();
   void* a = arena.AllocateRaw(100);
   void* b = arena.AllocateRaw(5000);
+  // The process-wide counter counts each allocation once.
+  EXPECT_EQ(alloc_calls->value() - calls_before,
+            arena.stats().allocations.load() - allocations_before);
   const int64_t peak = arena.stats().in_use_bytes.load();
   EXPECT_GT(peak, 0);
   EXPECT_EQ(arena.stats().high_water_bytes.load(), peak);

@@ -725,9 +725,9 @@ TEST(WhileTest, LoopMetricsAndBodyCacheHits) {
   uint64_t ran = iters->value() - iters_before;
   uint64_t hit = hits->value() - hits_before;
   EXPECT_EQ(ran, 8u);
-  // The body's execution variant is resolved once, before the loop; at
-  // worst the first iteration pays the build, all later ones hit (the
-  // >=90% steady-state acceptance bar).
+  // The body's plan is built on the loop's first iteration, so at worst
+  // that iteration misses and all later ones hit (the >=90% steady-state
+  // acceptance bar).
   EXPECT_GE(hit, ran - 1);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <thread>
 
@@ -34,7 +35,23 @@ std::shared_ptr<GraphFunction> Build(
   return fn;
 }
 
+// Sets elementwise fusion on the global context for one scope. Off, a
+// direct Executor::Run executes the graph as built rather than its fused
+// plan.
+class ScopedFusion {
+ public:
+  explicit ScopedFusion(bool on)
+      : was_on_(EagerContext::Global()->fuse_elementwise()) {
+    EagerContext::Global()->set_fuse_elementwise(on);
+  }
+  ~ScopedFusion() { EagerContext::Global()->set_fuse_elementwise(was_on_); }
+
+ private:
+  bool was_on_;
+};
+
 TEST(ExecutorTest, RunsSimpleGraph) {
+  ScopedFusion no_fusion(false);
   auto fn = Build("exec_simple", 2, [](const std::vector<Tensor>& args) {
     return std::vector<Tensor>{ops::add(args[0], ops::mul(args[1], args[1]))};
   });
@@ -59,6 +76,7 @@ TEST(ExecutorTest, ParallelAndInlineAgree) {
     }
     return std::vector<Tensor>{sum};
   });
+  ScopedFusion no_fusion(false);  // the pool engine needs the diamond's width
   Executor executor(EagerContext::Global());
   auto parallel =
       executor.Run(*fn, {ops::scalar<float>(0.5f)}, nullptr, 0, false,
@@ -240,6 +258,52 @@ TEST(ExecutorTest, WhileBuildsEachPlanOnce) {
   EXPECT_EQ(plans->value() - before, 0u);
 }
 
+TEST(ExecutorTest, EachFusionModeRunsItsOwnCachedPlan) {
+  EagerContext* ctx = EagerContext::Global();
+  ScopedFusion fusion(true);
+  profiler::Counter* plans =
+      profiler::Metrics().GetCounter("executor.plans_built");
+  auto fn = Build("exec_plan_modes", 1, [](const std::vector<Tensor>& args) {
+    Tensor h = ops::tanh(ops::mul(args[0], args[0]));
+    return std::vector<Tensor>{ops::sub(ops::exp(h), h)};
+  });
+  int kernel_nodes = 0;
+  for (int id = 0; id < fn->graph().num_nodes(); ++id) {
+    if (!fn->graph().node(id).is_bound()) ++kernel_nodes;
+  }
+  Executor executor(ctx);
+  // Returns the run's output and sets `nodes` to the kernel steps it ran
+  // and `built` to the plans it built.
+  const auto run = [&](uint64_t* nodes, uint64_t* built) {
+    const uint64_t nodes_before = ctx->stats().executor_nodes.load();
+    const uint64_t plans_before = plans->value();
+    auto result = executor.Run(*fn, {ops::scalar<float>(0.75f)}, nullptr, 0,
+                               false);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    *nodes = ctx->stats().executor_nodes.load() - nodes_before;
+    *built = plans->value() - plans_before;
+    return result.ok() ? result->outputs[0].scalar<float>() : 0.0f;
+  };
+
+  uint64_t fused_nodes = 0, unfused_nodes = 0, nodes = 0, built = 0;
+  const float fused = run(&fused_nodes, &built);
+  EXPECT_EQ(built, 1u);
+  EXPECT_LT(fused_nodes, static_cast<uint64_t>(kernel_nodes));
+
+  ctx->set_fuse_elementwise(false);
+  const float unfused = run(&unfused_nodes, &built);
+  ctx->set_fuse_elementwise(true);
+  EXPECT_EQ(built, 1u);
+  EXPECT_EQ(unfused_nodes, static_cast<uint64_t>(kernel_nodes));
+  EXPECT_EQ(std::bit_cast<uint32_t>(fused), std::bit_cast<uint32_t>(unfused));
+
+  // Back on: the fused plan is still cached.
+  const float again = run(&nodes, &built);
+  EXPECT_EQ(built, 0u);
+  EXPECT_EQ(nodes, fused_nodes);
+  EXPECT_EQ(std::bit_cast<uint32_t>(again), std::bit_cast<uint32_t>(fused));
+}
+
 TEST(ExecutorTest, PlannedRunsKeepArgMismatchMessages) {
   auto fn = Build("exec_plan_args", 1, [](const std::vector<Tensor>& args) {
     return std::vector<Tensor>{ops::identity(args[0])};
@@ -296,6 +360,7 @@ TEST(ExecutorTest, RandomOpsDrawTheSameValuesOnBothEngines) {
     }
     return outs;
   });
+  ScopedFusion no_fusion(false);
   Executor executor(EagerContext::Global());
   constexpr uint64_t kStream = 1234;
   auto pool = executor.Run(*fn, {ops::scalar<float>(2)}, nullptr, 0, false,

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "api/tfe.h"
+#include "graph/passes.h"
 #include "kernels/fused_elementwise.h"
 #include "kernels/program_cache.h"
 #include "ops/op_registry.h"
@@ -222,7 +223,7 @@ TEST_F(FusionTest, StagedFunctionFusesStatically) {
   const uint64_t runs_before = ctx->stats().fused_runs.load();
   std::vector<float> fused = ToVector<float>(f({x})[0]);
   ASSERT_TRUE(ctx->Sync().ok());
-  // The execution variant replaced the elementwise span with one
+  // The fused plan replaced the elementwise span with one
   // FusedElementwise node.
   EXPECT_GT(ctx->stats().fused_runs.load(), runs_before);
 
@@ -613,6 +614,74 @@ TEST_F(FusionTest, StagedMapReduceFusesStaticallyAndMatchesBitwise) {
   std::vector<float> plain = ToVector<float>(f({x, bias})[0]);
   ASSERT_TRUE(ctx->Sync().ok());
   EXPECT_TRUE(BitwiseEqual(fused, plain));
+}
+
+TEST_F(FusionTest, BranchAndLoopBodiesFuseUnderAnOuterGraphWithNothingToFuse) {
+  // The outer graphs hold only a Cond or a While, so the static pass finds
+  // nothing to fuse in them; the branch and the loop body still run fused,
+  // because every function run picks its own plan.
+  EagerContext* ctx = EagerContext::Global();
+  const auto chain = [](const Tensor& h) {
+    return ops::tanh(ops::mul(ops::add(h, h), ops::sub(h, ops::neg(h))));
+  };
+  Function then_fn = function(
+      [&](const std::vector<Tensor>& args) -> std::vector<Tensor> {
+        return {chain(args[0])};
+      },
+      "fusion_nested_then");
+  Function else_fn = function(
+      [](const std::vector<Tensor>& args) -> std::vector<Tensor> {
+        return {ops::neg(args[0])};
+      },
+      "fusion_nested_else");
+  Function below = function(
+      [](const std::vector<Tensor>& vars) -> std::vector<Tensor> {
+        return {ops::less(vars[0], ops::fill(DType::kFloat32, {}, 3.0))};
+      },
+      "fusion_nested_below");
+  Function body = function(
+      [&](const std::vector<Tensor>& vars) -> std::vector<Tensor> {
+        return {ops::add(vars[0], ops::fill(DType::kFloat32, {}, 1.0)),
+                chain(vars[1])};
+      },
+      "fusion_nested_body");
+  Function branch = function(
+      [&](const std::vector<Tensor>& args) -> std::vector<Tensor> {
+        return ops::cond(args[0], then_fn, else_fn, {args[1]});
+      },
+      "fusion_nested_cond");
+  Function loop = function(
+      [&](const std::vector<Tensor>& args) -> std::vector<Tensor> {
+        return {ops::while_loop(below, body, {args[0], args[1]})[1]};
+      },
+      "fusion_nested_while");
+  Tensor pred = ops::constant<bool>({true}, {});
+  Tensor zero = ops::scalar<float>(0.0f);
+  Tensor x = ops::random_normal({16}, 0, 1, /*seed=*/61);
+  ASSERT_TRUE(ctx->Sync().ok());
+
+  const std::vector<std::pair<Function*, std::vector<Tensor>>> cases = {
+      {&branch, {pred, x}}, {&loop, {zero, x}}};
+  for (const auto& [f, args] : cases) {
+    auto outer = f->GetConcreteFunction(args);
+    ASSERT_TRUE(outer.ok()) << outer.status().ToString();
+    GraphFunction clone("fusion_nested_outer");
+    ASSERT_TRUE(CloneGraphFunctionInto(**outer, clone).ok());
+    passes::PassStats stats;
+    ASSERT_TRUE(passes::FuseElementwise(clone, &stats).ok());
+    EXPECT_EQ(stats.fused_runs, 0) << f->name();
+
+    ctx->set_fuse_elementwise(true);
+    const uint64_t runs_before = ctx->stats().fused_runs.load();
+    std::vector<float> fused = ToVector<float>((*f)(args)[0]);
+    ASSERT_TRUE(ctx->Sync().ok());
+    EXPECT_GT(ctx->stats().fused_runs.load(), runs_before) << f->name();
+
+    ctx->set_fuse_elementwise(false);
+    std::vector<float> plain = ToVector<float>((*f)(args)[0]);
+    ASSERT_TRUE(ctx->Sync().ok());
+    EXPECT_TRUE(BitwiseEqual(fused, plain)) << f->name();
+  }
 }
 
 TEST_F(FusionTest, DonatingRunsBitwiseMatchCopyingRuns) {
