@@ -154,6 +154,10 @@ constexpr int kResidualBlocks = 40;  // 3 ops per block
 struct ResidualResult {
   double seconds = 0;
   double cache_hit_rate = 0;  // over the gated towers (see MeasureResidual)
+  double cache_misses = 0;    // over the gated towers
+  // Candidates the selector's scans reached per queued op, over the gated
+  // towers: deterministic, so it moves only when the scan policy does.
+  double candidates_per_op = 0;
   double dag_runs = 0;        // fused DAG segments over the timed window
   std::vector<float> values;  // final tower output, for the bitwise check
 };
@@ -203,12 +207,19 @@ ResidualResult MeasureResidual(bool fuse) {
       profiler::Metrics().GetCounter("fusion.program_cache.hit");
   profiler::Counter* misses =
       profiler::Metrics().GetCounter("fusion.program_cache.miss");
+  profiler::Counter* candidates =
+      profiler::Metrics().GetCounter("fusion.scan.candidates");
   const uint64_t hits_before = hits->value();
   const uint64_t misses_before = misses->value();
+  const uint64_t candidates_before = candidates->value();
   for (int i = 0; i < kChainIterations; ++i) gated_step();
   const double hit_delta = static_cast<double>(hits->value() - hits_before);
   const double miss_delta =
       static_cast<double>(misses->value() - misses_before);
+  out.cache_misses = miss_delta;
+  out.candidates_per_op =
+      static_cast<double>(candidates->value() - candidates_before) /
+      (3.0 * kResidualBlocks * kChainIterations);
   out.cache_hit_rate = hit_delta + miss_delta > 0
                            ? hit_delta / (hit_delta + miss_delta)
                            : 0.0;
@@ -409,8 +420,11 @@ int main() {
   std::printf("%-22s%10.1f ms\n", "fusion + program cache",
               residual_fused.seconds * 1e3);
   std::printf("%-22s%9.2fx\n", "speedup", residual_speedup);
-  std::printf("%-22s%9.0f%%\n", "cache hit rate",
-              residual_fused.cache_hit_rate * 100.0);
+  std::printf("%-22s%9.0f%% (%.0f misses)\n", "cache hit rate",
+              residual_fused.cache_hit_rate * 100.0,
+              residual_fused.cache_misses);
+  std::printf("%-22s%10.2f per queued op (gated towers)\n",
+              "scan candidates", residual_fused.candidates_per_op);
   std::printf("%-22s%10.0f DAG segments\n", "dag fused runs",
               residual_fused.dag_runs);
   std::printf("%-22s%10s\n", "bitwise identical",
@@ -511,6 +525,9 @@ int main() {
   report.Add("residual_fused_seconds", residual_fused.seconds);
   report.Add("residual_speedup", residual_speedup);
   report.Add("residual_cache_hit_rate", residual_fused.cache_hit_rate);
+  report.Add("residual_cache_misses", residual_fused.cache_misses);
+  report.Add("residual_scan_candidates_per_op",
+             residual_fused.candidates_per_op);
   report.Add("residual_dag_runs", residual_fused.dag_runs);
   report.Add("residual_bitwise_equal", residual_bitwise_equal ? 1.0 : 0.0);
   report.Add("alloc_system_big_chain_seconds", alloc_system.big_chain_seconds);

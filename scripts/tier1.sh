@@ -124,9 +124,11 @@ else
   # executor (serving threads and the executor pool build and read one
   # function's cached plans), the staged control-flow paths (While
   # iterations reuse the body's cached plan across the executor pool;
-  # recursion runs depth-capped nested calls), and the op registry (drain,
-  # executor and host threads read its entries through cached pointers).
-  FILTER='Async*:*Async*:Fusion*:ParallelKernels*:MicroProgram*:Profiler*:Remote*:Cluster*:Allocator*:Donation*:ProgramCache*:Serving*:Executor*:While*:WhileGrad*:Recursion*:OpRegistry*:KernelRegistry*'
+  # recursion runs depth-capped nested calls), the op registry (drain,
+  # executor and host threads read its entries through cached pointers),
+  # and tensors (every opaque placeholder, made on drain and host threads
+  # alike, shares one empty buffer).
+  FILTER='Async*:*Async*:Fusion*:ParallelKernels*:MicroProgram*:Profiler*:Remote*:Cluster*:Allocator*:Donation*:ProgramCache*:Serving*:Executor*:While*:WhileGrad*:Recursion*:OpRegistry*:KernelRegistry*:Tensor*'
 fi
 
 echo "==== tsan: filter=$FILTER ===="

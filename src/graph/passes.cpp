@@ -362,7 +362,7 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
   struct Run {
     std::vector<int> members;  // ascending node ids; front() is the anchor
     std::vector<Endpoint> operands;
-    kernels::CompiledRun compiled;
+    std::shared_ptr<const kernels::FusedProgram> program;
   };
   std::vector<Run> runs;
   std::vector<int> run_of(n, -1);
@@ -381,7 +381,7 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
       run.operands.push_back(
           graph.node(run.members[slot.member]).inputs[slot.input]);
     }
-    run.compiled = std::move(selection.compiled);
+    run.program = std::move(selection.program);
   }
   if (runs.empty()) return Status::OK();
 
@@ -408,14 +408,15 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
       continue;
     }
     Run& run = runs[r];
+    const kernels::CompiledRun& compiled = run.program->run;
     Node fused;
     fused.def = fused_def;
-    for (size_t k = 0; k < run.compiled.output_members.size(); ++k) {
-      const int member = run.members[run.compiled.output_members[k]];
+    for (size_t k = 0; k < compiled.output_members.size(); ++k) {
+      const int member = run.members[compiled.output_members[k]];
       fused_out_index[member] = static_cast<int>(k);
       fused.outputs.push_back(graph.node(member).outputs[0]);
     }
-    fused.attrs.emplace("program", AttrValue(run.compiled.program.Encode()));
+    fused.attrs.emplace("program", AttrValue(compiled.program.Encode()));
     // Extended programs may read operands under layout maps or foreign
     // dtypes, so the run dtype is always explicit.
     fused.attrs.emplace(
@@ -427,11 +428,11 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
     if (stats != nullptr) {
       stats->fused_runs += 1;
       stats->fused_nodes += static_cast<int>(run.members.size());
-      if (run.compiled.has_reduce) stats->fused_reduce_runs += 1;
+      if (compiled.has_reduce) stats->fused_reduce_runs += 1;
       const bool contiguous =
           run.members.back() - run.members.front() + 1 ==
           static_cast<int>(run.members.size());
-      if (!contiguous || run.compiled.output_members.size() > 1) {
+      if (!contiguous || compiled.output_members.size() > 1) {
         stats->fused_dag_runs += 1;
       }
     }

@@ -1456,18 +1456,27 @@ bool IsDagRun(const MicroProgram& program) {
   return false;
 }
 
+// Decodes `encoded` (the "program" attr) under the donation plan `donate`
+// (the "donate" attr; empty = none).
+StatusOr<std::shared_ptr<const PreparedKernel>> PrepareFusedProgram(
+    const std::vector<int64_t>& encoded, std::vector<int64_t> donate) {
+  auto prepared = std::make_shared<PreparedFusedProgram>();
+  TFE_ASSIGN_OR_RETURN(prepared->program, MicroProgram::Decode(encoded));
+  prepared->donate = std::move(donate);
+  prepared->dag = IsDagRun(prepared->program);
+  return std::shared_ptr<const PreparedKernel>(std::move(prepared));
+}
+
 StatusOr<std::shared_ptr<const PreparedKernel>> PrepareFusedElementwise(
     const AttrMap& attrs) {
   TFE_ASSIGN_OR_RETURN(auto encoded,
                        GetAttr<std::vector<int64_t>>(attrs, "program"));
-  auto prepared = std::make_shared<PreparedFusedProgram>();
-  TFE_ASSIGN_OR_RETURN(prepared->program, MicroProgram::Decode(encoded));
-  auto donate = attrs.find("donate");
-  if (donate != attrs.end() && donate->second.Is<std::vector<int64_t>>()) {
-    prepared->donate = donate->second.Get<std::vector<int64_t>>();
+  std::vector<int64_t> donate;
+  auto it = attrs.find("donate");
+  if (it != attrs.end() && it->second.Is<std::vector<int64_t>>()) {
+    donate = it->second.Get<std::vector<int64_t>>();
   }
-  prepared->dag = IsDagRun(prepared->program);
-  return std::shared_ptr<const PreparedKernel>(std::move(prepared));
+  return PrepareFusedProgram(encoded, std::move(donate));
 }
 
 Status FusedElementwiseKernel(KernelContext* ctx) {
@@ -1664,6 +1673,23 @@ Status FusedElementwiseKernel(KernelContext* ctx) {
 }
 
 }  // namespace
+
+PreparedCall PrepareCompiledRun(const CompiledRun& run) {
+  // The attrs a run lowers to carry "donate" only when some output donates.
+  std::vector<int64_t> donate;
+  if (std::any_of(run.donations.begin(), run.donations.end(),
+                  [](int d) { return d >= 0; })) {
+    donate.assign(run.donations.begin(), run.donations.end());
+  }
+  PreparedCall prepared;
+  auto kernel = PrepareFusedProgram(run.program.Encode(), std::move(donate));
+  if (kernel.ok()) {
+    prepared.kernel = std::move(kernel).value();
+  } else {
+    prepared.status = kernel.status();
+  }
+  return prepared;
+}
 
 void RegisterFusedElementwiseKernels() {
   RegisterKernel("FusedElementwise", FusedElementwiseKernel,

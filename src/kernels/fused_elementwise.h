@@ -53,6 +53,7 @@
 namespace tfe {
 
 struct OpDef;
+struct PreparedCall;
 
 namespace kernels {
 
@@ -304,6 +305,13 @@ struct CompiledRun {
 StatusOr<CompiledRun> CompileFusedRun(const std::vector<FusedRunOp>& ops,
                                       const std::vector<FusedRunOperand>& operands,
                                       DType run_dtype);
+
+// The FusedElementwise prepare result for `run`: exactly what the kernel's
+// prepare hook derives from the "program" and "donate" attrs the run lowers
+// to (the program as decoded from its encoding, the donation plan, the DAG
+// bit). A caller that runs one compiled program many times builds it once
+// and passes it to EagerContext::ExecuteKernel instead of the attrs.
+PreparedCall PrepareCompiledRun(const CompiledRun& run);
 
 void RegisterFusedElementwiseKernels();
 

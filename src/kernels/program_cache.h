@@ -4,12 +4,19 @@
 //
 // The fused-run selector recognizes the same DAG segment on every training
 // step, for either frontend; only its shapes and dtypes matter to
-// CompileFusedRun, so the cache key is the segment's shape/dtype signature
-// — built from the same TypeShapeKey atom the trace cache uses
-// (staging/signature.h) plus the run's wiring (op names, producer/operand
-// argument references, layout perms, reduction axes, materialization and
-// donation bits). Steady-state steps fetch the compiled artifact instead of
-// recompiling.
+// CompileFusedRun, so the cache key is the segment's signature: a packed
+// binary encoding (varints, each list prefixed by its length) of the run
+// dtype and, per member, its OpDef, dtype, shape, producer/operand argument
+// references, layout perm, reduction axes and materialization bit, then each
+// operand's dtype, shape and donation bit. Encoding a key is a few byte
+// stores into a reused buffer, not string formatting, so a lookup costs
+// about what the run it returns costs to describe.
+//
+// An entry is built once, on insert, and never changes after: a hit hands
+// out the shared entry, not a copy. Next to the compile result it carries
+// the FusedElementwise prepare result of the program (PrepareCompiledRun),
+// so the drain runs a cached program as prepared instead of re-encoding it
+// into a "program" attr the kernel decodes again.
 //
 // Failed compilations are cached too: a segment the compiler rejects is
 // rejected identically every step, and the selector's shrink-and-retry must
@@ -23,16 +30,29 @@
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "kernels/fused_elementwise.h"
+#include "ops/kernel.h"
 #include "support/status.h"
 
 namespace tfe {
 namespace kernels {
+
+// One cache entry: a run signature's compile result and, when it compiled,
+// its program prepared for the FusedElementwise kernel. Immutable.
+struct FusedProgram {
+  Status status;          // the compile error; OK when `run` holds a program
+  CompiledRun run;
+  PreparedCall prepared;  // PrepareCompiledRun(run); unset on a failure
+
+  bool ok() const { return status.ok(); }
+};
 
 class FusedProgramCache {
  public:
@@ -43,17 +63,11 @@ class FusedProgramCache {
   // The process-wide cache both fusion frontends share.
   static FusedProgramCache& Global();
 
-  // Cache key for a candidate run: every field CompileFusedRun's output
-  // depends on, nothing else (tensor *contents* never matter).
-  static std::string Key(const std::vector<FusedRunOp>& ops,
-                         const std::vector<FusedRunOperand>& operands,
-                         DType run_dtype);
-
-  // Returns the cached compile result for this segment signature, compiling
-  // (outside the cache lock) and inserting on a miss.
-  StatusOr<CompiledRun> GetOrCompile(const std::vector<FusedRunOp>& ops,
-                                     const std::vector<FusedRunOperand>& operands,
-                                     DType run_dtype);
+  // Returns the entry for this segment signature, compiling (outside the
+  // cache lock) and inserting on a miss. Never null.
+  std::shared_ptr<const FusedProgram> GetOrCompile(
+      const std::vector<FusedRunOp>& ops,
+      const std::vector<FusedRunOperand>& operands, DType run_dtype);
 
   void Clear();
   size_t size() const;
@@ -67,13 +81,14 @@ class FusedProgramCache {
  private:
   struct Entry {
     std::string key;
-    StatusOr<CompiledRun> result;
+    std::shared_ptr<const FusedProgram> program;
   };
 
   mutable std::mutex mu_;
   size_t capacity_;
   std::list<Entry> lru_;  // front = most recently used
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  // Keyed by views of the entries' own keys (list nodes never move).
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;

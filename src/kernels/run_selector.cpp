@@ -4,6 +4,7 @@
 #include <array>
 
 #include "kernels/program_cache.h"
+#include "profiler/metrics.h"
 #include "profiler/profiler.h"
 
 namespace tfe {
@@ -12,6 +13,8 @@ namespace kernels {
 FusedRunSelection SelectFusedRun(FusedRunSource& source,
                                  FusedProgramCache& cache) {
   static const uint32_t fused_run_name_id = profiler::Intern("fused_run");
+  static profiler::Counter* candidates_counter =
+      profiler::Metrics().GetCounter("fusion.scan.candidates");
   // A candidate's facts, and its input facts once they were asked for
   // (members always have them).
   struct Scanned {
@@ -20,10 +23,7 @@ FusedRunSelection SelectFusedRun(FusedRunSource& source,
   };
   FusedRunSelection selection;
   Scanned next;
-  if (!source.Candidate(0, &next.c) || next.c.cls == nullptr ||
-      next.c.cls->kind == FusedMemberKind::kReduce) {
-    return selection;
-  }
+  if (!source.Candidate(0, &next.c)) return selection;
   const DType dtype = next.c.dtype;
   // Members' scan positions (ascending) and facts; holes keep none.
   std::vector<int> members;
@@ -49,7 +49,15 @@ FusedRunSelection SelectFusedRun(FusedRunSource& source,
     }
     return true;
   };
-  if (!inputs_ok(0)) return selection;
+  // A member's element count: the frontend's when it provides one.
+  auto count_of = [](const FusedRunCandidate& c) {
+    return c.num_elements >= 0 ? c.num_elements : c.shape->num_elements();
+  };
+  if (next.c.cls == nullptr || next.c.cls->kind == FusedMemberKind::kReduce ||
+      !inputs_ok(0)) {
+    candidates_counter->Increment(1);  // a front that cannot anchor
+    return selection;
+  }
   members.reserve(kMaxFusedRunMembers);
   facts.reserve(kMaxFusedRunMembers);
   members.push_back(0);
@@ -57,13 +65,15 @@ FusedRunSelection SelectFusedRun(FusedRunSource& source,
 
   // The greedy scan. Members are scalar or share one count, so the maximum
   // member count is the run's evaluation count.
-  int64_t run_count = next.c.shape->num_elements();
+  int64_t run_count = count_of(next.c);
   size_t holes = 0;
+  int scanned = 1;  // candidates the scan reached, the anchor included
   for (int pos = 1; members.size() < kMaxFusedRunMembers &&
                     holes < kMaxFusedRunSkips;
        ++pos) {
     next = Scanned();
     if (!source.Candidate(pos, &next.c)) break;
+    ++scanned;
     const FusedRunCandidate& c = next.c;
     bool joins = c.cls != nullptr && c.dtype == dtype;
     if (joins && c.cls->kind == FusedMemberKind::kReduce) {
@@ -73,7 +83,7 @@ FusedRunSelection SelectFusedRun(FusedRunSource& source,
                                                *facts[producer].c.shape,
                                                run_count);
     } else if (joins) {
-      const int64_t count = c.shape->num_elements();
+      const int64_t count = count_of(c);
       joins = FusedCountFits(count, run_count) && inputs_ok(pos);
       if (joins) run_count = std::max(run_count, count);
     }
@@ -85,39 +95,51 @@ FusedRunSelection SelectFusedRun(FusedRunSource& source,
     facts.push_back(next);
     if (c.cls->kind == FusedMemberKind::kReduce) break;  // the epilogue
   }
+  candidates_counter->Increment(scanned);
 
-  // Shrink from the tail until the run compiles.
-  for (; members.size() >= 2; members.pop_back(), facts.pop_back()) {
-    std::vector<FusedRunOp> ops;
-    std::vector<FusedRunOperand> operands;
-    std::vector<int64_t> keys;
-    selection.operands.clear();
-    for (size_t k = 0; k < members.size(); ++k) {
-      const Scanned& s = facts[k];
-      FusedRunOp& op = ops.emplace_back(
-          MakeFusedRunOp(*s.c.op, *s.c.attrs, s.c.dtype, *s.c.shape));
-      for (int i = 0; i < s.c.num_inputs; ++i) {
-        const FusedRunInput& in = s.inputs[i];
-        if (in.producer >= 0) {
-          op.args.push_back({member_of(in.producer), -1});
-          continue;
-        }
-        auto it = std::find(keys.begin(), keys.end(), in.key);
-        if (it == keys.end()) {
-          keys.push_back(in.key);
-          operands.push_back({in.dtype, *in.shape, in.may_donate});
-          selection.operands.push_back({static_cast<int>(k), i});
-          it = keys.end() - 1;
-        }
-        op.args.push_back({-1, static_cast<int>(it - keys.begin())});
+  // Shrink from the tail until the run compiles. The description is built
+  // once; dropping the last member drops its op and the operands it
+  // introduced (they come last) and re-derives what stays observable.
+  std::vector<FusedRunOp> ops;
+  std::vector<FusedRunOperand> operands;
+  std::vector<int64_t> keys;
+  ops.reserve(members.size());
+  for (size_t k = 0; k < members.size(); ++k) {
+    const Scanned& s = facts[k];
+    FusedRunOp& op = ops.emplace_back(
+        MakeFusedRunOp(*s.c.op, *s.c.attrs, s.c.dtype, *s.c.shape));
+    for (int i = 0; i < s.c.num_inputs; ++i) {
+      const FusedRunInput& in = s.inputs[i];
+      if (in.producer >= 0) {
+        op.args.push_back({member_of(in.producer), -1});
+        continue;
       }
-      op.materialize =
-          k + 1 == members.size() || source.ReadOutside(members, k);
+      auto it = std::find(keys.begin(), keys.end(), in.key);
+      if (it == keys.end()) {
+        keys.push_back(in.key);
+        operands.push_back({in.dtype, *in.shape, in.may_donate});
+        selection.operands.push_back({static_cast<int>(k), i});
+        it = keys.end() - 1;
+      }
+      op.args.push_back({-1, static_cast<int>(it - keys.begin())});
     }
-    auto compiled = cache.GetOrCompile(ops, operands, dtype);
-    if (!compiled.ok()) continue;
+  }
+  for (; members.size() >= 2; members.pop_back()) {
+    const size_t size = members.size();
+    ops.resize(size);
+    while (!selection.operands.empty() &&
+           selection.operands.back().member >= static_cast<int>(size)) {
+      selection.operands.pop_back();
+      operands.pop_back();
+    }
+    for (size_t k = 0; k < size; ++k) {
+      ops[k].materialize = k + 1 == size || source.ReadOutside(members, k);
+    }
+    std::shared_ptr<const FusedProgram> program =
+        cache.GetOrCompile(ops, operands, dtype);
+    if (!program->ok()) continue;
     selection.members = members;
-    selection.compiled = std::move(*compiled);
+    selection.program = std::move(program);
     profiler::RecordInstant(profiler::EventKind::kFusionRun,
                             fused_run_name_id,
                             static_cast<int64_t>(members.size()));

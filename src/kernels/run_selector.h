@@ -10,14 +10,20 @@
 //   * scan bound: kMaxFusedRunSkips holes or kMaxFusedRunMembers members;
 //   * shrink: the run compiles through the FusedProgramCache, dropping its
 //     last member until the compiler accepts it (a scalar tail, a layout
-//     conflict). A cached rejection makes a retry a lookup.
+//     conflict). A cached rejection makes a retry a lookup, and the run's
+//     description is built once, not per retry.
 // A frontend hands over facts only (FusedRunSource); the selector never asks
-// which frontend called it.
+// which frontend called it. A frontend that keeps per-candidate facts (the
+// drain computes a queued node's member class and element count once) hands
+// them over as they are; the selection returns the shared cache entry, so a
+// hit copies no program. Each selection adds the number of candidates its
+// scan reached to the fusion.scan.candidates counter.
 #ifndef TFE_KERNELS_RUN_SELECTOR_H_
 #define TFE_KERNELS_RUN_SELECTOR_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "kernels/fused_elementwise.h"
@@ -26,6 +32,7 @@ namespace tfe {
 namespace kernels {
 
 class FusedProgramCache;
+struct FusedProgram;
 
 // Most holes one scan steps over: bounds the work per selection.
 constexpr size_t kMaxFusedRunSkips = 128;
@@ -54,6 +61,9 @@ struct FusedRunCandidate {
   int num_inputs = 0;
   DType dtype = DType::kInvalid;  // the single output's; member class only
   const Shape* shape = nullptr;
+  // shape->num_elements() when the frontend already knows it (the drain
+  // computes it once per queued node); -1 makes the selector compute it.
+  int64_t num_elements = -1;
 };
 
 // A frontend's view of the op stream behind an anchor. Pointers in the facts
@@ -84,11 +94,15 @@ struct FusedRunSelection {
   // more members compiles.
   std::vector<int> members;
   std::vector<FusedRunSlot> operands;  // one per kernel input, in order
-  CompiledRun compiled;
+  // The run's cache entry: its compiled program, prepared for the kernel.
+  // Null when `members` is empty.
+  std::shared_ptr<const FusedProgram> program;
 };
 
 // Selects the run anchored at `source`'s position 0 and compiles it through
-// `cache`. Records a fused_run trace instant carrying the member count.
+// `cache`. Records a fused_run trace instant carrying the member count, and
+// adds the number of candidates the scan reached (the anchor included) to
+// the fusion.scan.candidates counter.
 FusedRunSelection SelectFusedRun(FusedRunSource& source,
                                  FusedProgramCache& cache);
 

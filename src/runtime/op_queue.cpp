@@ -56,34 +56,52 @@ const Tensor* ResolvedOperand(const Tensor& input) {
   return plain ? value : nullptr;
 }
 
-// The queue as the fused-run selector's candidate stream: position p is
-// queue[p], the front is the anchor. The facts that are the drain's own live
-// here: which queued node produces a pending input, when an external operand
-// is usable, the donation proof, and observability.
+// The queue as the fused-run selector's candidate stream: position p is the
+// p-th unclaimed node from the front, the front is the anchor. Husks are
+// not positions at all, so a claimed member is never a hole: the same rule
+// the static pass applies to nodes an earlier run claimed. The facts that
+// are the drain's own live here: which queued node produces a pending
+// input, when an external operand is usable, the donation proof, and
+// observability.
 //
 // The source reads queued nodes through element pointers it takes under the
 // queue lock, a chunk at a time as the scan reaches them: Enqueue only
 // appends, which leaves existing elements in place, and only the drain
-// removes any, so the scan itself runs without the lock.
+// touches queued elements, so the scan itself runs without the lock.
 class QueueRunSource final : public kernels::FusedRunSource {
  public:
-  QueueRunSource(std::mutex& mu, const std::deque<OpQueue::Node>& queue,
-                 const OpQueue::Node* front, const Device* device,
-                 bool donation)
+  QueueRunSource(std::mutex& mu, std::deque<OpQueue::Node>& queue,
+                 OpQueue::Node* front, const Device* device, bool donation)
       : mu_(mu), deque_(queue), nodes_{front}, device_(device),
         donation_(donation) {}
 
+  // The node at scan position `pos` (one the scan reached).
+  OpQueue::Node& node_at(int pos) const { return *nodes_[pos]; }
+
   bool Candidate(int pos, kernels::FusedRunCandidate* out) override {
-    if (static_cast<size_t>(pos) >= nodes_.size()) {
+    while (static_cast<size_t>(pos) >= nodes_.size()) {
       constexpr size_t kChunk = 32;
       std::lock_guard<std::mutex> lock(mu_);
-      const size_t end = std::min(deque_.size(), nodes_.size() + kChunk);
-      for (size_t p = nodes_.size(); p < end; ++p) {
-        nodes_.push_back(&deque_[p]);
+      const size_t end = std::min(deque_.size(), next_ + kChunk);
+      if (next_ >= end) return false;
+      for (; next_ < end; ++next_) {
+        OpQueue::Node& node = deque_[next_];
+        if (!node.claimed) nodes_.push_back(&node);
       }
-      if (static_cast<size_t>(pos) >= nodes_.size()) return false;
     }
-    const OpQueue::Node& node = *nodes_[pos];
+    OpQueue::Node& node = *nodes_[pos];
+    if (!node.scanned) {
+      node.scanned = true;
+      if (node.outputs.size() == 1) {
+        const TensorHandle& result = *node.outputs[0];
+        if (kernels::ClassifyFusedMember(*node.op, node.attrs,
+                                         node.inputs.size(), result.dtype(),
+                                         result.shape())) {
+          node.member_class = &node.op->fused;
+          node.num_elements = result.shape().num_elements();
+        }
+      }
+    }
     out->op = node.op;
     out->attrs = &node.attrs;
     out->num_inputs = static_cast<int>(node.inputs.size());
@@ -92,11 +110,8 @@ class QueueRunSource final : public kernels::FusedRunSource {
       const TensorHandle& result = *node.outputs[0];
       out->dtype = result.dtype();
       out->shape = &result.shape();
-      if (kernels::ClassifyFusedMember(*node.op, node.attrs,
-                                       node.inputs.size(), result.dtype(),
-                                       result.shape())) {
-        out->cls = &node.op->fused;
-      }
+      out->num_elements = node.num_elements;
+      out->cls = node.member_class;
     }
     return true;
   }
@@ -173,8 +188,9 @@ class QueueRunSource final : public kernels::FusedRunSource {
   }
 
   std::mutex& mu_;
-  const std::deque<OpQueue::Node>& deque_;
-  std::vector<const OpQueue::Node*> nodes_;  // the positions reached so far
+  std::deque<OpQueue::Node>& deque_;
+  std::vector<OpQueue::Node*> nodes_;  // the positions reached so far
+  size_t next_ = 1;  // the deque index the next chunk starts at
   const Device* const device_;
   const bool donation_;
 };
@@ -228,13 +244,17 @@ void OpQueue::Drain() {
     Node* front;
     {
       std::lock_guard<std::mutex> lock(mu_);
+      for (; !queue_.empty() && queue_.front().claimed; --claimed_) {
+        queue_.pop_front();
+      }
       if (queue_.empty()) {
         draining_ = false;
         drained_cv_.notify_all();
         return;
       }
-      // Safe to inspect outside the lock: only the single active drain pops,
-      // and deque growth does not invalidate the front element.
+      // Safe to inspect outside the lock: only the single active drain pops
+      // or touches queued elements, and deque growth does not invalidate
+      // them.
       front = &queue_.front();
     }
     if (std::shared_ptr<TensorHandle> unresolved =
@@ -258,34 +278,40 @@ void OpQueue::Drain() {
     // as the shared selector picks it, so the segment executes as one
     // kernel. Fuse only where the kernel actually computes: simulated
     // accelerators are virtual-time devices and fusing would perturb their
-    // cost model. Popping members ahead of the holes the scan stepped over
+    // cost model. Taking members ahead of the holes the scan stepped over
     // is safe: a member's inputs are all resolved or produced in-run (a
     // consumer of a hole's output cannot join), ops with effects (variable
     // writes) are never fusable, RNG streams are pinned at dispatch, and
     // holes that consume a member's output see its handle resolve when the
     // fused kernel completes. Members the selector drops while shrinking the
-    // run never leave the queue, so they keep their places.
+    // run are never claimed, so they keep their places.
     kernels::FusedRunSelection selection;
+    std::vector<Node> run;
     if (ctx_->fuse_elementwise() && !device_->is_accelerator() &&
         device_->executes_kernels()) {
       QueueRunSource source(mu_, queue_, front, device_,
                             ctx_->buffer_donation());
       selection = kernels::SelectFusedRun(
           source, kernels::FusedProgramCache::Global());
+      // Claim the members behind the front without the lock: their contents
+      // move into the run and an empty husk keeps each place. A husk holds
+      // no tensors, so every use count the run's proofs read is unchanged.
+      run.reserve(selection.members.size());
+      for (int pos : selection.members) {
+        Node& member = source.node_at(pos);
+        run.push_back(std::move(member));
+        if (pos == 0) continue;
+        member = Node();
+        member.claimed = true;
+      }
     }
-    std::vector<Node> run;
+    if (run.empty()) run.push_back(std::move(*front));
     size_t depth;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (selection.members.empty()) selection.members.push_back(0);
-      for (int pos : selection.members) {
-        run.push_back(std::move(queue_[pos]));
-      }
-      for (auto it = selection.members.rbegin();
-           it != selection.members.rend(); ++it) {
-        queue_.erase(queue_.begin() + *it);
-      }
-      depth = queue_.size();
+      queue_.pop_front();
+      claimed_ += run.size() - 1;
+      depth = queue_.size() - claimed_;
     }
     depth_gauge_->Set(static_cast<int64_t>(depth));
     run_length_hist_->Record(run.size());
@@ -294,14 +320,15 @@ void OpQueue::Drain() {
     if (run.size() == 1) {
       Execute(std::move(run.front()));
     } else {
-      ExecuteFused(std::move(run), selection.operands, selection.compiled);
+      ExecuteFused(std::move(run), selection.operands, *selection.program);
     }
   }
 }
 
 void OpQueue::ExecuteFused(std::vector<Node> run,
                            const std::vector<kernels::FusedRunSlot>& slots,
-                           const kernels::CompiledRun& compiled) {
+                           const kernels::FusedProgram& program) {
+  const kernels::CompiledRun& compiled = program.run;
   // The run starts once every member was dispatched and every external
   // operand is ready (in-run handles are still pending here).
   const uint64_t now_ns = profiler::enabled() ? profiler::NowNs() : 0;
@@ -339,20 +366,14 @@ void OpQueue::ExecuteFused(std::vector<Node> run,
     ctx_->NoteAsyncError(status);
   };
 
+  // The program and its donation plan reach the kernel prepared, as the
+  // cache entry holds them; extended programs may read operands under
+  // layout maps or foreign dtypes, so the run dtype is always explicit.
   AttrMap attrs;
-  attrs.emplace("program", AttrValue(compiled.program.Encode()));
-  // Extended programs may read operands under layout maps or foreign dtypes,
-  // so the run dtype is always explicit.
   attrs.emplace("dtype", AttrValue(dtype));
-  bool any_donation = false;
-  for (int d : compiled.donations) any_donation |= d >= 0;
-  if (any_donation) {
-    attrs.emplace("donate",
-                  AttrValue(std::vector<int64_t>(compiled.donations.begin(),
-                                                 compiled.donations.end())));
-  }
-  auto result = ctx_->ExecuteKernel(*fused_op_, operands, attrs, device_,
-                                    /*compiled=*/false, start_ns);
+  auto result = ctx_->ExecuteKernel(*fused_op_, std::move(operands), attrs,
+                                    device_, /*compiled=*/false, start_ns,
+                                    /*rng_stream=*/0, &program.prepared);
   if (!result.ok()) {
     poison(result.status());
     return;

@@ -11,10 +11,15 @@
 // Drain fusion: each drain iteration offers the queue, front first, to the
 // fused-run selector it shares with the static graph pass
 // (kernels/run_selector.h), and executes the run it picks as one
-// FusedElementwise kernel. Only what the drain alone knows stays here: the
-// device gate, which queued node produces a pending input, when a resolved
-// operand is usable in place, the donation proof, and whether a member's
-// value is observable outside the run.
+// FusedElementwise kernel, running the cached program as prepared. Only what
+// the drain alone knows stays here: the device gate, which queued node
+// produces a pending input, when a resolved operand is usable in place, the
+// donation proof, and whether a member's value is observable outside the
+// run. A node's own scan facts (member class, element count) are computed
+// once, when a scan first reaches it, and kept in the node. Members claimed
+// from behind the front are not erased from the deque: each leaves an empty
+// husk in place that the drain pops once it reaches the front, so claiming
+// a run takes no queue lock and moves no other node.
 //
 // Virtual-time accounting rides on the queue: an op occupies its device's
 // timeline starting no earlier than (a) the host clock at enqueue and (b)
@@ -59,6 +64,18 @@ class OpQueue {
     // Deterministic RNG stream reserved at enqueue (program order).
     uint64_t rng_stream = 0;
     std::vector<std::shared_ptr<TensorHandle>> outputs;
+
+    // Drain-only state: written and read by the queue's drain alone.
+    // Scan facts, computed the first time a selection scan reaches the
+    // node: its run-member class (null: a hole) and its single output's
+    // element count. Every later scan reads them instead.
+    bool scanned = false;
+    const kernels::FusedMemberClass* member_class = nullptr;
+    int64_t num_elements = -1;
+    // A husk: a fused run claimed this node from behind the front and moved
+    // its contents out. It stays in place until it reaches the front; scans
+    // step over it without counting it as a hole.
+    bool claimed = false;
   };
 
   OpQueue(EagerContext* ctx, Device* device);
@@ -77,10 +94,12 @@ class OpQueue {
   // exists. Caller must hold mu_.
   void PumpLocked();
   // Pops and executes ready ops in order; parks on the first unresolved
-  // input handle. Runs on a pool thread; never blocks. Each iteration asks
-  // the fused-run selector (kernels/run_selector.h) for the run anchored at
-  // the front, with this queue as the candidate stream, and pops the whole
-  // DAG segment it picks; otherwise it pops the front alone.
+  // input handle. Runs on a pool thread; never blocks. Each iteration pops
+  // the husks at the front, asks the fused-run selector
+  // (kernels/run_selector.h) for the run anchored at the front, with this
+  // queue's unclaimed nodes as the candidate stream, and takes the whole DAG
+  // segment it picks (the front popped, the other members left as husks);
+  // otherwise it pops the front alone.
   void Drain();
   // Runs one op: propagates poisoned inputs, materializes the rest, executes
   // the kernel, accounts device time, and fulfills the output handles. A
@@ -97,14 +116,15 @@ class OpQueue {
   void ExecuteRemote(Node node);
 
   // Executes a run of >= 2 fused nodes as one FusedElementwise invocation of
-  // the program the selector compiled, reading the external operand at each
-  // of `slots`: elides intermediates nobody outside the run can observe,
+  // the program the selector compiled, passing its prepared call instead of
+  // "program"/"donate" attrs, reading the external operand at each of
+  // `slots`: elides intermediates nobody outside the run can observe,
   // schedules one span of device time, and fulfills every run handle at the
   // same completion time. Falls back to per-node Execute() when an operand
   // raced from usable to unusable.
   void ExecuteFused(std::vector<Node> run,
                     const std::vector<kernels::FusedRunSlot>& slots,
-                    const kernels::CompiledRun& compiled);
+                    const kernels::FusedProgram& program);
 
   EagerContext* const ctx_;
   Device* const device_;
@@ -122,6 +142,8 @@ class OpQueue {
   mutable std::mutex mu_;
   std::condition_variable drained_cv_;
   std::deque<Node> queue_;
+  // Husks in queue_; queue.depth.<device> reports the other nodes only.
+  size_t claimed_ = 0;
   bool draining_ = false;
   // Waiting on a cross-device input handle; its AndThen callback un-parks.
   bool parked_ = false;

@@ -99,10 +99,14 @@ Tensor Tensor::Symbolic(DType dtype, Shape shape, Graph* graph, int node_id,
 
 Tensor Tensor::Opaque(DType dtype, Shape shape, Device* device) {
   TFE_CHECK(shape.IsFullyDefined());
+  // Opaque values have no storage, so every placeholder shares one empty
+  // buffer (leaked: placeholders may outlive every context). Nothing reads
+  // or donates an opaque tensor's buffer, so sharing it is invisible.
+  static const auto* empty = new std::shared_ptr<Buffer>(Buffer::Allocate(0));
   auto state = NewState();
   state->dtype = dtype;
   state->shape = std::move(shape);
-  state->buffer = Buffer::Allocate(0);
+  state->buffer = *empty;
   state->device = device;
   state->opaque = true;
   return Tensor(std::move(state));

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "api/tfe.h"
+#include "kernels/run_selector.h"
+#include "profiler/metrics.h"
+#include "profiler/profiler.h"
 #include "tensor/tensor_handle.h"
 
 namespace tfe {
@@ -68,6 +73,85 @@ TEST_F(AsyncTest, ChainMatchesSynchronousValues) {
   ASSERT_EQ(async_values.size(), sync_values.size());
   for (size_t i = 0; i < sync_values.size(); ++i) {
     EXPECT_NEAR(async_values[i], sync_values[i], 1e-5) << "element " << i;
+  }
+}
+
+bool BitwiseEqual(const Tensor& a, const Tensor& b) {
+  const std::vector<float> va = ToVector<float>(a);
+  const std::vector<float> vb = ToVector<float>(b);
+  return va.size() == vb.size() &&
+         (va.empty() ||
+          std::memcmp(va.data(), vb.data(), va.size() * sizeof(float)) == 0);
+}
+
+TEST_F(AsyncTest, ClaimedMembersLeaveHusksThatAreNotHoles) {
+  // Queue order: c0 d0 (h c)x20 h x107 d1. Chain C ([6,8]) anchors at the
+  // front and claims its 20 members from between MatMul holes, leaving
+  // husks in place. Chain D ([5], a hole for C) anchors next: between d0 and
+  // d1 sit 127 holes and C's 20 husks. Husks are not holes, so d1 is within
+  // the 128-hole bound and joins; counted as holes, they would put d1 past
+  // it. The gate holds the queue until every op is enqueued, so the runs do
+  // not depend on drain timing.
+  constexpr int kChain = 20;
+  const int trailing_holes =
+      static_cast<int>(kernels::kMaxFusedRunSkips) - 1 - kChain;
+  EagerContext* ctx = EagerContext::Global();
+  std::vector<float> xv(48), yv(5), wv(64);
+  for (size_t i = 0; i < xv.size(); ++i) xv[i] = 0.25f * i - 5.0f;
+  for (size_t i = 0; i < yv.size(); ++i) yv[i] = 0.5f * i - 1.0f;
+  for (size_t i = 0; i < wv.size(); ++i) wv[i] = 0.125f * (i % 9);
+  const Tensor x = ops::constant<float>(xv, {6, 8});
+  const Tensor y = ops::constant<float>(yv, {5});
+  const Tensor w = ops::constant<float>(wv, {8, 8});
+  const Tensor s = ops::scalar<float>(0.5f);
+  auto program = [&](const Tensor& input) -> std::vector<Tensor> {
+    Tensor c = ops::neg(input);
+    Tensor d = ops::mul(y, y);
+    Tensor hole;
+    for (int i = 0; i < kChain; ++i) {
+      hole = ops::matmul(w, w);
+      c = i % 2 == 0 ? ops::relu(c) : ops::mul(c, s);
+    }
+    for (int i = 0; i < trailing_holes; ++i) hole = ops::matmul(w, w);
+    d = ops::neg(d);
+    return {c, d, hole};
+  };
+  ASSERT_TRUE(ctx->Sync().ok());
+
+  profiler::Counter* candidates =
+      profiler::Metrics().GetCounter("fusion.scan.candidates");
+  profiler::Gauge* depth =
+      profiler::Metrics().GetGauge("queue.depth." + ctx->HostCpu()->name());
+  profiler::Start();
+  (void)profiler::Collect();
+  const uint64_t candidates_before = candidates->value();
+  auto gate = TensorHandle::Pending(DType::kFloat32, x.shape(), ctx->HostCpu());
+  const std::vector<Tensor> async = program(Tensor::FromHandle(gate));
+  gate->SetTensor(x, /*ready_ns=*/0);
+  ASSERT_TRUE(ctx->Sync().ok());
+  std::vector<int64_t> runs;
+  const uint32_t fused_run = profiler::Intern("fused_run");
+  for (const profiler::CollectedEvent& e : profiler::Collect()) {
+    if (e.event.kind == profiler::EventKind::kFusionRun &&
+        e.event.name == fused_run) {
+      runs.push_back(e.event.arg);
+    }
+  }
+  profiler::Stop();
+
+  EXPECT_EQ(runs, (std::vector<int64_t>{kChain + 1, 2}));
+  // C's scan reaches its anchor, d0, 20 holes and 20 members between them
+  // and 107 more holes (the bound); D's reaches its anchor, 127 holes and
+  // d1; each of the 127 MatMuls is then a front that anchors nothing.
+  EXPECT_EQ(candidates->value() - candidates_before,
+            (1 + 1 + 2 * kChain + trailing_holes) + (1 + 127 + 1) + 127);
+  EXPECT_EQ(depth->value(), 0) << "husks are not queued work";
+
+  ctx->set_async(false);
+  const std::vector<Tensor> sync = program(x);
+  ASSERT_EQ(async.size(), sync.size());
+  for (size_t i = 0; i < sync.size(); ++i) {
+    EXPECT_TRUE(BitwiseEqual(async[i], sync[i])) << "output " << i;
   }
 }
 

@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "api/tfe.h"
@@ -1156,23 +1160,23 @@ TEST(ProgramCacheTest, MissThenHitOnSameSignature) {
   MakeCacheRun(16, &ops, &operands);
 
   auto first = cache.GetOrCompile(ops, operands, DType::kFloat32);
-  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first->ok());
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 0u);
 
   auto second = cache.GetOrCompile(ops, operands, DType::kFloat32);
-  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(second->ok());
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.size(), 1u);
   // The cached artifact is the same program, not a recompile of a different
   // shape: same encoding, same output wiring.
-  EXPECT_EQ(second->program.Encode(), first->program.Encode());
-  EXPECT_EQ(second->output_members, first->output_members);
+  EXPECT_EQ(second->run.program.Encode(), first->run.program.Encode());
+  EXPECT_EQ(second->run.output_members, first->run.output_members);
 
   // A different shape is a different signature.
   MakeCacheRun(32, &ops, &operands);
-  ASSERT_TRUE(cache.GetOrCompile(ops, operands, DType::kFloat32).ok());
+  ASSERT_TRUE(cache.GetOrCompile(ops, operands, DType::kFloat32)->ok());
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.size(), 2u);
 }
@@ -1184,9 +1188,9 @@ TEST(ProgramCacheTest, DonationBitIsPartOfTheSignature) {
   std::vector<kernels::FusedRunOp> ops;
   std::vector<kernels::FusedRunOperand> operands;
   MakeCacheRun(16, &ops, &operands);
-  ASSERT_TRUE(cache.GetOrCompile(ops, operands, DType::kFloat32).ok());
+  ASSERT_TRUE(cache.GetOrCompile(ops, operands, DType::kFloat32)->ok());
   operands[0].may_donate = true;
-  ASSERT_TRUE(cache.GetOrCompile(ops, operands, DType::kFloat32).ok());
+  ASSERT_TRUE(cache.GetOrCompile(ops, operands, DType::kFloat32)->ok());
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.size(), 2u);
 }
@@ -1197,25 +1201,25 @@ TEST(ProgramCacheTest, LruEvictsColdestEntry) {
   std::vector<kernels::FusedRunOperand> operands;
 
   MakeCacheRun(8, &ops, &operands);
-  ASSERT_TRUE(cache.GetOrCompile(ops, operands, DType::kFloat32).ok());
+  ASSERT_TRUE(cache.GetOrCompile(ops, operands, DType::kFloat32)->ok());
   MakeCacheRun(16, &ops, &operands);
-  ASSERT_TRUE(cache.GetOrCompile(ops, operands, DType::kFloat32).ok());
+  ASSERT_TRUE(cache.GetOrCompile(ops, operands, DType::kFloat32)->ok());
   // Touch {8} so {16} is coldest.
   MakeCacheRun(8, &ops, &operands);
-  ASSERT_TRUE(cache.GetOrCompile(ops, operands, DType::kFloat32).ok());
+  ASSERT_TRUE(cache.GetOrCompile(ops, operands, DType::kFloat32)->ok());
   EXPECT_EQ(cache.hits(), 1u);
 
   MakeCacheRun(32, &ops, &operands);
-  ASSERT_TRUE(cache.GetOrCompile(ops, operands, DType::kFloat32).ok());
+  ASSERT_TRUE(cache.GetOrCompile(ops, operands, DType::kFloat32)->ok());
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(cache.size(), 2u);
 
   // {8} survived, {16} was evicted.
   MakeCacheRun(8, &ops, &operands);
-  ASSERT_TRUE(cache.GetOrCompile(ops, operands, DType::kFloat32).ok());
+  ASSERT_TRUE(cache.GetOrCompile(ops, operands, DType::kFloat32)->ok());
   EXPECT_EQ(cache.hits(), 2u);
   MakeCacheRun(16, &ops, &operands);
-  ASSERT_TRUE(cache.GetOrCompile(ops, operands, DType::kFloat32).ok());
+  ASSERT_TRUE(cache.GetOrCompile(ops, operands, DType::kFloat32)->ok());
   EXPECT_EQ(cache.misses(), 4u);
   EXPECT_EQ(cache.hits(), 2u);
 }
@@ -1228,10 +1232,94 @@ TEST(ProgramCacheTest, FailedCompilesAreCached) {
   std::vector<kernels::FusedRunOperand> operands;
   MakeCacheRun(16, &ops, &operands);
   ops[1].op = Op("MatMul");  // not a micro-op: compilation fails
-  EXPECT_FALSE(cache.GetOrCompile(ops, operands, DType::kFloat32).ok());
-  EXPECT_FALSE(cache.GetOrCompile(ops, operands, DType::kFloat32).ok());
+  EXPECT_FALSE(cache.GetOrCompile(ops, operands, DType::kFloat32)->ok());
+  EXPECT_FALSE(cache.GetOrCompile(ops, operands, DType::kFloat32)->ok());
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
+}
+
+TEST(ProgramCacheTest, PackedKeySeparatesEveryField) {
+  // Runs that differ from a base run in exactly one signature field must be
+  // distinct entries (compiled or rejected, each is cached on its own), and
+  // each identical run must hit the entry its first lookup inserted.
+  using Variant = std::function<void(std::vector<kernels::FusedRunOp>*,
+                                     std::vector<kernels::FusedRunOperand>*)>;
+  const std::vector<std::pair<std::string, Variant>> variants = {
+      {"base", [](auto*, auto*) {}},
+      {"op", [](auto* ops, auto*) { (*ops)[1].op = Op("Neg"); }},
+      {"member dtype",
+       [](auto* ops, auto*) { (*ops)[0].dtype = DType::kFloat64; }},
+      {"dims [2,4]", [](auto* ops, auto*) { (*ops)[0].shape = Shape({2, 4}); }},
+      {"dims [4,2]", [](auto* ops, auto*) { (*ops)[0].shape = Shape({4, 2}); }},
+      {"operand arg",
+       [](auto* ops, auto*) { (*ops)[1].args = {{-1, 0}}; }},
+      {"perm", [](auto* ops, auto*) { (*ops)[1].perm = {0}; }},
+      {"axes", [](auto* ops, auto*) { (*ops)[1].axes = {0}; }},
+      {"materialize", [](auto* ops, auto*) { (*ops)[0].materialize = true; }},
+      {"operand shape",
+       [](auto*, auto* operands) { (*operands)[1].shape = Shape({2, 4}); }},
+      {"donate",
+       [](auto*, auto* operands) { (*operands)[0].may_donate = true; }},
+  };
+  kernels::FusedProgramCache cache(/*capacity=*/64);
+  std::vector<std::shared_ptr<const kernels::FusedProgram>> entries;
+  for (const auto& [field, vary] : variants) {
+    std::vector<kernels::FusedRunOp> ops;
+    std::vector<kernels::FusedRunOperand> operands;
+    MakeCacheRun(8, &ops, &operands);
+    vary(&ops, &operands);
+    entries.push_back(cache.GetOrCompile(ops, operands, DType::kFloat32));
+    EXPECT_EQ(cache.size(), entries.size()) << field << " shares an entry";
+  }
+  EXPECT_EQ(cache.misses(), variants.size());
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_TRUE(entries[0]->ok());
+
+  for (size_t v = 0; v < variants.size(); ++v) {
+    std::vector<kernels::FusedRunOp> ops;
+    std::vector<kernels::FusedRunOperand> operands;
+    MakeCacheRun(8, &ops, &operands);
+    variants[v].second(&ops, &operands);
+    EXPECT_EQ(cache.GetOrCompile(ops, operands, DType::kFloat32).get(),
+              entries[v].get())
+        << variants[v].first << ": a hit returns the inserted entry";
+  }
+  EXPECT_EQ(cache.hits(), variants.size());
+  EXPECT_EQ(cache.misses(), variants.size());
+  EXPECT_EQ(cache.size(), variants.size());
+}
+
+TEST(ProgramCacheTest, EntryCarriesItsPreparedProgram) {
+  // The prepared call an entry carries is the one the kernel's prepare hook
+  // derives from the attrs the run lowers to: a run executed with it or with
+  // the attrs gives the same bits.
+  kernels::FusedProgramCache cache(/*capacity=*/8);
+  std::vector<kernels::FusedRunOp> ops;
+  std::vector<kernels::FusedRunOperand> operands;
+  MakeCacheRun(16, &ops, &operands);
+  auto entry = cache.GetOrCompile(ops, operands, DType::kFloat32);
+  ASSERT_TRUE(entry->ok());
+  ASSERT_TRUE(entry->prepared.status.ok());
+  ASSERT_NE(entry->prepared.kernel, nullptr);
+
+  EagerContext* ctx = EagerContext::Global();
+  const OpDef* fused = Op("FusedElementwise");
+  const std::vector<Tensor> inputs = {
+      ops::random_normal({16}, 0, 1, /*seed=*/3),
+      ops::random_normal({16}, 0, 1, /*seed=*/4)};
+  AttrMap attrs = {{"dtype", AttrValue(DType::kFloat32)}};
+  auto prepared = ctx->ExecuteKernel(*fused, inputs, attrs, ctx->HostCpu(),
+                                     /*compiled=*/false, /*start_ns=*/0,
+                                     /*rng_stream=*/0, &entry->prepared);
+  attrs.emplace("program", AttrValue(entry->run.program.Encode()));
+  auto decoded = ctx->ExecuteKernel(*fused, inputs, attrs, ctx->HostCpu(),
+                                    /*compiled=*/false, /*start_ns=*/0);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(prepared->outputs.size(), 1u);
+  ASSERT_EQ(decoded->outputs.size(), 1u);
+  EXPECT_EQ(tensor_util::ToVector<float>(prepared->outputs[0]),
+            tensor_util::ToVector<float>(decoded->outputs[0]));
 }
 
 // --- DAG segments on the drain ---------------------------------------------

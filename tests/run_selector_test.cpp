@@ -141,7 +141,7 @@ TEST(FusionSelectorTest, StepsOverHolesAndNonFittingReductions) {
   });
   const FusedRunSelection selection = SelectFusedRun(source, cache);
   EXPECT_EQ(selection.members, (std::vector<int>{0, 2, 6, 7}));
-  EXPECT_TRUE(selection.compiled.has_reduce);
+  EXPECT_TRUE(selection.program->run.has_reduce);
   EXPECT_EQ(source.last_position, 7) << "the epilogue closes the scan";
 }
 
@@ -213,7 +213,7 @@ TEST(FusionSelectorTest, OperandsDedupByKeyAndReadOutsidePublishes) {
     EXPECT_EQ(selection.operands[1].input, 1);
     const std::vector<int> published =
         escapes ? std::vector<int>{0, 1} : std::vector<int>{1};
-    EXPECT_EQ(selection.compiled.output_members, published);
+    EXPECT_EQ(selection.program->run.output_members, published);
   }
 }
 

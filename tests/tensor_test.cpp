@@ -1,6 +1,9 @@
 // Unit tests for dtype, Shape, Buffer, Tensor, tensor_util.
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "tensor/tensor.h"
 #include "tensor/tensor_util.h"
 
@@ -99,6 +102,24 @@ TEST(TensorTest, OpaqueRefusesDataAccess) {
   EXPECT_TRUE(t.is_opaque());
   EXPECT_EQ(t.num_elements(), 8);
   EXPECT_DEATH({ (void)t.raw_data(); }, "opaque");
+}
+
+TEST(TensorTest, OpaquePlaceholdersShareOneEmptyBuffer) {
+  // Placeholders hold no values, so none allocates: all share one empty
+  // buffer, whichever thread makes or drops them.
+  const Tensor first = Tensor::Opaque(DType::kFloat32, Shape({8}), nullptr);
+  EXPECT_EQ(first.buffer()->bytes(), 0u);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&first] {
+      for (int i = 0; i < 256; ++i) {
+        const Tensor t = Tensor::Opaque(DType::kInt32, Shape({2, 3}), nullptr);
+        EXPECT_EQ(t.buffer().get(), first.buffer().get());
+        EXPECT_NE(t.id(), first.id());
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
 }
 
 TEST(TensorUtilTest, FullZerosOnes) {
