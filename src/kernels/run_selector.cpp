@@ -49,10 +49,6 @@ FusedRunSelection SelectFusedRun(FusedRunSource& source,
     }
     return true;
   };
-  // A member's element count: the frontend's when it provides one.
-  auto count_of = [](const FusedRunCandidate& c) {
-    return c.num_elements >= 0 ? c.num_elements : c.shape->num_elements();
-  };
   if (next.c.cls == nullptr || next.c.cls->kind == FusedMemberKind::kReduce ||
       !inputs_ok(0)) {
     candidates_counter->Increment(1);  // a front that cannot anchor
@@ -65,7 +61,7 @@ FusedRunSelection SelectFusedRun(FusedRunSource& source,
 
   // The greedy scan. Members are scalar or share one count, so the maximum
   // member count is the run's evaluation count.
-  int64_t run_count = count_of(next.c);
+  int64_t run_count = next.c.shape->num_elements();
   size_t holes = 0;
   int scanned = 1;  // candidates the scan reached, the anchor included
   for (int pos = 1; members.size() < kMaxFusedRunMembers &&
@@ -83,7 +79,7 @@ FusedRunSelection SelectFusedRun(FusedRunSource& source,
                                                *facts[producer].c.shape,
                                                run_count);
     } else if (joins) {
-      const int64_t count = count_of(c);
+      const int64_t count = c.shape->num_elements();
       joins = FusedCountFits(count, run_count) && inputs_ok(pos);
       if (joins) run_count = std::max(run_count, count);
     }

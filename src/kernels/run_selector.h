@@ -14,10 +14,10 @@
 //     description is built once, not per retry.
 // A frontend hands over facts only (FusedRunSource); the selector never asks
 // which frontend called it. A frontend that keeps per-candidate facts (the
-// drain computes a queued node's member class and element count once) hands
-// them over as they are; the selection returns the shared cache entry, so a
-// hit copies no program. Each selection adds the number of candidates its
-// scan reached to the fusion.scan.candidates counter.
+// drain computes a queued node's member class once) hands them over as they
+// are; the selection returns the shared cache entry, so a hit copies no
+// program. Each selection adds the number of candidates its scan reached
+// to the fusion.scan.candidates counter.
 #ifndef TFE_KERNELS_RUN_SELECTOR_H_
 #define TFE_KERNELS_RUN_SELECTOR_H_
 
@@ -61,9 +61,6 @@ struct FusedRunCandidate {
   int num_inputs = 0;
   DType dtype = DType::kInvalid;  // the single output's; member class only
   const Shape* shape = nullptr;
-  // shape->num_elements() when the frontend already knows it (the drain
-  // computes it once per queued node); -1 makes the selector compute it.
-  int64_t num_elements = -1;
 };
 
 // A frontend's view of the op stream behind an anchor. Pointers in the facts

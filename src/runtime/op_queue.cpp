@@ -98,7 +98,6 @@ class QueueRunSource final : public kernels::FusedRunSource {
                                          node.inputs.size(), result.dtype(),
                                          result.shape())) {
           node.member_class = &node.op->fused;
-          node.num_elements = result.shape().num_elements();
         }
       }
     }
@@ -110,7 +109,6 @@ class QueueRunSource final : public kernels::FusedRunSource {
       const TensorHandle& result = *node.outputs[0];
       out->dtype = result.dtype();
       out->shape = &result.shape();
-      out->num_elements = node.num_elements;
       out->cls = node.member_class;
     }
     return true;
@@ -221,7 +219,7 @@ void OpQueue::Enqueue(Node node) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(node));
-    depth = queue_.size();
+    depth = queue_.size() - claimed_;
     PumpLocked();
   }
   depth_gauge_->Set(static_cast<int64_t>(depth));

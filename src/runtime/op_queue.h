@@ -15,11 +15,11 @@
 // the drain alone knows stays here: the device gate, which queued node
 // produces a pending input, when a resolved operand is usable in place, the
 // donation proof, and whether a member's value is observable outside the
-// run. A node's own scan facts (member class, element count) are computed
-// once, when a scan first reaches it, and kept in the node. Members claimed
-// from behind the front are not erased from the deque: each leaves an empty
-// husk in place that the drain pops once it reaches the front, so claiming
-// a run takes no queue lock and moves no other node.
+// run. A node's run-member class is computed once, when a scan first
+// reaches it, and kept in the node. Members claimed from behind the front
+// are not erased from the deque: each leaves an empty husk in place that
+// the drain pops once it reaches the front, so claiming a run takes no
+// queue lock and moves no other node.
 //
 // Virtual-time accounting rides on the queue: an op occupies its device's
 // timeline starting no earlier than (a) the host clock at enqueue and (b)
@@ -67,11 +67,10 @@ class OpQueue {
 
     // Drain-only state: written and read by the queue's drain alone.
     // Scan facts, computed the first time a selection scan reaches the
-    // node: its run-member class (null: a hole) and its single output's
-    // element count. Every later scan reads them instead.
+    // node: its run-member class (null: a hole). Every later scan reads it
+    // instead of classifying the node again.
     bool scanned = false;
     const kernels::FusedMemberClass* member_class = nullptr;
-    int64_t num_elements = -1;
     // A husk: a fused run claimed this node from behind the front and moved
     // its contents out. It stays in place until it reaches the front; scans
     // step over it without counting it as a hole.

@@ -90,8 +90,9 @@ TEST_F(AsyncTest, ClaimedMembersLeaveHusksThatAreNotHoles) {
   // husks in place. Chain D ([5], a hole for C) anchors next: between d0 and
   // d1 sit 127 holes and C's 20 husks. Husks are not holes, so d1 is within
   // the 128-hole bound and joins; counted as holes, they would put d1 past
-  // it. The gate holds the queue until every op is enqueued, so the runs do
-  // not depend on drain timing.
+  // it. Two gates hold the queue, so the runs do not depend on drain
+  // timing: the first until every op is enqueued, the second (D's input)
+  // after C's run, with C's husks still queued behind d0.
   constexpr int kChain = 20;
   const int trailing_holes =
       static_cast<int>(kernels::kMaxFusedRunSkips) - 1 - kChain;
@@ -104,9 +105,10 @@ TEST_F(AsyncTest, ClaimedMembersLeaveHusksThatAreNotHoles) {
   const Tensor y = ops::constant<float>(yv, {5});
   const Tensor w = ops::constant<float>(wv, {8, 8});
   const Tensor s = ops::scalar<float>(0.5f);
-  auto program = [&](const Tensor& input) -> std::vector<Tensor> {
-    Tensor c = ops::neg(input);
-    Tensor d = ops::mul(y, y);
+  auto program = [&](const Tensor& cx,
+                     const Tensor& dy) -> std::vector<Tensor> {
+    Tensor c = ops::neg(cx);
+    Tensor d = ops::mul(dy, dy);
     Tensor hole;
     for (int i = 0; i < kChain; ++i) {
       hole = ops::matmul(w, w);
@@ -125,9 +127,22 @@ TEST_F(AsyncTest, ClaimedMembersLeaveHusksThatAreNotHoles) {
   profiler::Start();
   (void)profiler::Collect();
   const uint64_t candidates_before = candidates->value();
-  auto gate = TensorHandle::Pending(DType::kFloat32, x.shape(), ctx->HostCpu());
-  const std::vector<Tensor> async = program(Tensor::FromHandle(gate));
-  gate->SetTensor(x, /*ready_ns=*/0);
+  auto gate_c =
+      TensorHandle::Pending(DType::kFloat32, x.shape(), ctx->HostCpu());
+  auto gate_d =
+      TensorHandle::Pending(DType::kFloat32, y.shape(), ctx->HostCpu());
+  const std::vector<Tensor> async =
+      program(Tensor::FromHandle(gate_c), Tensor::FromHandle(gate_d));
+  gate_c->SetTensor(x, /*ready_ns=*/0);
+  // C's run resolves its output; the drain then waits on d0's gate with
+  // 1 + 2 * 20 + 107 + 1 nodes queued, 20 of them husks. One more enqueue
+  // (a MatMul behind d1, a hole for D past the bound) sets the depth gauge
+  // from the host thread while the husks are present.
+  ASSERT_TRUE(async[0].pending_handle()->WaitReady().ok());
+  const Tensor extra = ops::matmul(w, w);
+  EXPECT_EQ(depth->value(), 1 + kChain + trailing_holes + 1 + 1)
+      << "husks are not queued work";
+  gate_d->SetTensor(y, /*ready_ns=*/0);
   ASSERT_TRUE(ctx->Sync().ok());
   std::vector<int64_t> runs;
   const uint32_t fused_run = profiler::Intern("fused_run");
@@ -141,18 +156,20 @@ TEST_F(AsyncTest, ClaimedMembersLeaveHusksThatAreNotHoles) {
 
   EXPECT_EQ(runs, (std::vector<int64_t>{kChain + 1, 2}));
   // C's scan reaches its anchor, d0, 20 holes and 20 members between them
-  // and 107 more holes (the bound); D's reaches its anchor, 127 holes and
-  // d1; each of the 127 MatMuls is then a front that anchors nothing.
+  // and 107 more holes (the bound); D's reaches its anchor, 127 holes, d1
+  // and the extra MatMul (the bound); each of the 128 MatMuls is then a
+  // front that anchors nothing.
   EXPECT_EQ(candidates->value() - candidates_before,
-            (1 + 1 + 2 * kChain + trailing_holes) + (1 + 127 + 1) + 127);
+            (1 + 1 + 2 * kChain + trailing_holes) + (1 + 127 + 1 + 1) + 128);
   EXPECT_EQ(depth->value(), 0) << "husks are not queued work";
 
   ctx->set_async(false);
-  const std::vector<Tensor> sync = program(x);
+  const std::vector<Tensor> sync = program(x, y);
   ASSERT_EQ(async.size(), sync.size());
   for (size_t i = 0; i < sync.size(); ++i) {
     EXPECT_TRUE(BitwiseEqual(async[i], sync[i])) << "output " << i;
   }
+  EXPECT_TRUE(BitwiseEqual(extra, ops::matmul(w, w)));
 }
 
 TEST_F(AsyncTest, CrossDeviceChainParksAndResumes) {
