@@ -40,7 +40,6 @@ struct ExecPlan {
     int pending = 0;           // initial pending count (pool engine)
     int required_outputs = 0;  // 1 + the highest output index anything reads
     const OpDef* op = nullptr;  // the node's registry entry
-    PreparedCall prepared;
   };
 
   // A fused plan's elementwise-fused clone of the function; null when the
@@ -176,7 +175,6 @@ std::shared_ptr<const ExecPlan> BuildPlan(const GraphFunction& source,
     step.pending = static_cast<int>(node_deps.size());
     TFE_CHECK(node.def != nullptr) << "node " << id << " has no registry entry";
     step.op = node.def;
-    step.prepared = EagerContext::Prepare(*node.def, node.attrs);
     step_of[id] = static_cast<int>(plan->steps.size());
     plan->steps.push_back(std::move(step));
   }
@@ -385,7 +383,8 @@ StatusOr<Executor::Result> Executor::Run(const GraphFunction& function,
     TFE_ASSIGN_OR_RETURN(
         EagerContext::KernelRun run,
         ctx_->ExecuteKernel(*step.op, std::move(inputs), node.attrs, device,
-                            compiled, ready_ns, node_stream, &step.prepared));
+                            compiled, ready_ns, node_stream,
+                            node.program.get()));
     if (run.completion_ns != 0) {
       completion[step.node] = run.completion_ns;
     } else {

@@ -10,6 +10,7 @@
 #define TFE_GRAPH_GRAPH_H_
 
 #include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,10 @@ struct Node {
   // Payload for Const nodes (closed-over eager tensors become constants or
   // captures; small literals become constants).
   Tensor constant_value;
+  // Payload for FusedElementwise nodes: the compiled run the node executes,
+  // sharing ownership of its program-cache entry. Nodes carry no other
+  // form of the program.
+  std::shared_ptr<const kernels::CompiledRun> program;
   // Device override requested inside the traced code, if any (paper §4.4:
   // "operations inside the graph function explicitly placed on another
   // device override the outer device context").

@@ -416,11 +416,8 @@ Status FuseElementwise(GraphFunction& function, PassStats* stats) {
       fused_out_index[member] = static_cast<int>(k);
       fused.outputs.push_back(graph.node(member).outputs[0]);
     }
-    fused.attrs.emplace("program", AttrValue(compiled.program.Encode()));
-    // Extended programs may read operands under layout maps or foreign
-    // dtypes, so the run dtype is always explicit.
-    fused.attrs.emplace(
-        "dtype", AttrValue(graph.node(run.members.front()).outputs[0].dtype));
+    fused.program = std::shared_ptr<const kernels::CompiledRun>(
+        run.program, &compiled);
     fused.inputs = std::move(run.operands);
     const int fused_id = static_cast<int>(nodes.size());
     for (int i : run.members) new_node_id[i] = fused_id;

@@ -36,10 +36,8 @@ std::vector<int64_t> BroadcastStrides(const Shape& input,
   return strides;
 }
 
-void RegisterKernel(const char* op_name, KernelFn fn,
-                    KernelPrepareFn prepare) {
-  Status status = OpRegistry::Global()->RegisterKernel(op_name, std::move(fn),
-                                                      std::move(prepare));
+void RegisterKernel(const char* op_name, KernelFn fn) {
+  Status status = OpRegistry::Global()->RegisterKernel(op_name, std::move(fn));
   TFE_CHECK(status.ok()) << status.ToString();
 }
 
@@ -92,19 +90,16 @@ void BroadcastBinaryLoop(EagerContext* ectx, const TIn* a,
 }
 
 // Output buffer for a binary elementwise kernel: in place over the operand
-// the drain proved exclusively owned (op-at-a-time donation; "donate" attr
-// holds the donor's input index). Only an exact-shape donor qualifies — a
+// the drain proved exclusively owned (op-at-a-time donation; see
+// KernelContext::donor). Only an exact-shape donor qualifies — a
 // broadcasting operand's buffer is smaller than the output, and an
 // exact-shape donor's element i is read immediately before element i is
 // written, so aliasing is safe (the non-donor operand cannot share the
 // donor's buffer: a shared buffer fails the drain's use-count proof).
-// Structurally re-validated here: kernels are publicly invocable with
-// arbitrary attrs.
 Tensor BinaryOutput(KernelContext* ctx, const Tensor& a, const Tensor& b,
                     DType out_dtype, const Shape& out_shape) {
-  const int64_t donor_index = ctx->GetAttrOr<int64_t>("donate", -1);
-  if (donor_index == 0 || donor_index == 1) {
-    const Tensor& donor = donor_index == 0 ? a : b;
+  if (ctx->donor() == 0 || ctx->donor() == 1) {
+    const Tensor& donor = ctx->donor() == 0 ? a : b;
     if (donor.defined() && !donor.is_opaque() && !donor.is_resource() &&
         donor.dtype() == out_dtype && donor.shape() == out_shape) {
       return DonateOutput(ctx, 0, out_dtype, out_shape, donor);
@@ -157,14 +152,13 @@ Status CompareKernel(KernelContext* ctx) {
 }
 
 // Output buffer for a unary elementwise kernel: in place over the input
-// when the drain proved the input buffer exclusively owned and set the
-// "donate" attr (op-at-a-time donation, mirroring FusedElementwise's). The
-// per-element loops read element i immediately before writing element i, so
-// aliasing input and output is exact. Structurally re-validated here: the
-// kernel is publicly invocable with arbitrary attrs.
+// when the drain proved the input buffer exclusively owned (op-at-a-time
+// donation; see KernelContext::donor). The per-element loops read element i
+// immediately before writing element i, so aliasing input and output is
+// exact.
 Tensor UnaryOutput(KernelContext* ctx, const Tensor& x) {
-  if (ctx->GetAttrOr<int64_t>("donate", -1) == 0 && x.defined() &&
-      !x.is_opaque() && !x.is_resource()) {
+  if (ctx->donor() == 0 && x.defined() && !x.is_opaque() &&
+      !x.is_resource()) {
     return DonateOutput(ctx, 0, x.dtype(), x.shape(), x);
   }
   return ctx->AllocateOutput(0, x.dtype(), x.shape());

@@ -41,6 +41,10 @@ constexpr int64_t kMaxAccessRank = 16;
 Status ValidateAccess(const MicroAccess& access, int64_t count,
                       const char* what) {
   const std::string where = std::string("FusedElementwise ") + what;
+  if (access.kind < MicroAccessKind::kContiguous ||
+      access.kind > MicroAccessKind::kStrided) {
+    return InvalidArgument(where + " access kind out of range");
+  }
   if (access.kind != MicroAccessKind::kStrided) {
     if (!access.dims.empty() || !access.strides.empty()) {
       return InvalidArgument(where + " carries dims without a strided kind");
@@ -74,177 +78,67 @@ int64_t MaxAccessOffset(const MicroAccess& access) {
   return off;
 }
 
-void EncodeAccess(const MicroAccess& access, std::vector<int64_t>* out) {
-  out->push_back(static_cast<int64_t>(access.kind));
-  if (access.kind == MicroAccessKind::kStrided) {
-    out->push_back(static_cast<int64_t>(access.dims.size()));
-    for (int64_t d : access.dims) out->push_back(d);
-    for (int64_t s : access.strides) out->push_back(s);
+// A dim list (the evaluation space, an output shape, the reduce shape):
+// at most kMaxAccessRank non-negative dims.
+Status ValidateDims(const std::vector<int64_t>& dims, const char* what) {
+  if (static_cast<int64_t>(dims.size()) > kMaxAccessRank) {
+    return InvalidArgument(std::string("FusedElementwise ") + what +
+                           " rank out of range");
   }
+  for (int64_t d : dims) {
+    if (d < 0) {
+      return InvalidArgument(std::string("FusedElementwise ") + what +
+                             " dim out of range");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
 
-std::vector<int64_t> MicroProgram::Encode() const {
-  std::vector<int64_t> encoded;
-  encoded.push_back(kMicroProgramMagicV3);
-  encoded.push_back(num_operands);
-  encoded.push_back(static_cast<int64_t>(eval_dims.size()));
-  for (int64_t d : eval_dims) encoded.push_back(d);
-  encoded.push_back(num_rows);
-  for (const MicroOperandSlot& slot : slots) {
-    encoded.push_back(slot.input);
-    EncodeAccess(slot.access, &encoded);
+Status MicroProgram::Verify() const {
+  if (num_operands < 1 ||
+      static_cast<int64_t>(slots.size()) != num_operands) {
+    return InvalidArgument("FusedElementwise program slots malformed");
   }
-  encoded.push_back(static_cast<int64_t>(insts.size()));
-  for (const MicroInst& inst : insts) {
-    encoded.push_back(static_cast<int64_t>(inst.opcode));
-    encoded.push_back(inst.a);
-    encoded.push_back(inst.b);
-    encoded.push_back(inst.dst);
-  }
-  encoded.push_back(static_cast<int64_t>(output_specs.size()));
-  for (const MicroOutputSpec& spec : output_specs) {
-    encoded.push_back(spec.reg);
-    encoded.push_back(static_cast<int64_t>(spec.shape.size()));
-    for (int64_t d : spec.shape) encoded.push_back(d);
-    EncodeAccess(spec.store, &encoded);
-  }
-  encoded.push_back(static_cast<int64_t>(reduce.kind));
-  if (reduce.kind != MicroReduceKind::kNone) {
-    encoded.push_back(reduce.src);
-    encoded.push_back(reduce.reduce_count);
-    encoded.push_back(static_cast<int64_t>(reduce.shape.size()));
-    for (int64_t d : reduce.shape) encoded.push_back(d);
-  }
-  return encoded;
-}
-
-StatusOr<MicroProgram> MicroProgram::Decode(
-    const std::vector<int64_t>& encoded) {
-  if (encoded.empty() || encoded[0] != kMicroProgramMagicV3) {
-    return InvalidArgument(
-        "FusedElementwise program does not start with the program magic");
-  }
-  MicroProgram program;
-  size_t pos = 1;
-  auto next = [&]() -> StatusOr<int64_t> {
-    if (pos >= encoded.size()) {
-      return InvalidArgument("Truncated FusedElementwise program");
-    }
-    return encoded[pos++];
-  };
-  // A rank-prefixed dim list: the evaluation space, an output shape, or
-  // the reduce shape.
-  auto read_dims = [&](const char* what) -> StatusOr<std::vector<int64_t>> {
-    TFE_ASSIGN_OR_RETURN(int64_t rank, next());
-    if (rank < 0 || rank > kMaxAccessRank) {
-      return InvalidArgument(std::string("FusedElementwise ") + what +
-                             " rank out of range");
-    }
-    std::vector<int64_t> dims;
-    for (int64_t d = 0; d < rank; ++d) {
-      TFE_ASSIGN_OR_RETURN(int64_t dim, next());
-      if (dim < 0) {
-        return InvalidArgument(std::string("FusedElementwise ") + what +
-                               " dim out of range");
-      }
-      dims.push_back(dim);
-    }
-    return dims;
-  };
-  TFE_ASSIGN_OR_RETURN(program.num_operands, next());
-  if (program.num_operands < 1) {
-    return InvalidArgument("Malformed FusedElementwise program header");
-  }
-  TFE_ASSIGN_OR_RETURN(program.eval_dims, read_dims("evaluation"));
-  const int64_t eval_count = ProductOf(program.eval_dims);
-  TFE_ASSIGN_OR_RETURN(program.num_rows, next());
-  if (program.num_rows < 0 || program.num_rows > 4096) {
+  TFE_RETURN_IF_ERROR(ValidateDims(eval_dims, "evaluation"));
+  const int64_t eval_count = ProductOf(eval_dims);
+  if (num_rows < 0 || num_rows > 4096) {
     return InvalidArgument("FusedElementwise row count out of range");
   }
-  auto decode_access = [&](const char* what) -> StatusOr<MicroAccess> {
-    MicroAccess access;
-    TFE_ASSIGN_OR_RETURN(int64_t kind, next());
-    if (kind < static_cast<int64_t>(MicroAccessKind::kContiguous) ||
-        kind > static_cast<int64_t>(MicroAccessKind::kStrided)) {
-      return InvalidArgument("FusedElementwise access kind out of range");
-    }
-    access.kind = static_cast<MicroAccessKind>(kind);
-    if (access.kind == MicroAccessKind::kStrided) {
-      TFE_ASSIGN_OR_RETURN(int64_t rank, next());
-      if (rank < 0 || rank > kMaxAccessRank) {
-        return InvalidArgument("FusedElementwise access rank out of range");
-      }
-      for (int64_t d = 0; d < rank; ++d) {
-        TFE_ASSIGN_OR_RETURN(int64_t dim, next());
-        access.dims.push_back(dim);
-      }
-      for (int64_t d = 0; d < rank; ++d) {
-        TFE_ASSIGN_OR_RETURN(int64_t stride, next());
-        access.strides.push_back(stride);
-      }
-    }
-    TFE_RETURN_IF_ERROR(ValidateAccess(access, eval_count, what));
-    return access;
-  };
-  for (int64_t s = 0; s < program.num_operands; ++s) {
-    MicroOperandSlot slot;
-    TFE_ASSIGN_OR_RETURN(slot.input, next());
+  for (const MicroOperandSlot& slot : slots) {
     if (slot.input < 0) {
       return InvalidArgument("FusedElementwise slot input out of range");
     }
-    TFE_ASSIGN_OR_RETURN(slot.access, decode_access("operand slot"));
-    program.slots.push_back(std::move(slot));
-  }
-  TFE_ASSIGN_OR_RETURN(int64_t num_insts, next());
-  if (num_insts < 0) {
-    return InvalidArgument("Malformed FusedElementwise program header");
+    TFE_RETURN_IF_ERROR(
+        ValidateAccess(slot.access, eval_count, "operand slot"));
   }
   // A row may be read only after some earlier instruction wrote it — rows
   // the compiler retired and reassigned must never leak stale data.
-  std::vector<bool> row_written(program.num_rows, false);
+  std::vector<bool> row_written(num_rows, false);
   auto readable = [&](int64_t r) {
-    return r >= 0 && r < program.num_registers() &&
-           (r < program.num_operands || row_written[r - program.num_operands]);
+    return r >= 0 && r < num_registers() &&
+           (r < num_operands || row_written[r - num_operands]);
   };
-  for (int64_t i = 0; i < num_insts; ++i) {
-    MicroInst inst;
-    TFE_ASSIGN_OR_RETURN(int64_t opcode, next());
-    if (opcode < static_cast<int64_t>(MicroOpCode::kAdd) ||
-        opcode > static_cast<int64_t>(MicroOpCode::kCast)) {
+  for (const MicroInst& inst : insts) {
+    if (inst.opcode < MicroOpCode::kAdd || inst.opcode > MicroOpCode::kCast) {
       return InvalidArgument("Unknown FusedElementwise opcode");
     }
-    inst.opcode = static_cast<MicroOpCode>(opcode);
-    TFE_ASSIGN_OR_RETURN(int64_t a, next());
-    TFE_ASSIGN_OR_RETURN(int64_t b, next());
-    if (!readable(a) || !readable(b)) {
+    if (!readable(inst.a) || !readable(inst.b)) {
       return InvalidArgument("FusedElementwise register out of range");
     }
-    TFE_ASSIGN_OR_RETURN(int64_t dst, next());
-    if (dst < program.num_operands || dst >= program.num_registers()) {
+    if (inst.dst < num_operands || inst.dst >= num_registers()) {
       return InvalidArgument(
           "FusedElementwise destination register out of range");
     }
-    inst.a = static_cast<int32_t>(a);
-    inst.b = static_cast<int32_t>(b);
-    inst.dst = static_cast<int32_t>(dst);
-    row_written[dst - program.num_operands] = true;
-    program.insts.push_back(inst);
+    row_written[inst.dst - num_operands] = true;
   }
-  TFE_ASSIGN_OR_RETURN(int64_t num_outputs, next());
-  if (num_outputs < 0) {
-    return InvalidArgument("Malformed FusedElementwise output count");
-  }
-  for (int64_t o = 0; o < num_outputs; ++o) {
-    MicroOutputSpec spec;
-    TFE_ASSIGN_OR_RETURN(int64_t reg, next());
-    if (!readable(reg)) {
+  for (const MicroOutputSpec& spec : output_specs) {
+    if (!readable(spec.reg)) {
       return InvalidArgument("FusedElementwise output register out of range");
     }
-    spec.reg = static_cast<int32_t>(reg);
-    TFE_ASSIGN_OR_RETURN(spec.shape, read_dims("output"));
-    TFE_ASSIGN_OR_RETURN(spec.store, decode_access("output store"));
+    TFE_RETURN_IF_ERROR(ValidateDims(spec.shape, "output"));
+    TFE_RETURN_IF_ERROR(ValidateAccess(spec.store, eval_count, "output store"));
     const int64_t shape_count = ProductOf(spec.shape);
     switch (spec.store.kind) {
       case MicroAccessKind::kScalar:
@@ -265,39 +159,40 @@ StatusOr<MicroProgram> MicroProgram::Decode(
         }
         break;
     }
-    program.output_specs.push_back(std::move(spec));
   }
-  TFE_ASSIGN_OR_RETURN(int64_t reduce_kind, next());
-  if (reduce_kind < static_cast<int64_t>(MicroReduceKind::kNone) ||
-      reduce_kind > static_cast<int64_t>(MicroReduceKind::kMin)) {
+  if (reduce.kind < MicroReduceKind::kNone ||
+      reduce.kind > MicroReduceKind::kMin) {
     return InvalidArgument("FusedElementwise reduce kind out of range");
   }
-  program.reduce.kind = static_cast<MicroReduceKind>(reduce_kind);
-  if (program.reduce.kind != MicroReduceKind::kNone) {
-    TFE_ASSIGN_OR_RETURN(int64_t src, next());
-    if (!readable(src)) {
+  if (reduce.kind != MicroReduceKind::kNone) {
+    if (!readable(reduce.src)) {
       return InvalidArgument("FusedElementwise reduce register out of range");
     }
-    program.reduce.src = static_cast<int32_t>(src);
-    TFE_ASSIGN_OR_RETURN(program.reduce.reduce_count, next());
-    if (program.reduce.reduce_count < 1) {
+    if (reduce.reduce_count < 1) {
       return InvalidArgument("FusedElementwise reduce count out of range");
     }
-    TFE_ASSIGN_OR_RETURN(program.reduce.shape, read_dims("reduce"));
-    if (ProductOf(program.reduce.shape) * program.reduce.reduce_count !=
-        eval_count) {
+    TFE_RETURN_IF_ERROR(ValidateDims(reduce.shape, "reduce"));
+    if (ProductOf(reduce.shape) * reduce.reduce_count != eval_count) {
       return InvalidArgument(
           "FusedElementwise reduce does not tile the evaluation space");
     }
   }
-  if (program.insts.empty() && program.output_specs.empty() &&
-      program.reduce.kind == MicroReduceKind::kNone) {
+  if (insts.empty() && output_specs.empty() &&
+      reduce.kind == MicroReduceKind::kNone) {
     return InvalidArgument("FusedElementwise program computes nothing");
   }
-  if (pos != encoded.size()) {
-    return InvalidArgument("Trailing data in FusedElementwise program");
+  return Status::OK();
+}
+
+std::vector<TypeAndShape> CompiledRun::OutputTypes() const {
+  std::vector<TypeAndShape> types;
+  for (const MicroOutputSpec& spec : program.output_specs) {
+    types.push_back({dtype, Shape(spec.shape)});
   }
-  return program;
+  if (program.reduce.kind != MicroReduceKind::kNone) {
+    types.push_back({dtype, Shape(program.reduce.shape)});
+  }
+  return types;
 }
 
 int MicroOpArity(MicroOpCode code) {
@@ -578,6 +473,27 @@ bool DonationSafe(const MicroProgram& program, size_t o, int64_t donor) {
     }
   }
   return true;
+}
+
+// A DAG run: more than one published output, or an in-run value consumed
+// by several instructions. Rows are storage, not values — a write retires
+// the row's previous value — so read counts reset at each redefinition.
+bool IsDagRun(const MicroProgram& program) {
+  if (program.output_specs.size() +
+          (program.reduce.kind != MicroReduceKind::kNone ? 1 : 0) >
+      1) {
+    return true;
+  }
+  std::vector<int> reads(program.num_registers(), 0);
+  for (const MicroInst& inst : program.insts) {
+    if (inst.a >= program.num_operands && ++reads[inst.a] > 1) return true;
+    if (MicroOpArity(inst.opcode) == 2 && inst.b >= program.num_operands &&
+        ++reads[inst.b] > 1) {
+      return true;
+    }
+    reads[inst.dst] = 0;
+  }
+  return false;
 }
 
 // Rewrites the one-row-per-instruction program emission builds (instruction
@@ -1050,6 +966,9 @@ StatusOr<CompiledRun> CompileFusedRun(
   // only reasons about slots and the row-vs-slot distinction, both of which
   // compaction preserves.
   CompactProgram(&prog);
+  TFE_RETURN_IF_ERROR(prog.Verify());
+  out.dtype = run_dtype;
+  out.dag = IsDagRun(prog);
 
   // Donation plan: alias a uniquely-owned external operand's buffer as a
   // fused output so the run writes in place instead of allocating.
@@ -1317,7 +1236,7 @@ void RunTyped(EagerContext* ectx, const MicroProgram& program,
             }
             break;
           default:
-            break;  // unreachable; Decode validated the opcode
+            break;  // unreachable; Verify bounds the opcode
         }
       }
     }
@@ -1426,74 +1345,16 @@ void RunTyped(EagerContext* ectx, const MicroProgram& program,
   reduce_out[0] = acc;
 }
 
-// The FusedElementwise prepare hook's output: the decoded "program" attr,
-// the "donate" attr, and whether the program is a DAG run (vs a linear
-// chain) — everything the kernel derives from attrs alone.
-struct PreparedFusedProgram : PreparedKernel {
-  MicroProgram program;
-  std::vector<int64_t> donate;
-  bool dag = false;
-};
-
-// A DAG run: more than one published output, or an in-run value consumed
-// by several instructions. Rows are storage, not values — a write retires
-// the row's previous value — so read counts reset at each redefinition.
-bool IsDagRun(const MicroProgram& program) {
-  if (program.output_specs.size() +
-          (program.reduce.kind != MicroReduceKind::kNone ? 1 : 0) >
-      1) {
-    return true;
-  }
-  std::vector<int> reads(program.num_registers(), 0);
-  for (const MicroInst& inst : program.insts) {
-    if (inst.a >= program.num_operands && ++reads[inst.a] > 1) return true;
-    if (MicroOpArity(inst.opcode) == 2 && inst.b >= program.num_operands &&
-        ++reads[inst.b] > 1) {
-      return true;
-    }
-    reads[inst.dst] = 0;
-  }
-  return false;
-}
-
-// Decodes `encoded` (the "program" attr) under the donation plan `donate`
-// (the "donate" attr; empty = none).
-StatusOr<std::shared_ptr<const PreparedKernel>> PrepareFusedProgram(
-    const std::vector<int64_t>& encoded, std::vector<int64_t> donate) {
-  auto prepared = std::make_shared<PreparedFusedProgram>();
-  TFE_ASSIGN_OR_RETURN(prepared->program, MicroProgram::Decode(encoded));
-  prepared->donate = std::move(donate);
-  prepared->dag = IsDagRun(prepared->program);
-  return std::shared_ptr<const PreparedKernel>(std::move(prepared));
-}
-
-StatusOr<std::shared_ptr<const PreparedKernel>> PrepareFusedElementwise(
-    const AttrMap& attrs) {
-  TFE_ASSIGN_OR_RETURN(auto encoded,
-                       GetAttr<std::vector<int64_t>>(attrs, "program"));
-  std::vector<int64_t> donate;
-  auto it = attrs.find("donate");
-  if (it != attrs.end() && it->second.Is<std::vector<int64_t>>()) {
-    donate = it->second.Get<std::vector<int64_t>>();
-  }
-  return PrepareFusedProgram(encoded, std::move(donate));
-}
-
 Status FusedElementwiseKernel(KernelContext* ctx) {
-  const auto* prepared =
-      static_cast<const PreparedFusedProgram*>(ctx->prepared());
-  if (prepared == nullptr) {
-    return Internal("FusedElementwise ran without its prepared program");
+  const CompiledRun* run = ctx->prepared();
+  if (run == nullptr) {
+    return InvalidArgument(
+        "FusedElementwise runs only a program the runtime compiled; it "
+        "cannot be dispatched");
   }
-  const MicroProgram& program = prepared->program;
+  const MicroProgram& program = run->program;
+  const DType dtype = run->dtype;
   const std::vector<Tensor>& inputs = ctx->inputs();
-  if (inputs.empty()) {
-    return InvalidArgument("FusedElementwise requires at least one operand");
-  }
-
-  // The run dtype: explicit when the program folds casts (operands may then
-  // carry foreign source dtypes), otherwise every operand's shared dtype.
-  const DType dtype = ctx->GetAttrOr<DType>("dtype", inputs[0].dtype());
 
   const int64_t count = ProductOf(program.eval_dims);
   for (const MicroOperandSlot& slot : program.slots) {
@@ -1561,22 +1422,21 @@ Status FusedElementwiseKernel(KernelContext* ctx) {
         "FusedElementwise foreign-dtype operand fed to the reduction");
   }
 
-  // Donation plan ("donate" attr): output k writes donate[k]'s buffer in
-  // place (-1 = fresh allocation). The compiler only assigns donations it
-  // proved safe, but the kernel is publicly invocable, so re-validate them.
-  const std::vector<int64_t>& donate = prepared->donate;
-  if (!donate.empty() && donate.size() != program.output_specs.size()) {
-    return InvalidArgument("FusedElementwise donate length mismatch");
+  // Donation plan: output k writes donations[k]'s buffer in place (-1 or
+  // absent = fresh allocation). CompileFusedRun proved the plan safe for
+  // the program; the donor itself must still carry the run dtype and the
+  // evaluation count.
+  const std::vector<int>& donations = run->donations;
+  if (donations.size() > program.output_specs.size()) {
+    return InvalidArgument("FusedElementwise donation plan length mismatch");
   }
-  for (size_t o = 0; o < donate.size(); ++o) {
-    const int64_t donor = donate[o];
+  for (int donor : donations) {
     if (donor < 0) continue;
-    if (donor >= static_cast<int64_t>(inputs.size())) {
+    if (donor >= static_cast<int>(inputs.size())) {
       return InvalidArgument("FusedElementwise donor index out of range");
     }
     if (inputs[donor].dtype() != dtype ||
-        inputs[donor].num_elements() != count ||
-        !DonationSafe(program, o, donor)) {
+        inputs[donor].num_elements() != count) {
       return InvalidArgument("FusedElementwise unsafe donation");
     }
   }
@@ -1593,7 +1453,7 @@ Status FusedElementwiseKernel(KernelContext* ctx) {
     profiler::RecordInstant(profiler::EventKind::kFusionRun, reduce_name_id,
                             static_cast<int64_t>(program.insts.size()) + 1);
   }
-  if (prepared->dag) {
+  if (run->dag) {
     static profiler::Counter* dag_runs =
         profiler::Metrics().GetCounter("fusion.dag_runs");
     static const uint32_t dag_name_id = profiler::Intern("dag_fused_run");
@@ -1647,7 +1507,7 @@ Status FusedElementwiseKernel(KernelContext* ctx) {
     outputs.reserve(program.output_specs.size());
     for (size_t o = 0; o < program.output_specs.size(); ++o) {
       const MicroOutputSpec& spec = program.output_specs[o];
-      const int64_t donor = o < donate.size() ? donate[o] : -1;
+      const int donor = o < donations.size() ? donations[o] : -1;
       Tensor out = donor >= 0 ? DonateOutput(ctx, static_cast<int>(o), dtype,
                                              Shape(spec.shape), inputs[donor])
                               : ctx->AllocateOutput(static_cast<int>(o), dtype,
@@ -1674,26 +1534,8 @@ Status FusedElementwiseKernel(KernelContext* ctx) {
 
 }  // namespace
 
-PreparedCall PrepareCompiledRun(const CompiledRun& run) {
-  // The attrs a run lowers to carry "donate" only when some output donates.
-  std::vector<int64_t> donate;
-  if (std::any_of(run.donations.begin(), run.donations.end(),
-                  [](int d) { return d >= 0; })) {
-    donate.assign(run.donations.begin(), run.donations.end());
-  }
-  PreparedCall prepared;
-  auto kernel = PrepareFusedProgram(run.program.Encode(), std::move(donate));
-  if (kernel.ok()) {
-    prepared.kernel = std::move(kernel).value();
-  } else {
-    prepared.status = kernel.status();
-  }
-  return prepared;
-}
-
 void RegisterFusedElementwiseKernels() {
-  RegisterKernel("FusedElementwise", FusedElementwiseKernel,
-                 PrepareFusedElementwise);
+  RegisterKernel("FusedElementwise", FusedElementwiseKernel);
 }
 
 }  // namespace kernels

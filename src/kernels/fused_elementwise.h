@@ -6,17 +6,13 @@
 // graph pass in graph/passes.cpp (static, the §4.6 staged-optimization
 // opportunity) — select runs with one selector (kernels/run_selector.h)
 // applying the membership rules below, describe each run to
-// CompileFusedRun(), and lower it to the same program encoding and the same
-// interpreter, so fused execution is bitwise identical in either stage.
+// CompileFusedRun(), and run the same MicroProgram on the same interpreter,
+// so fused execution is bitwise identical in either stage.
 //
-// The "program" attr (a vector<int64_t>) has one encoding:
-//
-//     [kMicroProgramMagicV3, num_slots, eval_rank, eval_dims..., num_rows,
-//      {input, kind, [rank, dims..., strides...] if strided} per slot,
-//      num_insts, {opcode, a, b, dst}*,
-//      num_outputs, {reg, shape_rank, shape_dims...,
-//                    kind, [rank, dims..., strides...] if strided} per output,
-//      reduce_kind, [src_reg, reduce_count, out_rank, out_dims...] if any]
+// A program has one form, the MicroProgram struct. It lives in the run's
+// program-cache entry (kernels/program_cache.h) and reaches the kernel
+// through KernelContext::prepared(), never through attrs: no fused graph is
+// serialized or shipped, so the program needs no wire format.
 //
 // Registers [0, num_slots) are operand *slots*: each names a kernel input
 // plus an access descriptor (contiguous, broadcast scalar, or a strided
@@ -35,10 +31,8 @@
 // into per-chunk partial accumulators combined by the fixed stride-doubling
 // tree in reduce_util.h.
 //
-// A program that does not begin with kMicroProgramMagicV3 — including the
-// retired layouts that began with a non-negative operand count or with -2 —
-// fails Decode with InvalidArgument, so the kernel and shape inference
-// reject it loudly rather than reinterpret it.
+// MicroProgram::Verify() holds the structural rules every program obeys;
+// CompileFusedRun runs it once on each program it emits.
 #ifndef TFE_KERNELS_FUSED_ELEMENTWISE_H_
 #define TFE_KERNELS_FUSED_ELEMENTWISE_H_
 
@@ -46,6 +40,7 @@
 #include <vector>
 
 #include "ops/attr_value.h"
+#include "ops/shape_inference.h"
 #include "support/status.h"
 #include "tensor/dtype.h"
 #include "tensor/shape.h"
@@ -53,7 +48,6 @@
 namespace tfe {
 
 struct OpDef;
-struct PreparedCall;
 
 namespace kernels {
 
@@ -99,9 +93,6 @@ struct MicroInst {
   // Destination register, in [num_operands, num_operands + num_rows).
   int32_t dst = -1;
 };
-
-// First element of every encoded program.
-constexpr int64_t kMicroProgramMagicV3 = -3;
 
 // How an operand slot reads its input — or an output stores its register —
 // relative to the flat evaluation index.
@@ -168,8 +159,12 @@ struct MicroProgram {
 
   int64_t num_registers() const { return num_operands + num_rows; }
 
-  std::vector<int64_t> Encode() const;
-  static StatusOr<MicroProgram> Decode(const std::vector<int64_t>& encoded);
+  // InvalidArgument unless the program is well formed: at least one slot,
+  // in-range opcodes and access descriptors that cover the evaluation
+  // space, every register read only after it was written, destinations
+  // inside the scratch rows, output stores inside their buffers, a reduce
+  // epilogue that tiles the evaluation space, and something computed.
+  Status Verify() const;
 };
 
 // 1 or 2.
@@ -286,17 +281,30 @@ struct FusedRunOperand {
   bool may_donate = false;
 };
 
+// What the FusedElementwise kernel runs: everything it knows about a run
+// besides its inputs. Built once by CompileFusedRun and held, immutable, by
+// the run's program-cache entry.
 struct CompiledRun {
   MicroProgram program;
+  // The run dtype: every register's. Operands may carry a foreign dtype
+  // only as a kCast source.
+  DType dtype = DType::kFloat32;
   // Member index per kernel output, in kernel-output order; when the run
   // ends in a reduction its member is last.
   std::vector<int> output_members;
   bool has_reduce = false;
+  // A DAG run: more than one kernel output, or an in-run value read by
+  // several instructions (vs a linear chain).
+  bool dag = false;
   // Donation plan, parallel to program.output_specs: the operand index
   // whose buffer output k writes in place, or -1 for a fresh allocation.
   // Assigned only where the interpreter's block order proves every read of
   // the donor precedes the overwriting store (see CompileFusedRun).
   std::vector<int> donations;
+
+  // The kernel outputs' types: each output spec's shape, then the reduce
+  // epilogue's, all in the run dtype.
+  std::vector<TypeAndShape> OutputTypes() const;
 };
 
 // Emits the compacted program: identical instructions merge and scratch
@@ -305,13 +313,6 @@ struct CompiledRun {
 StatusOr<CompiledRun> CompileFusedRun(const std::vector<FusedRunOp>& ops,
                                       const std::vector<FusedRunOperand>& operands,
                                       DType run_dtype);
-
-// The FusedElementwise prepare result for `run`: exactly what the kernel's
-// prepare hook derives from the "program" and "donate" attrs the run lowers
-// to (the program as decoded from its encoding, the donation plan, the DAG
-// bit). A caller that runs one compiled program many times builds it once
-// and passes it to EagerContext::ExecuteKernel instead of the attrs.
-PreparedCall PrepareCompiledRun(const CompiledRun& run);
 
 void RegisterFusedElementwiseKernels();
 

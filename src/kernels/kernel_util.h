@@ -67,11 +67,9 @@ std::vector<int64_t> ComputeStrides(const Shape& shape);
 // alignment). Lengths equal output rank.
 std::vector<int64_t> BroadcastStrides(const Shape& input, const Shape& output);
 
-// Attaches `fn` (and its optional prepare hook) to the registered op
-// `op_name`, CHECK-failing on an unknown op or a duplicate (used by the
-// startup registrars).
-void RegisterKernel(const char* op_name, KernelFn fn,
-                    KernelPrepareFn prepare = nullptr);
+// Attaches `fn` to the registered op `op_name`, CHECK-failing on an
+// unknown op or a duplicate (used by the startup registrars).
+void RegisterKernel(const char* op_name, KernelFn fn);
 
 // Shards [0, total) into contiguous ranges and runs `fn(begin, end)` on the
 // context's intra-op thread pool, with the calling thread taking the first

@@ -107,7 +107,6 @@ std::shared_ptr<const FusedProgram> FusedProgramCache::GetOrCompile(
   StatusOr<CompiledRun> compiled = CompileFusedRun(ops, operands, run_dtype);
   if (compiled.ok()) {
     program->run = std::move(compiled).value();
-    program->prepared = PrepareCompiledRun(program->run);
   } else {
     program->status = compiled.status();
   }

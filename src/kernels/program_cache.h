@@ -13,10 +13,11 @@
 // about what the run it returns costs to describe.
 //
 // An entry is built once, on insert, and never changes after: a hit hands
-// out the shared entry, not a copy. Next to the compile result it carries
-// the FusedElementwise prepare result of the program (PrepareCompiledRun),
-// so the drain runs a cached program as prepared instead of re-encoding it
-// into a "program" attr the kernel decodes again.
+// out the shared entry, not a copy. The entry is what the FusedElementwise
+// kernel runs: its CompiledRun holds the one copy of the program, the run
+// dtype, the donation plan and the DAG bit. The drain passes it to the
+// kernel directly; the static pass stores it on the fused graph node
+// (Node::program), and the executor passes it from there.
 //
 // Failed compilations are cached too: a segment the compiler rejects is
 // rejected identically every step, and the selector's shrink-and-retry must
@@ -38,18 +39,15 @@
 #include <vector>
 
 #include "kernels/fused_elementwise.h"
-#include "ops/kernel.h"
 #include "support/status.h"
 
 namespace tfe {
 namespace kernels {
 
-// One cache entry: a run signature's compile result and, when it compiled,
-// its program prepared for the FusedElementwise kernel. Immutable.
+// One cache entry: a run signature's compile result. Immutable.
 struct FusedProgram {
-  Status status;          // the compile error; OK when `run` holds a program
-  CompiledRun run;
-  PreparedCall prepared;  // PrepareCompiledRun(run); unset on a failure
+  Status status;    // the compile error; OK when `run` holds a program
+  CompiledRun run;  // what the FusedElementwise kernel runs
 
   bool ok() const { return status.ok(); }
 };

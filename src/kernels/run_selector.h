@@ -91,7 +91,7 @@ struct FusedRunSelection {
   // more members compiles.
   std::vector<int> members;
   std::vector<FusedRunSlot> operands;  // one per kernel input, in order
-  // The run's cache entry: its compiled program, prepared for the kernel.
+  // The run's cache entry: the compiled run the kernel executes.
   // Null when `members` is empty.
   std::shared_ptr<const FusedProgram> program;
 };

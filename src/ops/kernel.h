@@ -1,10 +1,14 @@
-// Kernel plumbing: the context a kernel runs in, the result of an op's
-// prepare hook, and the profiling wrapper every registered kernel gets.
-// Kernels themselves live in each op's registry entry (ops/op_def.h).
+// Kernel plumbing: the context a kernel runs in and the profiling wrapper
+// every registered kernel gets. Kernels themselves live in each op's
+// registry entry (ops/op_def.h).
+//
+// A kernel reads what the caller asked for from its attrs, and what the
+// runtime proved from the context fields only ExecuteKernel's caller sets:
+// the compiled program of a fused run (prepared()) and the input an
+// op-at-a-time kernel may overwrite (donor()). No attr can forge either.
 #ifndef TFE_OPS_KERNEL_H_
 #define TFE_OPS_KERNEL_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,18 +36,11 @@ StatusOr<T> GetAttr(const AttrMap& attrs, const std::string& name) {
   return it->second.Get<T>();
 }
 
-// What an op's prepare hook derives from a node's attrs (see
-// OpRegistry::RegisterKernel). Kernels downcast to their own subclass.
-class PreparedKernel {
- public:
-  virtual ~PreparedKernel() = default;
-};
-
 class KernelContext {
  public:
   KernelContext(EagerContext* eager_context, Device* device,
                 std::vector<Tensor> inputs, const AttrMap* attrs,
-                const PreparedKernel* prepared = nullptr)
+                const kernels::CompiledRun* prepared = nullptr)
       : eager_context_(eager_context),
         device_(device),
         inputs_(std::move(inputs)),
@@ -74,9 +71,15 @@ class KernelContext {
 
   const AttrMap& attrs() const { return *attrs_; }
 
-  // The op's prepare-hook output for these attrs; null when the op has no
-  // prepare hook.
-  const PreparedKernel* prepared() const { return prepared_; }
+  // The program a FusedElementwise kernel runs, held by the run's
+  // program-cache entry; null for every other kernel.
+  const kernels::CompiledRun* prepared() const { return prepared_; }
+
+  // The input an elementwise kernel may write its output over, or -1. Set
+  // only where the async drain proved the input's buffer exclusively owned
+  // (op-at-a-time donation); the kernel still checks dtype and shape.
+  int donor() const { return donor_; }
+  void set_donor(int input) { donor_ = input; }
 
   // Allocates output `i` (zero-initialized) on this context's device.
   // Returns the handle by value — handles share state, and a reference into
@@ -115,19 +118,13 @@ class KernelContext {
   Device* device_;
   std::vector<Tensor> inputs_;
   const AttrMap* attrs_;
-  const PreparedKernel* prepared_;
+  const kernels::CompiledRun* prepared_;
+  int donor_ = -1;
   std::vector<Tensor> outputs_;
   uint64_t start_ns_ = 0;
   uint64_t completion_ns_ = 0;
   bool compiled_ = false;
   uint64_t rng_stream_ = 0;
-};
-
-// An op's prepare-hook result for one graph node's attrs, derived once by an
-// execution plan (EagerContext::Prepare) for a node that runs many times.
-struct PreparedCall {
-  Status status;  // surfaces when the kernel would run
-  std::shared_ptr<const PreparedKernel> kernel;  // null without a hook
 };
 
 // `fn` wrapped with the kernel observability hook (see

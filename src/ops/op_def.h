@@ -13,7 +13,6 @@
 #define TFE_OPS_OP_DEF_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -28,7 +27,6 @@ namespace tfe {
 
 class EagerContext;
 class KernelContext;
-class PreparedKernel;
 struct Node;
 struct TapeEntry;
 
@@ -36,13 +34,9 @@ struct TapeEntry;
 // this reproduction compute on host memory; the simulated accelerators reuse
 // the CPU math (device placement still matters — it drives transfers, cost
 // accounting, and kernel-availability-based placement, as in the paper §4.4).
+// A kernel reads its caller's request from attrs and what the runtime proved
+// (a fused run's program, a donor input) from KernelContext (ops/kernel.h).
 using KernelFn = std::function<Status(KernelContext*)>;
-
-// Derives a PreparedKernel from a node's attrs (see
-// OpRegistry::RegisterKernel).
-using KernelPrepareFn =
-    std::function<StatusOr<std::shared_ptr<const PreparedKernel>>(
-        const AttrMap&)>;
 
 // A gradient function receives the recorded forward entry and the gradients
 // flowing into its outputs, and returns gradients for each input (undefined
@@ -124,7 +118,6 @@ struct OpDef {
   // Attached after the definition by OpRegistry::RegisterKernel and
   // RegisterGradient; empty when the op has none.
   KernelFn kernel;
-  KernelPrepareFn prepare;
   GradFn gradient;
 };
 

@@ -759,37 +759,19 @@ struct Registrar {
                    .shape_fn = NoOutputs});
 
     // A fused run of elementwise/layout/reduction ops interpreting a
-    // micro-op program (see kernels/fused_elementwise.h for the encoding).
-    // Produced only by the op-queue drain and the FuseElementwise graph
-    // pass, never by tracing — autodiff sees the original per-op graph, so
-    // no gradient exists.
+    // compiled micro-op program (kernels/fused_elementwise.h). Produced only
+    // by the op-queue drain and the FuseElementwise graph pass, which hand
+    // the kernel its program and the simulated path its output types — never
+    // by tracing. Dispatching or tracing it fails here: there is no program
+    // to infer from. Autodiff sees the original per-op graph, so no gradient
+    // exists.
     RegisterOrDie({.name = "FusedElementwise",
                    .num_inputs = OpDef::kVariadic,
                    .differentiable = false,
-                   .shape_fn = [](InferenceContext* ctx) {
-                     TFE_ASSIGN_OR_RETURN(
-                         auto encoded,
-                         ctx->GetAttr<std::vector<int64_t>>("program"));
-                     TFE_ASSIGN_OR_RETURN(
-                         kernels::MicroProgram program,
-                         kernels::MicroProgram::Decode(encoded));
-                     if (ctx->num_inputs() == 0) {
-                       return InvalidArgument(
-                           "FusedElementwise requires inputs");
-                     }
-                     const DType dtype =
-                         ctx->GetAttrOr<DType>("dtype", ctx->input_dtype(0));
-                     // Every output carries its own shape; the reduction
-                     // epilogue's output is the extra last one.
-                     for (const kernels::MicroOutputSpec& spec :
-                          program.output_specs) {
-                       ctx->AddOutput(dtype, Shape(spec.shape));
-                     }
-                     if (program.reduce.kind !=
-                         kernels::MicroReduceKind::kNone) {
-                       ctx->AddOutput(dtype, Shape(program.reduce.shape));
-                     }
-                     return Status::OK();
+                   .shape_fn = [](InferenceContext*) {
+                     return InvalidArgument(
+                         "FusedElementwise runs only a program the runtime "
+                         "compiled; it cannot be dispatched or traced");
                    }});
   }
 };

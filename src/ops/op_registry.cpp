@@ -18,8 +18,7 @@ Status OpRegistry::Register(OpDef op_def) {
   return Status::OK();
 }
 
-Status OpRegistry::RegisterKernel(const std::string& op_name, KernelFn fn,
-                                  KernelPrepareFn prepare) {
+Status OpRegistry::RegisterKernel(const std::string& op_name, KernelFn fn) {
   fn = WithKernelProfiling(op_name, std::move(fn));
   std::lock_guard<std::mutex> lock(mu_);
   auto it = ops_.find(op_name);
@@ -30,7 +29,6 @@ Status OpRegistry::RegisterKernel(const std::string& op_name, KernelFn fn,
     return AlreadyExists("Kernel already registered: " + op_name);
   }
   it->second.kernel = std::move(fn);
-  it->second.prepare = std::move(prepare);
   return Status::OK();
 }
 

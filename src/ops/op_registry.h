@@ -29,15 +29,8 @@ class OpRegistry {
   // kKernel span (device, output shape, bytes touched) and updates the
   // per-op metrics; off, the hook is one relaxed load.
   //
-  // `prepare`, when set, derives a PreparedKernel from a node's attrs (e.g.
-  // decoding a fused program). Execution plans call it once per graph node;
-  // ExecuteKernel without a plan calls it before every kernel call. The
-  // kernel reads the result through KernelContext::prepared(); checks
-  // against the actual inputs stay in the kernel.
-  //
   // NotFound for an unregistered op, AlreadyExists when it has a kernel.
-  Status RegisterKernel(const std::string& op_name, KernelFn fn,
-                        KernelPrepareFn prepare = nullptr);
+  Status RegisterKernel(const std::string& op_name, KernelFn fn);
 
   // Attaches the gradient of the registered op `op_name`. NotFound for an
   // unregistered op, AlreadyExists when it has a gradient.

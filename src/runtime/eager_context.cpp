@@ -250,19 +250,6 @@ StatusOr<Tensor> EagerContext::CopyTo(const Tensor& tensor, Device* device) {
   return Tensor::FromHandle(std::move(out));
 }
 
-PreparedCall EagerContext::Prepare(const OpDef& op, const AttrMap& attrs) {
-  PreparedCall prepared;
-  if (op.prepare) {
-    StatusOr<std::shared_ptr<const PreparedKernel>> kernel = op.prepare(attrs);
-    if (kernel.ok()) {
-      prepared.kernel = std::move(kernel).value();
-    } else {
-      prepared.status = kernel.status();
-    }
-  }
-  return prepared;
-}
-
 StatusOr<EagerContext::KernelRun> EagerContext::ExecuteKernel(
     const std::string& op_name, std::vector<Tensor> inputs,
     const AttrMap& attrs, Device* device, bool compiled, uint64_t start_ns,
@@ -275,7 +262,7 @@ StatusOr<EagerContext::KernelRun> EagerContext::ExecuteKernel(
 StatusOr<EagerContext::KernelRun> EagerContext::ExecuteKernel(
     const OpDef& op, std::vector<Tensor> inputs, const AttrMap& attrs,
     Device* device, bool compiled, uint64_t start_ns, uint64_t rng_stream,
-    const PreparedCall* prepared) {
+    const kernels::CompiledRun* prepared, int donor) {
   KernelRun run;
   if (device->IsRemote()) {
     return Internal(strings::StrCat(
@@ -303,12 +290,6 @@ StatusOr<EagerContext::KernelRun> EagerContext::ExecuteKernel(
 
   if (execute && (!opaque_inputs || op.always_executes)) {
     if (!op.kernel) return NotFound("No kernel registered for op " + op.name);
-    PreparedCall prepared_here;
-    if (prepared == nullptr) {
-      prepared_here = Prepare(op, attrs);
-      prepared = &prepared_here;
-    }
-    TFE_RETURN_IF_ERROR(prepared->status);
     // Accelerators cost the kernel from its input shapes; take them before
     // the inputs move into the kernel.
     std::vector<Shape> accelerator_input_shapes;
@@ -318,8 +299,8 @@ StatusOr<EagerContext::KernelRun> EagerContext::ExecuteKernel(
       accelerator_dtype_size = DTypeSize(inputs.empty() ? DType::kFloat32
                                                         : inputs[0].dtype());
     }
-    KernelContext ctx(this, device, std::move(inputs), &attrs,
-                      prepared->kernel.get());
+    KernelContext ctx(this, device, std::move(inputs), &attrs, prepared);
+    ctx.set_donor(donor);
     ctx.set_start_ns(start_ns);
     ctx.set_compiled(compiled);
     ctx.set_rng_stream(rng_stream);
@@ -349,10 +330,14 @@ StatusOr<EagerContext::KernelRun> EagerContext::ExecuteKernel(
     return run;
   }
 
-  // Simulation-only path: infer output shapes, produce opaque tensors,
-  // charge modelled time.
-  TFE_ASSIGN_OR_RETURN(std::vector<TypeAndShape> output_types,
-                       InferOutputTypes(op, inputs, attrs));
+  // Simulation-only path: infer output shapes (a compiled program knows
+  // its own), produce opaque tensors, charge modelled time.
+  std::vector<TypeAndShape> output_types;
+  if (prepared != nullptr) {
+    output_types = prepared->OutputTypes();
+  } else {
+    TFE_ASSIGN_OR_RETURN(output_types, InferOutputTypes(op, inputs, attrs));
+  }
   std::vector<Shape> output_shapes;
   for (const TypeAndShape& out : output_types) {
     if (!out.shape.IsFullyDefined()) {

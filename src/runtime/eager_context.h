@@ -176,25 +176,23 @@ class EagerContext {
   // `rng_stream` is the deterministic Philox stream for seed-0 random ops
   // (see KernelContext::rng_stream); 0 leaves the kernel on the shared
   // stateful stream. `inputs` is taken by value so callers that are done
-  // with their inputs can move them into the kernel. `prepared`, when set,
-  // is the node's Prepare result: the prepare hook is then skipped.
-  StatusOr<KernelRun> ExecuteKernel(const OpDef& op,
-                                    std::vector<Tensor> inputs,
-                                    const AttrMap& attrs, Device* device,
-                                    bool compiled, uint64_t start_ns,
-                                    uint64_t rng_stream = 0,
-                                    const PreparedCall* prepared = nullptr);
+  // with their inputs can move them into the kernel. `prepared` is the
+  // compiled program a FusedElementwise node runs (its program-cache
+  // entry's); it also gives a simulated run its output types. `donor` is
+  // the input an op-at-a-time elementwise kernel may overwrite, or -1 (see
+  // KernelContext::donor). Both are run-time facts of the runtime's own
+  // callers; no attr stands in for them.
+  StatusOr<KernelRun> ExecuteKernel(
+      const OpDef& op, std::vector<Tensor> inputs, const AttrMap& attrs,
+      Device* device, bool compiled, uint64_t start_ns,
+      uint64_t rng_stream = 0, const kernels::CompiledRun* prepared = nullptr,
+      int donor = -1);
   // Looks `op_name` up, then executes it as above.
   StatusOr<KernelRun> ExecuteKernel(const std::string& op_name,
                                     std::vector<Tensor> inputs,
                                     const AttrMap& attrs, Device* device,
                                     bool compiled, uint64_t start_ns,
                                     uint64_t rng_stream = 0);
-
-  // Runs `op`'s prepare hook on `attrs` once, for callers (execution plans)
-  // that run the same node many times. A prepare error is kept in the
-  // result and returned by ExecuteKernel when the kernel would run.
-  static PreparedCall Prepare(const OpDef& op, const AttrMap& attrs);
 
   // Placement: explicit request > device scope > first input's device (if a
   // kernel exists there) > host CPU. Variable ops stick to the variable's

@@ -356,7 +356,6 @@ void OpQueue::ExecuteFused(std::vector<Node> run,
     operands.push_back(*value);
   }
 
-  const DType dtype = run.front().outputs[0]->dtype();
   auto poison = [&](const Status& status) {
     for (const Node& node : run) {
       for (const auto& out : node.outputs) out->SetError(status);
@@ -364,14 +363,11 @@ void OpQueue::ExecuteFused(std::vector<Node> run,
     ctx_->NoteAsyncError(status);
   };
 
-  // The program and its donation plan reach the kernel prepared, as the
-  // cache entry holds them; extended programs may read operands under
-  // layout maps or foreign dtypes, so the run dtype is always explicit.
-  AttrMap attrs;
-  attrs.emplace("dtype", AttrValue(dtype));
-  auto result = ctx_->ExecuteKernel(*fused_op_, std::move(operands), attrs,
+  // The cache entry's compiled run carries the program, the run dtype and
+  // the donation plan; the kernel gets no attrs.
+  auto result = ctx_->ExecuteKernel(*fused_op_, std::move(operands), AttrMap(),
                                     device_, /*compiled=*/false, start_ns,
-                                    /*rng_stream=*/0, &program.prepared);
+                                    /*rng_stream=*/0, &compiled);
   if (!result.ok()) {
     poison(result.status());
     return;
@@ -489,6 +485,7 @@ void OpQueue::Execute(Node node) {
   // element i, so aliasing is safe even when the other operand broadcasts
   // (it lives in a different buffer — a shared buffer fails the counts).
   // The kernels re-validate dtype/shape and allocate fresh otherwise.
+  int donor = -1;
   if (ctx_->buffer_donation() && !device_->is_accelerator() &&
       device_->executes_kernels() && node.attrs.empty() &&
       node.inputs.size() == inputs.size() &&
@@ -508,7 +505,7 @@ void OpQueue::Execute(Node node) {
             node.inputs[i].state_use_count() == 1 &&
             value.state_use_count() == 2 &&  // handle's + `inputs[i]`
             value.buffer().use_count() == 1) {
-          node.attrs.emplace("donate", AttrValue(static_cast<int64_t>(i)));
+          donor = static_cast<int>(i);
           break;
         }
       }
@@ -517,7 +514,7 @@ void OpQueue::Execute(Node node) {
 
   auto run = ctx_->ExecuteKernel(*node.op, inputs, node.attrs, device_,
                                  /*compiled=*/false, start_ns,
-                                 node.rng_stream);
+                                 node.rng_stream, /*prepared=*/nullptr, donor);
   if (!run.ok()) {
     poison(run.status());
     return;

@@ -11,14 +11,14 @@
 // Drain fusion: each drain iteration offers the queue, front first, to the
 // fused-run selector it shares with the static graph pass
 // (kernels/run_selector.h), and executes the run it picks as one
-// FusedElementwise kernel, running the cached program as prepared. Only what
-// the drain alone knows stays here: the device gate, which queued node
-// produces a pending input, when a resolved operand is usable in place, the
-// donation proof, and whether a member's value is observable outside the
-// run. A node's run-member class is computed once, when a scan first
-// reaches it, and kept in the node. Members claimed from behind the front
-// are not erased from the deque: each leaves an empty husk in place that
-// the drain pops once it reaches the front, so claiming a run takes no
+// FusedElementwise kernel, handing it the run's cached compiled program.
+// Only what the drain alone knows stays here: the device gate, which queued
+// node produces a pending input, when a resolved operand is usable in
+// place, the donation proof, and whether a member's value is observable
+// outside the run. A node's run-member class is computed once, when a scan
+// first reaches it, and kept in the node. Members claimed from behind the
+// front are not erased from the deque: each leaves an empty husk in place
+// that the drain pops once it reaches the front, so claiming a run takes no
 // queue lock and moves no other node.
 //
 // Virtual-time accounting rides on the queue: an op occupies its device's
@@ -101,10 +101,11 @@ class OpQueue {
   // otherwise it pops the front alone.
   void Drain();
   // Runs one op: propagates poisoned inputs, materializes the rest, executes
-  // the kernel, accounts device time, and fulfills the output handles. A
-  // unary elementwise op whose input buffer is provably uniquely owned (the
-  // same use-count proof ExecuteFused applies to run operands) passes the
-  // kernel a "donate" attr and writes its output in place.
+  // the kernel, accounts device time, and fulfills the output handles. An
+  // elementwise op whose input buffer is provably uniquely owned (the same
+  // use-count proof ExecuteFused applies to run operands) names that input
+  // as the kernel's donor (KernelContext::donor), and the kernel writes its
+  // output in place.
   void Execute(Node node);
   // Remote-device variant: assembles the inputs into worker-store ids
   // (RemoteDevice::AssembleInputs) and issues the op over the backend's
@@ -115,11 +116,11 @@ class OpQueue {
   void ExecuteRemote(Node node);
 
   // Executes a run of >= 2 fused nodes as one FusedElementwise invocation of
-  // the program the selector compiled, passing its prepared call instead of
-  // "program"/"donate" attrs, reading the external operand at each of
-  // `slots`: elides intermediates nobody outside the run can observe,
-  // schedules one span of device time, and fulfills every run handle at the
-  // same completion time. Falls back to per-node Execute() when an operand
+  // the program the selector compiled, passing the kernel the entry's
+  // compiled run and reading the external operand at each of `slots`:
+  // elides intermediates nobody outside the run can observe, schedules one
+  // span of device time, and fulfills every run handle at the same
+  // completion time. Falls back to per-node Execute() when an operand
   // raced from usable to unusable.
   void ExecuteFused(std::vector<Node> run,
                     const std::vector<kernels::FusedRunSlot>& slots,

@@ -17,6 +17,7 @@
 #include "kernels/fused_elementwise.h"
 #include "ops/op_registry.h"
 #include "profiler/profiler.h"
+#include "runtime/dispatch.h"
 #include "runtime/eager_context.h"
 #include "support/logging.h"
 #include "tensor/allocator.h"
@@ -424,21 +425,22 @@ TEST_F(DonationTest, DonatedKernelOutputIsInPlaceAndBitwiseIdentical) {
     return t;
   };
 
-  AttrMap attrs;
-  attrs.emplace("program", AttrValue(compiled->program.Encode()));
-  attrs.emplace("dtype", AttrValue(DType::kFloat32));
-
+  // The same run without its donation plan allocates fresh.
+  const OpDef* fused = Op("FusedElementwise");
+  kernels::CompiledRun copying = *compiled;
+  copying.donations.assign(copying.donations.size(), -1);
   Tensor plain_in = make_input();
-  auto plain = ctx->ExecuteKernel("FusedElementwise", {plain_in}, attrs, cpu,
-                                  /*compiled=*/false, /*start_ns=*/0);
+  auto plain = ctx->ExecuteKernel(*fused, {plain_in}, AttrMap(), cpu,
+                                  /*compiled=*/false, /*start_ns=*/0,
+                                  /*rng_stream=*/0, &copying);
   ASSERT_TRUE(plain.ok());
   ASSERT_EQ(plain->outputs.size(), 1u);
   EXPECT_NE(plain->outputs[0].buffer().get(), plain_in.buffer().get());
 
-  attrs.emplace("donate", AttrValue(std::vector<int64_t>{0}));
   Tensor donated_in = make_input();
-  auto donated = ctx->ExecuteKernel("FusedElementwise", {donated_in}, attrs,
-                                    cpu, /*compiled=*/false, /*start_ns=*/0);
+  auto donated = ctx->ExecuteKernel(*fused, {donated_in}, AttrMap(), cpu,
+                                    /*compiled=*/false, /*start_ns=*/0,
+                                    /*rng_stream=*/0, &*compiled);
   ASSERT_TRUE(donated.ok());
   ASSERT_EQ(donated->outputs.size(), 1u);
   // In place: the output IS the input's storage...
@@ -448,15 +450,16 @@ TEST_F(DonationTest, DonatedKernelOutputIsInPlaceAndBitwiseIdentical) {
             ToVector<float>(plain->outputs[0]));
 }
 
-TEST_F(DonationTest, KernelRejectsUnsafeDonationAttr) {
+TEST_F(DonationTest, DonateAttrIsIgnored) {
   using kernels::CompileFusedRun;
   using kernels::FusedRunOp;
   using kernels::FusedRunOperand;
   EagerContext* ctx = EagerContext::Global();
   Device* cpu = ctx->HostCpu();
 
-  // Transposed read: the compiler refuses to donate, and a forged "donate"
-  // attr naming the operand anyway must be rejected, not honored.
+  // Transposed read: the compiler refuses to donate. A "donate" attr naming
+  // the operand anyway is no donation plan: the kernel runs the compiled
+  // run's plan, allocates fresh, and leaves the input as it was.
   std::vector<FusedRunOp> run(2);
   run[0] = {Op("Transpose"), DType::kFloat32, Shape({16, 16}),
             {{-1, 0}}, {1, 0}, {}, false};
@@ -466,15 +469,92 @@ TEST_F(DonationTest, KernelRejectsUnsafeDonationAttr) {
       {DType::kFloat32, Shape({16, 16}), /*may_donate=*/true}};
   auto compiled = CompileFusedRun(run, operands, DType::kFloat32);
   ASSERT_TRUE(compiled.ok());
+  ASSERT_EQ(compiled->donations[0], -1);
 
-  AttrMap attrs;
-  attrs.emplace("program", AttrValue(compiled->program.Encode()));
-  attrs.emplace("dtype", AttrValue(DType::kFloat32));
-  attrs.emplace("donate", AttrValue(std::vector<int64_t>{0}));
   Tensor input = Tensor::Empty(DType::kFloat32, Shape({16, 16}), cpu);
-  auto result = ctx->ExecuteKernel("FusedElementwise", {input}, attrs, cpu,
-                                   /*compiled=*/false, /*start_ns=*/0);
-  EXPECT_FALSE(result.ok());
+  float* data = input.mutable_data<float>();
+  for (int i = 0; i < 256; ++i) data[i] = -static_cast<float>(i);
+  const std::vector<float> before = ToVector<float>(input);
+  const AttrMap attrs = {{"donate", AttrValue(std::vector<int64_t>{0})}};
+  auto result = ctx->ExecuteKernel(*Op("FusedElementwise"), {input}, attrs,
+                                   cpu, /*compiled=*/false, /*start_ns=*/0,
+                                   /*rng_stream=*/0, &*compiled);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->outputs.size(), 1u);
+  EXPECT_NE(result->outputs[0].buffer().get(), input.buffer().get());
+  EXPECT_EQ(ToVector<float>(input), before);
+  EXPECT_EQ(ToVector<float>(result->outputs[0])[1], 16.0f);  // |x[1][0]|
+}
+
+// `op` dispatched with a forged "donate" attr naming input 0; on a dispatch
+// error, records the failure and returns `inputs[0]`.
+Tensor DispatchForged(const char* op, std::vector<Tensor> inputs) {
+  const Tensor fallback = inputs[0];
+  auto result = DispatchSingle(
+      {.op_name = op,
+       .inputs = std::move(inputs),
+       .attrs = {{"donate", AttrValue(static_cast<int64_t>(0))}}});
+  if (!result.ok()) {
+    ADD_FAILURE() << op << ": " << result.status().ToString();
+    return fallback;
+  }
+  return *result;
+}
+
+TEST_F(DonationTest, ForgedDonateAttrLeavesInputsUnchanged) {
+  // Which input a kernel may overwrite is a run-time fact only the drain
+  // proves. A "donate" attr passed through the public Dispatch is not that
+  // proof: the caller's live inputs must keep their bits, eagerly (sync and
+  // async) and staged, with fusion on and off.
+  EagerContext* ctx = EagerContext::Global();
+  const std::vector<float> x_bits = {1, 2, 3, 4};
+  const std::vector<float> a_bits = {5, 6};
+  const std::vector<float> b_bits = {1, 1};
+  int trace = 0;
+  for (bool async : {false, true}) {
+    for (bool fuse : {false, true}) {
+      SCOPED_TRACE(std::string(async ? "async" : "sync") +
+                   (fuse ? ", fusion on" : ", fusion off"));
+      ctx->set_async(async);
+      ctx->set_fuse_elementwise(fuse);
+      Tensor x = ops::constant<float>(x_bits, {4});
+      Tensor a = ops::constant<float>(a_bits, {2});
+      Tensor b = ops::constant<float>(b_bits, {2});
+
+      Tensor neg = DispatchForged("Neg", {x});
+      Tensor sum = DispatchForged("Add", {a, b});
+      ASSERT_TRUE(ctx->Sync().ok());
+      EXPECT_EQ(ToVector<float>(neg), (std::vector<float>{-1, -2, -3, -4}));
+      EXPECT_EQ(ToVector<float>(sum), (std::vector<float>{6, 7}));
+      EXPECT_EQ(ToVector<float>(x), x_bits) << "eager Neg overwrote x";
+      EXPECT_EQ(ToVector<float>(a), a_bits) << "eager Add overwrote a";
+
+      Function f(
+          [](const std::vector<Tensor>& args) -> std::vector<Tensor> {
+            return {DispatchForged("Neg", {args[0]}),
+                    DispatchForged("Add", {args[1], args[2]})};
+          },
+          "forged_donate_" + std::to_string(trace++));
+      std::vector<Tensor> staged = f({x, a, b});
+      ASSERT_TRUE(ctx->Sync().ok());
+      EXPECT_EQ(ToVector<float>(staged[0]),
+                (std::vector<float>{-1, -2, -3, -4}));
+      EXPECT_EQ(ToVector<float>(staged[1]), (std::vector<float>{6, 7}));
+      EXPECT_EQ(ToVector<float>(x), x_bits) << "staged Neg overwrote x";
+      EXPECT_EQ(ToVector<float>(a), a_bits) << "staged Add overwrote a";
+
+      // A fused program reaches its kernel only from the runtime; a caller
+      // dispatching the op itself gets a loud error, not a run.
+      auto fused = Dispatch(
+          {.op_name = "FusedElementwise",
+           .inputs = {x, x},
+           .attrs = {{"donate", AttrValue(static_cast<int64_t>(0))}}});
+      Status status = fused.ok() ? (*fused)[0].Materialize() : fused.status();
+      EXPECT_FALSE(status.ok());
+      (void)ctx->Sync();  // async: absorb a deferred error
+      EXPECT_EQ(ToVector<float>(x), x_bits);
+    }
+  }
 }
 
 TEST_F(DonationTest, OpAtATimeUnaryOpsDonate) {

@@ -63,6 +63,17 @@ kernels::MicroProgram MakeProgram(int64_t num_operands, int64_t n,
   return p;
 }
 
+// `program` as the FusedElementwise kernel runs it: a float32 run whose
+// outputs are members 0..k-1, with no donation plan.
+kernels::CompiledRun MakeRun(kernels::MicroProgram program) {
+  kernels::CompiledRun run;
+  for (size_t k = 0; k < program.output_specs.size(); ++k) {
+    run.output_members.push_back(static_cast<int>(k));
+  }
+  run.program = std::move(program);
+  return run;
+}
+
 // Fusion on the drain is opportunistic: it needs queue depth, and an idle
 // drain thread would otherwise pop each op the moment it is enqueued. A
 // slow op at the head of the in-order queue keeps the drain busy while the
@@ -372,43 +383,77 @@ TEST_F(FusionTest, CastToDifferentDtypeCutsRunButValuesAgree) {
 TEST_F(FusionTest, HandcraftedCastProgramConvertsOperand) {
   // Exercise the kernel directly: slot 1 is int32 (foreign), kCast folds it
   // into the float run, then kAdd consumes the converted value.
-  kernels::MicroProgram program =
+  const kernels::CompiledRun run = MakeRun(
       MakeProgram(2, 3, 2,
                   {{kernels::MicroOpCode::kCast, 1, 1, 2},
                    {kernels::MicroOpCode::kAdd, 0, 2, 3}},
-                  {3});
-  AttrMap attrs;
-  attrs.emplace("program", AttrValue(program.Encode()));
-  attrs.emplace("dtype", AttrValue(DType::kFloat32));
-  Tensor xf = ops::constant<float>({0.5f, -1.25f, 2.0f}, {3});
-  Tensor xi = ops::constant<int32_t>({1, -2, 3}, {3});
-  auto result = DispatchSingle({.op_name = "FusedElementwise",
-                                .inputs = {xf, xi},
-                                .attrs = attrs});
+                  {3}));
+  ASSERT_TRUE(run.program.Verify().ok());
+  EagerContext* ctx = EagerContext::Global();
+  Tensor xf = tensor_util::FromVector<float>({0.5f, -1.25f, 2.0f}, {3});
+  Tensor xi = tensor_util::FromVector<int32_t>({1, -2, 3}, {3});
+  auto result = ctx->ExecuteKernel(*Op("FusedElementwise"), {xf, xi},
+                                   AttrMap(), ctx->HostCpu(),
+                                   /*compiled=*/false, /*start_ns=*/0,
+                                   /*rng_stream=*/0, &run);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_TRUE(EagerContext::Global()->Sync().ok());
-  EXPECT_EQ(ToVector<float>(*result),
+  ASSERT_EQ(result->outputs.size(), 1u);
+  EXPECT_EQ(ToVector<float>(result->outputs[0]),
             (std::vector<float>{1.5f, -3.25f, 5.0f}));
 }
 
 TEST_F(FusionTest, ForeignOperandReadByNonCastIsRejected) {
   // A non-cast instruction reading a foreign-dtype operand is a malformed
   // program: only kCast may consume registers that need conversion.
-  kernels::MicroProgram program =
-      MakeProgram(2, 2, 1, {{kernels::MicroOpCode::kAdd, 0, 1, 2}}, {2});
-  AttrMap attrs;
-  attrs.emplace("program", AttrValue(program.Encode()));
-  attrs.emplace("dtype", AttrValue(DType::kFloat32));
-  Tensor xf = ops::constant<float>({1, 2}, {2});
-  Tensor xi = ops::constant<int32_t>({1, 2}, {2});
-  auto result = Dispatch({.op_name = "FusedElementwise",
-                          .inputs = {xf, xi},
-                          .attrs = attrs});
-  // Async execution defers the kernel failure to the sync point.
-  Status status =
-      result.ok() ? (*result)[0].Materialize() : result.status();
-  EXPECT_FALSE(status.ok());
-  (void)EagerContext::Global()->Sync();  // absorb the deferred error
+  const kernels::CompiledRun run = MakeRun(
+      MakeProgram(2, 2, 1, {{kernels::MicroOpCode::kAdd, 0, 1, 2}}, {2}));
+  EagerContext* ctx = EagerContext::Global();
+  Tensor xf = tensor_util::FromVector<float>({1, 2}, {2});
+  Tensor xi = tensor_util::FromVector<int32_t>({1, 2}, {2});
+  auto result = ctx->ExecuteKernel(*Op("FusedElementwise"), {xf, xi},
+                                   AttrMap(), ctx->HostCpu(),
+                                   /*compiled=*/false, /*start_ns=*/0,
+                                   /*rng_stream=*/0, &run);
+  EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument);
+}
+
+TEST_F(FusionTest, TimingOnlyInputSimulatesAStagedFusedChain) {
+  // An opaque input (a timing-only accelerator's output) sends a staged
+  // fused node down the simulation path: its output types come from its
+  // compiled program, and no kernel runs.
+  EagerContext::Options options;
+  options.accelerators_execute_kernels = false;
+  EagerContext::ResetGlobal(options);
+  EagerContext* ctx = EagerContext::Global();
+  Tensor x;
+  {
+    DeviceScope gpu("/gpu:0");
+    Tensor c = ops::constant<float>({1, 2, 3, 4}, {4});
+    x = ops::add(c, c);
+  }
+  ASSERT_TRUE(x.is_opaque());
+  Function chain(
+      [](const std::vector<Tensor>& args) -> std::vector<Tensor> {
+        Tensor h = args[0];
+        for (int i = 0; i < 4; ++i) {
+          h = ops::tanh(ops::mul(h, ops::scalar<float>(0.5f)));
+        }
+        return {h};
+      },
+      "timing_only_chain");
+  const uint64_t fused_runs = ctx->stats().fused_runs.load();
+  const uint64_t nodes = ctx->stats().executor_nodes.load();
+  Tensor y;
+  {
+    DeviceScope cpu("/cpu:0");
+    y = chain({x})[0];
+  }
+  EXPECT_TRUE(y.is_opaque());
+  EXPECT_EQ(y.dtype(), DType::kFloat32);
+  EXPECT_EQ(y.shape(), Shape({4}));
+  EXPECT_EQ(ctx->stats().fused_runs.load(), fused_runs);
+  // The eight ops ran as fused nodes, not one node each.
+  EXPECT_LT(ctx->stats().executor_nodes.load() - nodes, 8u);
 }
 
 // --- map-reduce fusion: layout members, reduce epilogues, scalar casts -----
@@ -795,152 +840,85 @@ TEST_F(ParallelKernelsTest, LargeElementwiseBitwise) {
   ExpectParallelBitwiseEqual([&] { return ops::tanh(ops::add(x, x)); });
 }
 
-// --- micro-op program encoding ---------------------------------------------
+// --- micro-op program verifier ---------------------------------------------
 
-TEST(MicroProgramTest, EncodeDecodeRoundTrip) {
-  // Every encoded field: contiguous, scalar, and strided slots over a 2x3
-  // evaluation space, explicit dst rows, a contiguous and a strided
-  // (transposed) output, and a trailing-axis Sum epilogue.
-  using kernels::MicroAccessKind;
-  kernels::MicroProgram p;
-  p.num_operands = 3;
-  p.eval_dims = {2, 3};
-  p.num_rows = 2;
-  p.slots = {{0, {MicroAccessKind::kContiguous, {}, {}}},
-             {1, {MicroAccessKind::kScalar, {}, {}}},
-             {0, {MicroAccessKind::kStrided, {2, 3}, {1, 2}}}};
-  p.insts = {{kernels::MicroOpCode::kAdd, 0, 1, 3},
-             {kernels::MicroOpCode::kMul, 3, 2, 4}};
-  p.output_specs = {{3, {2, 3}, {}},
-                    {4, {3, 2}, {MicroAccessKind::kStrided, {2, 3}, {1, 2}}}};
-  p.reduce = {kernels::MicroReduceKind::kSum, 4, 3, {2}};
-  const std::vector<int64_t> encoded = p.Encode();
-  EXPECT_EQ(encoded[0], kernels::kMicroProgramMagicV3);
-  auto decoded = kernels::MicroProgram::Decode(encoded);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->num_operands, 3);
-  EXPECT_EQ(decoded->eval_dims, (std::vector<int64_t>{2, 3}));
-  EXPECT_EQ(decoded->num_rows, 2);
-  ASSERT_EQ(decoded->slots.size(), 3u);
-  EXPECT_TRUE(decoded->slots[2].access == p.slots[2].access);
-  ASSERT_EQ(decoded->insts.size(), 2u);
-  EXPECT_EQ(decoded->insts[1].opcode, kernels::MicroOpCode::kMul);
-  EXPECT_EQ(decoded->insts[1].dst, 4);
-  ASSERT_EQ(decoded->output_specs.size(), 2u);
-  EXPECT_EQ(decoded->output_specs[1].shape, (std::vector<int64_t>{3, 2}));
-  EXPECT_TRUE(decoded->output_specs[1].store == p.output_specs[1].store);
-  EXPECT_EQ(decoded->reduce.kind, kernels::MicroReduceKind::kSum);
-  EXPECT_EQ(decoded->reduce.reduce_count, 3);
-  EXPECT_EQ(decoded->Encode(), encoded);
-}
-
-TEST(MicroProgramTest, DecodeRejectsMalformedPrograms) {
+TEST(MicroProgramTest, VerifyRejectsMalformedPrograms) {
   const kernels::MicroProgram valid =
       MakeProgram(1, 4, 1, {{kernels::MicroOpCode::kNeg, 0, 0, 1}}, {1});
-  ASSERT_TRUE(kernels::MicroProgram::Decode(valid.Encode()).ok());
-  EXPECT_FALSE(kernels::MicroProgram::Decode({}).ok());
+  ASSERT_TRUE(valid.Verify().ok());
+  EXPECT_FALSE(kernels::MicroProgram().Verify().ok());
   // Forward reference: inst 0 reads register 1 (its own, unwritten row).
   kernels::MicroProgram forward = valid;
   forward.insts[0].a = 1;
-  EXPECT_FALSE(kernels::MicroProgram::Decode(forward.Encode()).ok());
+  EXPECT_FALSE(forward.Verify().ok());
   // Unknown opcode.
   kernels::MicroProgram unknown = valid;
   unknown.insts[0].opcode = static_cast<kernels::MicroOpCode>(99);
-  EXPECT_FALSE(kernels::MicroProgram::Decode(unknown.Encode()).ok());
+  EXPECT_FALSE(unknown.Verify().ok());
   // Output register out of range.
   kernels::MicroProgram out_of_range = valid;
   out_of_range.output_specs[0].reg = 5;
-  EXPECT_FALSE(kernels::MicroProgram::Decode(out_of_range.Encode()).ok());
-  // Truncated, and trailing data.
-  std::vector<int64_t> truncated = valid.Encode();
-  truncated.pop_back();
-  EXPECT_FALSE(kernels::MicroProgram::Decode(truncated).ok());
-  std::vector<int64_t> trailing = valid.Encode();
-  trailing.push_back(0);
-  EXPECT_FALSE(kernels::MicroProgram::Decode(trailing).ok());
+  EXPECT_FALSE(out_of_range.Verify().ok());
+  // A slot count that disagrees with num_operands.
+  kernels::MicroProgram slots = valid;
+  slots.slots.push_back({0, {}});
+  EXPECT_FALSE(slots.Verify().ok());
+  // A strided slot whose walk does not cover the evaluation space.
+  kernels::MicroProgram uncovered = valid;
+  uncovered.slots[0].access = {kernels::MicroAccessKind::kStrided, {2}, {1}};
+  EXPECT_FALSE(uncovered.Verify().ok());
+  // An evaluation rank past the bound.
+  kernels::MicroProgram deep = valid;
+  deep.eval_dims.assign(17, 1);
+  deep.eval_dims.back() = 4;
+  EXPECT_FALSE(deep.Verify().ok());
+  // A strided output store escaping its buffer.
+  kernels::MicroProgram escape = valid;
+  escape.output_specs[0].store = {kernels::MicroAccessKind::kStrided, {4}, {2}};
+  EXPECT_FALSE(escape.Verify().ok());
+  // A reduce epilogue that does not tile the evaluation space.
+  kernels::MicroProgram tiling = valid;
+  tiling.reduce = {kernels::MicroReduceKind::kSum, 1, 3, {1}};
+  EXPECT_FALSE(tiling.Verify().ok());
+  tiling.reduce.reduce_count = 4;
+  EXPECT_TRUE(tiling.Verify().ok());
+  // A program that computes nothing.
+  kernels::MicroProgram empty = valid;
+  empty.insts.clear();
+  empty.output_specs.clear();
+  empty.num_rows = 0;
+  EXPECT_FALSE(empty.Verify().ok());
 }
 
-TEST(MicroProgramTest, CastOpcodeDecodesAndBoundsTheOpcodeRange) {
+TEST(MicroProgramTest, CastOpcodeVerifiesAndBoundsTheOpcodeRange) {
   kernels::MicroProgram p =
       MakeProgram(1, 4, 1, {{kernels::MicroOpCode::kCast, 0, 0, 1}}, {1});
-  auto decoded = kernels::MicroProgram::Decode(p.Encode());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->insts[0].opcode, kernels::MicroOpCode::kCast);
+  EXPECT_TRUE(p.Verify().ok());
   EXPECT_EQ(kernels::MicroOpArity(kernels::MicroOpCode::kCast), 1);
   // kCast is the last opcode; one past it is unknown.
   p.insts[0].opcode = static_cast<kernels::MicroOpCode>(
       static_cast<int64_t>(kernels::MicroOpCode::kCast) + 1);
-  EXPECT_FALSE(kernels::MicroProgram::Decode(p.Encode()).ok());
-}
-
-TEST(MicroProgramTest, RetiredEncodingsAreRejectedLoudly) {
-  // The retired layouts: v1 starts with the operand count (here 2 operands,
-  // one Add, output register 2); v2 starts with -2 and carries neither a
-  // row count nor dst registers (one contiguous slot, one Neg, one output).
-  const int64_t neg = static_cast<int64_t>(kernels::MicroOpCode::kNeg);
-  const std::vector<std::vector<int64_t>> retired = {
-      {2, 1, 0, 0, 1, 1, 2},
-      {-2, 1, 1, 4, 0, 1, 1, neg, 0, 0, 1, 1, 1, 4, 1, 0}};
-  const OpDef* def = *OpRegistry::Global()->LookUp("FusedElementwise");
-  for (const std::vector<int64_t>& encoded : retired) {
-    EXPECT_EQ(kernels::MicroProgram::Decode(encoded).status().code(),
-              ErrorCode::kInvalidArgument);
-
-    AttrMap attrs;
-    attrs.emplace("program", AttrValue(encoded));
-    attrs.emplace("dtype", AttrValue(DType::kFloat32));
-    Tensor x = ops::constant<float>({1, 2, 3, 4}, {4});
-    auto result = DispatchSingle({.op_name = "FusedElementwise",
-                                  .inputs = {x, x},
-                                  .attrs = attrs});
-    Status status = result.ok() ? result->Materialize() : result.status();
-    EXPECT_EQ(status.code(), ErrorCode::kInvalidArgument) << status.ToString();
-    if (result.ok()) (void)EagerContext::Global()->Sync();  // async: absorb
-
-    InferenceContext infer({{DType::kFloat32, Shape({4})},
-                            {DType::kFloat32, Shape({4})}},
-                           &attrs);
-    EXPECT_EQ(def->shape_fn(&infer).code(), ErrorCode::kInvalidArgument);
-  }
-}
-
-TEST(MicroProgramTest, V3RoundTripKeepsDstAndRowCount) {
-  // add → relu in one reused row: dst of both instructions is row 0.
-  kernels::MicroProgram p =
-      MakeProgram(2, 8, 1,
-                  {{kernels::MicroOpCode::kAdd, 0, 1, 2},
-                   {kernels::MicroOpCode::kRelu, 2, 0, 2}},
-                  {2});
-  auto decoded = kernels::MicroProgram::Decode(p.Encode());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->num_rows, 1);
-  EXPECT_EQ(decoded->num_registers(), 3);
-  ASSERT_EQ(decoded->insts.size(), 2u);
-  EXPECT_EQ(decoded->insts[0].dst, 2);
-  EXPECT_EQ(decoded->insts[1].dst, 2);
-  ASSERT_EQ(decoded->output_specs.size(), 1u);
-  EXPECT_EQ(decoded->output_specs[0].reg, 2);
+  EXPECT_FALSE(p.Verify().ok());
 }
 
 TEST(MicroProgramTest, V3RejectsRowMisuse) {
+  // The row rules of the explicit-destination program layout.
   auto make = [](int32_t inst1_a, int32_t inst1_dst, int32_t out_reg) {
     return MakeProgram(2, 8, 2,
                        {{kernels::MicroOpCode::kAdd, 0, 1, 2},
                         {kernels::MicroOpCode::kRelu, inst1_a, 0, inst1_dst}},
-                       {out_reg})
-        .Encode();
+                       {out_reg});
   };
-  // The valid baseline decodes.
-  ASSERT_TRUE(kernels::MicroProgram::Decode(make(2, 3, 3)).ok());
+  // The valid baseline verifies.
+  ASSERT_TRUE(make(2, 3, 3).Verify().ok());
   // Reading row 1 before any instruction wrote it.
-  EXPECT_FALSE(kernels::MicroProgram::Decode(make(3, 3, 3)).ok());
+  EXPECT_FALSE(make(3, 3, 3).Verify().ok());
   // dst out of the declared row range.
-  EXPECT_FALSE(kernels::MicroProgram::Decode(make(2, 4, 3)).ok());
+  EXPECT_FALSE(make(2, 4, 3).Verify().ok());
   // Output naming a row no instruction wrote.
-  EXPECT_FALSE(kernels::MicroProgram::Decode(
-                   MakeProgram(2, 8, 2, {{kernels::MicroOpCode::kAdd, 0, 1, 2}},
-                               {3})
-                       .Encode())
+  EXPECT_FALSE(MakeProgram(2, 8, 2, {{kernels::MicroOpCode::kAdd, 0, 1, 2}},
+                           {3})
+                   .Verify()
                    .ok());
 }
 
@@ -975,7 +953,7 @@ TEST(MicroProgramTest, CompactProgramDedupsAndReusesRows) {
   EXPECT_LE(p.num_rows, 2);
   ASSERT_EQ(p.output_specs.size(), 1u);
   EXPECT_EQ(p.output_specs[0].reg, p.insts[1].dst);
-  EXPECT_TRUE(kernels::MicroProgram::Decode(p.Encode()).ok());
+  EXPECT_TRUE(p.Verify().ok());
 }
 
 TEST(MicroProgramTest, CompactProgramBoundsRowsOnLongChains) {
@@ -1169,10 +1147,8 @@ TEST(ProgramCacheTest, MissThenHitOnSameSignature) {
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.size(), 1u);
-  // The cached artifact is the same program, not a recompile of a different
-  // shape: same encoding, same output wiring.
-  EXPECT_EQ(second->run.program.Encode(), first->run.program.Encode());
-  EXPECT_EQ(second->run.output_members, first->run.output_members);
+  // The hit hands out the inserted entry itself, not a recompile.
+  EXPECT_EQ(second.get(), first.get());
 
   // A different shape is a different signature.
   MakeCacheRun(32, &ops, &operands);
@@ -1290,36 +1266,31 @@ TEST(ProgramCacheTest, PackedKeySeparatesEveryField) {
 }
 
 TEST(ProgramCacheTest, EntryCarriesItsPreparedProgram) {
-  // The prepared call an entry carries is the one the kernel's prepare hook
-  // derives from the attrs the run lowers to: a run executed with it or with
-  // the attrs gives the same bits.
+  // The entry is what the kernel runs: its compiled run carries the run
+  // dtype and DAG bit, executes as given, and gives the bits op-at-a-time
+  // execution of the run's members gives.
   kernels::FusedProgramCache cache(/*capacity=*/8);
   std::vector<kernels::FusedRunOp> ops;
   std::vector<kernels::FusedRunOperand> operands;
   MakeCacheRun(16, &ops, &operands);
   auto entry = cache.GetOrCompile(ops, operands, DType::kFloat32);
   ASSERT_TRUE(entry->ok());
-  ASSERT_TRUE(entry->prepared.status.ok());
-  ASSERT_NE(entry->prepared.kernel, nullptr);
+  EXPECT_EQ(entry->run.dtype, DType::kFloat32);
+  EXPECT_FALSE(entry->run.dag);
 
   EagerContext* ctx = EagerContext::Global();
-  const OpDef* fused = Op("FusedElementwise");
   const std::vector<Tensor> inputs = {
       ops::random_normal({16}, 0, 1, /*seed=*/3),
       ops::random_normal({16}, 0, 1, /*seed=*/4)};
-  AttrMap attrs = {{"dtype", AttrValue(DType::kFloat32)}};
-  auto prepared = ctx->ExecuteKernel(*fused, inputs, attrs, ctx->HostCpu(),
-                                     /*compiled=*/false, /*start_ns=*/0,
-                                     /*rng_stream=*/0, &entry->prepared);
-  attrs.emplace("program", AttrValue(entry->run.program.Encode()));
-  auto decoded = ctx->ExecuteKernel(*fused, inputs, attrs, ctx->HostCpu(),
-                                    /*compiled=*/false, /*start_ns=*/0);
-  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(prepared->outputs.size(), 1u);
-  ASSERT_EQ(decoded->outputs.size(), 1u);
-  EXPECT_EQ(tensor_util::ToVector<float>(prepared->outputs[0]),
-            tensor_util::ToVector<float>(decoded->outputs[0]));
+  auto fused = ctx->ExecuteKernel(*Op("FusedElementwise"), inputs, AttrMap(),
+                                  ctx->HostCpu(), /*compiled=*/false,
+                                  /*start_ns=*/0, /*rng_stream=*/0,
+                                  &entry->run);
+  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+  ASSERT_EQ(fused->outputs.size(), 1u);
+  EXPECT_TRUE(BitwiseEqual(tensor_util::ToVector<float>(fused->outputs[0]),
+                           tensor_util::ToVector<float>(
+                               ops::relu(ops::add(inputs[0], inputs[1])))));
 }
 
 // --- DAG segments on the drain ---------------------------------------------

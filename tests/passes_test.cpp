@@ -148,8 +148,9 @@ TEST(PassesTest, FoldingCascades) {
 
 TEST(PassesTest, FuseElementwiseAbsorbsCast) {
   // Cast rides inside a static fused run as a kCast micro-op: the int32
-  // argument feeds the run as a foreign operand and the fused node carries
-  // the run dtype so the kernel knows what to convert to.
+  // argument feeds the run as a foreign operand and the fused node's
+  // compiled run carries the run dtype so the kernel knows what to convert
+  // to.
   auto fn = std::make_shared<GraphFunction>("fuse_cast_static");
   {
     TraceContext trace(fn, EagerContext::Global());
@@ -168,8 +169,10 @@ TEST(PassesTest, FuseElementwiseAbsorbsCast) {
   for (int i = 0; i < fn->graph().num_nodes(); ++i) {
     const Node& node = fn->graph().node(i);
     if (node.def->name != "FusedElementwise") continue;
-    EXPECT_EQ(node.attrs.count("dtype"), 1u)
+    ASSERT_NE(node.program, nullptr);
+    EXPECT_EQ(node.program->dtype, DType::kFloat32)
         << "cast-bearing program must pin the run dtype";
+    EXPECT_TRUE(node.attrs.empty());
   }
 }
 
